@@ -17,9 +17,7 @@ from .braidword import (FAMILIES, GroupId, Letter, Word, band_generator_letters,
                         relation_suite, sigma, tau, underlying_permutation,
                         word_from_json, word_to_json, zeta)
 from .rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
-                  burau_reduced, burau_unreduced, check_compatible,
-                  generator_image, rep_dim, rep_image, rho, rho_tilde,
-                  word_image)
+                  check_compatible, generator_image, rep_dim, word_image)
 from .homs import (PipelineConfig, f_d, p_k, pipeline_matrix, pipeline_word,
                    rotation_block_letters, strand_removal_letters)
 from .relcheck import (Failure, Report, verify_oracle_agreement,
@@ -30,8 +28,9 @@ from .geom import (BISECTION_TOL, GENERICITY_TOL, PUNCTURE_TOL,
                    artin_dynamics, base_points, braid_from_json,
                    braid_to_json, concat, cylinder_events,
                    cylinder_events_json, events_to_json, flat_virtual_word,
-                   initial_order, linking_number, perturb, power_map_extract,
-                   project_pk, psi_d_events, psi_events, q_kl,
+                   initial_order, linking_number, pair_reading, perturb,
+                   power_map_extract, project_pk, psi_d_events, psi_events,
+                   q_kl,
                    realize_flat_virtual, render_svg, resample)
 
 __version__ = "0.1.0"

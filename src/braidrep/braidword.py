@@ -15,7 +15,6 @@ keep powers in {1}, zero powers vanish. No braid-type rewriting happens.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -172,10 +171,6 @@ class Word:
 
 def invert(w: Word) -> Word:
     return Word(w.group, free_reduce_letters(l.inverse() for l in reversed(w.letters)))
-
-
-def free_reduce(w: Word) -> Word:
-    return Word(w.group, free_reduce_letters(w.letters))
 
 
 # -- text form -----------------------------------------------------------------
@@ -370,10 +365,6 @@ def word_from_json(data: dict) -> Word:
     except (KeyError, TypeError, ValueError) as exc:
         raise WordSyntaxError(f"malformed word JSON: {exc}") from exc
     return Word(group, free_reduce_letters(letters))
-
-
-def word_to_json_text(w: Word) -> str:
-    return json.dumps(word_to_json(w), separators=(",", ":"))
 
 
 # -- permutations ------------------------------------------------------------------

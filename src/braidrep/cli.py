@@ -106,7 +106,7 @@ def _cmd_rep(args) -> int:
         else:
             raise ValueError(f"unknown pipeline {args.pipeline!r}")
     else:
-        mat = repmod.rep_image(word, args.rep, assignment)
+        mat = repmod.word_image(word, args.rep, assignment)
     if args.json:
         if assignment is None:
             print(json.dumps(mat_to_json(mat), indent=2))
@@ -186,29 +186,23 @@ def _cmd_geom(args) -> int:
     braid = _obtain_braid(args)
     conv = _conventions(args)
     emitted = False
-    word = None
+    word = pair_events = None
     if args.project_pk is not None:
         word = geom.project_pk(braid, args.project_pk, conv)
     elif args.power_map is not None:
         word = geom.power_map_extract(braid, args.power_map, args.d, conv)
     elif args.psi is not None:
         k, l = args.psi
-        word = geom.flat_virtual_word(braid, k, l, d=args.psi_d, conv=conv,
-                                      scheme=args.scheme, refine=args.refine)
+        pair_events, word = geom.pair_reading(braid, k, l, args.psi_d,
+                                              args.scheme, args.refine)
     if args.linking:
         for i in range(1, braid.n + 1):
             for j in range(i + 1, braid.n + 1):
                 print(f"lk({i},{j}) = {geom.linking_number(braid, i, j)}")
         emitted = True
     if args.emit_events:
-        if args.psi is not None:
-            k, l = args.psi
-            punct = geom.q_kl(braid, k, l, args.refine)
-            if args.psi_d is None:
-                events = geom.psi_events(punct, conv)
-            else:
-                events = geom.psi_d_events(punct, args.psi_d, conv)
-            print(json.dumps(geom.events_to_json(events), indent=2))
+        if pair_events is not None:
+            print(json.dumps(geom.events_to_json(pair_events), indent=2))
         elif args.project_pk is not None or args.power_map is not None:
             k = args.project_pk if args.project_pk is not None else args.power_map
             print(json.dumps(geom.cylinder_events_json(braid, k, conv), indent=2))
@@ -223,7 +217,7 @@ def _cmd_geom(args) -> int:
             rep_id = repmod.RHO if word.group.family in ("CPB", "VCB") \
                 else repmod.RHO_TILDE
             assignment = _parse_eval(args.eval) if args.eval else None
-            mat = repmod.rep_image(word, rep_id, assignment)
+            mat = repmod.word_image(word, rep_id, assignment)
             _print_matrix(mat, assignment is not None)
     if args.emit_braid:
         print(json.dumps(geom.braid_to_json(braid)))
@@ -248,7 +242,7 @@ def _cmd_example(args) -> int:
     cfg = homs.PipelineConfig(5, args.k, args.d)
     print(f"# kernel-element word on 5 strands, {len(word.expanded())} letters")
     print(f"# reduced-dimension image is the identity: "
-          f"{repmod.burau_reduced(word).is_identity}")
+          f"{repmod.word_image(word, repmod.BURAU_REDUCED).is_identity}")
     assignment = Assignment(Fraction(-1), Fraction(1))
     mat = homs.pipeline_matrix(word, cfg, assignment)
     print(f"# image under the k={cfg.k}, d={cfg.d} pipeline at t=-1, s=1:")

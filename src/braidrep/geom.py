@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braidword import GroupId, Letter, Word, free_reduce_letters, sigma, tau, pi, zeta
+from .braidword import GroupId, Letter, Word, free_reduce_letters, sigma, tau, pi
 from .errors import (NonGenericInput, NonIntegerWinding, NonZeroLinking,
                      PunctureCollision, SeparationViolated)
 from .homs import rotation_block_letters
@@ -47,6 +47,7 @@ PUNCTURE_TOL = 1e-9          # margin around the punctures 0 and 1
 BISECTION_TOL = 1e-12        # root refinement width in t
 _ANGLE_MARGIN = 1e-9         # triple-alignment margin, radians
 _REL_EPS = 1e-11             # relative threshold for degenerate polynomials
+_SUBSAMPLES = 8              # sign-scan samples per segment in the pair readings
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
 # regular-polygon degeneracies away without disturbing the slot order
@@ -103,11 +104,14 @@ class Event:
 class GeomBraid:
     """Polyline braid: per strand, breakpoints (time, point) with times
     strictly increasing from 0 to 1. Strands stay separated by
-    SEPARATION_TOL at all times."""
+    SEPARATION_TOL at all times.
+
+    segments is the shared linear model every reading works on: per merged
+    interval [t0, t1], values p and increments q with
+    strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1]."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
-    pure: bool = False
 
     def __post_init__(self):
         if self.n != len(self.strands) or self.n < 2:
@@ -120,7 +124,18 @@ class GeomBraid:
                     raise ValueError("breakpoint times must strictly increase")
         object.__setattr__(self, "_times",
                            tuple([bp[0] for bp in bps] for bps in self.strands))
+        times = _merged_times(self.strands)
+        configs = [tuple([self.at(s, t) for s in range(1, self.n + 1)])
+                   for t in times]
+        object.__setattr__(self, "segments", tuple(
+            (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
+            for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
         self._check_separation()
+
+    @property
+    def pure(self) -> bool:
+        """Every strand ends where it started."""
+        return self.start_config() == self.end_config()
 
     def at(self, strand: int, t: float) -> complex:
         """Position of 1-based strand at time t."""
@@ -149,13 +164,11 @@ class GeomBraid:
         return tuple(bps[-1][1] for bps in self.strands)
 
     def _check_separation(self) -> None:
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                times = sorted(set(self._times[i - 1]) | set(self._times[j - 1]))
-                for t0, t1 in zip(times, times[1:]):
-                    d0 = self.at(i, t0) - self.at(j, t0)
-                    d1 = self.at(i, t1) - self.at(j, t1)
-                    step = d1 - d0
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                for t0, _, p, q in self.segments:
+                    d0 = p[i] - p[j]
+                    step = q[i] - q[j]
                     den = abs(step) ** 2
                     if den > 0.0:
                         u = -((d0.real * step.real) + (d0.imag * step.imag)) / den
@@ -164,11 +177,12 @@ class GeomBraid:
                         u = 0.0
                     if abs(d0 + step * u) < SEPARATION_TOL:
                         raise SeparationViolated(
-                            f"strands {i} and {j} within tolerance near t={t0:.6f}")
+                            f"strands {i + 1} and {j + 1} within tolerance "
+                            f"near t={t0:.6f}")
 
 
-def merged_times(braid: GeomBraid) -> list[float]:
-    times = sorted({t for bps in braid.strands for t, _ in bps})
+def _merged_times(strands) -> list[float]:
+    times = sorted({t for bps in strands for t, _ in bps})
     out = [times[0]]
     for t in times[1:]:
         if t - out[-1] > 1e-13:
@@ -232,8 +246,7 @@ def artin_dynamics(word: Word, conv: Conventions | None = None, *,
     for track in tracks:
         if track[-1][0] != 1.0:
             track.append((1.0, track[-1][1]))
-    pure = all(tracks[s][-1][1] == pts[s] for s in range(n))
-    return GeomBraid(n, tuple(tuple(tr) for tr in tracks), pure)
+    return GeomBraid(n, tuple(tuple(tr) for tr in tracks))
 
 
 def perturb(braid: GeomBraid, seed: int, magnitude: float) -> GeomBraid:
@@ -251,7 +264,7 @@ def perturb(braid: GeomBraid, seed: int, magnitude: float) -> GeomBraid:
                 z = z + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * magnitude
             out.append((t, z))
         strands.append(tuple(out))
-    return GeomBraid(braid.n, tuple(strands), braid.pure)
+    return GeomBraid(braid.n, tuple(strands))
 
 
 def resample(braid: GeomBraid, factor: int = 2) -> GeomBraid:
@@ -267,7 +280,7 @@ def resample(braid: GeomBraid, factor: int = 2) -> GeomBraid:
                 out.append((t0 + (t1 - t0) * u, z0 + (z1 - z0) * u))
             out.append((t1, z1))
         strands.append(tuple(out))
-    return GeomBraid(braid.n, tuple(strands), braid.pure)
+    return GeomBraid(braid.n, tuple(strands))
 
 
 def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
@@ -282,8 +295,7 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
         head = [(t / 2, z) for t, z in a]
         tail = [(0.5 + t / 2, z) for t, z in b[1:]]
         strands.append(tuple(head + tail))
-    pure = all(s[0][1] == s[-1][1] for s in strands)
-    return GeomBraid(first.n, tuple(strands), pure)
+    return GeomBraid(first.n, tuple(strands))
 
 
 # -- winding -----------------------------------------------------------------------
@@ -291,13 +303,12 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
 
 def linking_number(braid: GeomBraid, i: int, j: int) -> int:
     """Integer winding of strand i around strand j (symmetric)."""
-    times = sorted(set(braid._times[i - 1]) | set(braid._times[j - 1]))
+    ends = braid.end_config()
+    diffs = [p[i - 1] - p[j - 1] for _, _, p, _ in braid.segments]
+    diffs.append(ends[i - 1] - ends[j - 1])
     total = 0.0
-    prev = braid.at(i, times[0]) - braid.at(j, times[0])
-    for t in times[1:]:
-        cur = braid.at(i, t) - braid.at(j, t)
+    for prev, cur in zip(diffs, diffs[1:]):
         total += cmath.phase(cur / prev)
-        prev = cur
     w = total / TWO_PI
     r = round(w)
     if abs(w - r) > 1e-6:
@@ -306,20 +317,7 @@ def linking_number(braid: GeomBraid, i: int, j: int) -> int:
     return int(r)
 
 
-# -- linear segment models -----------------------------------------------------------
-
-
-def _segment_models(braid: GeomBraid):
-    """Per merged interval [t0, t1]: values p and increments q with
-    strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1]."""
-    times = merged_times(braid)
-    configs = [[braid.at(s, t) for s in range(1, braid.n + 1)] for t in times]
-    models = []
-    for idx in range(len(times) - 1):
-        p = configs[idx]
-        q = [configs[idx + 1][s] - p[s] for s in range(braid.n)]
-        models.append((times[idx], times[idx + 1], p, q))
-    return models
+# -- root finding on linear models --------------------------------------------
 
 
 def _quad_roots(c2: float, c1: float, c0: float, scale: float):
@@ -378,7 +376,7 @@ def cylinder_events(braid: GeomBraid, k: int,
     k0 = k - 1
     others = [s for s in range(n) if s != k0]
     raw = []
-    for t0, t1, p, q in _segment_models(braid):
+    for t0, t1, p, q in braid.segments:
         h = t1 - t0
 
         def rel(s0: int, u: float) -> complex:
@@ -482,35 +480,33 @@ def _check_event_spacing(times: Sequence[float]) -> None:
                                   time=a)
 
 
-def project_pk(braid: GeomBraid, k: int,
-               conv: Conventions | None = None) -> Word:
-    """Cylinder word on n-1 strands read off the trajectories."""
-    m = braid.n - 1
+def _cylinder_letters(braid: GeomBraid, k: int, d: int,
+                      conv: Conventions | None) -> tuple[Letter, ...]:
+    """Crossings stay crossings; each cut passage becomes the d-th power
+    rotation block, a single z for d=1."""
+    if d < 1:
+        raise ValueError("d must be positive")
     letters: list[Letter] = []
     for record in cylinder_events(braid, k, conv):
         if record[0] == "cross":
             _, _, _, _, slot, sign = record
             letters.append(sigma(slot, sign))
         else:
-            letters.append(zeta(record[3]))
-    return Word(GroupId("CPB", m), free_reduce_letters(letters))
+            letters.extend(rotation_block_letters(braid.n - 1, d, record[3]))
+    return free_reduce_letters(letters)
+
+
+def project_pk(braid: GeomBraid, k: int,
+               conv: Conventions | None = None) -> Word:
+    """Cylinder word on n-1 strands read off the trajectories."""
+    return Word(GroupId("CPB", braid.n - 1), _cylinder_letters(braid, k, 1, conv))
 
 
 def power_map_extract(braid: GeomBraid, k: int, d: int,
                       conv: Conventions | None = None) -> Word:
     """Word of the d-th power reading: crossings stay crossings, each cut
     passage becomes the rotation-virtual block."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    m = braid.n - 1
-    letters: list[Letter] = []
-    for record in cylinder_events(braid, k, conv):
-        if record[0] == "cross":
-            _, _, _, _, slot, sign = record
-            letters.append(sigma(slot, sign))
-        else:
-            letters.extend(rotation_block_letters(m, d, record[3]))
-    return Word(GroupId("VCB", m), free_reduce_letters(letters))
+    return Word(GroupId("VCB", braid.n - 1), _cylinder_letters(braid, k, d, conv))
 
 
 # -- pair normalization ------------------------------------------------------------------
@@ -529,25 +525,27 @@ def q_kl(braid: GeomBraid, k: int, l: int, refine: int = 2) -> GeomBraid:
         for j in range(i + 1, n + 1):
             if linking_number(braid, i, j) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i, j))
-    grid: list[float] = []
-    times = merged_times(braid)
-    for t0, t1 in zip(times, times[1:]):
-        for s in range(refine):
-            grid.append(t0 + (t1 - t0) * s / refine)
-    grid.append(1.0)
-    survivors = [s for s in range(1, n + 1) if s not in (k, l)]
-    strands = []
-    for s in survivors:
-        bps = []
-        for t in grid:
-            den = braid.at(l, t) - braid.at(k, t)
-            g = (braid.at(s, t) - braid.at(k, t)) / den
+    k0, l0 = k - 1, l - 1
+    tracks = [(s0, []) for s0 in range(n) if s0 not in (k0, l0)]
+    for t, z in _refined(braid, refine):
+        den = z[l0] - z[k0]
+        for s0, bps in tracks:
+            bps.append((t, (z[s0] - z[k0]) / den))
+    for s0, bps in tracks:
+        for t, g in bps:
             if abs(g) < PUNCTURE_TOL or abs(g - 1) < PUNCTURE_TOL:
                 raise PunctureCollision(
-                    f"strand {s} touches a puncture at t={t:.6f}")
-            bps.append((t, g))
-        strands.append(tuple(bps))
-    return GeomBraid(n - 2, tuple(strands), braid.pure)
+                    f"strand {s0 + 1} touches a puncture at t={t:.6f}")
+    return GeomBraid(n - 2, tuple(tuple(bps) for _, bps in tracks))
+
+
+def _refined(braid: GeomBraid, refine: int):
+    """Times and configurations at refine equal steps per segment, then t=1."""
+    for t0, t1, p, q in braid.segments:
+        for s in range(refine):
+            u = s / refine
+            yield t0 + (t1 - t0) * s / refine, [a + b * u for a, b in zip(p, q)]
+    yield 1.0, braid.end_config()
 
 
 def initial_order(braid: GeomBraid) -> tuple[int, ...]:
@@ -618,31 +616,29 @@ def _bisect(f, lo: float, hi: float, h: float) -> float:
     return (lo + hi) / 2
 
 
-def psi_events(braid: GeomBraid, conv: Conventions | None = None,
-               method: str = "cross-ratio", subsamples: int = 8) -> tuple[Event, ...]:
+def psi_events(braid: GeomBraid, method: str = "cross-ratio") -> tuple[Event, ...]:
     """Events of a braid in the plane punctured at 0 and 1: for each pair,
     the real crossings of the classifier function, with class and
     negative-end strand."""
     events: list[Event] = []
-    models = _segment_models(braid)
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
-            for t0, t1, p, q in models:
+            for t0, t1, p, q in braid.segments:
                 h = t1 - t0
                 num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0], method)
 
                 def phi(u: float) -> float:
                     return _im_value(num, den, u)
 
-                samples = [phi(s / subsamples) for s in range(subsamples + 1)]
-                for s in range(subsamples):
+                samples = [phi(s / _SUBSAMPLES) for s in range(_SUBSAMPLES + 1)]
+                for s in range(_SUBSAMPLES):
                     fa, fb = samples[s], samples[s + 1]
                     root = None
                     if fa == 0.0:
                         if s > 0 or t0 > 0.0:
-                            root = s / subsamples
+                            root = s / _SUBSAMPLES
                     elif (fa > 0) != (fb > 0):
-                        root = _bisect(phi, s / subsamples, (s + 1) / subsamples, h)
+                        root = _bisect(phi, s / _SUBSAMPLES, (s + 1) / _SUBSAMPLES, h)
                     if root is None:
                         continue
                     events.append(_classify(num, den, root, t0 + h * root,
@@ -704,20 +700,18 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str) -> Even
     return Event(t, i, j, cls, ne)
 
 
-def psi_d_events(braid: GeomBraid, d: int, conv: Conventions | None = None,
-                 subsamples: int = 8) -> tuple[Event, ...]:
+def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
     """Events of the d-th power reading in the punctured plane: per pair, the
     pair ratio sweeps through the rays at angles 2 pi p / d; ray 0 gives a
     classical crossing, the others are flat."""
     if d < 2:
         raise ValueError("power readings need d >= 2")
     events: list[Event] = []
-    models = _segment_models(braid)
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             lifted = None
             prev_val = None
-            for t0, t1, p, q in models:
+            for t0, t1, p, q in braid.segments:
                 h = t1 - t0
                 num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0],
                                                "cross-ratio")
@@ -730,8 +724,8 @@ def psi_d_events(braid: GeomBraid, d: int, conv: Conventions | None = None,
                     prev_val = ratio(0.0)
                     lifted = cmath.phase(prev_val)
                     prev_u = 0.0
-                for s in range(start, subsamples + 1):
-                    u = s / subsamples
+                for s in range(start, _SUBSAMPLES + 1):
+                    u = s / _SUBSAMPLES
                     val = ratio(u)
                     step = cmath.phase(val / prev_val)
                     cur = lifted + step
@@ -856,19 +850,23 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
     return Word(GroupId("FVB", m), free_reduce_letters(letters))
 
 
+def pair_reading(braid: GeomBraid, k: int, l: int, d: int | None = None,
+                 scheme: str = "route-and-return",
+                 refine: int = 2) -> tuple[tuple[Event, ...], Word]:
+    """Full plane-pair pipeline: normalize (k, l) to the punctures, detect
+    events, realize them as a flat-virtual word on n-2 strands. Returns the
+    events and the word."""
+    punctured = q_kl(braid, k, l, refine)
+    events = psi_events(punctured) if d is None else psi_d_events(punctured, d)
+    return events, realize_flat_virtual(events, punctured.n, scheme,
+                                        initial_order=initial_order(punctured))
+
+
 def flat_virtual_word(braid: GeomBraid, k: int, l: int, d: int | None = None,
-                      conv: Conventions | None = None,
                       scheme: str = "route-and-return",
                       refine: int = 2) -> Word:
-    """Full plane-pair pipeline: normalize (k, l) to the punctures, detect
-    events, realize them as a flat-virtual word on n-2 strands."""
-    punctured = q_kl(braid, k, l, refine)
-    if d is None:
-        events = psi_events(punctured, conv)
-    else:
-        events = psi_d_events(punctured, d, conv)
-    return realize_flat_virtual(events, punctured.n, scheme,
-                                initial_order=initial_order(punctured))
+    """Word of pair_reading."""
+    return pair_reading(braid, k, l, d, scheme, refine)[1]
 
 
 # -- serialization -------------------------------------------------------------------------
@@ -883,13 +881,12 @@ def braid_to_json(braid: GeomBraid) -> dict:
 def braid_from_json(data) -> GeomBraid:
     try:
         n = int(data["n"])
-        pure = bool(data.get("pure", False))
         strands = tuple(
             tuple((float(t), complex(re, im)) for t, re, im in bps)
             for bps in data["strands"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed braid JSON: {exc}") from exc
-    return GeomBraid(n, strands, pure)
+    return GeomBraid(n, strands)
 
 
 def events_to_json(events: Iterable[Event]) -> list[dict]:

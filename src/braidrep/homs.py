@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braidword import (GroupId, Letter, Word, free_reduce_letters, invert,
-                        is_pure, sigma, tau, zeta)
+from .braidword import (GroupId, Letter, Word, free_reduce_letters, is_pure,
+                        sigma, tau, zeta)
 from .errors import NotPure
-from .laurent import Assignment, Matrix
+from .laurent import Assignment
 from . import rep
 
 

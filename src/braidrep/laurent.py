@@ -183,14 +183,6 @@ S_INV = LaurentPoly.monomial(1, 0, -1, 0)
 R_INV = LaurentPoly.monomial(1, 0, 0, -1)
 
 
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 # -- evaluation --------------------------------------------------------------
 
 

@@ -16,8 +16,6 @@ operations instead of O(len * dim^3).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
-
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup, KindNotInGroup
 from .laurent import (Assignment, LaurentPoly, Matrix, lp_eval,
@@ -172,34 +170,6 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     if assignment is None:
         return Matrix(dim, tuple(tuple(r) for r in rows))
     return tuple(tuple(r) for r in rows)
-
-
-def rho(word: Word) -> Matrix:
-    return word_image(word, RHO)
-
-
-def rho_tilde(word: Word) -> Matrix:
-    return word_image(word, RHO_TILDE)
-
-
-def burau_unreduced(word: Word) -> Matrix:
-    return word_image(word, BURAU_UNREDUCED)
-
-
-def burau_reduced(word: Word) -> Matrix:
-    return word_image(word, BURAU_REDUCED)
-
-
-_REP_FUNCS: dict[str, Callable[[Word], Matrix]] = {
-    RHO: rho, RHO_TILDE: rho_tilde,
-    BURAU_UNREDUCED: burau_unreduced, BURAU_REDUCED: burau_reduced,
-}
-
-
-def rep_image(word: Word, rep: str, assignment: Assignment | None = None):
-    if rep not in _REP_FUNCS:
-        raise ValueError(f"unknown representation {rep!r}")
-    return word_image(word, rep, assignment)
 
 
 def generator_image(rep: str, group: GroupId, letter: Letter) -> Matrix:

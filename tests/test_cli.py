@@ -101,6 +101,28 @@ def test_geom_emit_braid_and_events(capsys, tmp_path):
     assert "CPB3" in out[end:]  # projected word follows the event list
 
 
+def test_geom_summary_recomputes_pure(capsys, tmp_path):
+    code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                       "--emit-braid")
+    data = json.loads(out)
+    del data["pure"]
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "geom", "--in", str(path))
+    assert code == 0
+    assert out.strip().endswith("pure: True")
+
+
+def test_geom_pair_events_precede_word(capsys):
+    code, out, _ = run(capsys, "geom", "--synth", "comm(A[1,3]; A[2,4])",
+                       "--group", "B4", "--psi", "1", "3", "--emit-events")
+    assert code == 0
+    events, end = json.JSONDecoder().raw_decode(out)
+    assert events and all({"t", "pair", "class", "ne"} <= set(e)
+                          for e in events)
+    assert out[end:].strip().endswith("group: FVB2")
+
+
 def test_geom_svg(capsys, tmp_path):
     target = tmp_path / "out.svg"
     code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",

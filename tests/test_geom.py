@@ -60,12 +60,34 @@ def test_braid_validation():
                       ((0.0, 1 + 0j), (1.0, 0j))))       # paths cross
 
 
+def test_separation_checked_inside_merged_interval():
+    # strand 3 adds the grid times 0.3 and 0.8, which strands 1 and 2 lack;
+    # their closest approach (t=0.5) lies inside the merged interval [0.3, 0.8]
+    def braid(gap):
+        return GeomBraid(3, (((0.0, -1 + 0j), (1.0, 1 + 0j)),
+                             ((0.0, gap * 1j), (1.0, gap * 1j)),
+                             ((0.0, 5j), (0.3, 5 + 5j), (0.8, 5j), (1.0, 5j))))
+    assert [seg[:2] for seg in braid(1e-3).segments] == \
+        [(0.0, 0.3), (0.3, 0.8), (0.8, 1.0)]
+    with pytest.raises(SeparationViolated, match="strands 1 and 2"):
+        braid(SEPARATION_TOL / 4)
+
+
 def test_at_interpolates():
     b = GeomBraid(2, (((0.0, 0j), (0.5, 1 + 0j), (1.0, 1 + 1j)),
                       ((0.0, 5 + 0j), (1.0, 5 + 0j))))
     assert b.at(1, 0.25) == 0.5 + 0j
     assert b.at(1, 0.75) == 1 + 0.5j
     assert b.at(2, 0.3) == 5 + 0j
+
+
+def test_segment_model_matches_point_query():
+    b = artin_dynamics(parse_word("A[1,3] A[2,4]^-1", B4))
+    for t0, t1, p, q in b.segments:
+        for u in (0.0, 0.3, 1.0):
+            for s in range(1, 5):
+                assert abs(p[s - 1] + q[s - 1] * u
+                           - b.at(s, t0 + (t1 - t0) * u)) < 1e-12
 
 
 def test_base_points_separated_and_deterministic():
@@ -276,7 +298,7 @@ def test_puncture_collision_guard():
                ((0.0, 1e4 + 0j), (1.0, 1e4 + 0j)),
                ((0.0, 5e-6 + 0j), (1.0, 5e-6 + 0j)),
                ((0.0, 5e3 + 1j), (1.0, 5e3 + 1j)))
-    b = GeomBraid(4, strands, pure=True)
+    b = GeomBraid(4, strands)
     with pytest.raises(PunctureCollision):
         q_kl(b, 1, 2)
 
@@ -297,10 +319,21 @@ def test_braid_json_round_trip():
     data = braid_to_json(b)
     back = braid_from_json(data)
     assert back == b
+    assert data["pure"] is True
     with pytest.raises(ValueError):
         braid_from_json({"n": 2})
     with pytest.raises(ValueError):
         braid_from_json({"n": "x", "strands": []})
+
+
+def test_pure_is_recomputed_on_load():
+    data = braid_to_json(artin_dynamics(parse_word("A[1,3]", B4)))
+    del data["pure"]
+    assert braid_from_json(data).pure is True
+    data = braid_to_json(artin_dynamics(parse_word("s2", B4)))
+    assert data["pure"] is False
+    data["pure"] = True
+    assert braid_from_json(data).pure is False
 
 
 def test_render_svg_structure():

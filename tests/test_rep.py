@@ -9,8 +9,7 @@ from braidrep.errors import IncompatibleRepGroup
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               mat_eval, mat_mul)
 from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
-                          burau_reduced, burau_unreduced, check_compatible,
-                          generator_image, rep_dim, rep_image, rho,
+                          check_compatible, generator_image, rep_dim,
                           word_image)
 
 CPB4 = GroupId("CPB", 4)
@@ -41,30 +40,31 @@ def test_compatibility_gate():
 
 
 def test_crossing_block_entries():
-    m = rho(Word(CPB4, (sigma(2),)))
+    m = word_image(Word(CPB4, (sigma(2),)), RHO)
     assert m[1, 1] == ONE - T and m[1, 2] == T
     assert m[2, 1] == ONE and m[2, 2] == ZERO
     assert m[0, 0] == ONE and m[3, 3] == ONE
-    inv = rho(Word(CPB4, (sigma(2, -1),)))
+    inv = word_image(Word(CPB4, (sigma(2, -1),)), RHO)
     assert mat_mul(m, inv) == Matrix.identity(4)
 
 
 def test_wrap_generator_couples_last_and_first_rows():
-    m = rho(Word(CPB4, (sigma(4),)))
+    m = word_image(Word(CPB4, (sigma(4),)), RHO)
     assert m[3, 3] == ONE - T and m[3, 0] == T
     assert m[0, 3] == ONE and m[0, 0] == ZERO
     assert m[1, 1] == ONE and m[2, 2] == ONE
 
 
 def test_rotation_matrix_is_cyclic_permutation():
-    z = rho(Word(CPB4, (zeta(),)))
+    z = word_image(Word(CPB4, (zeta(),)), RHO)
     for i in range(4):
         for j in range(4):
             want = ONE if j == (i + 1) % 4 else ZERO
             assert z[i, j] == want
-    zn = rho(Word(CPB4, (zeta(1),) * 4))
+    zn = word_image(Word(CPB4, (zeta(1),) * 4), RHO)
     assert zn == Matrix.identity(4)
-    assert rho(Word(CPB4, (zeta(-3),))) == rho(Word(CPB4, (zeta(1),)))
+    assert word_image(Word(CPB4, (zeta(-3),)), RHO) == \
+        word_image(Word(CPB4, (zeta(1),)), RHO)
 
 
 def test_virtual_letter_is_involution():
@@ -132,7 +132,7 @@ def test_burau_row_sums_one():
                    for _ in range(6)]
         from braidrep.braidword import free_reduce_letters
         w = Word(B4, free_reduce_letters(letters))
-        m = burau_unreduced(w)
+        m = word_image(w, BURAU_UNREDUCED)
         ones = Assignment(Fraction(1), Fraction(1))
         for row in m.rows:
             total = ZERO
@@ -140,14 +140,14 @@ def test_burau_row_sums_one():
                 total = total + entry
             assert total == ONE
         # reduced image stays (n-1)-dimensional
-        assert burau_reduced(w).dim == 3
+        assert word_image(w, BURAU_REDUCED).dim == 3
 
 
-def test_generator_image_and_rep_image_dispatch():
+def test_generator_image_and_word_image_dispatch():
     m = generator_image(RHO, CPB4, sigma(1))
     assert m.dim == 4 and m[0, 0] == ONE - T
     w = parse_word("s1", B4)
-    with pytest.raises(ValueError):
-        rep_image(w, "frobenius")
     with pytest.raises(IncompatibleRepGroup):
-        rep_image(parse_word("s1", CPB4), BURAU_REDUCED)
+        word_image(w, "frobenius")
+    with pytest.raises(IncompatibleRepGroup):
+        word_image(parse_word("s1", CPB4), BURAU_REDUCED)
