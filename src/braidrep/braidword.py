@@ -30,6 +30,7 @@ _KINDS_BY_FAMILY = {
     "FVB": "spt",
 }
 _INVOLUTIVE = ("t", "p")
+MAX_NESTING = 100    # parentheses and comm( levels a word may nest
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ class _Parser:
         self.i = 0
         self.group = group
         self.comm = comm
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -224,6 +226,11 @@ class _Parser:
         tok = self.toks[self.i][1]
         self.i += 1
         return tok
+
+    def nest(self, step: int) -> None:
+        self.depth += step
+        if self.depth > MAX_NESTING:
+            raise WordSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
 
     def parse_word(self, *, stop: tuple[str, ...] = ()) -> list[Letter]:
         out: list[Letter] = []
@@ -252,8 +259,10 @@ class _Parser:
             return [zeta()]
         if kind == "open":
             self.take("open")
+            self.nest(1)
             inner = self.parse_word(stop=("close",))
             self.take("close")
+            self.nest(-1)
             return inner
         if kind == "name":
             name = self.take("name")
@@ -271,10 +280,12 @@ class _Parser:
             return band_generator_letters(self.group, i, j)
         if kind == "macro_call":
             self.take("macro_call")
+            self.nest(1)
             a = self.parse_word(stop=("semi",))
             self.take("semi")
             b = self.parse_word(stop=("close",))
             self.take("close")
+            self.nest(-1)
             return commutator_letters(a, b, self.comm)
         got = self.toks[self.i][1] if self.i < len(self.toks) else "end of input"
         raise WordSyntaxError(f"expected a generator, group or macro, got {got!r}")

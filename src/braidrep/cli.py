@@ -48,7 +48,10 @@ def _parse_eval(text: str) -> Assignment:
         name, _, value = chunk.partition("=")
         if name not in ("t", "s", "r") or not value:
             raise ValueError(f"bad assignment {chunk!r}; expected t=..,s=..,r=..")
-        vals[name] = Fraction(value)
+        try:
+            vals[name] = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk!r}") from None
     if "t" not in vals or "s" not in vals:
         raise ValueError("assignment must bind at least t and s")
     return Assignment(vals["t"], vals["s"], vals.get("r", Fraction(1)))
@@ -324,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", type=float, default=0.0, metavar="MAG")
     p.add_argument("--resample", type=int, default=1, metavar="FACTOR")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--project-pk", type=int, default=None, metavar="K",
-                   help="cylinder word with strand K removed")
-    p.add_argument("--power-map", type=int, default=None, metavar="K",
-                   help="cylinder word of the d-th power reading")
+    reading = p.add_mutually_exclusive_group()
+    reading.add_argument("--project-pk", type=int, default=None, metavar="K",
+                         help="cylinder word with strand K removed")
+    reading.add_argument("--power-map", type=int, default=None, metavar="K",
+                         help="cylinder word of the d-th power reading")
+    reading.add_argument("--psi", type=int, nargs=2, default=None,
+                         metavar=("K", "L"),
+                         help="flat-virtual word via punctures")
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--psi", type=int, nargs=2, default=None,
-                   metavar=("K", "L"), help="flat-virtual word via punctures")
     p.add_argument("--psi-d", type=int, default=None,
                    help="power reading for --psi")
     p.add_argument("--scheme", default="route-and-return",

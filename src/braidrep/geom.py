@@ -22,8 +22,11 @@ on the real line they happen, and realized as a flat-virtual word.
 
 All event detection happens on the polyline model itself: between merged
 breakpoints every strand is linear in t, so alignment conditions are exact
-real quadratics and cross-ratio conditions are quartics located by sign
-scanning plus bisection.
+real quadratics, solved in closed form. A cross ratio N/D has quadratic N
+and D, so it lies on the line through 0 in direction conj(w) where the real
+quartic Im(w N conj(D)) vanishes. Its real roots are isolated by Descartes'
+rule of signs in the Bernstein basis with halving, then bisected; roots
+too close to separate raise NonGenericInput.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ PUNCTURE_TOL = 1e-9          # margin around the punctures 0 and 1
 BISECTION_TOL = 1e-12        # root refinement width in t
 _ANGLE_MARGIN = 1e-9         # triple-alignment margin, radians
 _REL_EPS = 1e-11             # relative threshold for degenerate polynomials
-_SUBSAMPLES = 8              # sign-scan samples per segment in the pair readings
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
 # regular-polygon degeneracies away without disturbing the slot order
@@ -351,6 +353,101 @@ def _im_pair_quad(u0: complex, du: complex, v0: complex, dv: complex):
     return c2, c1, c0, scale
 
 
+def _pair_quartic(num, den):
+    """P = num * conj(den) for quadratic coefficient triples (constant
+    first): the monomial and the Bernstein coefficients of P on [0, 1]."""
+    n0, n1, n2 = num
+    e0, e1, e2 = den[0].conjugate(), den[1].conjugate(), den[2].conjugate()
+    a0 = n0 * e0
+    a1 = n0 * e1 + n1 * e0
+    a2 = n0 * e2 + n1 * e1 + n2 * e0
+    a3 = n1 * e2 + n2 * e1
+    a4 = n2 * e2
+    return ((a0, a1, a2, a3, a4),
+            (a0, a0 + a1 / 4, a0 + a1 / 2 + a2 / 6,
+             a0 + 0.75 * a1 + a2 / 2 + a3 / 4, a0 + a1 + a2 + a3 + a4))
+
+
+def _horner(coeffs, u: float):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
+def _line_roots(coeffs, bern, w: complex, t0: float, h: float,
+                pair: tuple[int, int]) -> list[float]:
+    """Real roots of Im(w * P) on a segment, P given by _pair_quartic.
+
+    Roots in (0, 1] count, and a root at 0 too past the first segment (the
+    previous segment may miss it by rounding). By Descartes' rule in the
+    Bernstein basis, the roots in an open interval are at most the sign
+    variations of the Bernstein coefficients there, and as many mod 2. So
+    coefficients of one strict sign exclude the segment; otherwise halving
+    by de Casteljau runs until each piece has at most one variation, and a
+    piece with one is bisected to BISECTION_TOL in t. Pieces that keep two
+    variations down to GENERICITY_TOL in t hold roots too close to tell
+    apart, and raise NonGenericInput, as does a segment on which Im(w * P)
+    vanishes identically."""
+    # the exclusion test is the hot path, hence unrolled
+    c0, c1, c2, c3, c4 = bern
+    b0, b1, b2 = (w * c0).imag, (w * c1).imag, (w * c2).imag
+    b3, b4 = (w * c3).imag, (w * c4).imag
+    if b0 > 0.0 and b1 > 0.0 and b2 > 0.0 and b3 > 0.0 and b4 > 0.0 \
+            or b0 < 0.0 and b1 < 0.0 and b2 < 0.0 and b3 < 0.0 and b4 < 0.0:
+        return []
+    bern = [b0, b1, b2, b3, b4]
+    if not any(bern):
+        raise NonGenericInput("persistent crossing", time=t0, pair=pair)
+    coeffs = [(w * c).imag for c in coeffs]
+    roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
+    if bern[-1] == 0.0:
+        roots.append(1.0)
+    todo = [(0.0, 1.0, bern)]
+    while todo:
+        lo, hi, b = todo.pop()
+        signs = [x > 0.0 for x in b if x != 0.0]
+        changes = sum(s != r for s, r in zip(signs, signs[1:]))
+        if changes == 1:
+            roots.append(_bisect(coeffs, lo, hi, signs[0], h))
+        elif changes > 1:
+            if (hi - lo) * h <= GENERICITY_TOL:
+                raise NonGenericInput("real roots closer than the genericity "
+                                      "margin", time=t0 + h * lo, pair=pair)
+            mid = (lo + hi) / 2
+            left, right = _halve(b)
+            if right[0] == 0.0:
+                roots.append(mid)
+            todo += [(lo, mid, left), (mid, hi, right)]
+    return sorted(roots)
+
+
+def _halve(b):
+    """Bernstein coefficients of both halves of the interval (de Casteljau)."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(x + y) / 2 for x, y in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
+            h: float) -> float:
+    """The one sign change of a real polynomial in (lo, hi), to BISECTION_TOL
+    in t; positive_at_lo is its sign just right of lo."""
+    while (hi - lo) * h > BISECTION_TOL:
+        mid = (lo + hi) / 2
+        fm = _horner(coeffs, mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 # -- cylinder extraction ---------------------------------------------------------------
 
 
@@ -596,26 +693,6 @@ def _ratio_deriv(num, den, u: float) -> complex:
     return (npv * dv - nv * dpv) / (dv * dv)
 
 
-def _im_value(num, den, u: float) -> float:
-    return (_poly_eval(num, u) * _poly_eval(den, u).conjugate()).imag
-
-
-def _bisect(f, lo: float, hi: float, h: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        if (hi - lo) * h <= BISECTION_TOL:
-            break
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0) != (fm > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2
-
-
 def psi_events(braid: GeomBraid, method: str = "cross-ratio") -> tuple[Event, ...]:
     """Events of a braid in the plane punctured at 0 and 1: for each pair,
     the real crossings of the classifier function, with class and
@@ -623,26 +700,14 @@ def psi_events(braid: GeomBraid, method: str = "cross-ratio") -> tuple[Event, ..
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
+            pair = (i0 + 1, j0 + 1)
             for t0, t1, p, q in braid.segments:
                 h = t1 - t0
                 num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0], method)
-
-                def phi(u: float) -> float:
-                    return _im_value(num, den, u)
-
-                samples = [phi(s / _SUBSAMPLES) for s in range(_SUBSAMPLES + 1)]
-                for s in range(_SUBSAMPLES):
-                    fa, fb = samples[s], samples[s + 1]
-                    root = None
-                    if fa == 0.0:
-                        if s > 0 or t0 > 0.0:
-                            root = s / _SUBSAMPLES
-                    elif (fa > 0) != (fb > 0):
-                        root = _bisect(phi, s / _SUBSAMPLES, (s + 1) / _SUBSAMPLES, h)
-                    if root is None:
-                        continue
-                    events.append(_classify(num, den, root, t0 + h * root,
-                                            i0 + 1, j0 + 1, method))
+                coeffs, bern = _pair_quartic(num, den)
+                for u in _line_roots(coeffs, bern, 1.0, t0, h, pair):
+                    events.append(_classify(num, den, u, t0 + h * u,
+                                            *pair, method))
     events.sort(key=lambda e: e.time)
     events = _dedupe(events)
     _check_event_spacing([e.time for e in events])
@@ -706,51 +771,22 @@ def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
     classical crossing, the others are flat."""
     if d < 2:
         raise ValueError("power readings need d >= 2")
+    # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d)
+    rays = [(ray, cmath.exp(-1j * TWO_PI * ray / d)) for ray in range(d)]
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
-            lifted = None
-            prev_val = None
+            pair = (i0 + 1, j0 + 1)
             for t0, t1, p, q in braid.segments:
                 h = t1 - t0
                 num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0],
                                                "cross-ratio")
-
-                def ratio(u: float) -> complex:
-                    return _ratio_value(num, den, u)
-
-                start = 0 if lifted is None else 1
-                if lifted is None:
-                    prev_val = ratio(0.0)
-                    lifted = cmath.phase(prev_val)
-                    prev_u = 0.0
-                for s in range(start, _SUBSAMPLES + 1):
-                    u = s / _SUBSAMPLES
-                    val = ratio(u)
-                    step = cmath.phase(val / prev_val)
-                    cur = lifted + step
-                    lo_phi, hi_phi = min(lifted, cur), max(lifted, cur)
-                    rising = cur > lifted
-                    v_lo = math.floor(lo_phi * d / TWO_PI - 1)
-                    v_hi = math.ceil(hi_phi * d / TWO_PI + 1)
-                    for v in range(v_lo, v_hi + 1):
-                        level = TWO_PI * v / d
-                        hit = (lifted < level <= cur) if rising \
-                            else (cur <= level < lifted)
-                        if not hit:
-                            continue
-                        anchor_phi, anchor_val = lifted, prev_val
-
-                        def lifted_arg(x: float) -> float:
-                            return anchor_phi + cmath.phase(ratio(x) / anchor_val)
-
-                        root = _bisect(lambda x: lifted_arg(x) - level,
-                                       prev_u, u, h)
-                        events.append(_classify_ray(
-                            num, den, root, t0 + h * root, i0 + 1, j0 + 1,
-                            v % d, d))
-                    lifted, prev_val, prev_u = cur, val, u
-                prev_u = 0.0
+                coeffs, bern = _pair_quartic(num, den)
+                for ray, w in rays:
+                    for u in _line_roots(coeffs, bern, w, t0, h, pair):
+                        if (w * _horner(coeffs, u)).real > 0.0:
+                            events.append(_classify_ray(
+                                num, den, u, t0 + h * u, *pair, ray, d))
     events.sort(key=lambda e: e.time)
     events = _dedupe(events)
     _check_event_spacing([e.time for e in events])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidrep.braidword import (GroupId, Letter, Word,
+from braidrep.braidword import (MAX_NESTING, GroupId, Letter, Word,
                                 bigelow5, format_word, free_reduce_letters,
                                 invert, is_pure, parse_group, parse_word,
                                 random_pure_word, random_zero_linking_word,
@@ -86,6 +86,22 @@ def test_parse_errors():
     with pytest.raises(UnknownMacro):
         parse_word("FROB", B4)
     assert parse_word("s1^0", B4) == Word.empty(B4)
+
+
+def test_nesting_depth_is_bounded():
+    def nested(depth):
+        return "(" * depth + "s1" + ")" * depth
+
+    assert format_word(parse_word(nested(MAX_NESTING), B4)) == "s1"
+    with pytest.raises(WordSyntaxError, match="nesting"):
+        parse_word(nested(MAX_NESTING + 1), B4)
+    with pytest.raises(WordSyntaxError, match="nesting"):
+        parse_word(nested(3000), B4)  # deeper than the interpreter stack
+    # comm( opens a level too
+    comm = f"comm({nested(MAX_NESTING - 1)}; s3)"
+    assert format_word(parse_word(comm, B4)) == "s1 s3 s1^-1 s3^-1"
+    with pytest.raises(WordSyntaxError, match="nesting"):
+        parse_word(f"comm({nested(MAX_NESTING)}; s3)", B4)
 
 
 def test_parentheses_and_powers():

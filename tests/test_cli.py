@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from braidrep.cli import main
 
 TARGET_ROWS = ["481,-880,800,-400", "480,-879,800,-400",
@@ -165,6 +167,31 @@ def test_eval_argument_validation(capsys):
     code, _, err = run(capsys, "rep", "s1", "--group", "B5",
                        "--rep", "burau-reduced", "--eval", "q=3")
     assert code == 2
+
+
+def test_eval_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "rep", "s1", "--group", "B3",
+                         "--rep", "burau-unreduced", "--eval", "t=1/0")
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_parse_deep_nesting_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "parse", "(" * 3000 + "s1" + ")" * 3000,
+                       "--group", "B4")
+    assert code == 2 and "nesting" in err
+
+
+def test_geom_readings_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",
+              "--project-pk", "2", "--psi", "1", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", "--synth", "A[1,3]", "--group", "B4",
+              "--project-pk", "2", "--power-map", "2"])
+    assert exc.value.code == 2
 
 
 def test_rep_rational_eval(capsys):

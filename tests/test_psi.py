@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
-from braidrep.errors import NonGenericInput
+from braidrep.errors import NonGenericInput, SeparationViolated
 from braidrep.geom import (Event, GeomBraid, artin_dynamics,
                            concat, flat_virtual_word, initial_order, perturb,
                            psi_d_events, psi_events, q_kl,
@@ -97,6 +98,121 @@ def test_power_reading_on_synthetic_case():
     assert signature(ev) == [(0.5, 1, 2, "classical_over", 1)]
     with pytest.raises(ValueError):
         psi_d_events(two_strand(0.75, 0.4), 1)
+
+
+def test_pair_moving_along_the_real_line_is_refused():
+    parked = ((0.0, 0.5 + 0j), (1.0, 0.5 + 0j))
+    sliding = ((0.0, 2.0 + 0j), (1.0, 3.0 + 0j))
+    b = GeomBraid(2, (parked, sliding))
+    for read in (psi_events, lambda b: psi_d_events(b, 2)):
+        with pytest.raises(NonGenericInput, match="persistent crossing"):
+            read(b)
+
+
+# -- exact oracle ------------------------------------------------------------
+
+
+def exact_event_counts(braid: GeomBraid, powers=(2, 3, 4)) -> dict:
+    """Event counts of a one-segment two-strand braid from Fraction-exact
+    coefficients of its segment model, keyed None for the plain reading and
+    d for the d-th. With N = z1 (z2 - 1), D = (z1 - 1) z2 and P = N conj(D),
+    the plain reading counts the real roots of Im P in (0, 1]; the d-th
+    counts the roots of Im(P^d) there at which Re(P^d) > 0, the times the
+    cross ratio N/D lies on a ray at angle 2 pi p / d. A count is None where
+    the sign of Re(P^d) cannot be told at a root."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+
+    def poly(*coeffs):
+        return sympy.Poly([Fraction(c) for c in coeffs], u, domain="QQ")
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def count(real, imag, ray_test):
+        found = 0
+        for (a, b), _ in imag.intervals(inf=0, sup=1):
+            if b == 0:
+                continue  # a root at t = 0 is no event
+            if ray_test:
+                # shrink [a, b] until Re(P^d) has no root in it
+                while real.intervals(inf=a, sup=b):
+                    if b - a < Fraction(1, 10 ** 40):
+                        return None
+                    a, b = imag.refine_root(a, b, eps=(b - a) / 1000)
+                if real.eval(a) < 0:
+                    continue
+            found += 1
+        return found
+
+    (_, _, p, q), = braid.segments
+    z1, z2 = ((poly(q[s].real, p[s].real), poly(q[s].imag, p[s].imag))
+              for s in (0, 1))
+    one = poly(1)
+    num = mul(z1, (z2[0] - one, z2[1]))
+    den = mul((z1[0] - one, z1[1]), z2)
+    quartic = mul(num, (den[0], -den[1]))
+    counts = {None: count(*quartic, ray_test=False)}
+    power = quartic
+    for d in range(2, max(powers) + 1):
+        power = mul(power, quartic)
+        if d in powers:
+            counts[d] = count(*power, ray_test=True)
+    return counts
+
+
+def random_segment(rng) -> GeomBraid:
+    """Two strands, each one straight segment from t=0 to t=1."""
+    a, b, c, d = (complex(rng.uniform(-2.5, 3.5), rng.uniform(-2.2, 2.2))
+                  for _ in range(4))
+    return GeomBraid(2, (((0.0, a), (1.0, b)), ((0.0, c), (1.0, d))))
+
+
+def oracle_mismatches(count: int, seed: int):
+    """Event counts of psi_events and psi_d_events for d = 2, 3, 4 against
+    exact_event_counts on count seeded random segments. Returns the
+    mismatching (segment, counts, exact counts), the number compared, and
+    the number refused (separation, genericity, or an undecided ray)."""
+    rng = random.Random(seed)
+    mismatches, compared, refused = [], 0, 0
+    for _ in range(count):
+        try:
+            braid = random_segment(rng)
+            got = {None: len(psi_events(braid))}
+            got.update((d, len(psi_d_events(braid, d))) for d in (2, 3, 4))
+        except (NonGenericInput, SeparationViolated):
+            refused += 1
+            continue
+        want = exact_event_counts(braid)
+        if None in want.values():
+            refused += 1
+        elif got != want:
+            mismatches.append((braid.strands, got, want))
+        else:
+            compared += 1
+    return mismatches, compared, refused
+
+
+def test_event_counts_match_exact_oracle():
+    mismatches, compared, refused = oracle_mismatches(60, seed=3)
+    assert mismatches == []
+    assert compared >= 55 and compared + refused == 60
+
+
+def test_close_root_pair_is_found():
+    """Two crossings 0.114 apart in one eighth of the segment, where a scan
+    of 8 sign samples per segment saw no sign change and missed both."""
+    b = GeomBraid(2, (
+        ((0.0, complex(-0.12504773260826685, 1.2223587551931474)),
+         (1.0, complex(-0.18254692693592123, 1.043511688763751))),
+        ((0.0, complex(-0.19638714298248994, -1.8381061971230952)),
+         (1.0, complex(-0.30654368399005705, 1.1485159087938133)))))
+    both = [(0.757597232, 1, 2, "classical_under", 2),
+            (0.871964197, 1, 2, "classical_under", 1)]
+    assert signature(psi_events(b)) == both
+    assert signature(psi_events(b, method="mobius")) == both
+    assert signature(psi_d_events(b, 2)) == both
+    assert exact_event_counts(b, powers=(2,)) == {None: 2, 2: 2}
 
 
 # -- realization -------------------------------------------------------------
