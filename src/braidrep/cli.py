@@ -186,6 +186,16 @@ def _obtain_braid(args) -> geom.GeomBraid:
 
 
 def _cmd_geom(args) -> int:
+    reading = any(x is not None
+                  for x in (args.project_pk, args.power_map, args.psi))
+    for flag, given, ok, needs in (
+            ("--psi-d", args.psi_d is not None, args.psi is not None, "--psi"),
+            ("--d", args.d is not None, args.power_map is not None, "--power-map"),
+            ("--emit-matrix", args.emit_matrix, reading,
+             "--project-pk, --power-map or --psi"),
+            ("--eval", args.eval is not None, args.emit_matrix, "--emit-matrix")):
+        if given and not ok:
+            raise ValueError(f"{flag} needs {needs}")
     braid = _obtain_braid(args)
     conv = _conventions(args)
     emitted = False
@@ -193,7 +203,8 @@ def _cmd_geom(args) -> int:
     if args.project_pk is not None:
         word = geom.project_pk(braid, args.project_pk, conv)
     elif args.power_map is not None:
-        word = geom.power_map_extract(braid, args.power_map, args.d, conv)
+        word = geom.power_map_extract(braid, args.power_map,
+                                       1 if args.d is None else args.d, conv)
     elif args.psi is not None:
         k, l = args.psi
         pair_events, word = geom.pair_reading(braid, k, l, args.psi_d,
@@ -268,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep", help="matrix image of a word")
     _add_word_args(p)
-    p.add_argument("--rep", default=None,
-                   choices=(repmod.RHO, repmod.RHO_TILDE,
-                            repmod.BURAU_REDUCED, repmod.BURAU_UNREDUCED))
+    p.add_argument("--rep", default=None, choices=repmod.REP_IDS)
     p.add_argument("--pipeline", default=None, choices=("pk-fd",),
                    help="composite map from plain braid words")
     p.add_argument("--k", type=int, default=1, help="strand to remove")
@@ -290,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--rep", default=None,
-                   choices=(repmod.RHO, repmod.RHO_TILDE,
-                            repmod.BURAU_REDUCED, repmod.BURAU_UNREDUCED))
+    p.add_argument("--rep", default=None, choices=repmod.REP_IDS)
     p.add_argument("--group", default=None, help="group id for --rep")
     p.add_argument("--flat-braid", action="store_true",
                    help="include the flat braid relation (FVB only)")
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     reading.add_argument("--psi", type=int, nargs=2, default=None,
                          metavar=("K", "L"),
                          help="flat-virtual word via punctures")
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--psi-d", type=int, default=None,
                    help="power reading for --psi")
     p.add_argument("--scheme", default="route-and-return",

@@ -66,10 +66,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): 1}
-
     # ring ops ------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -172,6 +168,26 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} into the Laurent ring")
 
 
+def monomial_sum(polys, terms) -> LaurentPoly:
+    """sum of sign * t^a s^b r^c * polys[i] over terms (sign, (a, b, c), i),
+    built in one dict pass by shifting exponents."""
+    if len(terms) == 1:
+        (sign, (a, b, c), i), = terms
+        src = polys[i]._terms
+        return _wrap({(x + a, y + b, z + c): sign * k
+                      for (x, y, z), k in src.items()}) if src else _ZERO
+    out: dict[Exponents, int] = {}
+    for sign, (a, b, c), i in terms:
+        for (x, y, z), k in polys[i]._terms.items():
+            exp = (x + a, y + b, z + c)
+            v = out.get(exp, 0) + sign * k
+            if v:
+                out[exp] = v
+            else:
+                del out[exp]
+    return _wrap(out) if out else _ZERO
+
+
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({(0, 0, 0): 1})
 
@@ -205,11 +221,30 @@ class Assignment:
             object.__setattr__(self, name, v)
 
 
+def eval_numerators(polys: list[LaurentPoly], a: Assignment) -> tuple[list[int], int]:
+    """Values of polys at a as integer numerators over one common denominator.
+
+    With lo <= 0 <= hi the range of t's exponents over all polys, t^e is
+    n^(e-lo) d^(hi-e) / (n^-lo d^hi) for t = n/d, read from one table per
+    variable; likewise s and r. The denominator may be negative.
+    """
+    exps = [e for p in polys for e in p._terms]
+    lo = [min([0] + [e[v] for e in exps]) for v in range(3)]
+    hi = [max([0] + [e[v] for e in exps]) for v in range(3)]
+    tables, den = [], 1
+    for x, l, h in zip((a.t, a.s, a.r), lo, hi):
+        n, d = x.numerator, x.denominator
+        tables.append([n ** (e - l) * d ** (h - e) for e in range(l, h + 1)])
+        den *= n ** -l * d ** h
+    (tt, ts, tr), (lt, ls, lr) = tables, lo
+    nums = [sum(c * tt[et - lt] * ts[es - ls] * tr[er - lr]
+                for (et, es, er), c in p._terms.items()) for p in polys]
+    return nums, den
+
+
 def lp_eval(p: LaurentPoly, a: Assignment) -> Fraction:
-    total = Fraction(0)
-    for (et, es, er), c in p.items():
-        total += c * a.t**et * a.s**es * a.r**er
-    return total
+    (num,), den = eval_numerators([p], a)
+    return Fraction(num, den)
 
 
 # -- text and JSON forms ------------------------------------------------------
@@ -289,31 +324,6 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    def det(self) -> LaurentPoly:
-        """Exact determinant by expansion along rows, memoized on column sets."""
-        n = self.dim
-        memo: dict[int, LaurentPoly] = {0: _ONE}
-
-        def rec(mask: int) -> LaurentPoly:
-            if mask in memo:
-                return memo[mask]
-            row = n - bin(mask).count("1")
-            total = _ZERO
-            sign = 1
-            for col in range(n):
-                bit = 1 << col
-                if not mask & bit:
-                    continue
-                entry = self.rows[row][col]
-                if not entry.is_zero:
-                    sub = rec(mask & ~bit)
-                    total = total + (entry * sub if sign > 0 else -(entry * sub))
-                sign = -sign  # rank parity within the mask, not absolute column
-            memo[mask] = total
-            return total
-
-        return rec((1 << n) - 1)
-
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.dim != b.dim:
@@ -334,7 +344,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_eval(m: Matrix, a: Assignment) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(lp_eval(x, a) for x in row) for row in m.rows)
+    nums, den = eval_numerators([x for row in m.rows for x in row], a)
+    return tuple(tuple(Fraction(x, den) for x in nums[i:i + m.dim])
+                 for i in range(0, len(nums), m.dim))
 
 
 def mat_to_text(m: Matrix) -> str:
@@ -354,47 +366,34 @@ def mat_from_json(data: Mapping) -> Matrix:
 # -- exact rational linear algebra (used by invariant checks) ------------------
 
 
-def rational_det(rows: Iterable[Iterable[Fraction]]) -> Fraction:
+def _eliminate(rows: Iterable[Iterable[Fraction]]) -> tuple[int, Fraction]:
+    """Forward elimination: the rank, and the signed product of the pivots."""
     m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
+        det *= m[rank][col]
+        inv = 1 / m[rank][col]
+        for r in range(rank + 1, len(m)):
             if m[r][col]:
                 f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+                for c in range(col, ncols):
+                    m[r][c] -= f * m[rank][c]
+        rank += 1
+    return rank, det
+
+
+def rational_det(rows: Iterable[Iterable[Fraction]]) -> Fraction:
+    rows = list(rows)
+    rank, det = _eliminate(rows)
+    return det if rank == len(rows) else Fraction(0)
 
 
 def rational_rank(rows: Iterable[Iterable[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[row][c]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+    return _eliminate(rows)[0]

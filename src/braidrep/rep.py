@@ -8,24 +8,33 @@ Four representations share one evaluation engine:
     burau-unreduced  dim n,   family B
     burau-reduced    dim n-1, family B
 
-Words act on the right of an accumulator matrix, and every generator image
-touches at most three columns, so a product costs O(len * dim) ring
-operations instead of O(len * dim^3).
+Words act on the right of an accumulator matrix. z^k rotates the columns
+by k; every other letter is one action form, a tuple of updates
+dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
+(1 - t is two terms), so a product costs O(len * dim) ring operations
+instead of O(len * dim^3). The symbolic fold builds each updated entry in
+one pass of exponent shifts. The evaluated fold clears an action's
+coefficients at the point to integer numerators over its own denominator
+den, and folds ints over one scalar scale: an action with den != 1
+multiplies the other columns, and the scale, by den. Entries become
+Fraction(x, scale) at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup, KindNotInGroup
-from .laurent import (Assignment, LaurentPoly, Matrix, lp_eval,
-                      S, S_INV, T, T_INV, R, R_INV)
+from .laurent import (Assignment, LaurentPoly, Matrix, eval_numerators,
+                      monomial_sum)
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
 BURAU_UNREDUCED = "burau-unreduced"
 BURAU_REDUCED = "burau-reduced"
-REP_IDS = (RHO, RHO_TILDE, BURAU_UNREDUCED, BURAU_REDUCED)
+REP_IDS = (RHO, RHO_TILDE, BURAU_REDUCED, BURAU_UNREDUCED)
 
 _FAMILIES = {
     RHO: ("B", "CPB", "VCB"),
@@ -34,14 +43,7 @@ _FAMILIES = {
     BURAU_REDUCED: ("B",),
 }
 
-_ONE_P = LaurentPoly.one()
-_ZERO_P = LaurentPoly.zero()
-
-# 2x2 generator blocks, acting on the (i, i+1) coordinate pair
-_CROSS_POS = ((1 - T, T), (_ONE_P, _ZERO_P))
-_CROSS_NEG = ((_ZERO_P, _ONE_P), (T_INV, 1 - T_INV))
-_SWAP_S = ((_ZERO_P, S), (S_INV, _ZERO_P))
-_SWAP_R = ((_ZERO_P, R), (R_INV, _ZERO_P))
+_1, _T, _T_INV = (0, 0, 0), (1, 0, 0), (-1, 0, 0)   # exponent shifts
 
 
 def check_compatible(rep: str, group: GroupId) -> None:
@@ -56,103 +58,74 @@ def rep_dim(rep: str, group: GroupId) -> int:
     return group.strands - 1 if rep == BURAU_REDUCED else group.strands
 
 
-# A letter action is ("block", col_a, col_b, block) for a 2x2 block on two
-# columns, ("col", col, ((src, coeff), ...)) for a single-column update, or
-# ("rot", shift) for the slot rotation.
-
-def _action(rep: str, dim: int, cyclic: bool, kind: str, index: int | None,
+def _action(rep: str, dim: int, cyclic: bool, kind: str, index: int,
             positive: bool):
-    if kind == "z":
-        if rep != RHO:
-            raise KindNotInGroup(f"z has no image under {rep}")
-        return ("rot", 1 if positive else -1)
-    if kind == "s":
-        block = _CROSS_POS if positive else _CROSS_NEG
-        if rep == BURAU_REDUCED:
-            c = index - 1
-            t_c = T if positive else _ONE_P
-            mid = -T if positive else -T_INV
-            lo = _ONE_P if positive else T_INV
-            cols = []
-            if c - 1 >= 0:
-                cols.append((c - 1, t_c))
-            cols.append((c, mid))
-            if c + 1 < dim:
-                cols.append((c + 1, lo))
-            return ("col", c, tuple(cols))
-    elif kind == "t":
-        block = _SWAP_S if rep == RHO else _SWAP_R
-        if rep in (BURAU_UNREDUCED, BURAU_REDUCED):
-            raise KindNotInGroup(f"t has no image under {rep}")
-    elif kind == "p":
-        if rep != RHO_TILDE:
-            raise KindNotInGroup(f"p has no image under {rep}")
-        block = _SWAP_S
-    else:
-        raise KindNotInGroup(f"unknown kind {kind!r}")
+    """Action form of a letter: ((dest, ((sign, shift, src), ...)), ...)."""
     a = index - 1
     b = index % dim if cyclic else index
-    return ("block", a, b, block)
+    if kind == "s" and rep == BURAU_REDUCED:
+        lo, mid, hi = (_T, _T, _1) if positive else (_1, _T_INV, _T_INV)
+        terms = [(1, lo, a - 1)] if a >= 1 else []
+        terms.append((-1, mid, a))
+        if a + 1 < dim:
+            terms.append((1, hi, a + 1))
+        return ((a, tuple(terms)),)
+    if kind == "s" and positive:    # block [[1 - t, t], [1, 0]] on (a, b)
+        return ((a, ((1, _1, a), (-1, _T, a), (1, _1, b))), (b, ((1, _T, a),)))
+    if kind == "s":                 # block [[0, 1], [t^-1, 1 - t^-1]]
+        return ((a, ((1, _T_INV, b),)),
+                (b, ((1, _1, a), (1, _1, b), (-1, _T_INV, b))))
+    if kind == "t" and rep in (BURAU_UNREDUCED, BURAU_REDUCED):
+        raise KindNotInGroup(f"t has no image under {rep}")
+    if kind == "p" and rep != RHO_TILDE:
+        raise KindNotInGroup(f"p has no image under {rep}")
+    if kind not in ("t", "p"):
+        raise KindNotInGroup(f"unknown kind {kind!r}")
+    m = (0, 0, 1) if kind == "t" and rep == RHO_TILDE else (0, 1, 0)
+    m_inv = tuple(-e for e in m)    # block [[0, m], [m^-1, 0]]
+    return ((a, ((1, m_inv, b),)), (b, ((1, m, a),)))
 
 
-def _eval_action(action, assignment: Assignment):
-    kind = action[0]
-    if kind == "rot":
-        return action
-    if kind == "block":
-        _, a, b, blk = action
-        return ("block", a, b,
-                tuple(tuple(lp_eval(x, assignment) for x in row) for row in blk))
-    _, c, cols = action
-    return ("col", c, tuple((src, lp_eval(x, assignment)) for src, x in cols))
-
-
-def _apply(rows: list[list], action) -> None:
-    kind = action[0]
-    if kind == "rot":
-        shift = action[1]
-        dim = len(rows)
-        for r in range(dim):
-            row = rows[r]
-            rows[r] = [row[(c - shift) % dim] for c in range(dim)]
-        return
-    if kind == "block":
-        _, a, b, blk = action
-        (b00, b01), (b10, b11) = blk
-        for row in rows:
-            x, y = row[a], row[b]
-            row[a] = x * b00 + y * b10
-            row[b] = x * b01 + y * b11
-        return
-    _, c, cols = action
-    for row in rows:
-        acc = None
-        for src, coeff in cols:
-            term = row[src] * coeff
-            acc = term if acc is None else acc + term
-        row[c] = acc
+def _eval_action(action, assignment: Assignment, dim: int):
+    """(updates, den, kept): updates ((dest, ((num, src), ...)), ...) carry
+    integer numerators over den > 0 in lowest terms, one per source; kept
+    lists the columns the action leaves alone."""
+    merged: dict = {}
+    for dest, terms in action:
+        for sign, shift, src in terms:
+            poly = merged.setdefault((dest, src), {})
+            poly[shift] = poly.get(shift, 0) + sign
+    nums, den = eval_numerators([LaurentPoly(p) for p in merged.values()],
+                                assignment)
+    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+    updates: dict = {dest: [] for dest, _ in action}
+    for (dest, src), num in zip(merged, nums):
+        if num:
+            updates[dest].append((num // g, src))
+    kept = tuple(c for c in range(dim) if c not in updates)
+    return tuple((d, tuple(t)) for d, t in updates.items()), den // g, kept
 
 
 def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     """Right-to-left fold of the word's generator images.
 
     Returns a symbolic Matrix, or a tuple of Fraction rows when an
-    assignment is given (the blocks are evaluated before folding, which is
+    assignment is given (the actions are evaluated before folding, which is
     much faster than evaluating the symbolic product).
     """
     check_compatible(rep, word.group)
     dim = rep_dim(rep, word.group)
     cyclic = word.group.cyclic
-    if assignment is None:
-        one, zero = _ONE_P, _ZERO_P
-    else:
-        one, zero = Fraction(1), Fraction(0)
+    one, zero = (LaurentPoly.one(), LaurentPoly.zero()) if assignment is None \
+        else (1, 0)
     rows: list[list] = [[one if i == j else zero for j in range(dim)]
                         for i in range(dim)]
+    scale = 1
     cache: dict = {}
     for letter in word.letters:
         if letter.kind == "z":
-            _apply(rows, ("rot", letter.power % dim if cyclic else letter.power))
+            shift = letter.power % dim if cyclic else letter.power
+            rows = [[row[(c - shift) % dim] for c in range(dim)] for row in rows]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
@@ -160,16 +133,35 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
             action = _action(rep, dim, cyclic, letter.kind, letter.index,
                              letter.power > 0)
             if assignment is not None:
-                action = _eval_action(action, assignment)
+                action = _eval_action(action, assignment, dim)
             cache[key] = action
         reps = abs(letter.power)
         if letter.kind in ("t", "p"):
             reps %= 2
         for _ in range(reps):
-            _apply(rows, action)
+            if assignment is None:
+                for row in rows:
+                    new = [(d, monomial_sum(row, terms)) for d, terms in action]
+                    for d, value in new:
+                        row[d] = value
+                continue
+            updates, den, kept = action
+            for row in rows:
+                new = []
+                for d, terms in updates:
+                    acc = 0
+                    for num, src in terms:
+                        acc += num * row[src]
+                    new.append((d, acc))
+                if den != 1:
+                    for c in kept:
+                        row[c] *= den
+                for d, value in new:
+                    row[d] = value
+            scale *= den
     if assignment is None:
         return Matrix(dim, tuple(tuple(r) for r in rows))
-    return tuple(tuple(r) for r in rows)
+    return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
 
 
 def generator_image(rep: str, group: GroupId, letter: Letter) -> Matrix:

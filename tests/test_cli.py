@@ -194,6 +194,42 @@ def test_geom_readings_are_mutually_exclusive(capsys):
     assert exc.value.code == 2
 
 
+def _modifier_without_reading(capsys, *extra):
+    code, out, err = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                         *extra)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+    return err
+
+
+def test_geom_psi_d_needs_psi(capsys):
+    assert "--psi-d needs --psi" in _modifier_without_reading(
+        capsys, "--psi-d", "3")
+    assert "--psi-d" in _modifier_without_reading(
+        capsys, "--project-pk", "2", "--psi-d", "3")
+
+
+def test_geom_d_needs_power_map(capsys):
+    assert "--d needs --power-map" in _modifier_without_reading(
+        capsys, "--d", "2")
+    assert "--d" in _modifier_without_reading(
+        capsys, "--psi", "1", "3", "--d", "2")
+
+
+def test_geom_emit_matrix_needs_reading(capsys):
+    assert "--emit-matrix needs" in _modifier_without_reading(
+        capsys, "--emit-matrix")
+    assert "--emit-matrix needs" in _modifier_without_reading(
+        capsys, "--emit-matrix", "--eval", "t=2")
+
+
+def test_geom_eval_needs_emit_matrix(capsys):
+    assert "--eval needs --emit-matrix" in _modifier_without_reading(
+        capsys, "--eval", "t=2,s=1")
+    assert "--eval needs --emit-matrix" in _modifier_without_reading(
+        capsys, "--project-pk", "2", "--eval", "t=2,s=1")
+
+
 def test_rep_rational_eval(capsys):
     code, out, _ = run(capsys, "rep", "s1", "--group", "B5",
                        "--rep", "burau-unreduced", "--eval", "t=1/2,s=1")

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep.braidword import (GroupId, Word, parse_word, relation_suite,
-                                sigma, tau, zeta)
+from braidrep.braidword import (GroupId, Letter, Word, bigelow5, parse_word,
+                                relation_suite, sigma, tau, zeta)
 from braidrep.errors import IncompatibleRepGroup
+from braidrep.homs import PipelineConfig, pipeline_word
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               mat_eval, mat_mul)
 from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
@@ -123,6 +124,51 @@ def test_evaluated_image_matches_symbolic():
     wf = parse_word("s1 p2 t3 s2^-1", FVB4)
     assert word_image(wf, RHO_TILDE, at) == \
         mat_eval(word_image(wf, RHO_TILDE), at)
+
+
+def _assert_fold_matches_symbolic(word, rep_id, at):
+    fast = word_image(word, rep_id, at)
+    assert all(type(x) is Fraction for row in fast for x in row)
+    assert fast == mat_eval(word_image(word, rep_id), at)
+    return fast
+
+
+def test_evaluated_fold_sweep():
+    rng = random.Random(2024)
+    cases = [(RHO, "B", "s"), (RHO, "CPB", "sz"), (RHO, "VCB", "stz"),
+             (RHO_TILDE, "FVB", "spt"), (BURAU_UNREDUCED, "B", "s"),
+             (BURAU_REDUCED, "B", "s")]
+    values = [Fraction(2, 3), Fraction(-3, 2), Fraction(5, -7),
+              Fraction(-4, 9), Fraction(7, 4), Fraction(3), Fraction(-1)]
+    for rep_id, fam, kinds in cases:
+        for _ in range(25):
+            g = GroupId(fam, rng.randrange(3, 6))
+            hi = g.strands if g.cyclic else g.strands - 1
+            letters = []
+            for _ in range(rng.randrange(1, 12)):
+                k = rng.choice(kinds)
+                letters.append(Letter(k, None if k == "z" else
+                                      rng.randrange(1, hi + 1),
+                                      rng.choice((-2, -1, 1, 2))))
+            r = rng.choice(values) if rep_id == RHO_TILDE else Fraction(1)
+            at = Assignment(rng.choice(values), rng.choice(values), r)
+            _assert_fold_matches_symbolic(Word(g, tuple(letters)), rep_id, at)
+
+
+def test_evaluated_fold_without_denominators():
+    at = Assignment(Fraction(-1), Fraction(1))
+    w = parse_word("s1^2 z t3^-1 s2^-2 z^-2 t1 s4^-1", VCB4)
+    fast = _assert_fold_matches_symbolic(w, RHO, at)
+    assert all(x.denominator == 1 for row in fast for x in row)
+    wb = parse_word("s1^2 s2^-1 s3 s1^-2", B4)
+    _assert_fold_matches_symbolic(wb, BURAU_REDUCED, at)
+
+
+def test_evaluated_fold_long_pipeline():
+    at = Assignment(Fraction(2, 3), Fraction(3, 2))
+    w = pipeline_word(bigelow5(), PipelineConfig(5, 1, 2))
+    fast = _assert_fold_matches_symbolic(w, RHO, at)
+    assert any(x.denominator != 1 for row in fast for x in row)
 
 
 def test_burau_row_sums_one():
