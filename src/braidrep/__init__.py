@@ -27,7 +27,7 @@ from .geom import (BISECTION_TOL, GENERICITY_TOL, PUNCTURE_TOL,
                    SEPARATION_TOL, Conventions, Event, GeomBraid,
                    artin_dynamics, base_points, braid_from_json,
                    braid_to_json, concat, cylinder_events,
-                   cylinder_events_json, events_to_json, flat_virtual_word,
+                   cylinder_reading, events_to_json, flat_virtual_word,
                    initial_order, linking_number, pair_reading, perturb,
                    power_map_extract, project_pk, psi_d_events, psi_events,
                    q_kl,

@@ -199,29 +199,25 @@ def _cmd_geom(args) -> int:
     braid = _obtain_braid(args)
     conv = _conventions(args)
     emitted = False
-    word = pair_events = None
+    word = events = None
     if args.project_pk is not None:
-        word = geom.project_pk(braid, args.project_pk, conv)
+        events, word = geom.cylinder_reading(braid, args.project_pk, None, conv)
     elif args.power_map is not None:
-        word = geom.power_map_extract(braid, args.power_map,
-                                       1 if args.d is None else args.d, conv)
+        events, word = geom.cylinder_reading(
+            braid, args.power_map, 1 if args.d is None else args.d, conv)
     elif args.psi is not None:
         k, l = args.psi
-        pair_events, word = geom.pair_reading(braid, k, l, args.psi_d,
-                                              args.scheme, args.refine)
+        events, word = geom.pair_reading(braid, k, l, args.psi_d,
+                                         args.scheme, args.refine)
     if args.linking:
         for i in range(1, braid.n + 1):
             for j in range(i + 1, braid.n + 1):
                 print(f"lk({i},{j}) = {geom.linking_number(braid, i, j)}")
         emitted = True
     if args.emit_events:
-        if pair_events is not None:
-            print(json.dumps(geom.events_to_json(pair_events), indent=2))
-        elif args.project_pk is not None or args.power_map is not None:
-            k = args.project_pk if args.project_pk is not None else args.power_map
-            print(json.dumps(geom.cylinder_events_json(braid, k, conv), indent=2))
-        else:
+        if events is None:
             raise ValueError("--emit-events needs an extraction flag")
+        print(json.dumps(geom.events_to_json(events), indent=2))
         emitted = True
     if word is not None:
         print(braidword.format_word(word))
@@ -237,9 +233,8 @@ def _cmd_geom(args) -> int:
         print(json.dumps(geom.braid_to_json(braid)))
         emitted = True
     if args.svg:
-        marks = None
-        if args.project_pk is not None:
-            marks = geom.cylinder_events_json(braid, args.project_pk, conv)
+        marks = geom.events_to_json(events) \
+            if args.project_pk is not None else None
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(geom.render_svg(braid, marks))
         print(f"wrote {args.svg}")

@@ -7,26 +7,32 @@ disjoint paths, and words are read off from geometric events only.
 
 Two extraction pipelines are provided.
 
-Cylinder reading (project_pk / power_map_extract): fix a strand k; watch the
-remaining strands through the angular coordinate around strand k, cut along
-the ray from strand k pointing away from the centroid. Alignment of two
-strands with each other (as seen from k) is a crossing event; a strand
-sweeping through the cut is a rotation event. Under the d-th power reading a
-rotation event expands into the rotation-virtual block z (Dv z)^(d-1).
+Cylinder reading (cylinder_reading / project_pk / power_map_extract): fix a
+strand k; watch the remaining strands through the angular coordinate around
+strand k, cut along the ray from strand k pointing away from the centroid.
+Alignment of two strands with each other (as seen from k) is a crossing
+event; a strand sweeping through the cut is a rotation event. Under the
+d-th power reading a rotation event expands into the rotation-virtual block
+z (Dv z)^(d-1).
 
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
 normalize strands k and l to the punctures 0 and 1, watch each remaining
 pair through the cross-ratio with the punctures; real crossings of the
 cross-ratio are crossing events, classified as over, under or flat by where
-on the real line they happen, and realized as a flat-virtual word.
+on the real line they happen, and realized as a flat-virtual word. The d-th
+power reading watches the rays at angles 2 pi p / d instead; the plain
+reading is its d=2 case.
 
 All event detection happens on the polyline model itself: between merged
-breakpoints every strand is linear in t, so alignment conditions are exact
-real quadratics, solved in closed form. A cross ratio N/D has quadratic N
-and D, so it lies on the line through 0 in direction conj(w) where the real
-quartic Im(w N conj(D)) vanishes. Its real roots are isolated by Descartes'
-rule of signs in the Bernstein basis with halving, then bisected; roots
-too close to separate raise NonGenericInput.
+breakpoints every strand is linear in t. Two vectors a, b seen from strand
+k point the same way where the real quadratic Im(a conj(b)) vanishes and
+Re(a conj(b)) > 0. A cross ratio N/D has quadratic N and D, so it lies on
+the line through 0 in direction conj(w) where the real quartic
+Im(w N conj(D)) vanishes, on the ray p or p + d/2 by the sign of
+Re(w N conj(D)). Every event is one real root of such a polynomial, and one
+routine isolates them all: Descartes' rule of signs in the Bernstein basis
+with halving, then bisection; roots too close to separate raise
+NonGenericInput. Every reading returns Event records.
 """
 
 from __future__ import annotations
@@ -82,9 +88,13 @@ DEFAULT_CONVENTIONS = Conventions()
 
 @dataclass(frozen=True)
 class Event:
-    """One generic pair event. Strand ids satisfy i < j; cls is one of
-    'classical_over' (j passes over i), 'classical_under', 'flat', 'virtual';
-    ne is the strand whose tangent heads to the negative end at the event."""
+    """One generic event. The pair readings give events of strands i < j
+    with cls one of 'classical_over' (j passes over i), 'classical_under',
+    'flat', 'virtual', and ne the strand whose tangent heads to the negative
+    end. The cylinder reading gives 'crossing' events, two strands i < j
+    aligned as seen from the watched strand, at slot with crossing sign
+    sign, and 'cut' events, strand i passing the cut of the watched strand
+    j, with sign the power of the passage."""
 
     time: float
     i: int
@@ -92,13 +102,18 @@ class Event:
     cls: str
     ne: int | None = None
     slot: int | None = None
+    sign: int | None = None
 
     def to_json(self) -> dict:
+        if self.cls == "crossing":
+            return {"t": self.time, "kind": "crossing", "pair": [self.i, self.j],
+                    "slot": self.slot, "sign": self.sign}
+        if self.cls == "cut":
+            return {"t": self.time, "kind": "cut", "strand": self.i,
+                    "power": self.sign}
         out = {"t": self.time, "pair": [self.i, self.j], "class": self.cls}
         if self.ne is not None:
             out["ne"] = self.ne
-        if self.slot is not None:
-            out["slot"] = self.slot
         return out
 
 
@@ -322,37 +337,6 @@ def linking_number(braid: GeomBraid, i: int, j: int) -> int:
 # -- root finding on linear models --------------------------------------------
 
 
-def _quad_roots(c2: float, c1: float, c0: float, scale: float):
-    """Real roots of c2 u^2 + c1 u + c0 in (0, 1]; second value tells whether
-    the polynomial is negligible against scale over the whole interval."""
-    eps = _REL_EPS * scale
-    if abs(c2) <= eps and abs(c1) <= eps:
-        return [], abs(c0) <= eps
-    roots = []
-    if abs(c2) <= eps:
-        roots.append(-c0 / c1)
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            qq = -(c1 + math.copysign(sq, c1)) / 2.0
-            if qq == 0.0:
-                roots.append(0.0)
-            else:
-                roots.append(qq / c2)
-                roots.append(c0 / qq)
-    return sorted(r for r in roots if 0.0 < r <= 1.0), False
-
-
-def _im_pair_quad(u0: complex, du: complex, v0: complex, dv: complex):
-    """Coefficients of Im((u0+du*u) * conj(v0+dv*u)) and a magnitude scale."""
-    c0 = (u0 * v0.conjugate()).imag
-    c1 = (u0 * dv.conjugate() + du * v0.conjugate()).imag
-    c2 = (du * dv.conjugate()).imag
-    scale = (abs(u0) + abs(du)) * (abs(v0) + abs(dv)) + 1e-300
-    return c2, c1, c0, scale
-
-
 def _pair_quartic(num, den):
     """P = num * conj(den) for quadratic coefficient triples (constant
     first): the monomial and the Bernstein coefficients of P on [0, 1]."""
@@ -377,18 +361,8 @@ def _horner(coeffs, u: float):
 
 def _line_roots(coeffs, bern, w: complex, t0: float, h: float,
                 pair: tuple[int, int]) -> list[float]:
-    """Real roots of Im(w * P) on a segment, P given by _pair_quartic.
-
-    Roots in (0, 1] count, and a root at 0 too past the first segment (the
-    previous segment may miss it by rounding). By Descartes' rule in the
-    Bernstein basis, the roots in an open interval are at most the sign
-    variations of the Bernstein coefficients there, and as many mod 2. So
-    coefficients of one strict sign exclude the segment; otherwise halving
-    by de Casteljau runs until each piece has at most one variation, and a
-    piece with one is bisected to BISECTION_TOL in t. Pieces that keep two
-    variations down to GENERICITY_TOL in t hold roots too close to tell
-    apart, and raise NonGenericInput, as does a segment on which Im(w * P)
-    vanishes identically."""
+    """Real roots of Im(w * P) on a segment, P given by _pair_quartic; a
+    segment on which Im(w * P) vanishes identically raises NonGenericInput."""
     # the exclusion test is the hot path, hence unrolled
     c0, c1, c2, c3, c4 = bern
     b0, b1, b2 = (w * c0).imag, (w * c1).imag, (w * c2).imag
@@ -399,7 +373,22 @@ def _line_roots(coeffs, bern, w: complex, t0: float, h: float,
     bern = [b0, b1, b2, b3, b4]
     if not any(bern):
         raise NonGenericInput("persistent crossing", time=t0, pair=pair)
-    coeffs = [(w * c).imag for c in coeffs]
+    return _isolate([(w * c).imag for c in coeffs], bern, t0, h, pair)
+
+
+def _isolate(coeffs, bern, t0: float, h: float,
+             pair: tuple[int, int]) -> list[float]:
+    """Real roots of a real polynomial on a segment, given by its monomial
+    and its Bernstein coefficients on [0, 1].
+
+    Roots in (0, 1] count, and a root at 0 too past the first segment (the
+    previous segment may miss it by rounding). By Descartes' rule in the
+    Bernstein basis, the roots in an open interval are at most the sign
+    variations of the Bernstein coefficients there, and as many mod 2. So
+    halving by de Casteljau runs until each piece has at most one variation,
+    and a piece with one is bisected to BISECTION_TOL in t. Pieces that keep
+    two variations down to GENERICITY_TOL in t hold roots too close to tell
+    apart, and raise NonGenericInput."""
     roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
     if bern[-1] == 0.0:
         roots.append(1.0)
@@ -448,6 +437,65 @@ def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
     return (lo + hi) / 2
 
 
+def _aligned_roots(a0: complex, da: complex, b0: complex, db: complex,
+                   t0: float, h: float, pair: tuple[int, int],
+                   what: str) -> list[tuple[float, bool]]:
+    """Times u on a segment at which a = a0 + da*u points the way of
+    b = b0 + db*u: the roots of the real quadratic Im(a conj(b)) at which
+    Re(a conj(b)) > 0. Returns (u, rising) with rising true where the
+    quadratic falls through 0. The quadratic negligible against the vectors'
+    size counts as identically zero: no roots, unless a and b point the same
+    way throughout, which raises NonGenericInput, as does a tangency."""
+    c0 = (a0 * b0.conjugate()).imag
+    c1 = (a0 * db.conjugate() + da * b0.conjugate()).imag
+    c2 = (da * db.conjugate()).imag
+    scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + 1e-300
+    eps = _REL_EPS * scale
+    if abs(c2) <= eps and abs(c1) <= eps:
+        if abs(c0) <= eps and \
+                ((a0 + da * 0.5) * (b0 + db * 0.5).conjugate()).real > 0:
+            raise NonGenericInput(f"persistent {what}", time=t0, pair=pair)
+        return []
+    b1, b2 = c0 + c1 / 2, ((a0 + da) * (b0 + db).conjugate()).imag
+    if c0 > 0.0 and b1 > 0.0 and b2 > 0.0 or c0 < 0.0 and b1 < 0.0 and b2 < 0.0:
+        return []
+    out = []
+    for u in _isolate((c0, c1, c2), [c0, b1, b2], t0, h, pair):
+        b = b0 + db * u
+        # b is the cut direction, or a strand kept apart from the watched one
+        if abs(b) <= 1e-9:
+            raise NonGenericInput("cut direction degenerate", time=t0 + h * u,
+                                  pair=pair)
+        if ((a0 + da * u) * b.conjugate()).real <= 0:
+            continue
+        slope = 2.0 * c2 * u + c1
+        if abs(slope) <= 1e-9 * scale:
+            raise NonGenericInput(f"tangential {what}", time=t0 + h * u,
+                                  pair=pair)
+        out.append((u, slope < 0.0))
+    return out
+
+
+def _finish(events: list[Event]) -> tuple[Event, ...]:
+    """Events sorted by time, checked for spacing. A root at the end of one
+    segment and the start of the next counts once."""
+    events.sort(key=lambda e: e.time)
+    out: list[Event] = []
+    for e in events:
+        if out and (e.i, e.j) == (out[-1].i, out[-1].j) \
+                and abs(e.time - out[-1].time) < 1e-11:
+            continue
+        out.append(e)
+    for e in out:
+        if e.time < GENERICITY_TOL or e.time > 1.0 - GENERICITY_TOL:
+            raise NonGenericInput("event at the time boundary", time=e.time)
+    for a, b in zip(out, out[1:]):
+        if b.time - a.time < GENERICITY_TOL:
+            raise NonGenericInput("events closer than the separation margin",
+                                  time=a.time)
+    return tuple(out)
+
+
 # -- cylinder extraction ---------------------------------------------------------------
 
 
@@ -461,9 +509,10 @@ def _cut_vector(conv: Conventions, p, q, k0: int, n: int):
 
 
 def cylinder_events(braid: GeomBraid, k: int,
-                    conv: Conventions | None = None) -> list[tuple]:
-    """Generic events seen from strand k, sorted by time. Records are
-    ('cross', t, i, j, slot, sign) and ('cut', t, l, power)."""
+                    conv: Conventions | None = None) -> tuple[Event, ...]:
+    """Generic events seen from strand k, sorted by time: 'crossing' events
+    of two strands aligned as seen from k, and 'cut' events of a strand
+    passing the cut."""
     conv = conv or DEFAULT_CONVENTIONS
     n = braid.n
     if n < 3:
@@ -472,138 +521,87 @@ def cylinder_events(braid: GeomBraid, k: int,
         raise ValueError(f"k={k} outside 1..{n}")
     k0 = k - 1
     others = [s for s in range(n) if s != k0]
-    raw = []
+    events: list[Event] = []
     for t0, t1, p, q in braid.segments:
         h = t1 - t0
-
-        def rel(s0: int, u: float) -> complex:
-            return (p[s0] - p[k0]) + (q[s0] - q[k0]) * u
-
+        rel = [(p[s] - p[k0], q[s] - q[k0]) for s in range(n)]
         w0, dw = _cut_vector(conv, p, q, k0, n)
-
-        def cut_dir(u: float) -> complex:
-            return w0 + dw * u
-
-        # pair alignments
-        for ia in range(len(others)):
-            for ib in range(ia + 1, len(others)):
-                si, sj = others[ia], others[ib]
-                u0 = p[si] - p[k0]
-                du = q[si] - q[k0]
-                v0 = p[sj] - p[k0]
-                dv = q[sj] - q[k0]
-                c2, c1, c0, scale = _im_pair_quad(u0, du, v0, dv)
-                roots, degenerate = _quad_roots(c2, c1, c0, scale)
-                if degenerate:
-                    middle = (u0 + du * 0.5) * (v0 + dv * 0.5).conjugate()
-                    if middle.real > 0:
-                        raise NonGenericInput("persistent alignment",
-                                              time=t0, pair=(si + 1, sj + 1))
-                    continue
-                for u in roots:
-                    ui = u0 + du * u
-                    vj = v0 + dv * u
-                    if (ui * vj.conjugate()).real <= 0:
-                        continue
-                    slope = 2.0 * c2 * u + c1
-                    if abs(slope) <= 1e-9 * scale:
-                        raise NonGenericInput("tangential alignment",
-                                              time=t0 + h * u,
-                                              pair=(si + 1, sj + 1))
-                    rising = slope < 0.0
-                    t_ev = t0 + h * u
-                    # angular coordinates of everything else at the event
-                    wv = cut_dir(u)
-                    if abs(wv) <= 1e-9:
-                        raise NonGenericInput("cut direction degenerate", time=t_ev)
-                    f_pair = (cmath.phase(wv) - cmath.phase(ui)) % TWO_PI
-                    below = 0
-                    for l in others:
-                        if l in (si, sj):
-                            continue
-                        fl = (cmath.phase(wv) - cmath.phase(rel(l, u))) % TWO_PI
-                        gap = abs(fl - f_pair)
-                        if min(gap, TWO_PI - gap) < _ANGLE_MARGIN:
-                            raise NonGenericInput("triple alignment", time=t_ev,
-                                                  pair=(si + 1, sj + 1))
-                        if fl < f_pair:
-                            below += 1
-                    slot = 1 + below
-                    ri, rj = abs(ui), abs(vj)
-                    if abs(ri - rj) <= 1e-9 * max(ri, rj):
-                        raise NonGenericInput("radial tie at alignment",
-                                              time=t_ev, pair=(si + 1, sj + 1))
-                    farther_i = ri > rj
-                    over_i = farther_i == conv.over_is_farther
-                    sign = 1 if (over_i != rising) else -1
-                    raw.append(("cross", t_ev, si + 1, sj + 1, slot, sign))
-
-        # cut passages
+        for ia, si in enumerate(others):
+            for sj in others[ia + 1:]:
+                pair = (si + 1, sj + 1)
+                for u, rising in _aligned_roots(*rel[si], *rel[sj], t0, h,
+                                                pair, "alignment"):
+                    events.append(_cylinder_crossing(
+                        rel, others, w0 + dw * u, u, t0 + h * u, pair, rising,
+                        conv))
         for l in others:
-            u0 = p[l] - p[k0]
-            du = q[l] - q[k0]
-            c2, c1, c0, scale = _im_pair_quad(u0, du, w0, dw)
-            roots, degenerate = _quad_roots(c2, c1, c0, scale)
-            if degenerate:
-                middle = (u0 + du * 0.5) * (w0 + dw * 0.5).conjugate()
-                if middle.real > 0:
-                    raise NonGenericInput("strand stalls on the cut",
-                                          time=t0, pair=(l + 1, k))
-                continue
-            for u in roots:
-                ul = u0 + du * u
-                wv = w0 + dw * u
-                if (ul * wv.conjugate()).real <= 0:
-                    continue
-                slope = 2.0 * c2 * u + c1
-                if abs(slope) <= 1e-9 * scale:
-                    raise NonGenericInput("tangential cut passage",
-                                          time=t0 + h * u, pair=(l + 1, k))
-                power = 1 if slope < 0.0 else -1
-                raw.append(("cut", t0 + h * u, l + 1, power))
-
-    raw.sort(key=lambda r: r[1])
-    _check_event_spacing([r[1] for r in raw])
-    return raw
+            for u, rising in _aligned_roots(*rel[l], w0, dw, t0, h,
+                                            (l + 1, k), "cut passage"):
+                events.append(Event(t0 + h * u, l + 1, k, "cut",
+                                    sign=1 if rising else -1))
+    return _finish(events)
 
 
-def _check_event_spacing(times: Sequence[float]) -> None:
-    for t in times:
-        if t < GENERICITY_TOL or t > 1.0 - GENERICITY_TOL:
-            raise NonGenericInput("event at the time boundary", time=t)
-    for a, b in zip(times, times[1:]):
-        if b - a < GENERICITY_TOL:
-            raise NonGenericInput("events closer than the separation margin",
-                                  time=a)
+def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
+                       pair: tuple[int, int], rising: bool,
+                       conv: Conventions) -> Event:
+    """Slot and sign of an alignment, from the angular coordinates of every
+    other strand measured from the cut direction wv."""
+    if abs(wv) <= 1e-9:
+        raise NonGenericInput("cut direction degenerate", time=t, pair=pair)
+    si, sj = pair[0] - 1, pair[1] - 1
+    ui = rel[si][0] + rel[si][1] * u
+    vj = rel[sj][0] + rel[sj][1] * u
+    f_pair = (cmath.phase(wv) - cmath.phase(ui)) % TWO_PI
+    below = 0
+    for l in others:
+        if l in (si, sj):
+            continue
+        fl = (cmath.phase(wv) - cmath.phase(rel[l][0] + rel[l][1] * u)) % TWO_PI
+        gap = abs(fl - f_pair)
+        if min(gap, TWO_PI - gap) < _ANGLE_MARGIN:
+            raise NonGenericInput("triple alignment", time=t, pair=pair)
+        if fl < f_pair:
+            below += 1
+    ri, rj = abs(ui), abs(vj)
+    if abs(ri - rj) <= 1e-9 * max(ri, rj):
+        raise NonGenericInput("radial tie at alignment", time=t, pair=pair)
+    over_i = (ri > rj) == conv.over_is_farther
+    return Event(t, *pair, "crossing", slot=1 + below,
+                 sign=1 if over_i != rising else -1)
 
 
-def _cylinder_letters(braid: GeomBraid, k: int, d: int,
-                      conv: Conventions | None) -> tuple[Letter, ...]:
-    """Crossings stay crossings; each cut passage becomes the d-th power
-    rotation block, a single z for d=1."""
-    if d < 1:
+def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
+                     conv: Conventions | None = None
+                     ) -> tuple[tuple[Event, ...], Word]:
+    """Full cylinder pipeline seen from strand k: the events, and the word on
+    n-1 strands they spell. Crossings stay crossings; each cut passage
+    becomes a single z (d None, a cylinder word) or the d-th power rotation
+    block (a rotation-virtual word)."""
+    if d is not None and d < 1:
         raise ValueError("d must be positive")
+    events = cylinder_events(braid, k, conv)
     letters: list[Letter] = []
-    for record in cylinder_events(braid, k, conv):
-        if record[0] == "cross":
-            _, _, _, _, slot, sign = record
-            letters.append(sigma(slot, sign))
+    for e in events:
+        if e.cls == "crossing":
+            letters.append(sigma(e.slot, e.sign))
         else:
-            letters.extend(rotation_block_letters(braid.n - 1, d, record[3]))
-    return free_reduce_letters(letters)
+            letters.extend(rotation_block_letters(braid.n - 1, d or 1, e.sign))
+    group = GroupId("CPB" if d is None else "VCB", braid.n - 1)
+    return events, Word(group, free_reduce_letters(letters))
 
 
 def project_pk(braid: GeomBraid, k: int,
                conv: Conventions | None = None) -> Word:
     """Cylinder word on n-1 strands read off the trajectories."""
-    return Word(GroupId("CPB", braid.n - 1), _cylinder_letters(braid, k, 1, conv))
+    return cylinder_reading(braid, k, None, conv)[1]
 
 
 def power_map_extract(braid: GeomBraid, k: int, d: int,
                       conv: Conventions | None = None) -> Word:
     """Word of the d-th power reading: crossings stay crossings, each cut
     passage becomes the rotation-virtual block."""
-    return Word(GroupId("VCB", braid.n - 1), _cylinder_letters(braid, k, d, conv))
+    return cylinder_reading(braid, k, d, conv)[1]
 
 
 # -- pair normalization ------------------------------------------------------------------
@@ -680,89 +678,11 @@ def _poly_deriv(coeffs, u: float) -> complex:
     return c1 + 2.0 * c2 * u
 
 
-def _ratio_value(num, den, u: float) -> complex:
-    dv = _poly_eval(den, u)
-    if abs(dv) < 1e-300:
-        raise NonGenericInput("classifier function blows up")
-    return _poly_eval(num, u) / dv
-
-
-def _ratio_deriv(num, den, u: float) -> complex:
-    nv, dv = _poly_eval(num, u), _poly_eval(den, u)
-    npv, dpv = _poly_deriv(num, u), _poly_deriv(den, u)
-    return (npv * dv - nv * dpv) / (dv * dv)
-
-
 def psi_events(braid: GeomBraid, method: str = "cross-ratio") -> tuple[Event, ...]:
     """Events of a braid in the plane punctured at 0 and 1: for each pair,
     the real crossings of the classifier function, with class and
-    negative-end strand."""
-    events: list[Event] = []
-    for i0 in range(braid.n):
-        for j0 in range(i0 + 1, braid.n):
-            pair = (i0 + 1, j0 + 1)
-            for t0, t1, p, q in braid.segments:
-                h = t1 - t0
-                num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0], method)
-                coeffs, bern = _pair_quartic(num, den)
-                for u in _line_roots(coeffs, bern, 1.0, t0, h, pair):
-                    events.append(_classify(num, den, u, t0 + h * u,
-                                            *pair, method))
-    events.sort(key=lambda e: e.time)
-    events = _dedupe(events)
-    _check_event_spacing([e.time for e in events])
-    return tuple(events)
-
-
-def _dedupe(events: list[Event]) -> list[Event]:
-    out: list[Event] = []
-    for e in events:
-        if out and (e.i, e.j) == (out[-1].i, out[-1].j) \
-                and abs(e.time - out[-1].time) < 1e-11:
-            continue
-        out.append(e)
-    return out
-
-
-def _classify(num, den, u: float, t: float, i: int, j: int, method: str) -> Event:
-    val = _ratio_value(num, den, u)
-    deriv = _ratio_deriv(num, den, u)
-    x = val.real
-    if method == "mobius":
-        # transport to the cross-ratio picture: cr = (1-w)/w, cr' = -w'/w^2
-        guard = min(abs(val), abs(val - 1.0))
-        if guard < 1e-9:
-            raise NonGenericInput("crossing at a puncture boundary", time=t,
-                                  pair=(i, j))
-        if 0.5 < x < 1.0:
-            cls = "classical_over"
-        elif 0.0 < x < 0.5:
-            cls = "classical_under"
-        else:
-            cls = "flat"
-        if abs(x - 0.5) < 1e-9 or abs(x) < 1e-9:
-            raise NonGenericInput("crossing class at boundary", time=t,
-                                  pair=(i, j))
-        imd = deriv.imag
-        if abs(imd) <= 1e-12 * (1.0 + abs(deriv)):
-            raise NonGenericInput("tangential crossing", time=t, pair=(i, j))
-        ne = j if imd < 0 else i
-        return Event(t, i, j, cls, ne)
-    guard = min(abs(val), abs(val - 1.0))
-    if guard < 1e-9:
-        raise NonGenericInput("crossing at a puncture boundary", time=t,
-                              pair=(i, j))
-    if 0.0 < x < 1.0:
-        cls = "classical_over"
-    elif x > 1.0:
-        cls = "classical_under"
-    else:
-        cls = "flat"
-    imd = deriv.imag
-    if abs(imd) <= 1e-12 * (1.0 + abs(deriv)):
-        raise NonGenericInput("tangential crossing", time=t, pair=(i, j))
-    ne = j if imd > 0 else i
-    return Event(t, i, j, cls, ne)
+    negative-end strand. With the cross ratio this is the d=2 reading."""
+    return _pair_events(braid, method, 2)
 
 
 def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
@@ -771,46 +691,81 @@ def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
     classical crossing, the others are flat."""
     if d < 2:
         raise ValueError("power readings need d >= 2")
-    # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d)
-    rays = [(ray, cmath.exp(-1j * TWO_PI * ray / d)) for ray in range(d)]
+    return _pair_events(braid, "cross-ratio", d)
+
+
+def _pair_events(braid: GeomBraid, method: str, d: int) -> tuple[Event, ...]:
+    # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
+    # for even d, rays p and p + d/2 share the line of w and are told apart by
+    # the sign of Re(w P), so each line is isolated once
+    half = d // 2 if d % 2 == 0 else None
+    lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
+             for ray in range(d if half is None else half)]
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
             for t0, t1, p, q in braid.segments:
                 h = t1 - t0
-                num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0],
-                                               "cross-ratio")
+                num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0], method)
                 coeffs, bern = _pair_quartic(num, den)
-                for ray, w in rays:
+                for ray, w in lines:
                     for u in _line_roots(coeffs, bern, w, t0, h, pair):
-                        if (w * _horner(coeffs, u)).real > 0.0:
-                            events.append(_classify_ray(
-                                num, den, u, t0 + h * u, *pair, ray, d))
-    events.sort(key=lambda e: e.time)
-    events = _dedupe(events)
-    _check_event_spacing([e.time for e in events])
-    return tuple(events)
+                        side = (w * _horner(coeffs, u)).real
+                        if side >= 0.0:
+                            hit = ray
+                        elif half is not None:
+                            hit = ray + half
+                        else:
+                            continue
+                        events.append(_classify(num, den, u, t0 + h * u,
+                                                *pair, method, hit, d))
+    return _finish(events)
 
 
-def _classify_ray(num, den, u: float, t: float, i: int, j: int,
-                  p: int, d: int) -> Event:
-    val = _ratio_value(num, den, u)
-    deriv = _ratio_deriv(num, den, u)
-    if p == 0:
-        mag = val.real
-        if abs(mag - 1.0) < 1e-9 or abs(mag) < 1e-9:
+def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
+              ray: int, d: int) -> Event:
+    """Event of pair (i, j) at a root on ray `ray` of the d-th reading. A
+    ratio within 1e-9 of a puncture is refused; so is a root at which
+    Re(w P) = 0, where N conj(D) vanishes."""
+    nv, dv = _poly_eval(num, u), _poly_eval(den, u)
+    if abs(dv) < 1e-300:
+        raise NonGenericInput("classifier function blows up", time=t,
+                              pair=(i, j))
+    val = nv / dv
+    deriv = (_poly_deriv(num, u) * dv - nv * _poly_deriv(den, u)) / (dv * dv)
+    x = val.real
+    guard = min(abs(val), abs(val - 1.0))
+    if method != "mobius" and nv:
+        # the cross ratio's third puncture is infinity; the mobius function
+        # has it at 0
+        guard = min(guard, abs(dv / nv))
+    if guard < 1e-9:
+        raise NonGenericInput("crossing at a puncture boundary", time=t,
+                              pair=(i, j))
+    if method == "mobius":
+        # transport to the cross-ratio picture: cr = (1-w)/w, cr' = -w'/w^2
+        if abs(x - 0.5) < 1e-9 or abs(x) < 1e-9:
             raise NonGenericInput("crossing class at boundary", time=t,
                                   pair=(i, j))
-        cls = "classical_over" if mag < 1.0 else "classical_under"
+        if 0.5 < x < 1.0:
+            cls = "classical_over"
+        elif 0.0 < x < 0.5:
+            cls = "classical_under"
+        else:
+            cls = "flat"
+        decider = -deriv.imag
     else:
-        cls = "flat"
-    if p == 0 or 2 * p == d:
-        decider = deriv.imag
-    else:
-        decider = (cmath.exp(-1j * TWO_PI * p / d) * deriv).imag
+        if ray == 0:
+            cls = "classical_over" if x < 1.0 else "classical_under"
+        else:
+            cls = "flat"
+        if ray == 0 or 2 * ray == d:
+            decider = deriv.imag
+        else:
+            decider = (cmath.exp(-1j * TWO_PI * ray / d) * deriv).imag
     if abs(decider) <= 1e-12 * (1.0 + abs(deriv)):
-        raise NonGenericInput("tangential ray crossing", time=t, pair=(i, j))
+        raise NonGenericInput("tangential crossing", time=t, pair=(i, j))
     ne = j if decider > 0 else i
     return Event(t, i, j, cls, ne)
 
@@ -927,20 +882,6 @@ def braid_from_json(data) -> GeomBraid:
 
 def events_to_json(events: Iterable[Event]) -> list[dict]:
     return [e.to_json() for e in events]
-
-
-def cylinder_events_json(braid: GeomBraid, k: int,
-                         conv: Conventions | None = None) -> list[dict]:
-    out = []
-    for record in cylinder_events(braid, k, conv):
-        if record[0] == "cross":
-            _, t, i, j, slot, sign = record
-            out.append({"t": t, "kind": "crossing", "pair": [i, j],
-                        "slot": slot, "sign": sign})
-        else:
-            _, t, l, power = record
-            out.append({"t": t, "kind": "cut", "strand": l, "power": power})
-    return out
 
 
 # -- drawing ---------------------------------------------------------------------------------

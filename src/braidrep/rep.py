@@ -16,8 +16,10 @@ instead of O(len * dim^3). The symbolic fold builds each updated entry in
 one pass of exponent shifts. The evaluated fold clears an action's
 coefficients at the point to integer numerators over its own denominator
 den, and folds ints over one scalar scale: an action with den != 1
-multiplies the other columns, and the scale, by den. Entries become
-Fraction(x, scale) at the end.
+multiplies the other columns, and the scale, by den. Whenever the scale's
+bit length has doubled since the last reduction (and passed 64), rows and
+scale are divided by their gcd, so entries whose true denominators stay
+small keep small integers. Entries become Fraction(x, scale) at the end.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
         else (1, 0)
     rows: list[list] = [[one if i == j else zero for j in range(dim)]
                         for i in range(dim)]
-    scale = 1
+    scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
     cache: dict = {}
     for letter in word.letters:
         if letter.kind == "z":
@@ -159,6 +161,12 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                 for d, value in new:
                     row[d] = value
             scale *= den
+            if scale.bit_length() >= 2 * reduced:
+                g = gcd(scale, *(x for row in rows for x in row))
+                for row in rows:
+                    row[:] = [x // g for x in row]
+                scale //= g
+                reduced = max(scale.bit_length(), 32)
     if assignment is None:
         return Matrix(dim, tuple(tuple(r) for r in rows))
     return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)

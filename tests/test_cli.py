@@ -133,6 +133,25 @@ def test_geom_svg(capsys, tmp_path):
     assert target.read_text().startswith("<svg")
 
 
+def test_geom_reads_cylinder_events_once(capsys, tmp_path, monkeypatch):
+    from braidrep import geom
+    calls = []
+    inner = geom.cylinder_events
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "cylinder_events", counted)
+    target = tmp_path / "out.svg"
+    code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                       "--project-pk", "2", "--emit-events",
+                       "--svg", str(target))
+    assert code == 0 and len(calls) == 1
+    events, _ = json.JSONDecoder().raw_decode(out)
+    assert events and target.read_text().count("<circle") == len(events)
+
+
 def test_exit_code_syntax_error(capsys):
     code, _, err = run(capsys, "parse", "s1^", "--group", "B4")
     assert code == 2 and "error:" in err

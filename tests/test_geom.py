@@ -13,7 +13,7 @@ from braidrep.errors import (NonGenericInput, NonIntegerWinding,
 from braidrep.geom import (SEPARATION_TOL, Conventions, GeomBraid,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
-                           cylinder_events_json, initial_order,
+                           events_to_json, initial_order,
                            linking_number, perturb, power_map_extract,
                            project_pk, q_kl, render_svg, resample)
 from braidrep.homs import PipelineConfig, pipeline_matrix, \
@@ -203,7 +203,7 @@ def test_rigid_rotation_frozen_words():
     assert format_word(power_map_extract(cw, 1, 3, FIXED_CUT)) == \
         "z t1 t2 t3 z t1 t2 t3 z"
     events = cylinder_events(cw, 1, FIXED_CUT)
-    assert len(events) == 1 and events[0][0] == "cut"
+    assert len(events) == 1 and events[0].cls == "cut"
 
 
 def test_single_crossings_match_word_pipeline():
@@ -260,9 +260,19 @@ def test_persistent_alignment_rejected():
         cylinder_events(b, 1, FIXED_CUT)
 
 
+def test_cut_passage_at_a_degenerate_cut_is_refused():
+    # at t = 1/2 the watched strand 1 sits on the centroid, so the moving
+    # cut has no direction while strand 2 seems to pass it
+    strands = (((0.0, 1.5 - 1.25j), (1.0, -1.25 + 1.25j)),
+               ((0.0, -1.25 - 1.5j), (1.0, -0.75 + 0j)),
+               ((0.0, 1.5 - 0.5j), (1.0, 1 + 2j)))
+    with pytest.raises(NonGenericInput, match="cut direction degenerate"):
+        cylinder_events(GeomBraid(3, strands), 1)
+
+
 def test_cylinder_events_json_records():
     b = artin_dynamics(parse_word("A[1,3]", B4))
-    records = cylinder_events_json(b, 2)
+    records = events_to_json(cylinder_events(b, 2))
     assert records == sorted(records, key=lambda r: r["t"])
     for r in records:
         assert r["kind"] in ("crossing", "cut")
@@ -338,7 +348,7 @@ def test_pure_is_recomputed_on_load():
 
 def test_render_svg_structure():
     b = artin_dynamics(parse_word("A[1,3]", B4))
-    svg = render_svg(b, cylinder_events_json(b, 2))
+    svg = render_svg(b, events_to_json(cylinder_events(b, 2)))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 4
     assert "<circle" in svg

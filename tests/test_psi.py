@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +8,10 @@ import pytest
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
 from braidrep.errors import NonGenericInput, SeparationViolated
-from braidrep.geom import (Event, GeomBraid, artin_dynamics,
-                           concat, flat_virtual_word, initial_order, perturb,
-                           psi_d_events, psi_events, q_kl,
-                           realize_flat_virtual, resample)
+from braidrep.geom import (Conventions, Event, GeomBraid, artin_dynamics,
+                           concat, cylinder_events, flat_virtual_word,
+                           initial_order, perturb, psi_d_events, psi_events,
+                           q_kl, realize_flat_virtual, resample)
 from braidrep.laurent import mat_mul
 from braidrep.rep import RHO_TILDE, word_image
 
@@ -109,6 +111,24 @@ def test_pair_moving_along_the_real_line_is_refused():
             read(b)
 
 
+EVERY_READING = (psi_events, lambda b: psi_events(b, method="mobius"),
+                 lambda b: psi_d_events(b, 2), lambda b: psi_d_events(b, 3),
+                 lambda b: psi_d_events(b, 4))
+
+
+@pytest.mark.parametrize("x0", (1 + 1e-10, 1 + 3e-10, 1e-10, 1.0, 0.0))
+def test_crossing_at_a_puncture_is_refused_by_every_reading(x0):
+    """With x0 near 1 the cross ratio passes within 1e-9 of the puncture 0,
+    on a flat ray of every power reading; with x0 near 0 it passes beyond
+    1e9, where the mobius function passes near 0. At x0 = 1 or 0, N conj(D)
+    vanishes at the root, so no ray can be told; the root goes to the
+    classifier's guards instead of being dropped."""
+    b = two_strand(x0, 0.4)
+    for read in EVERY_READING:
+        with pytest.raises(NonGenericInput, match="puncture boundary|blows up"):
+            read(b)
+
+
 # -- exact oracle ------------------------------------------------------------
 
 
@@ -197,6 +217,89 @@ def test_event_counts_match_exact_oracle():
     mismatches, compared, refused = oracle_mismatches(60, seed=3)
     assert mismatches == []
     assert compared >= 55 and compared + refused == 60
+
+
+def exact_cylinder_count(braid: GeomBraid, k: int, conv: Conventions):
+    """Event count of the cylinder reading of a one-segment braid seen from
+    strand k past a fixed cut, from Fraction-exact coefficients. With a and
+    b the positions of two other strands relative to strand k, or of one
+    other strand and the cut direction, it counts the roots in (0, 1] of
+    Im(a conj(b)) at which Re(a conj(b)) > 0. None where that sign cannot
+    be told at a root."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+
+    def poly(*coeffs):
+        return sympy.Poly([Fraction(c) for c in coeffs], u, domain="QQ")
+
+    (_, _, p, q), = braid.segments
+    k0 = k - 1
+    vectors = {s: (poly(q[s].real, p[s].real) - poly(q[k0].real, p[k0].real),
+                   poly(q[s].imag, p[s].imag) - poly(q[k0].imag, p[k0].imag))
+               for s in range(braid.n) if s != k0}
+    w = cmath.exp(1j * conv.cut_angle)
+    cut = (poly(w.real), poly(w.imag))
+
+    def count(a, b):
+        real = a[0] * b[0] + a[1] * b[1]
+        imag = a[1] * b[0] - a[0] * b[1]
+        if real.is_zero or imag.is_zero:
+            return None
+        found = 0
+        for (lo, hi), _ in imag.intervals(inf=0, sup=1):
+            if hi == 0:
+                continue  # a root at t = 0 is no event
+            while real.intervals(inf=lo, sup=hi):
+                if hi - lo < Fraction(1, 10 ** 40):
+                    return None
+                lo, hi = imag.refine_root(lo, hi, eps=(hi - lo) / 1000)
+            if real.eval(lo) > 0:
+                found += 1
+        return found
+
+    others = sorted(vectors)
+    counts = [count(vectors[a], vectors[b])
+              for ia, a in enumerate(others) for b in others[ia + 1:]]
+    counts += [count(vectors[a], cut) for a in others]
+    return None if None in counts else sum(counts)
+
+
+def test_cylinder_event_counts_match_exact_oracle():
+    """Event counts of cylinder_events on seeded one-segment 3- and 4-strand
+    braids with a fixed cut, seen from every strand, against
+    exact_cylinder_count. Coordinates are multiples of 1/1024, so the
+    relative positions the reading works on are exact."""
+    rng = random.Random(17)
+
+    def point():
+        return complex(rng.randint(-2048, 2048), rng.randint(-2048, 2048)) / 1024
+
+    mismatches, compared, refused, events = [], 0, 0, 0
+    for trial in range(60):
+        n = 3 + trial % 2
+        conv = Conventions(cut_angle=rng.uniform(0.0, 2 * math.pi))
+        strands = tuple(((0.0, point()), (1.0, point())) for _ in range(n))
+        try:
+            braid = GeomBraid(n, strands)
+        except SeparationViolated:
+            refused += n
+            continue
+        for k in range(1, n + 1):
+            try:
+                got = len(cylinder_events(braid, k, conv))
+            except NonGenericInput:
+                refused += 1
+                continue
+            want = exact_cylinder_count(braid, k, conv)
+            if want is None:
+                refused += 1
+            elif got != want:
+                mismatches.append((strands, k, conv.cut_angle, got, want))
+            else:
+                compared += 1
+                events += got
+    assert mismatches == []
+    assert compared >= 180 and events >= 200
 
 
 def test_close_root_pair_is_found():

@@ -171,6 +171,20 @@ def test_evaluated_fold_long_pipeline():
     assert any(x.denominator != 1 for row in fast for x in row)
 
 
+def test_evaluated_fold_of_long_identity_word():
+    """36,000 letters whose partial products keep small denominators; the
+    integer fold reduces against its scale and ends exactly."""
+    at = Assignment(Fraction(2, 3), Fraction(3, 2))
+    b5 = GroupId("B", 5)
+    cycle = "(s1 s2 s1 s2^-1 s1^-1 s2^-1 s3 s4 s3 s4^-1 s3^-1 s4^-1)^3000"
+    m = word_image(parse_word(cycle, b5), RHO, at)
+    assert all(type(x) is Fraction and x == (i == j)
+               for i, row in enumerate(m) for j, x in enumerate(row))
+    tail = "s1 s3^-1 s2^2"
+    got = word_image(parse_word(f"{cycle} {tail}", b5), RHO, at)
+    assert got == mat_eval(word_image(parse_word(tail, b5), RHO), at)
+
+
 def test_burau_row_sums_one():
     rng = random.Random(5)
     for _ in range(20):
