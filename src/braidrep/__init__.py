@@ -24,7 +24,7 @@ from .relcheck import (Failure, Report, verify_oracle_agreement,
                        verify_permutation_consistency, verify_pk_cocycle,
                        verify_relations)
 from .geom import (BISECTION_TOL, GENERICITY_TOL, PUNCTURE_TOL,
-                   SEPARATION_TOL, Conventions, Event, GeomBraid,
+                   SEPARATION_TOL, Conventions, Event, GeomBraid, PuncturedView,
                    artin_dynamics, base_points, braid_from_json,
                    braid_to_json, concat, cylinder_events,
                    cylinder_reading, events_to_json, flat_virtual_word,

@@ -207,8 +207,7 @@ def _cmd_geom(args) -> int:
             braid, args.power_map, 1 if args.d is None else args.d, conv)
     elif args.psi is not None:
         k, l = args.psi
-        events, word = geom.pair_reading(braid, k, l, args.psi_d,
-                                         args.scheme, args.refine)
+        events, word = geom.pair_reading(braid, k, l, args.psi_d, args.scheme)
     if args.linking:
         for i in range(1, braid.n + 1):
             for j in range(i + 1, braid.n + 1):
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="power reading for --psi")
     p.add_argument("--scheme", default="route-and-return",
                    choices=("route-and-return", "swap-in-place"))
-    p.add_argument("--refine", type=int, default=2)
     p.add_argument("--linking", action="store_true",
                    help="print all pairwise winding numbers")
     p.add_argument("--emit-braid", action="store_true")

@@ -16,12 +16,12 @@ d-th power reading a rotation event expands into the rotation-virtual block
 z (Dv z)^(d-1).
 
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
-normalize strands k and l to the punctures 0 and 1, watch each remaining
-pair through the cross-ratio with the punctures; real crossings of the
-cross-ratio are crossing events, classified as over, under or flat by where
-on the real line they happen, and realized as a flat-virtual word. The d-th
-power reading watches the rays at angles 2 pi p / d instead; the plain
-reading is its d=2 case.
+q_kl views the braid with strands k and l as the punctures 0 and 1, after an
+exact check that no other strand comes near them. Each other pair is watched
+through the four-point cross ratio on the braid's own segments; its real
+crossings are events, classified as over, under or flat by where on the real
+line they happen, and realized as a flat-virtual word. The d-th power
+reading watches the rays at angles 2 pi p / d; the plain reading is d=2.
 
 All event detection happens on the polyline model itself: between merged
 breakpoints every strand is linear in t. Two vectors a, b seen from strand
@@ -183,19 +183,12 @@ class GeomBraid:
     def _check_separation(self) -> None:
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for t0, _, p, q in self.segments:
-                    d0 = p[i] - p[j]
-                    step = q[i] - q[j]
-                    den = abs(step) ** 2
-                    if den > 0.0:
-                        u = -((d0.real * step.real) + (d0.imag * step.imag)) / den
-                        u = min(1.0, max(0.0, u))
-                    else:
-                        u = 0.0
-                    if abs(d0 + step * u) < SEPARATION_TOL:
+                for t0, t1, p, q in self.segments:
+                    u = _comes_within(p[i] - p[j], q[i] - q[j], 1, 0, SEPARATION_TOL)
+                    if u is not None:
                         raise SeparationViolated(
                             f"strands {i + 1} and {j + 1} within tolerance "
-                            f"near t={t0:.6f}")
+                            f"near t={t0 + (t1 - t0) * u:.6f}")
 
 
 def _merged_times(strands) -> list[float]:
@@ -206,6 +199,18 @@ def _merged_times(strands) -> list[float]:
             out.append(t)
     out[-1] = 1.0
     return out
+
+
+def _comes_within(d0, dd, c0, dc, tol: float) -> float | None:
+    """A u in [0, 1] at which |d0 + dd*u| < tol * |c0 + dc*u|, or None: the
+    real quadratic |d|^2 - tol^2 |c|^2 is checked at both ends and at its
+    vertex if inside, comparing the two lengths there directly."""
+    a = abs(dd) ** 2 - tol * tol * abs(dc) ** 2
+    b = (d0 * dd.conjugate()).real - tol * tol * (c0 * dc.conjugate()).real
+    for u in (0.0, 1.0, -b / a) if a > 0.0 and 0.0 < -b < a else (0.0, 1.0):
+        if abs(d0 + dd * u) < tol * abs(c0 + dc * u):
+            return u
+    return None
 
 
 # -- synthesis ------------------------------------------------------------------
@@ -607,10 +612,28 @@ def power_map_extract(braid: GeomBraid, k: int, d: int,
 # -- pair normalization ------------------------------------------------------------------
 
 
-def q_kl(braid: GeomBraid, k: int, l: int, refine: int = 2) -> GeomBraid:
+@dataclass(frozen=True)
+class PuncturedView:
+    """A braid punctured at its strands k0 and l0 (0-based), sent to 0 and 1
+    by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order."""
+
+    braid: GeomBraid
+    k0: int
+    l0: int
+
+    @property
+    def n(self) -> int:
+        return self.braid.n - 2
+
+    def start_config(self) -> tuple[complex, ...]:
+        _, _, a, _, c, _ = next(_pair_segments(self))
+        return tuple(x / c for x in a)
+
+
+def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
-    winding to vanish. Remaining strands are renumbered in increasing
-    original order."""
+    winding to vanish, and no other strand ever within PUNCTURE_TOL of a
+    puncture, that is within PUNCTURE_TOL * |z_l - z_k| of z_k or z_l."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
@@ -621,29 +644,33 @@ def q_kl(braid: GeomBraid, k: int, l: int, refine: int = 2) -> GeomBraid:
             if linking_number(braid, i, j) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i, j))
     k0, l0 = k - 1, l - 1
-    tracks = [(s0, []) for s0 in range(n) if s0 not in (k0, l0)]
-    for t, z in _refined(braid, refine):
-        den = z[l0] - z[k0]
-        for s0, bps in tracks:
-            bps.append((t, (z[s0] - z[k0]) / den))
-    for s0, bps in tracks:
-        for t, g in bps:
-            if abs(g) < PUNCTURE_TOL or abs(g - 1) < PUNCTURE_TOL:
-                raise PunctureCollision(
-                    f"strand {s0 + 1} touches a puncture at t={t:.6f}")
-    return GeomBraid(n - 2, tuple(tuple(bps) for _, bps in tracks))
-
-
-def _refined(braid: GeomBraid, refine: int):
-    """Times and configurations at refine equal steps per segment, then t=1."""
     for t0, t1, p, q in braid.segments:
-        for s in range(refine):
-            u = s / refine
-            yield t0 + (t1 - t0) * s / refine, [a + b * u for a, b in zip(p, q)]
-    yield 1.0, braid.end_config()
+        c, dc = p[l0] - p[k0], q[l0] - q[k0]
+        for s in (s for s in range(n) if s not in (k0, l0)):
+            for x in (k0, l0):
+                u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc, PUNCTURE_TOL)
+                if u is not None:
+                    raise PunctureCollision(f"strand {s + 1} touches a puncture "
+                                            f"near t={t0 + (t1 - t0) * u:.6f}")
+    return PuncturedView(braid, k0, l0)
 
 
-def initial_order(braid: GeomBraid) -> tuple[int, ...]:
+def _pair_segments(braid: GeomBraid | PuncturedView):
+    """Per segment (t0, h, a, da, c, dc): each watched strand a + da*u and
+    the other puncture c + dc*u, u in [0, 1], seen from the puncture at 0. A
+    plain GeomBraid has its punctures fixed at 0 and 1."""
+    if isinstance(braid, GeomBraid):
+        yield from ((t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments)
+        return
+    k0, l0 = braid.k0, braid.l0
+    others = [s for s in range(braid.braid.n) if s not in (k0, l0)]
+    for t0, t1, p, q in braid.braid.segments:
+        zk, dzk = p[k0], q[k0]
+        yield (t0, t1 - t0, [p[s] - zk for s in others],
+               [q[s] - dzk for s in others], p[l0] - zk, q[l0] - dzk)
+
+
+def initial_order(braid: GeomBraid | PuncturedView) -> tuple[int, ...]:
     """Strand ids sorted by starting position, left to right."""
     starts = [(z.real, z.imag, idx + 1) for idx, z in enumerate(braid.start_config())]
     return tuple(idx for _, _, idx in sorted(starts))
@@ -652,40 +679,36 @@ def initial_order(braid: GeomBraid) -> tuple[int, ...]:
 # -- crossing classification --------------------------------------------------------------
 
 
-def _cross_ratio_models(p_i, q_i, p_j, q_j, method: str):
-    """Quadratic numerator and denominator (complex coefficient triples,
-    constant first) of the classifier function on one segment."""
+def _cross_ratio_models(ai, dai, aj, daj, c, dc, method: str):
+    """Quadratic numerator and denominator (coefficients, constant first) of
+    the classifier on a segment, from ai + dai*u, aj + daj*u and c + dc*u
+    seen from the puncture at 0: c^2 times the normalized ones, same rays."""
     if method == "cross-ratio":
-        num = (p_i * (p_j - 1), p_i * q_j + q_i * (p_j - 1), q_i * q_j)
-        den = ((p_i - 1) * p_j, (p_i - 1) * q_j + q_i * p_j, q_i * q_j)
+        # a_i b_j / (b_i a_j), b = a - c
+        bi, dbi, bj, dbj = ai - c, dai - dc, aj - c, daj - dc
+        num = (ai * bj, ai * dbj + dai * bj, dai * dbj)
+        den = (bi * aj, bi * daj + dbi * aj, dbi * daj)
     elif method == "mobius":
-        num = (p_j * (1 - p_i), q_j * (1 - p_i) - p_j * q_i, -q_j * q_i)
-        den = ((1 - 2 * p_i) * p_j + p_i,
-               (1 - 2 * p_i) * q_j - 2 * q_i * p_j + q_i,
-               -2 * q_i * q_j)
+        # a_j (c - a_i) / ((c - 2 a_i) a_j + a_i c)
+        e, de = c - ai, dc - dai
+        f, df = c - 2 * ai, dc - 2 * dai
+        num = (aj * e, aj * de + daj * e, daj * de)
+        den = (f * aj + ai * c, f * daj + df * aj + ai * dc + dai * c,
+               df * daj + dai * dc)
     else:
         raise ValueError(f"unknown method {method!r}")
     return num, den
 
 
-def _poly_eval(coeffs, u: float) -> complex:
-    c0, c1, c2 = coeffs
-    return c0 + (c1 + c2 * u) * u
-
-
-def _poly_deriv(coeffs, u: float) -> complex:
-    _, c1, c2 = coeffs
-    return c1 + 2.0 * c2 * u
-
-
-def psi_events(braid: GeomBraid, method: str = "cross-ratio") -> tuple[Event, ...]:
-    """Events of a braid in the plane punctured at 0 and 1: for each pair,
-    the real crossings of the classifier function, with class and
+def psi_events(braid: GeomBraid | PuncturedView,
+               method: str = "cross-ratio") -> tuple[Event, ...]:
+    """Events of a braid in the plane punctured at 0 and 1, or of a view: per
+    pair, the real crossings of the classifier function, with class and
     negative-end strand. With the cross ratio this is the d=2 reading."""
     return _pair_events(braid, method, 2)
 
 
-def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
+def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     """Events of the d-th power reading in the punctured plane: per pair, the
     pair ratio sweeps through the rays at angles 2 pi p / d; ray 0 gives a
     classical crossing, the others are flat."""
@@ -694,20 +717,21 @@ def psi_d_events(braid: GeomBraid, d: int) -> tuple[Event, ...]:
     return _pair_events(braid, "cross-ratio", d)
 
 
-def _pair_events(braid: GeomBraid, method: str, d: int) -> tuple[Event, ...]:
+def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
     # the sign of Re(w P), so each line is isolated once
     half = d // 2 if d % 2 == 0 else None
     lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
              for ray in range(d if half is None else half)]
+    segments = list(_pair_segments(braid))
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
-            for t0, t1, p, q in braid.segments:
-                h = t1 - t0
-                num, den = _cross_ratio_models(p[i0], q[i0], p[j0], q[j0], method)
+            for t0, h, a, da, c, dc in segments:
+                num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
+                                               c, dc, method)
                 coeffs, bern = _pair_quartic(num, den)
                 for ray, w in lines:
                     for u in _line_roots(coeffs, bern, w, t0, h, pair):
@@ -726,21 +750,22 @@ def _pair_events(braid: GeomBraid, method: str, d: int) -> tuple[Event, ...]:
 def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
               ray: int, d: int) -> Event:
     """Event of pair (i, j) at a root on ray `ray` of the d-th reading. A
-    ratio within 1e-9 of a puncture is refused; so is a root at which
-    Re(w P) = 0, where N conj(D) vanishes."""
-    nv, dv = _poly_eval(num, u), _poly_eval(den, u)
+    ratio within PUNCTURE_TOL of a puncture is refused; so is a root at
+    which Re(w P) = 0, where N conj(D) vanishes."""
+    nv, dv = _horner(num, u), _horner(den, u)
     if abs(dv) < 1e-300:
         raise NonGenericInput("classifier function blows up", time=t,
                               pair=(i, j))
     val = nv / dv
-    deriv = (_poly_deriv(num, u) * dv - nv * _poly_deriv(den, u)) / (dv * dv)
+    deriv = (_horner((num[1], 2.0 * num[2]), u) * dv
+             - nv * _horner((den[1], 2.0 * den[2]), u)) / (dv * dv)
     x = val.real
     guard = min(abs(val), abs(val - 1.0))
     if method != "mobius" and nv:
         # the cross ratio's third puncture is infinity; the mobius function
         # has it at 0
         guard = min(guard, abs(dv / nv))
-    if guard < 1e-9:
+    if guard < PUNCTURE_TOL:
         raise NonGenericInput("crossing at a puncture boundary", time=t,
                               pair=(i, j))
     if method == "mobius":
@@ -842,22 +867,20 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
 
 
 def pair_reading(braid: GeomBraid, k: int, l: int, d: int | None = None,
-                 scheme: str = "route-and-return",
-                 refine: int = 2) -> tuple[tuple[Event, ...], Word]:
+                 scheme: str = "route-and-return") -> tuple[tuple[Event, ...], Word]:
     """Full plane-pair pipeline: normalize (k, l) to the punctures, detect
     events, realize them as a flat-virtual word on n-2 strands. Returns the
     events and the word."""
-    punctured = q_kl(braid, k, l, refine)
+    punctured = q_kl(braid, k, l)
     events = psi_events(punctured) if d is None else psi_d_events(punctured, d)
     return events, realize_flat_virtual(events, punctured.n, scheme,
                                         initial_order=initial_order(punctured))
 
 
 def flat_virtual_word(braid: GeomBraid, k: int, l: int, d: int | None = None,
-                      scheme: str = "route-and-return",
-                      refine: int = 2) -> Word:
+                      scheme: str = "route-and-return") -> Word:
     """Word of pair_reading."""
-    return pair_reading(braid, k, l, d, scheme, refine)[1]
+    return pair_reading(braid, k, l, d, scheme)[1]
 
 
 # -- serialization -------------------------------------------------------------------------

@@ -125,6 +125,26 @@ def test_geom_pair_events_precede_word(capsys):
     assert out[end:].strip().endswith("group: FVB2")
 
 
+@pytest.mark.parametrize("argv,word,group", (
+    (("--synth", "A[1,3]", "--group", "B4", "--project-pk", "2"),
+     "s2^-1 s1^2 s2", "CPB3"),
+    (("--synth", "comm(A[1,3]; A[2,4])", "--group", "B4", "--psi", "1", "3"),
+     "p1 s1^-2 p1 s1^-2 p1 s1^2 p1 s1^2", "FVB2"),
+))
+def test_geom_readme_examples(capsys, argv, word, group):
+    code, out, err = run(capsys, "geom", *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [word, f"group: {group}"]
+
+
+def test_geom_refine_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",
+              "--psi", "1", "3", "--refine", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine 4" in capsys.readouterr().err
+
+
 def test_geom_svg(capsys, tmp_path):
     target = tmp_path / "out.svg"
     code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",

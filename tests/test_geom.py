@@ -297,9 +297,10 @@ def test_q_kl_normalizes_and_renumbers():
     # surviving strands keep their relative order by original id
     originals = [1, 3, 4, 6]
     den0 = b.at(5, 0.0) - b.at(2, 0.0)
+    start = q.start_config()
     for new_id, old in enumerate(originals, start=1):
         expect = (b.at(old, 0.0) - b.at(2, 0.0)) / den0
-        assert abs(q.at(new_id, 0.0) - expect) < 1e-12
+        assert abs(start[new_id - 1] - expect) < 1e-12
 
 
 def test_puncture_collision_guard():
@@ -311,6 +312,19 @@ def test_puncture_collision_guard():
     b = GeomBraid(4, strands)
     with pytest.raises(PunctureCollision):
         q_kl(b, 1, 2)
+
+
+@pytest.mark.parametrize("k,l", ((1, 2), (2, 1)))
+def test_puncture_collision_inside_a_segment(k, l):
+    # strand 3 runs along the real axis just above strand 1 and passes it at
+    # u = 0.25 of each segment: 5e-6 apart, so the braid is separated, but
+    # within PUNCTURE_TOL * 1e4 of the puncture at strand 1
+    strands = (((0.0, 0j), (1.0, 0j)),
+               ((0.0, 1e4 + 0j), (1.0, 1e4 + 0j)),
+               ((0.0, -1 + 5e-6j), (0.5, 3 + 5e-6j), (1.0, -1 + 5e-6j)),
+               ((0.0, 5e3 + 1j), (1.0, 5e3 + 1j)))
+    with pytest.raises(PunctureCollision, match="strand 3 .* near t=0.125"):
+        q_kl(GeomBraid(4, strands), k, l)
 
 
 def test_initial_order_sorts_by_position():

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from braidrep.geom import (Conventions, Event, GeomBraid, artin_dynamics,
                            concat, cylinder_events, flat_virtual_word,
                            initial_order, perturb, psi_d_events, psi_events,
                            q_kl, realize_flat_virtual, resample)
-from braidrep.laurent import mat_mul
+from braidrep.laurent import mat_mul, mat_to_text
 from braidrep.rep import RHO_TILDE, word_image
 
 
@@ -422,3 +423,48 @@ def test_pipeline_concat_multiplicative_power_reading():
     rhs = mat_mul(word_image(flat_virtual_word(b1, 1, 4, d=3), RHO_TILDE),
                   word_image(flat_virtual_word(b2, 1, 4, d=3), RHO_TILDE))
     assert lhs == rhs
+
+
+def dense_reference(braid: GeomBraid, k: int, l: int,
+                    samples: int = 64) -> GeomBraid:
+    """The paths normalized by g = (z - z_k)/(z_l - z_k), sampled at
+    `samples` points per segment and joined as a polyline braid on n-2
+    strands: an approximation of what q_kl reads exactly, closer the more
+    samples are taken."""
+    k0, l0 = k - 1, l - 1
+    configs = [(t0 + (t1 - t0) * s / samples,
+                [a + b * (s / samples) for a, b in zip(p, q)])
+               for t0, t1, p, q in braid.segments for s in range(samples)]
+    configs.append((1.0, braid.end_config()))
+    tracks = [[(t, (z[s] - z[k0]) / (z[l0] - z[k0])) for t, z in configs]
+              for s in range(braid.n) if s not in (k0, l0)]
+    return GeomBraid(braid.n - 2, tuple(tuple(tr) for tr in tracks))
+
+
+# SHA-256 of the rho-tilde images (mat_to_text) of the plain and the d=3
+# reading. Two samples per segment read these same images, though with
+# words that differ from the exact ones in three of the four readings.
+DENSE_CASES = (
+    ("comm(A[1,3]; A[3,5]^-1)", 5, 4,
+     {None: "837b85d290f52b9f53ee167a5525a2a076e443f543c357452166e036fb7c7375",
+      3: "a2d885abe80dc711ab723c497eea877a1d4de26d6a988964cf456b63bb5c0286"}),
+    ("comm(A[5,6]^-1; A[2,5])", 5, 1,
+     {None: "eb65f36f9c10af53a1bfb2a621ae7bb89a0ac2520f65bd4df5462960487765c0",
+      3: "bbef7c821de3c6f92ad3c030d11f74e0a7f2c7d6a9bc19130602b0a2b2bc16aa"}),
+)
+
+
+@pytest.mark.parametrize("text,k,l,digests", DENSE_CASES)
+def test_pair_reading_matches_dense_reference(text, k, l, digests):
+    b = artin_dynamics(parse_word(text, GroupId("B", 6)), radial_spread=0.25)
+    view, dense = q_kl(b, k, l), dense_reference(b, k, l)
+    assert initial_order(view) == initial_order(dense)
+    for d, digest in digests.items():
+        exact, ref = ((psi_events(x) if d is None else psi_d_events(x, d))
+                      for x in (view, dense))
+        assert [(e.i, e.j, e.cls, e.ne) for e in exact] == \
+            [(e.i, e.j, e.cls, e.ne) for e in ref]
+        word = realize_flat_virtual(exact, view.n,
+                                    initial_order=initial_order(view))
+        image = mat_to_text(word_image(word, RHO_TILDE))
+        assert hashlib.sha256(image.encode()).hexdigest() == digest
