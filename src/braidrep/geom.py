@@ -56,6 +56,13 @@ PUNCTURE_TOL = 1e-9          # margin around the punctures 0 and 1
 BISECTION_TOL = 1e-12        # root refinement width in t
 _ANGLE_MARGIN = 1e-9         # triple-alignment margin, radians
 _REL_EPS = 1e-11             # relative threshold for degenerate polynomials
+_CUT_FLOOR = 1e-9            # cut direction this short, times n, is degenerate
+_SLOPE_TOL = 1e-9            # relative slope of a tangential alignment
+_RADIAL_TIE = 1e-9           # relative radius difference of a radial tie
+_DECIDER_TOL = 1e-12         # relative decider of a tangential pair crossing
+_DEDUPE_GAP = 1e-11          # one root at a segment end read from both sides
+_TINY = 1e-300               # floor of a zero scale, denominator or underflow
+_DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
 # regular-polygon degeneracies away without disturbing the slot order
@@ -120,8 +127,9 @@ class Event:
 @dataclass(frozen=True)
 class GeomBraid:
     """Polyline braid: per strand, breakpoints (time, point) with times
-    strictly increasing from 0 to 1. Strands stay separated by
-    SEPARATION_TOL at all times.
+    strictly increasing from 0 to 1. Strands stay SEPARATION_TOL apart at all
+    times: bounding disks (_disks) clear what they can per pair and segment
+    first, and the exact quadratic (_comes_within) decides the rest.
 
     segments is the shared linear model every reading works on: per merged
     interval [t0, t1], values p and increments q with
@@ -181,9 +189,13 @@ class GeomBraid:
         return tuple(bps[-1][1] for bps in self.strands)
 
     def _check_separation(self) -> None:
+        cen, rad = _disks(self.segments, self.n)
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for t0, t1, p, q in self.segments:
+                for (t0, t1, p, q), ci, cj, ri, rj in zip(
+                        self.segments, cen[i], cen[j], rad[i], rad[j]):
+                    if abs(ci - cj) > ri + rj + SEPARATION_TOL:
+                        continue
                     u = _comes_within(p[i] - p[j], q[i] - q[j], 1, 0, SEPARATION_TOL)
                     if u is not None:
                         raise SeparationViolated(
@@ -199,6 +211,15 @@ def _merged_times(strands) -> list[float]:
             out.append(t)
     out[-1] = 1.0
     return out
+
+
+def _disks(segments, n: int):
+    """Per strand and segment, a disk holding the strand: centre p + q/2 and
+    radius |q|/2 + _DISK_ROUNDING (|p| + |q|) + _TINY, which covers all the
+    rounding, so disks farther apart than tol prove _comes_within None."""
+    return ([[p[s] + q[s] * 0.5 for _, _, p, q in segments] for s in range(n)],
+            [[abs(q[s]) * 0.5 + _DISK_ROUNDING * (abs(p[s]) + abs(q[s])) + _TINY
+              for _, _, p, q in segments] for s in range(n)])
 
 
 def _comes_within(d0, dd, c0, dc, tol: float) -> float | None:
@@ -444,17 +465,17 @@ def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
 
 def _aligned_roots(a0: complex, da: complex, b0: complex, db: complex,
                    t0: float, h: float, pair: tuple[int, int],
-                   what: str) -> list[tuple[float, bool]]:
+                   what: str, floor: float) -> list[tuple[float, bool]]:
     """Times u on a segment at which a = a0 + da*u points the way of
     b = b0 + db*u: the roots of the real quadratic Im(a conj(b)) at which
     Re(a conj(b)) > 0. Returns (u, rising) with rising true where the
     quadratic falls through 0. The quadratic negligible against the vectors'
-    size counts as identically zero: no roots, unless a and b point the same
-    way throughout, which raises NonGenericInput, as does a tangency."""
+    size counts as identically zero: no roots. NonGenericInput: a and b the
+    same way throughout, a tangency, or a root at which |b| <= floor."""
     c0 = (a0 * b0.conjugate()).imag
     c1 = (a0 * db.conjugate() + da * b0.conjugate()).imag
     c2 = (da * db.conjugate()).imag
-    scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + 1e-300
+    scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + _TINY
     eps = _REL_EPS * scale
     if abs(c2) <= eps and abs(c1) <= eps:
         if abs(c0) <= eps and \
@@ -467,14 +488,13 @@ def _aligned_roots(a0: complex, da: complex, b0: complex, db: complex,
     out = []
     for u in _isolate((c0, c1, c2), [c0, b1, b2], t0, h, pair):
         b = b0 + db * u
-        # b is the cut direction, or a strand kept apart from the watched one
-        if abs(b) <= 1e-9:
+        if abs(b) <= floor:
             raise NonGenericInput("cut direction degenerate", time=t0 + h * u,
                                   pair=pair)
         if ((a0 + da * u) * b.conjugate()).real <= 0:
             continue
         slope = 2.0 * c2 * u + c1
-        if abs(slope) <= 1e-9 * scale:
+        if abs(slope) <= _SLOPE_TOL * scale:
             raise NonGenericInput(f"tangential {what}", time=t0 + h * u,
                                   pair=pair)
         out.append((u, slope < 0.0))
@@ -488,7 +508,7 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
     out: list[Event] = []
     for e in events:
         if out and (e.i, e.j) == (out[-1].i, out[-1].j) \
-                and abs(e.time - out[-1].time) < 1e-11:
+                and abs(e.time - out[-1].time) < _DEDUPE_GAP:
             continue
         out.append(e)
     for e in out:
@@ -504,15 +524,6 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
 # -- cylinder extraction ---------------------------------------------------------------
 
 
-def _cut_vector(conv: Conventions, p, q, k0: int, n: int):
-    """Cut direction as a linear model (w0, dw) on the segment."""
-    if conv.cut_angle is not None:
-        return cmath.exp(1j * conv.cut_angle), 0j
-    cen0 = sum(p) / n
-    dcen = sum(q) / n
-    return p[k0] - cen0, q[k0] - dcen
-
-
 def cylinder_events(braid: GeomBraid, k: int,
                     conv: Conventions | None = None) -> tuple[Event, ...]:
     """Generic events seen from strand k, sorted by time: 'crossing' events
@@ -526,22 +537,25 @@ def cylinder_events(braid: GeomBraid, k: int,
         raise ValueError(f"k={k} outside 1..{n}")
     k0 = k - 1
     others = [s for s in range(n) if s != k0]
+    fixed = None if conv.cut_angle is None else cmath.exp(1j * conv.cut_angle)
     events: list[Event] = []
     for t0, t1, p, q in braid.segments:
         h = t1 - t0
         rel = [(p[s] - p[k0], q[s] - q[k0]) for s in range(n)]
-        w0, dw = _cut_vector(conv, p, q, k0, n)
+        # cut direction: fixed, or n (z_k - centroid), exact on a dyadic grid
+        w0, dw = (fixed, 0j) if fixed is not None else \
+            (n * p[k0] - sum(p), n * q[k0] - sum(q))
         for ia, si in enumerate(others):
             for sj in others[ia + 1:]:
                 pair = (si + 1, sj + 1)
                 for u, rising in _aligned_roots(*rel[si], *rel[sj], t0, h,
-                                                pair, "alignment"):
+                                                pair, "alignment", _CUT_FLOOR):
                     events.append(_cylinder_crossing(
                         rel, others, w0 + dw * u, u, t0 + h * u, pair, rising,
                         conv))
         for l in others:
-            for u, rising in _aligned_roots(*rel[l], w0, dw, t0, h,
-                                            (l + 1, k), "cut passage"):
+            for u, rising in _aligned_roots(*rel[l], w0, dw, t0, h, (l + 1, k),
+                                            "cut passage", n * _CUT_FLOOR):
                 events.append(Event(t0 + h * u, l + 1, k, "cut",
                                     sign=1 if rising else -1))
     return _finish(events)
@@ -551,8 +565,8 @@ def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
                        pair: tuple[int, int], rising: bool,
                        conv: Conventions) -> Event:
     """Slot and sign of an alignment, from the angular coordinates of every
-    other strand measured from the cut direction wv."""
-    if abs(wv) <= 1e-9:
+    other strand measured from the cut direction wv (rel holds all n strands)."""
+    if abs(wv) <= len(rel) * _CUT_FLOOR:
         raise NonGenericInput("cut direction degenerate", time=t, pair=pair)
     si, sj = pair[0] - 1, pair[1] - 1
     ui = rel[si][0] + rel[si][1] * u
@@ -569,7 +583,7 @@ def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
         if fl < f_pair:
             below += 1
     ri, rj = abs(ui), abs(vj)
-    if abs(ri - rj) <= 1e-9 * max(ri, rj):
+    if abs(ri - rj) <= _RADIAL_TIE * max(ri, rj):
         raise NonGenericInput("radial tie at alignment", time=t, pair=pair)
     over_i = (ri > rj) == conv.over_is_farther
     return Event(t, *pair, "crossing", slot=1 + below,
@@ -632,8 +646,9 @@ class PuncturedView:
 
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
-    winding to vanish, and no other strand ever within PUNCTURE_TOL of a
-    puncture, that is within PUNCTURE_TOL * |z_l - z_k| of z_k or z_l."""
+    winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
+    z_k| of z_k or z_l: bounding disks (_disks) clear what they can per
+    segment first, and the exact quadratic (_comes_within) decides the rest."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
@@ -644,10 +659,14 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
             if linking_number(braid, i, j) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i, j))
     k0, l0 = k - 1, l - 1
-    for t0, t1, p, q in braid.segments:
+    cen, rad = _disks(braid.segments, n)
+    for g, (t0, t1, p, q) in enumerate(braid.segments):
         c, dc = p[l0] - p[k0], q[l0] - q[k0]
+        reach = PUNCTURE_TOL * (abs(c) + abs(dc)) * (1.0 + _DISK_ROUNDING)
         for s in (s for s in range(n) if s not in (k0, l0)):
             for x in (k0, l0):
+                if abs(cen[s][g] - cen[x][g]) > rad[s][g] + rad[x][g] + reach:
+                    continue
                 u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc, PUNCTURE_TOL)
                 if u is not None:
                     raise PunctureCollision(f"strand {s + 1} touches a puncture "
@@ -753,7 +772,7 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
     ratio within PUNCTURE_TOL of a puncture is refused; so is a root at
     which Re(w P) = 0, where N conj(D) vanishes."""
     nv, dv = _horner(num, u), _horner(den, u)
-    if abs(dv) < 1e-300:
+    if abs(dv) < _TINY:
         raise NonGenericInput("classifier function blows up", time=t,
                               pair=(i, j))
     val = nv / dv
@@ -789,7 +808,7 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
             decider = deriv.imag
         else:
             decider = (cmath.exp(-1j * TWO_PI * ray / d) * deriv).imag
-    if abs(decider) <= 1e-12 * (1.0 + abs(deriv)):
+    if abs(decider) <= _DECIDER_TOL * (1.0 + abs(deriv)):
         raise NonGenericInput("tangential crossing", time=t, pair=(i, j))
     ne = j if decider > 0 else i
     return Event(t, i, j, cls, ne)

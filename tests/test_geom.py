@@ -7,11 +7,12 @@ import pytest
 from braidrep.braidword import (GroupId, Word, format_word, parse_word,
                                 random_pure_word, random_zero_linking_word,
                                 sigma)
-from braidrep.errors import (NonGenericInput, NonIntegerWinding,
-                             NonZeroLinking, PunctureCollision,
-                             SeparationViolated)
-from braidrep.geom import (SEPARATION_TOL, Conventions, GeomBraid,
-                           artin_dynamics, base_points, braid_from_json,
+from braidrep.errors import (BraidrepError, NonGenericInput,
+                             NonIntegerWinding, NonZeroLinking,
+                             PunctureCollision, SeparationViolated)
+from braidrep.geom import (PUNCTURE_TOL, SEPARATION_TOL, Conventions,
+                           GeomBraid, _comes_within, artin_dynamics,
+                           base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
                            events_to_json, initial_order,
                            linking_number, perturb, power_map_extract,
@@ -270,6 +271,16 @@ def test_cut_passage_at_a_degenerate_cut_is_refused():
         cylinder_events(GeomBraid(3, strands), 1)
 
 
+def test_cut_passage_exactly_at_the_time_boundary_is_refused():
+    # on a grid of quarters strand 3 ends on the cut of strand 1: at t = 1,
+    # 3 z_1 - (z_1 + z_2 + z_3) = z_3 - z_1 = 0.75 - 0.5i
+    strands = (((0.0, 0.25 - 0.75j), (1.0, 1.25 + 0.5j)),
+               ((0.0, -1 + 0.5j), (1.0, -0.25 + 1.5j)),
+               ((0.0, 0.25 + 0.25j), (1.0, 2 + 0j)))
+    with pytest.raises(NonGenericInput, match="event at the time boundary"):
+        cylinder_events(GeomBraid(3, strands), 1)
+
+
 def test_cylinder_events_json_records():
     b = artin_dynamics(parse_word("A[1,3]", B4))
     records = events_to_json(cylinder_events(b, 2))
@@ -325,6 +336,132 @@ def test_puncture_collision_inside_a_segment(k, l):
                ((0.0, 5e3 + 1j), (1.0, 5e3 + 1j)))
     with pytest.raises(PunctureCollision, match="strand 3 .* near t=0.125"):
         q_kl(GeomBraid(4, strands), k, l)
+
+
+# -- bounding-disk filter against the exhaustive checks ----------------------
+
+
+def reference_separation(braid: GeomBraid) -> None:
+    """The separation check without the disk filter: every pair, every
+    segment through the exact quadratic."""
+    for i in range(braid.n):
+        for j in range(i + 1, braid.n):
+            for t0, t1, p, q in braid.segments:
+                u = _comes_within(p[i] - p[j], q[i] - q[j], 1, 0, SEPARATION_TOL)
+                if u is not None:
+                    raise SeparationViolated(
+                        f"strands {i + 1} and {j + 1} within tolerance "
+                        f"near t={t0 + (t1 - t0) * u:.6f}")
+
+
+def reference_q_kl(braid: GeomBraid, k: int, l: int) -> None:
+    """The checks of q_kl without the disk filter: every strand, both
+    punctures, every segment through the exact quadratic."""
+    n = braid.n
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if linking_number(braid, i, j) != 0:
+                raise NonZeroLinking("winding must vanish", pair=(i, j))
+    k0, l0 = k - 1, l - 1
+    for t0, t1, p, q in braid.segments:
+        c, dc = p[l0] - p[k0], q[l0] - q[k0]
+        for s in (s for s in range(n) if s not in (k0, l0)):
+            for x in (k0, l0):
+                u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc, PUNCTURE_TOL)
+                if u is not None:
+                    raise PunctureCollision(f"strand {s + 1} touches a puncture "
+                                            f"near t={t0 + (t1 - t0) * u:.6f}")
+
+
+def outcome(call, *args):
+    # a braid built unchecked may put two strands on one point, where
+    # linking_number divides by zero
+    try:
+        call(*args)
+    except (BraidrepError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def unchecked(n, strands, monkeypatch) -> GeomBraid:
+    """A GeomBraid built without its separation check."""
+    with monkeypatch.context() as m:
+        m.setattr(GeomBraid, "_check_separation", lambda self: None)
+        return GeomBraid(n, strands)
+
+
+def passing_path(rng, scale, point, gap, u_min, e):
+    """Ends of a straight unit-time path that passes point at distance gap
+    at u_min: it stands still, or moves along the unit vector e, either way,
+    at a speed between 1e-12 and 1 times scale."""
+    v = scale * 10 ** rng.uniform(-12, 0) * rng.choice((-1, 0, 1))
+    at = point + 1j * e * gap
+    return at - e * v * u_min, at + e * v * (1 - u_min)
+
+
+NEAR_FACTORS = (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 3.0)
+NEAR_SCALES = (1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)
+
+
+def test_disk_filter_refuses_exactly_as_the_exhaustive_separation_check(
+        monkeypatch):
+    # two strands move along e and are factor * SEPARATION_TOL apart across
+    # it at u_min; a third splits their segment at t = 1/2
+    rng = random.Random(7001)
+    seen = set()
+    for scale in NEAR_SCALES:
+        for factor in NEAR_FACTORS:
+            for u_min in (0.0, 0.5, 1.0) + tuple(rng.uniform(0, 1)
+                                                  for _ in range(5)):
+                e = cmath.exp(1j * rng.uniform(0, TWO_PI))
+                base = scale * complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                a0, a1 = passing_path(rng, scale, base, 0.0, u_min, e)
+                b0, b1 = passing_path(rng, scale, base, factor * SEPARATION_TOL,
+                                      u_min, e)
+                far = base + 5 * scale * e
+                strands = (((0.0, a0), (1.0, a1)), ((0.0, b0), (1.0, b1)),
+                           ((0.0, far), (0.5, far + scale), (1.0, far)))
+                want = outcome(reference_separation,
+                               unchecked(3, strands, monkeypatch))
+                assert outcome(GeomBraid, 3, strands) == want
+                seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_disk_filter_refuses_exactly_as_the_exhaustive_puncture_check(
+        monkeypatch):
+    # the punctures are scale apart, at the origin or 1e12 off it; strand 3
+    # passes the puncture at hit, factor * PUNCTURE_TOL * |zl - zk|
+    # away at u_min of [0, 1/2], and retraces its path on [1/2, 1]; the
+    # other puncture may drift straight away from hit on [1/2, 1], so every
+    # winding stays far below 1e-6 turns
+    rng = random.Random(7002)
+    seen = set()
+    for scale in NEAR_SCALES:
+        for factor in NEAR_FACTORS:
+            for u_min in [0.0, 1.0] * 4 + [rng.uniform(0, 1) for _ in range(24)]:
+                zk = rng.choice((0.0, 1e12)) \
+                    + scale * complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                zl = zk + scale * cmath.exp(1j * rng.uniform(0, TWO_PI))
+                hit, other = rng.choice(((zk, zl), (zl, zk)))
+                e = cmath.exp(1j * rng.uniform(0, TWO_PI))
+                drift = (other - hit) * 10 ** rng.uniform(-12, 0.7) \
+                    * rng.choice((0, 1))
+                s0, s1 = passing_path(rng, scale, hit,
+                                      factor * PUNCTURE_TOL * abs(zl - zk),
+                                      u_min, e)
+                punctures = [((0.0, z), (0.5, z),
+                              (1.0, z + (drift if z is other else 0)))
+                             for z in (zk, zl)]
+                far = hit + 2 * (hit - other)
+                strands = (*punctures, ((0.0, s0), (0.5, s1), (1.0, s0)),
+                           ((0.0, far), (1.0, far)))
+                braid = unchecked(4, strands, monkeypatch)
+                for k, l in ((1, 2), (2, 1)):
+                    want = outcome(reference_q_kl, braid, k, l)
+                    assert outcome(q_kl, braid, k, l) == want
+                    seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_initial_order_sorts_by_position():
