@@ -21,8 +21,7 @@ from .rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
 from .homs import (PipelineConfig, f_d, p_k, pipeline_matrix, pipeline_word,
                    rotation_block_letters, strand_removal_letters)
 from .relcheck import (Failure, Report, verify_oracle_agreement,
-                       verify_permutation_consistency, verify_pk_cocycle,
-                       verify_relations)
+                       verify_pk_cocycle, verify_relations)
 from .geom import (BISECTION_TOL, GENERICITY_TOL, PUNCTURE_TOL,
                    SEPARATION_TOL, Conventions, Event, GeomBraid, PuncturedView,
                    artin_dynamics, base_points, braid_from_json,

@@ -11,12 +11,18 @@ Letter kinds are single characters matching the text grammar: "s" crossing,
 "t" virtual, "p" flat, "z" slot rotation. Words are stored free-reduced:
 adjacent powers of the same generator merge, involutive kinds ("p", "t")
 keep powers in {1}, zero powers vanish. No braid-type rewriting happens.
+
+A letter of index i acts on slots i and i % n + 1 (GroupId.slots), so only
+the cyclic families' index n wraps. One relation table, read over each
+family's alphabet and slot adjacency, gives the defining relation suites of
+all four families (Kauffman & Lambropoulou, "Virtual braids", 2004).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (IndexOutOfRange, KindNotInGroup, UnknownMacro,
@@ -38,6 +44,8 @@ class GroupId:
     family: str
     strands: int
     flat_braid_relation: bool = False
+    # generator indices: 1..n where slots wrap (CPB, VCB), else 1..n-1
+    indices: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -46,20 +54,20 @@ class GroupId:
             raise ValueError("need at least 2 strands")
         if self.flat_braid_relation and self.family != "FVB":
             raise ValueError("flat_braid_relation only applies to FVB")
+        object.__setattr__(self, "indices", range(
+            1, self.strands + 1 if self.cyclic else self.strands))
 
     @property
     def kinds(self) -> str:
         return _KINDS_BY_FAMILY[self.family]
 
-    def index_range(self, kind: str) -> tuple[int, int]:
-        """Legal generator indices (inclusive) for an indexed kind."""
-        if self.family in ("CPB", "VCB"):
-            return (1, self.strands)
-        return (1, self.strands - 1)
-
     @property
     def cyclic(self) -> bool:
         return self.family in ("CPB", "VCB")
+
+    def slots(self, i: int) -> tuple[int, int]:
+        """The two slots letter index i acts on; only i = n wraps, to slot 1."""
+        return (i, i % self.strands + 1)
 
     def __str__(self) -> str:
         return f"{self.family}{self.strands}"
@@ -112,11 +120,10 @@ def zeta(power: int = 1) -> Letter:
 def _check_letter(group: GroupId, letter: Letter) -> None:
     if letter.kind not in group.kinds:
         raise KindNotInGroup(f"{letter.kind!r} not available in {group}")
-    if letter.kind != "z":
-        lo, hi = group.index_range(letter.kind)
-        if not lo <= letter.index <= hi:
-            raise IndexOutOfRange(
-                f"{letter.kind}{letter.index} outside {lo}..{hi} in {group}")
+    if letter.kind != "z" and letter.index not in group.indices:
+        r = group.indices
+        raise IndexOutOfRange(
+            f"{letter.kind}{letter.index!r} outside {r[0]}..{r[-1]} in {group}")
 
 
 def free_reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -384,22 +391,20 @@ def word_from_json(data: dict) -> Word:
 def underlying_permutation(w: Word) -> tuple[int, ...]:
     """Image positions: entry x-1 is where the strand starting at x ends up."""
     n = w.group.strands
-    pos = list(range(n))  # pos[strand] = current 0-based position
+    pos = list(range(1, n + 1))  # pos[strand - 1] = current slot
     for l in w.letters:
         if l.kind == "z":
-            shift = l.power % n
-            pos = [(p + shift) % n for p in pos]
+            pos = [(p - 1 + l.power) % n + 1 for p in pos]
             continue
         if l.power % 2 == 0:
             continue
-        a = l.index - 1
-        b = l.index % n if w.group.cyclic else l.index
+        a, b = w.group.slots(l.index)
         for st in range(n):
             if pos[st] == a:
                 pos[st] = b
             elif pos[st] == b:
                 pos[st] = a
-    return tuple(p + 1 for p in pos)
+    return tuple(pos)
 
 
 def is_pure(w: Word) -> bool:
@@ -411,135 +416,57 @@ def is_pure(w: Word) -> bool:
 Relation = tuple[str, Word, Word]
 
 
-def _w(group: GroupId, letters: Sequence[Letter]) -> Word:
-    return Word(group, tuple(letters))
-
-
-def _slots(group: GroupId, i: int) -> frozenset[int]:
-    n = group.strands
-    return frozenset({i, i % n + 1}) if group.cyclic else frozenset({i, i + 1})
-
-
 def relation_suite(group: GroupId) -> list[Relation]:
     """Defining relations as word pairs, labels included for failure reports.
 
-    Words on both sides are kept unreduced so involutions stay visible.
+    One presentation over the group's alphabet and slot geometry: letters on
+    disjoint slots commute; braid-type kinds satisfy the braid relation on
+    adjacent slots ("p" only with flat_braid_relation); involutive kinds
+    square to 1 and carry every earlier kind across adjacent slots; z shifts
+    each slot down by one. Words on both sides are kept unreduced so
+    involutions stay visible.
     """
-    if group.family == "B":
-        return _suite_b(group)
-    if group.family == "CPB":
-        return _suite_cyclic(group, kinds="s")
-    if group.family == "VCB":
-        return _suite_cyclic(group, kinds="st")
-    return _suite_fvb(group)
-
-
-def _suite_b(group: GroupId) -> list[Relation]:
     n = group.strands
+    kinds = group.kinds.replace("z", "")
+    slots = {i: group.slots(i) for i in group.indices}
+    gen = {(x, i): Letter(x, i, 1) for x in kinds for i in slots}
+    far = [(i, j) for i, a in slots.items() for j, b in slots.items()
+           if a[0] not in b and a[1] not in b]
+    # j follows i when i's upper slot is j's lower one; two wrapping slots
+    # share both and are not adjacent
+    follows = [(i, j) for i, a in slots.items() for j, b in slots.items()
+               if a[1] == b[0] and a[0] != b[1]]
+    adjacent = follows + [(j, i) for i, j in follows]
+    involutive = [x for x in kinds if x in _INVOLUTIVE]
     rel: list[Relation] = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rel.append((f"far s{i} s{j}",
-                        _w(group, [sigma(i), sigma(j)]),
-                        _w(group, [sigma(j), sigma(i)])))
-    for i in range(1, n - 1):
-        rel.append((f"braid s{i} s{i + 1}",
-                    _w(group, [sigma(i), sigma(i + 1), sigma(i)]),
-                    _w(group, [sigma(i + 1), sigma(i), sigma(i + 1)])))
-    return rel
 
+    def add(label: str, left: tuple[Letter, ...], right: tuple[Letter, ...]):
+        rel.append((label, Word(group, left), Word(group, right)))
 
-def _suite_cyclic(group: GroupId, kinds: str) -> list[Relation]:
-    n = group.strands
-    rel: list[Relation] = []
-    mk = {"s": sigma, "t": tau}
-
-    def far_pairs():
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and not _slots(group, i) & _slots(group, j):
-                    yield i, j
-
+    for x, y in [(x, x) for x in kinds] + list(combinations(kinds, 2)):
+        for i, j in far:
+            if x != y or i < j:
+                add(f"far {x}{i} {y}{j}", (gen[x, i], gen[y, j]),
+                    (gen[y, j], gen[x, i]))
     for x in kinds:
-        for i, j in far_pairs():
-            if i > j:
-                continue
-            rel.append((f"far {x}{i} {x}{j}",
-                        _w(group, [mk[x](i), mk[x](j)]),
-                        _w(group, [mk[x](j), mk[x](i)])))
-    if len(kinds) > 1:
-        for i, j in far_pairs():
-            rel.append((f"far s{i} t{j}",
-                        _w(group, [sigma(i), tau(j)]),
-                        _w(group, [tau(j), sigma(i)])))
-
-    if n >= 3:
+        if x != "p" or group.flat_braid_relation:
+            for i, j in follows:
+                add(f"braid {x}{i} {x}{j}", (gen[x, i], gen[x, j], gen[x, i]),
+                    (gen[x, j], gen[x, i], gen[x, j]))
+    for x in involutive:
+        for i in slots:
+            add(f"involution {x}{i}", (gen[x, i], gen[x, i]), ())
+    for x in involutive:
+        for y in kinds[:kinds.index(x)]:
+            for i, j in adjacent:
+                add(f"mixed {x}{i} {x}{j} {y}{i}",
+                    (gen[x, i], gen[x, j], gen[y, i]),
+                    (gen[y, j], gen[x, i], gen[x, j]))
+    if "z" in group.kinds:
         for x in kinds:
-            for i in range(1, n + 1):
-                j = i % n + 1
-                rel.append((f"braid {x}{i} {x}{j}",
-                            _w(group, [mk[x](i), mk[x](j), mk[x](i)]),
-                            _w(group, [mk[x](j), mk[x](i), mk[x](j)])))
-
-    if "t" in kinds:
-        for i in range(1, n + 1):
-            rel.append((f"involution t{i}",
-                        _w(group, [tau(i), tau(i)]), Word.empty(group)))
-        if n >= 3:
-            for i in range(1, n + 1):
-                for j in (i % n + 1, (i - 2) % n + 1):
-                    rel.append((f"mixed t{i} t{j} s{i}",
-                                _w(group, [tau(i), tau(j), sigma(i)]),
-                                _w(group, [sigma(j), tau(i), tau(j)])))
-
-    for x in kinds:
-        for i in range(1, n + 1):
-            j = (i - 2) % n + 1
-            rel.append((f"rotation z {x}{i}",
-                        _w(group, [zeta(), mk[x](i)]),
-                        _w(group, [mk[x](j), zeta()])))
-    return rel
-
-
-def _suite_fvb(group: GroupId) -> list[Relation]:
-    n = group.strands
-    top = n - 1
-    rel: list[Relation] = []
-    mk = {"s": sigma, "t": tau, "p": pi}
-
-    for x in "spt":
-        for i in range(1, top + 1):
-            for j in range(i + 2, top + 1):
-                rel.append((f"far {x}{i} {x}{j}",
-                            _w(group, [mk[x](i), mk[x](j)]),
-                            _w(group, [mk[x](j), mk[x](i)])))
-    for x, y in (("s", "p"), ("s", "t"), ("p", "t")):
-        for i in range(1, top + 1):
-            for j in range(1, top + 1):
-                if abs(i - j) >= 2:
-                    rel.append((f"far {x}{i} {y}{j}",
-                                _w(group, [mk[x](i), mk[y](j)]),
-                                _w(group, [mk[y](j), mk[x](i)])))
-
-    braid_kinds = "st" + ("p" if group.flat_braid_relation else "")
-    for x in braid_kinds:
-        for i in range(1, top):
-            rel.append((f"braid {x}{i} {x}{i + 1}",
-                        _w(group, [mk[x](i), mk[x](i + 1), mk[x](i)]),
-                        _w(group, [mk[x](i + 1), mk[x](i), mk[x](i + 1)])))
-
-    for x in "pt":
-        for i in range(1, top + 1):
-            rel.append((f"involution {x}{i}",
-                        _w(group, [mk[x](i), mk[x](i)]), Word.empty(group)))
-
-    for x, y in (("p", "s"), ("t", "s"), ("t", "p")):
-        for i in range(1, top + 1):
-            for j in (i - 1, i + 1):
-                if 1 <= j <= top:
-                    rel.append((f"mixed {x}{i} {x}{j} {y}{i}",
-                                _w(group, [mk[x](i), mk[x](j), mk[y](i)]),
-                                _w(group, [mk[y](j), mk[x](i), mk[x](j)])))
+            for i in slots:
+                add(f"rotation z {x}{i}", (zeta(), gen[x, i]),
+                    (gen[x, (i - 2) % n + 1], zeta()))
     return rel
 
 

@@ -63,6 +63,9 @@ _DECIDER_TOL = 1e-12         # relative decider of a tangential pair crossing
 _DEDUPE_GAP = 1e-11          # one root at a segment end read from both sides
 _TINY = 1e-300               # floor of a zero scale, denominator or underflow
 _DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
+_CLASS_MARGIN = 1e-9         # mobius class boundary margin at 0 and 1/2
+_MERGE_GAP = 1e-13           # breakpoint times this close are one
+_WINDING_TOL = 1e-6          # a winding this far from an integer is refused
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
 # regular-polygon degeneracies away without disturbing the slot order
@@ -207,7 +210,7 @@ def _merged_times(strands) -> list[float]:
     times = sorted({t for bps in strands for t, _ in bps})
     out = [times[0]]
     for t in times[1:]:
-        if t - out[-1] > 1e-13:
+        if t - out[-1] > _MERGE_GAP:
             out.append(t)
     out[-1] = 1.0
     return out
@@ -354,7 +357,7 @@ def linking_number(braid: GeomBraid, i: int, j: int) -> int:
         total += cmath.phase(cur / prev)
     w = total / TWO_PI
     r = round(w)
-    if abs(w - r) > 1e-6:
+    if abs(w - r) > _WINDING_TOL:
         raise NonIntegerWinding(
             f"pair ({i},{j}) winds {w:.9f} turns; braid not pure or corrupted")
     return int(r)
@@ -789,7 +792,7 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
                               pair=(i, j))
     if method == "mobius":
         # transport to the cross-ratio picture: cr = (1-w)/w, cr' = -w'/w^2
-        if abs(x - 0.5) < 1e-9 or abs(x) < 1e-9:
+        if abs(x - 0.5) < _CLASS_MARGIN or abs(x) < _CLASS_MARGIN:
             raise NonGenericInput("crossing class at boundary", time=t,
                                   pair=(i, j))
         if 0.5 < x < 1.0:

@@ -73,28 +73,18 @@ def strand_removal_letters(letters, n: int, start_pos: int):
     return out, pos
 
 
-def p_k(word: Word, k: int, *, start_pos: int | None = None,
-        allow_nonpure: bool = False) -> Word:
+def p_k(word: Word, k: int) -> Word:
     """Remove strand k from a pure braid word; image lives in the cylinder
-    group on n-1 strands.
-
-    start_pos is only meaningful with allow_nonpure, which translates
-    letter sequences without the purity precondition (the relation checker
-    uses this to test the translation from every start position).
-    """
+    group on n-1 strands."""
     if word.group.family != "B":
         raise ValueError("strand removal expects a braid word (family B)")
     n = word.group.strands
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    if not allow_nonpure:
-        if start_pos is not None and start_pos != k:
-            raise ValueError("start_pos is only available with allow_nonpure")
-        if not is_pure(word):
-            raise NotPure(f"word is not pure; strand removal at k={k} undefined")
-    pos = start_pos if start_pos is not None else k
-    out, end = strand_removal_letters(word.expanded(), n, pos)
-    if not allow_nonpure and end != k:
+    if not is_pure(word):
+        raise NotPure(f"word is not pure; strand removal at k={k} undefined")
+    out, end = strand_removal_letters(word.expanded(), n, k)
+    if end != k:
         raise AssertionError("position bookkeeping corrupted")
     return Word(GroupId("CPB", n - 1), free_reduce_letters(out))
 

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 
 from .braidword import (GroupId, Word, format_word, random_pure_word,
-                        relation_suite, underlying_permutation)
+                        relation_suite)
 from .homs import PipelineConfig, f_d, pipeline_matrix, strand_removal_letters
 from .laurent import mat_to_text
 from . import rep
@@ -120,19 +120,4 @@ def verify_oracle_agreement(words, cfg: PipelineConfig, conv=None) -> Report:
             failures.append(Failure(
                 f"oracle k={cfg.k} d={cfg.d}", format_word(word),
                 format_word(extracted), mat_to_text(lhs), mat_to_text(rhs)))
-    return Report(count, _sorted(failures))
-
-
-def verify_permutation_consistency(words) -> Report:
-    """Every relation pair must at least agree on underlying permutations;
-    cheap sanity layer used by the word-level tests."""
-    failures: list[Failure] = []
-    count = 0
-    for label, left, right in words:
-        count += 1
-        pl = underlying_permutation(left)
-        pr = underlying_permutation(right)
-        if pl != pr:
-            failures.append(Failure(label, format_word(left), format_word(right),
-                                    str(pl), str(pr)))
     return Report(count, _sorted(failures))

@@ -60,11 +60,11 @@ def rep_dim(rep: str, group: GroupId) -> int:
     return group.strands - 1 if rep == BURAU_REDUCED else group.strands
 
 
-def _action(rep: str, dim: int, cyclic: bool, kind: str, index: int,
+def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
             positive: bool):
-    """Action form of a letter: ((dest, ((sign, shift, src), ...)), ...)."""
-    a = index - 1
-    b = index % dim if cyclic else index
+    """Action form of a letter on its two slots:
+    ((dest, ((sign, shift, src), ...)), ...)."""
+    a, b = slots[0] - 1, slots[1] - 1
     if kind == "s" and rep == BURAU_REDUCED:
         lo, mid, hi = (_T, _T, _1) if positive else (_1, _T_INV, _T_INV)
         terms = [(1, lo, a - 1)] if a >= 1 else []
@@ -117,7 +117,6 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     """
     check_compatible(rep, word.group)
     dim = rep_dim(rep, word.group)
-    cyclic = word.group.cyclic
     one, zero = (LaurentPoly.one(), LaurentPoly.zero()) if assignment is None \
         else (1, 0)
     rows: list[list] = [[one if i == j else zero for j in range(dim)]
@@ -126,14 +125,14 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     cache: dict = {}
     for letter in word.letters:
         if letter.kind == "z":
-            shift = letter.power % dim if cyclic else letter.power
-            rows = [[row[(c - shift) % dim] for c in range(dim)] for row in rows]
+            cols = [(c - letter.power) % dim for c in range(dim)]
+            rows = [[row[c] for c in cols] for row in rows]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
         if action is None:
-            action = _action(rep, dim, cyclic, letter.kind, letter.index,
-                             letter.power > 0)
+            action = _action(rep, dim, letter.kind,
+                             word.group.slots(letter.index), letter.power > 0)
             if assignment is not None:
                 action = _eval_action(action, assignment, dim)
             cache[key] = action

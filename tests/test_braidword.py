@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -186,12 +187,102 @@ def test_relation_suite_shapes():
         assert underlying_permutation(left) == underlying_permutation(right)
 
 
+# (family, flat_braid_relation) of each column in SUITE_DIGESTS
+SUITE_SHAPES = (("B", False), ("CPB", False), ("VCB", False), ("FVB", False),
+                ("FVB", True))
+
+# SHA-256 of each suite as sorted (label, left, right) text, per strand
+# count, as the earlier per-family builders produced them
+SUITE_DIGESTS = {
+    2: (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3a169c88fcc5ec8576cce9dfe8df7ed6f7b409c0e08d98c31abdd77dd46da962",
+        "f85a2481222a2c3afe98b9ce6a02fb312f9de18297bfe109da5909dfd1293b02",
+        "ca0067b80ea2badb49055dc6077c7285d6b7d5f5b639c6514fe3a40f01ae228d",
+        "ca0067b80ea2badb49055dc6077c7285d6b7d5f5b639c6514fe3a40f01ae228d",
+    ),
+    3: (
+        "3172eeb50fbc784fb440d05888e2e8e67c2f5a2634844ff483ff6b39b49d809e",
+        "d040e2626e9c0979f1c73ff62cd8d803a391d5e27486976f5b5f8b089accfeb9",
+        "51580e33992983a1264fea1bc4dae98fd964d19f7ba4c5a073a56e391da59ec3",
+        "7736f8c21a26b590b044a334f3f5f509a50252334d76d3445425ca3b10d0064d",
+        "0f26869bdaad075b6efe1d3b1ee03a715b7b6ecf3ad4c58b3ea8db3c90f3aec4",
+    ),
+    4: (
+        "aa311f932912e794eaa0c5ca98f725eedf599bc0f3b416cba250935b185514ae",
+        "5893485f554347cdeacb2b6e19959009cb024aba832563ee2f30f4ffdd5bc513",
+        "67202a9e4efa308804e1896f960507b3657543c98d30bb6b5a81558cd2bc5911",
+        "58508ec822e21253bc7979e4e4466d0424aafc0862b04ffd03204b843699751a",
+        "b8c3a9c63be490867dde6e6f93693ba9a93081020e72f14d7fea34c7447d45b2",
+    ),
+    5: (
+        "6a53fcda3ef202456b46941ee5f1085d2dedd56750b7f0c5689c1df29545205e",
+        "f92a2544494f1c9fbba3f31c59eb7395a0806c7c60a88b8452add14222dd240b",
+        "714b33608dc6ed76046003e333f755ded9a568f3142248bbea820b8bfed66ccc",
+        "36d91298d0137ba7b5af2616fbd01f8da78d7f4255d76f847c9a8aa2ee961572",
+        "51c3ce14145da1eb559d38b9fc91eadd27a1581f956c4125338ac50f0c7ece7c",
+    ),
+    6: (
+        "80997a1cdf3f09290ca49530268154009de45d553f203d69b974eccc58b7431e",
+        "f49c0350491be2f1bf8f2b13a79e5e2e52a595d36c4cbb08b392ae5b3ea12351",
+        "c711c32d878572746371a4d95d0b2f76a5711621b0a54b89bda049d48e44e6ca",
+        "c9870e31ee81fbd518f8cf2d967758122b2c465ad59f8bb06ea894e69a3e46e4",
+        "1bea308fc75168d2619df79313283d2ad029cda45d67e8840b724f89a9c60726",
+    ),
+    7: (
+        "417b8af234b69730185919d051f7d9240171e5e16e03ee5ce2f26852d78e3d56",
+        "7deed359b42e58c8774217e98c6b11d002f5e82c5c8a3ffd039d65ecde055736",
+        "bc97fac28e03b2c9916ab594c7876349781b62f58108f769c091e9d85b6eb9eb",
+        "5326af62c261a459216251a4bf5bb92d11245d171880ab553e878d7ed5e049f9",
+        "32efdaab9847334fadefc67eb3aba71475b4af07773153c78ca8b4cbeb030946",
+    ),
+    8: (
+        "dc9a51ebca34ab4e11fb01fbdf94b55ae2fc4d2b7a11740290c7798e63d88fb2",
+        "8c3b4b4e77d2efd1ebc2f62ff9f8d6ffcda5eabf20cff10469909d340a6e9815",
+        "3128f4abc92c10060c2ba2a63e38481225cca32291ef02da247e78a6956e06f6",
+        "f00dbd91a9bd8868e1c0564adee660132fa479f6cc62f590e30e86d8662bbaee",
+        "b9121ea6e2a8ab0643042af21211b14bde86378f34bcdd22be9a3d4125ddca22",
+    ),
+    9: (
+        "86f6669a4062d230daf2dbf56e6d3273c265c2fcb7d0fa2606bbb71e36c0ff42",
+        "dc0768850221e83639817c35b859826dea45442558cbfa303831120fc329b374",
+        "734f2f32e30536e43f5a4270c5cabdc8e64721000cf96789846ce0bb020969d4",
+        "0d79ab7cfe4dad336063e24af9ac9f4672eac804ff48fb930e1b9949b6842e3c",
+        "1fa1da0a42a9903506559ceaef0b19433b51e99e6c692dbfc08d23fbf254d8e0",
+    ),
+}
+
+
+def _suite_digest(group):
+    rows = sorted((label, format_word(left), format_word(right))
+                  for label, left, right in relation_suite(group))
+    text = "\n".join("\t".join(row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_relation_suites_are_pinned():
+    assert sorted(SUITE_DIGESTS) == list(range(2, 10))
+    for n, digests in SUITE_DIGESTS.items():
+        for (family, flat), digest in zip(SUITE_SHAPES, digests, strict=True):
+            gid = GroupId(family, n, flat_braid_relation=flat)
+            assert _suite_digest(gid) == digest, (str(gid), flat)
+    for text, gid, message in (
+            ("s4", B4, "s4 outside 1..3 in B4"),
+            ("s5", GroupId("CPB", 4), "s5 outside 1..4 in CPB4"),
+            ("t4", GroupId("VCB", 3), "t4 outside 1..3 in VCB3"),
+            ("p3", FVB3, "p3 outside 1..2 in FVB3")):
+        with pytest.raises(IndexOutOfRange) as exc:
+            parse_word(text, gid)
+        assert str(exc.value) == message
+
+
 def test_relation_suite_permutations_consistent():
-    for gid in (GroupId("B", 5), GroupId("CPB", 4), GroupId("VCB", 4),
-                GroupId("FVB", 4), GroupId("FVB", 4, flat_braid_relation=True)):
-        for label, left, right in relation_suite(gid):
-            assert underlying_permutation(left) == \
-                underlying_permutation(right), (str(gid), label)
+    for n in range(2, 7):
+        for family, flat in SUITE_SHAPES:
+            gid = GroupId(family, n, flat_braid_relation=flat)
+            for label, left, right in relation_suite(gid):
+                assert underlying_permutation(left) == \
+                    underlying_permutation(right), (str(gid), flat, label)
 
 
 def test_zeta_letters():

@@ -7,9 +7,8 @@ from braidrep.braidword import GroupId, random_pure_word
 from braidrep.errors import IncompatibleRepGroup
 from braidrep.geom import Conventions
 from braidrep.homs import PipelineConfig
-from braidrep.relcheck import (verify_oracle_agreement,
-                               verify_permutation_consistency,
-                               verify_pk_cocycle, verify_relations)
+from braidrep.relcheck import (verify_oracle_agreement, verify_pk_cocycle,
+                               verify_relations)
 from braidrep.rep import BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE
 
 
@@ -59,9 +58,3 @@ def test_oracle_disagrees_under_flipped_reading():
     assert not report.passed
     assert report.failures
     assert "FAIL" in report.summary()
-
-
-def test_permutation_consistency_helper():
-    from braidrep.braidword import relation_suite
-    report = verify_permutation_consistency(relation_suite(GroupId("VCB", 4)))
-    assert report.passed
