@@ -373,12 +373,21 @@ def word_to_json(w: Word) -> dict:
     return {"group": g, "letters": letters}
 
 
+def _json_int(value, field: str, optional: bool = False):
+    """A letter's integer field as given: bool, float and text are refused."""
+    if optional and value is None or type(value) is int:
+        return value
+    raise ValueError(f"letter field {field!r} must be an integer, "
+                     f"not {value!r}")
+
+
 def word_from_json(data: dict) -> Word:
     try:
         g = data["group"]
         group = GroupId(g["family"], int(g["strands"]),
                         bool(g.get("flatBraidRelation", False)))
-        letters = [Letter(item["k"], item.get("i"), int(item["p"]))
+        letters = [Letter(item["k"], _json_int(item.get("i"), "i", True),
+                          _json_int(item["p"], "p"))
                    for item in data["letters"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise WordSyntaxError(f"malformed word JSON: {exc}") from exc

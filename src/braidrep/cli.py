@@ -138,10 +138,8 @@ def _cmd_map(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.rep:
-        group = braidword.parse_group(args.group)
-        if group.family == "FVB" and args.flat_braid:
-            group = braidword.GroupId("FVB", group.strands,
-                                      flat_braid_relation=True)
+        group = braidword.parse_group(args.group,
+                                      flat_braid_relation=args.flat_braid)
         report = relcheck.verify_relations(args.rep, group)
     elif args.cocycle:
         report = relcheck.verify_pk_cocycle(args.n, args.k, args.d,

@@ -22,6 +22,10 @@ through the four-point cross ratio on the braid's own segments; its real
 crossings are events, classified as over, under or flat by where on the real
 line they happen, and realized as a flat-virtual word. The d-th power
 reading watches the rays at angles 2 pi p / d; the plain reading is d=2.
+Before the quartic below is built, an angle bound skips the segments it
+proves event-free: the ratio's argument is a signed sum of the angles of
+four vectors z - z_k and z - z_l, each monotone on a segment between its
+unwound breakpoint values, which q_kl's winding check has already computed.
 
 All event detection happens on the polyline model itself: between merged
 breakpoints every strand is linear in t. Two vectors a, b seen from strand
@@ -40,7 +44,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import truediv
 from typing import Iterable, Sequence
 
 from .braidword import GroupId, Letter, Word, free_reduce_letters, sigma, tau, pi
@@ -66,6 +72,7 @@ _DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
 _CLASS_MARGIN = 1e-9         # mobius class boundary margin at 0 and 1/2
 _MERGE_GAP = 1e-13           # breakpoint times this close are one
 _WINDING_TOL = 1e-6          # a winding this far from an integer is refused
+_ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
 # regular-polygon degeneracies away without disturbing the slot order
@@ -347,20 +354,34 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
 # -- winding -----------------------------------------------------------------------
 
 
-def linking_number(braid: GeomBraid, i: int, j: int) -> int:
-    """Integer winding of strand i around strand j (symmetric)."""
+def _turns(vectors: Sequence[complex]) -> list[float]:
+    """Unwound angle of each vector of a nonzero sequence, less the first
+    one's: the running sum of the phases of neighbour ratios."""
+    return list(accumulate(map(cmath.phase, map(truediv, vectors[1:], vectors)),
+                           initial=0.0))
+
+
+def _strand_turns(braid: GeomBraid, i0: int, j0: int) -> list[float]:
+    """_turns of z_i - z_j (0-based strands) at the breakpoints."""
     ends = braid.end_config()
-    diffs = [p[i - 1] - p[j - 1] for _, _, p, _ in braid.segments]
-    diffs.append(ends[i - 1] - ends[j - 1])
-    total = 0.0
-    for prev, cur in zip(diffs, diffs[1:]):
-        total += cmath.phase(cur / prev)
-    w = total / TWO_PI
+    return _turns([p[i0] - p[j0] for _, _, p, _ in braid.segments]
+                  + [ends[i0] - ends[j0]])
+
+
+def _winding(turns: list[float], i: int, j: int) -> int:
+    """Integer turns of pair (i, j) from its _turns."""
+    w = turns[-1] / TWO_PI
     r = round(w)
     if abs(w - r) > _WINDING_TOL:
         raise NonIntegerWinding(
             f"pair ({i},{j}) winds {w:.9f} turns; braid not pure or corrupted")
     return int(r)
+
+
+def linking_number(braid: GeomBraid, i: int, j: int) -> int:
+    """Integer winding of strand i around strand j (symmetric): the last
+    unwound angle of z_i - z_j over 2 pi."""
+    return _winding(_strand_turns(braid, i - 1, j - 1), i, j)
 
 
 # -- root finding on linear models --------------------------------------------
@@ -632,11 +653,15 @@ def power_map_extract(braid: GeomBraid, k: int, d: int,
 @dataclass(frozen=True)
 class PuncturedView:
     """A braid punctured at its strands k0 and l0 (0-based), sent to 0 and 1
-    by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order."""
+    by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order.
+    turns holds, per other strand s, the _turns of z_s - z_k and of
+    z_s - z_l that q_kl computed for its winding check."""
 
     braid: GeomBraid
     k0: int
     l0: int
+    turns: tuple[tuple[list[float], list[float]], ...] = \
+        field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -651,16 +676,20 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
     winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
     z_k| of z_k or z_l: bounding disks (_disks) clear what they can per
-    segment first, and the exact quadratic (_comes_within) decides the rest."""
+    segment first, and the exact quadratic (_comes_within) decides the rest.
+    The unwound angles of the winding check that involve strand k or l go
+    to the view, where they bound the pair readings' cross ratios."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"bad pair ({k},{l})")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if linking_number(braid, i, j) != 0:
-                raise NonZeroLinking("winding must vanish", pair=(i, j))
+    turns = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            turns[i, j] = turns[j, i] = _strand_turns(braid, i, j)
+            if _winding(turns[i, j], i + 1, j + 1) != 0:
+                raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
     cen, rad = _disks(braid.segments, n)
     for g, (t0, t1, p, q) in enumerate(braid.segments):
@@ -674,7 +703,8 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
                 if u is not None:
                     raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                             f"near t={t0 + (t1 - t0) * u:.6f}")
-    return PuncturedView(braid, k0, l0)
+    return PuncturedView(braid, k0, l0, tuple(
+        (turns[s, k0], turns[s, l0]) for s in range(n) if s not in (k0, l0)))
 
 
 def _pair_segments(braid: GeomBraid | PuncturedView):
@@ -739,6 +769,50 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     return _pair_events(braid, "cross-ratio", d)
 
 
+def _angle_ranges(braid: GeomBraid | PuncturedView, segments):
+    """Per watched strand, for a = z - z_k and for b = a - c: per segment
+    the centre and the half-width of an interval that holds the vector's
+    angle, up to a multiple of 2 pi. On a segment the vector is linear in u,
+    so its angle is monotone between the breakpoint values.
+
+    The quartic's Bernstein coefficients are positive sums of products of
+    the four vectors' end values, whose angles lie in the summed interval;
+    their rounding, against those products, stays below a small multiple of
+    the product of the four kappa = (|v0| + |v1| + |c0| + |c1|) /
+    min(|v0|, |v1|). The allowance _ARG_ROUNDING * kappa^4 per vector bounds
+    that product, and the rounding of the breakpoint angles too. A vector
+    that is 0 at a breakpoint gets no bound."""
+    _, _, a_last, da_last, c_last, dc_last = segments[-1]
+    c_end = c_last + dc_last
+    cs = [abs(seg[4]) for seg in segments] + [abs(c_end)]
+    cs = [x + y for x, y in zip(cs, cs[1:])]
+    turns = braid.turns if isinstance(braid, PuncturedView) else None
+    out = []
+    for s, end in enumerate([x + dx for x, dx in zip(a_last, da_last)]):
+        avals = [seg[2][s] for seg in segments] + [end]
+        bvals = [x - seg[4] for x, seg in zip(avals, segments)] + [end - c_end]
+        out.append([_angle_range(values, cs,
+                                 None if turns is None else turns[s][side])
+                    for side, values in enumerate((avals, bvals))])
+    return out
+
+
+def _angle_range(values, cs, turns):
+    """(centres, half-widths) per segment of one vector given at the
+    breakpoints; turns are its _turns, computed here if None."""
+    mags = [abs(v) for v in values]
+    if 0.0 in mags:
+        return [0.0] * len(cs), [math.inf] * len(cs)
+    if turns is None:
+        turns = _turns(values)
+    base = cmath.phase(values[0])
+    return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
+            [abs(t1 - t0) * 0.5
+             + _ARG_ROUNDING * ((m0 + m1 + mc) / (m0 if m0 < m1 else m1)) ** 4
+             for t0, t1, m0, m1, mc in zip(turns, turns[1:], mags, mags[1:],
+                                           cs)])
+
+
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
@@ -746,12 +820,24 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     half = d // 2 if d % 2 == 0 else None
     lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
              for ray in range(d if half is None else half)]
+    # the lines lie at the multiples of spacing; arg(N/D) = arg a_i + arg b_j
+    # - arg b_i - arg a_j, so a segment whose bound on it misses them all
+    # has no root; the mobius ratio m is real exactly where N/D = (1 - m)/m is
+    spacing = math.pi / d if half is None else TWO_PI / d
     segments = list(_pair_segments(braid))
+    ranges = _angle_ranges(braid, segments)
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
-            for t0, h, a, da, c, dc in segments:
+            (cai, hai), (cbi, hbi) = ranges[i0]
+            (caj, haj), (cbj, hbj) = ranges[j0]
+            for (t0, h, a, da, c, dc), x1, x2, x3, x4, r1, r2, r3, r4 in zip(
+                    segments, cai, cbj, cbi, caj, hai, hbj, hbi, haj):
+                off = (x1 + x2 - x3 - x4) % spacing
+                radius = r1 + r2 + r3 + r4
+                if radius < off < spacing - radius:
+                    continue
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
                 coeffs, bern = _pair_quartic(num, den)

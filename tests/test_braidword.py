@@ -174,6 +174,21 @@ def test_word_json_round_trip():
     assert word_from_json(word_to_json(w)) == w
 
 
+@pytest.mark.parametrize("letter,field", (
+    ({"k": "s", "i": True, "p": 1}, "i"),
+    ({"k": "s", "i": 2.0, "p": 1}, "i"),
+    ({"k": "s", "i": "1", "p": 1}, "i"),
+    ({"k": "s", "i": 1, "p": 1.9}, "p"),
+    ({"k": "s", "i": 1, "p": 1.0}, "p"),
+    ({"k": "s", "i": 1, "p": False}, "p"),
+    ({"k": "z", "p": "2"}, "p")))
+def test_word_json_refuses_non_integer_fields(letter, field):
+    data = {"group": {"family": "VCB", "strands": 4}, "letters": [letter]}
+    with pytest.raises(WordSyntaxError,
+                       match=f"letter field '{field}' must be an integer"):
+        word_from_json(data)
+
+
 def test_relation_suite_shapes():
     labels_b = [lab for lab, _, _ in relation_suite(GroupId("B", 4))]
     assert any("far" in lab for lab in labels_b)

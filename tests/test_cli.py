@@ -66,6 +66,17 @@ def test_check_commands(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_check_flat_braid_needs_fvb(capsys):
+    code, out, _ = run(capsys, "check", "--rep", "rho-tilde", "--group", "FVB3",
+                       "--flat-braid")
+    assert code == 0 and "PASS" in out
+    for rep_id, group in (("rho", "B3"), ("rho", "CPB3"), ("rho", "VCB3")):
+        code, out, err = run(capsys, "check", "--rep", rep_id, "--group",
+                             group, "--flat-braid")
+        assert code == 2 and out == ""
+        assert "flat_braid_relation only applies to FVB" in err
+
+
 def test_check_oracle_fails_with_flipped_reading(capsys):
     code, out, _ = run(capsys, "check", "--oracle", "--n", "4", "--k", "1",
                        "--d", "1", "--count", "2", "--factors", "1",

@@ -1,18 +1,23 @@
 import cmath
+import functools
 import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
-from braidrep.errors import NonGenericInput, SeparationViolated
-from braidrep.geom import (Conventions, Event, GeomBraid, artin_dynamics,
-                           concat, cylinder_events, flat_virtual_word,
-                           initial_order, perturb, psi_d_events, psi_events,
-                           q_kl, realize_flat_virtual, resample)
+from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
+from braidrep.geom import (PUNCTURE_TOL, TWO_PI, Conventions, Event, GeomBraid,
+                           _classify, _cross_ratio_models, _finish, _horner,
+                           _line_roots, _pair_quartic, _pair_segments,
+                           artin_dynamics, concat, cylinder_events,
+                           flat_virtual_word, initial_order, linking_number,
+                           perturb, psi_d_events, psi_events, q_kl,
+                           realize_flat_virtual, resample)
 from braidrep.laurent import mat_mul, mat_to_text
 from braidrep.rep import RHO_TILDE, word_image
 
@@ -468,3 +473,265 @@ def test_pair_reading_matches_dense_reference(text, k, l, digests):
                                     initial_order=initial_order(view))
         image = mat_to_text(word_image(word, RHO_TILDE))
         assert hashlib.sha256(image.encode()).hexdigest() == digest
+
+
+# -- angle filter against the unfiltered pair loop ----------------------------
+
+
+def reference_pair_events(braid, method: str, d: int):
+    """The pair loop without the angle filter: every pair and segment goes
+    through the quartic."""
+    half = d // 2 if d % 2 == 0 else None
+    lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
+             for ray in range(d if half is None else half)]
+    segments = list(_pair_segments(braid))
+    events = []
+    for i0 in range(braid.n):
+        for j0 in range(i0 + 1, braid.n):
+            pair = (i0 + 1, j0 + 1)
+            for t0, h, a, da, c, dc in segments:
+                num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
+                                               c, dc, method)
+                coeffs, bern = _pair_quartic(num, den)
+                for ray, w in lines:
+                    for u in _line_roots(coeffs, bern, w, t0, h, pair):
+                        side = (w * _horner(coeffs, u)).real
+                        if side >= 0.0:
+                            hit = ray
+                        elif half is not None:
+                            hit = ray + half
+                        else:
+                            continue
+                        events.append(_classify(num, den, u, t0 + h * u,
+                                                *pair, method, hit, d))
+    return _finish(events)
+
+
+READINGS = (("cross-ratio", 2), ("mobius", 2), ("cross-ratio", 3),
+            ("cross-ratio", 4))
+
+
+def read(braid, method: str, d: int):
+    if method == "mobius":
+        return psi_events(braid, method)
+    return psi_events(braid) if d == 2 else psi_d_events(braid, d)
+
+
+def pair_outcome(call, *args):
+    try:
+        return call(*args)
+    except NonGenericInput as exc:
+        return type(exc), str(exc)
+
+
+def filter_mismatches(braids) -> tuple[list, list, int]:
+    """Every reading of each braid or view, with and without the filter:
+    the differing (braid, reading) cases, the events compared and the
+    number of refusals compared."""
+    bad, events, refused = [], [], 0
+    for braid in braids:
+        for method, d in READINGS:
+            want = pair_outcome(reference_pair_events, braid, method, d)
+            if pair_outcome(read, braid, method, d) != want:
+                bad.append((braid, method, d))
+            elif want and isinstance(want[0], type):
+                refused += 1
+            else:
+                events += want
+    return bad, events, refused
+
+
+def transformed(braid: GeomBraid, scale: complex, shift: complex = 0j):
+    return GeomBraid(braid.n, tuple(tuple((t, z * scale + shift) for t, z in bps)
+                                    for bps in braid.strands))
+
+
+def bench_shaped(rng) -> GeomBraid:
+    """A commutator of two band generators on 6 strands whose spans add to
+    4, as the geometry bench draws them."""
+    while True:
+        span = rng.randrange(1, 4)
+        i, j = rng.randrange(1, 7 - span), rng.randrange(1, 3 + span)
+        if (i, span) != (j, 4 - span):
+            break
+    text = f"comm(A[{i},{i + span}]^{rng.choice((1, -1))}; " \
+        f"A[{j},{j + 4 - span}]^{rng.choice((1, -1))})"
+    return artin_dynamics(parse_word(text, GroupId("B", 6)), radial_spread=0.25)
+
+
+def test_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
+    """Bench-shaped braids, perturbed and resampled, through a view at a
+    seeded pair; the plain braid at scales 1e-3 to 1e6."""
+    rng = random.Random(9101)
+    braids = []
+    for _ in range(2):
+        b = bench_shaped(rng)
+        k, l = rng.sample(range(1, 7), 2)
+        for copy in (b, perturb(b, rng.randrange(1 << 30), 1e-6),
+                     resample(b, 2)):
+            braids.append(q_kl(copy, k, l))
+        braids += [transformed(b, scale) for scale in (1e-3, 1e6)]
+    bad, events, refused = filter_mismatches(braids)
+    assert bad == [] and len(events) > 2000
+
+
+def concyclic_at_half(rng, scale: float) -> GeomBraid:
+    """Punctures 1 and 2 stand still; strands 3 and 4 each run round a small
+    triangle with a corner at t = 1/2, where strand 4 is where the cross
+    ratio of strands 3 and 4 takes a value on a line of the plain, d=3 or
+    d=4 reading. So the ratio crosses or touches that line at the
+    breakpoint."""
+    def point():
+        return scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    def triangle(corner):
+        a, b = (corner + scale * 0.3 * cmath.exp(1j * rng.uniform(0, TWO_PI))
+                for _ in range(2))
+        return (0.0, a), (0.5, corner), (0.75, b), (1.0, a)
+
+    zk, zl, z3 = point(), point(), point()
+    angle = math.pi * rng.choice((0, 1, 1 / 3, 2 / 3, 4 / 3, 5 / 3, 1 / 2, 3 / 2))
+    target = rng.uniform(0.2, 5.0) * cmath.exp(1j * angle)
+    # cr = (z3 - zk)(z4 - zl) / ((z3 - zl)(z4 - zk)) = target, solved for z4
+    y = target * (z3 - zl) / (z3 - zk)
+    z4 = (zl - y * zk) / (1 - y)
+    return GeomBraid(4, (((0.0, zk), (1.0, zk)), ((0.0, zl), (1.0, zl)),
+                         triangle(z3), triangle(z4)))
+
+
+def test_filter_keeps_roots_at_and_near_breakpoints():
+    """Roots exactly at a breakpoint up to rounding, found by one segment,
+    by the other or by both (and then deduplicated), at scales 1e-3 to
+    1e6."""
+    rng = random.Random(9102)
+    views = []
+    for _ in range(200):
+        scale = 10.0 ** rng.choice((-3, 0, 3, 6))
+        try:
+            views.append(q_kl(concyclic_at_half(rng, scale), 1, 2))
+        except BraidrepError:
+            continue
+    bad, events, refused = filter_mismatches(views)
+    assert bad == []
+    assert sum(abs(e.time - 0.5) < 1e-9 for e in events) >= 100
+
+
+def test_filter_keeps_puncture_grazes():
+    """Strand 3 passes a puncture 1 to 3 times PUNCTURE_TOL * |z_l - z_k|
+    away, sideways inside a segment or head-on to a breakpoint. Strand 4
+    crosses the view, or stands where the cross ratio of strands 3 and 4 at
+    the closest pass is 1e-12 to 1e-5 radians off a line of a reading: the
+    case that needs the filter's conditioning factor. The punctures are
+    1e4 to 1e6 apart, so that the strands stay SEPARATION_TOL apart."""
+    rng = random.Random(9103)
+    views = []
+    for trial in range(160):
+        scale = 10.0 ** rng.choice((4, 5, 6))
+        zk = scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        zl = zk + scale * cmath.exp(1j * rng.uniform(0, TWO_PI))
+        hit = rng.choice((zk, zl))
+        gap = rng.choice((1 + 1e-6, 2.0, 3.0)) * PUNCTURE_TOL * abs(zl - zk)
+        e = cmath.exp(1j * rng.uniform(0, TWO_PI))
+        if trial % 4 < 2:
+            at = hit + 1j * e * gap   # sideways, closest at u_min
+            u_min = rng.uniform(0, 1)
+            s0, s1 = at - e * scale * u_min, at + e * scale * (1 - u_min)
+            strand3 = ((0.0, s0), (0.5, s1), (1.0, s0))
+        else:                         # head-on to t = 1/2, out another way
+            at = hit + e * gap
+            out = e * cmath.exp(1j * rng.uniform(-1, 1))
+            strand3 = ((0.0, at + e * scale), (0.5, at),
+                       (0.75, at + out * scale), (1.0, at + e * scale))
+        if trial % 2:
+            mid = (zk + zl) / 2 + 1j * (zl - zk) * rng.uniform(-1, 1)
+            strand4 = ((0.0, mid - (zl - zk) * 2), (0.5, mid + (zl - zk) * 2),
+                       (1.0, mid - (zl - zk) * 2))
+        else:
+            angle = math.pi * rng.choice((0, 1, 1 / 3, 2 / 3, 1 / 2)) \
+                + 10 ** rng.uniform(-12, -5) * rng.choice((-1, 1))
+            y = rng.uniform(0.2, 5.0) * cmath.exp(1j * angle) \
+                * (at - zl) / (at - zk)
+            z4 = (zl - y * zk) / (1 - y)
+            strand4 = ((0.0, z4), (1.0, z4))
+        try:
+            views.append(q_kl(GeomBraid(4, (((0.0, zk), (1.0, zk)),
+                                             ((0.0, zl), (1.0, zl)),
+                                             strand3, strand4)), 1, 2))
+        except BraidrepError:
+            continue
+    bad, events, refused = filter_mismatches(views)
+    assert bad == []
+    assert len(views) >= 120 and len(events) >= 1000 and refused >= 30
+
+
+def test_filter_keeps_far_side_double_root_refusal():
+    """Strand 2 runs along the tangent at 1/2 - i/2 of the circle through
+    0, 1 and strand 1, where the cross ratio is -1: on the far side of the
+    d=3 reading's line 0, which holds no ray, and far from the rays at
+    +-2 pi / 3. The exact double root at u = 1/3 of a segment 2^-20 long
+    is refused before its side is known, and the filter must keep that
+    refusal for as long as the isolator makes it."""
+    start, end = 0.5 - 1 / 256 - 0.5j, 0.5 + 2 / 256 - 0.5j
+    b = GeomBraid(2, (((0.0, 0.5 + 0.5j), (1.0, 0.5 + 0.5j)),
+                      ((0.0, start), (0.5, start), (0.5 + 2 ** -20, end),
+                       (0.75, end - 1j), (0.875, start - 1j), (1.0, start))))
+    for view in (b, q_kl(GeomBraid(4, (((0.0, 0j), (1.0, 0j)),
+                                       ((0.0, 1 + 0j), (1.0, 1 + 0j)),
+                                       *b.strands)), 1, 2)):
+        with pytest.raises(NonGenericInput, match="closer than the genericity"):
+            psi_d_events(view, 3)
+        assert filter_mismatches([view]) == ([], [], 4)
+
+
+def test_filter_leaves_a_vector_through_a_puncture_unbounded():
+    """A plain braid whose strand 2 stands exactly on the puncture 0 or 1 at
+    a breakpoint: its angle there is undefined, and the reading must still
+    refuse as the unfiltered loop does."""
+    braids = []
+    for p in (0j, 1 + 0j):
+        for out in (0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.2j):
+            braids.append(GeomBraid(2, (
+                ((0.0, 0.5 + 2j), (1.0, 0.5 + 2j)),
+                ((0.0, p - 0.5 - 0.5j), (0.5, p), (1.0, p + out)))))
+    bad, events, refused = filter_mismatches(braids)
+    assert bad == [] and refused >= 6
+
+
+# -- metamorphic: similarity transforms --------------------------------------
+
+
+# bench-shaped braids with the pair they are read at
+SIMILARITY_CASES = (("comm(A[1,3]; A[3,5]^-1)", 5, 4),
+                    ("comm(A[5,6]^-1; A[2,5])", 5, 1),
+                    ("comm(A[2,4]^-1; A[1,3])", 2, 6),
+                    ("comm(A[3,4]; A[1,4]^-1)", 6, 3))
+
+
+def pair_words_and_links(braid: GeomBraid, k: int, l: int):
+    words = tuple(format_word(flat_virtual_word(braid, k, l, d))
+                  for d in (None, 3))
+    links = tuple(linking_number(braid, i, j) for i in range(1, braid.n + 1)
+                  for j in range(i + 1, braid.n + 1))
+    return words, links
+
+
+@functools.lru_cache(maxsize=None)
+def untransformed(text: str, k: int, l: int):
+    b = artin_dynamics(parse_word(text, GroupId("B", 6)), radial_spread=0.25)
+    return b, pair_words_and_links(b, k, l)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(case=st.sampled_from(SIMILARITY_CASES),
+       angle=st.floats(0.0, TWO_PI),
+       log_scale=st.floats(-3.0, 4.0),
+       shift=st.complex_numbers(max_magnitude=10.0))
+def test_pair_words_survive_rotation_translation_and_scaling(case, angle,
+                                                             log_scale, shift):
+    """z -> s e^(i angle) z + s shift, s = 10^log_scale from 1e-3 to 1e4,
+    leaves the plain and the d=3 pair words and every linking number as
+    they were."""
+    braid, want = untransformed(*case)
+    scale = 10.0 ** log_scale
+    moved = transformed(braid, scale * cmath.exp(1j * angle), scale * shift)
+    assert pair_words_and_links(moved, *case[1:]) == want
