@@ -30,10 +30,10 @@ from .errors import (IndexOutOfRange, KindNotInGroup, UnknownMacro,
 
 FAMILIES = ("B", "CPB", "VCB", "FVB")
 _KINDS_BY_FAMILY = {
-    "B": "s",
-    "CPB": "sz",
-    "VCB": "stz",
-    "FVB": "spt",
+    "B": ("s",),
+    "CPB": ("s", "z"),
+    "VCB": ("s", "t", "z"),
+    "FVB": ("s", "p", "t"),
 }
 _INVOLUTIVE = ("t", "p")
 MAX_NESTING = 100    # parentheses and comm( levels a word may nest
@@ -58,7 +58,7 @@ class GroupId:
             1, self.strands + 1 if self.cyclic else self.strands))
 
     @property
-    def kinds(self) -> str:
+    def kinds(self) -> tuple[str, ...]:
         return _KINDS_BY_FAMILY[self.family]
 
     @property
@@ -90,7 +90,7 @@ class Letter:
     power: int
 
     def __post_init__(self):
-        if self.kind not in "stpz":
+        if self.kind not in ("s", "t", "p", "z"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if (self.index is None) != (self.kind == "z"):
             raise ValueError("index is required exactly for indexed kinds")
@@ -436,7 +436,7 @@ def relation_suite(group: GroupId) -> list[Relation]:
     involutions stay visible.
     """
     n = group.strands
-    kinds = group.kinds.replace("z", "")
+    kinds = tuple(x for x in group.kinds if x != "z")
     slots = {i: group.slots(i) for i in group.indices}
     gen = {(x, i): Letter(x, i, 1) for x in kinds for i in slots}
     far = [(i, j) for i, a in slots.items() for j, b in slots.items()

@@ -14,32 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
 from . import braidword, geom, homs, relcheck, rep as repmod
-from .errors import (BraidrepError, DimMismatch, IncompatibleRepGroup,
-                     IndexOutOfRange, KindNotInGroup, NonGenericInput,
-                     NonIntegerWinding, NonZeroLinking, NotPure,
-                     PunctureCollision, SeparationViolated, WordSyntaxError,
-                     ZeroAssignment)
+from .errors import BraidrepError
 from .laurent import Assignment, mat_to_json, mat_to_text
-
-_EXIT_CODES = (
-    (NonZeroLinking, 5),
-    ((NonGenericInput, SeparationViolated, PunctureCollision), 4),
-    ((NotPure, NonIntegerWinding), 3),
-    ((WordSyntaxError, IndexOutOfRange, KindNotInGroup, ZeroAssignment,
-      DimMismatch, IncompatibleRepGroup, ValueError,
-      json.JSONDecodeError), 2),
-)
-
-
-def _exit_code(exc: BaseException) -> int:
-    for kinds, code in _EXIT_CODES:
-        if isinstance(exc, kinds):
-            return code
-    return 2
 
 
 def _parse_eval(text: str) -> Assignment:
@@ -138,25 +119,23 @@ def _cmd_map(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.rep:
+        if args.group is None:
+            raise ValueError("--rep needs --group")
         group = braidword.parse_group(args.group,
                                       flat_braid_relation=args.flat_braid)
         report = relcheck.verify_relations(args.rep, group)
     elif args.cocycle:
         report = relcheck.verify_pk_cocycle(args.n, args.k, args.d,
                                             seed=args.seed, pairs=args.pairs)
-    elif args.oracle:
-        rng_words = []
-        import random as _random
-        rng = _random.Random(args.seed)
-        for _ in range(args.count):
-            rng_words.append(braidword.random_pure_word(args.n, rng,
-                                                        factors=args.factors))
+    else:
+        rng = random.Random(args.seed)
+        rng_words = [braidword.random_pure_word(args.n, rng,
+                                                factors=args.factors)
+                     for _ in range(args.count)]
         cfg = homs.PipelineConfig(args.n, args.k, args.d)
         conv = geom.Conventions(over_is_farther=not args.over_nearer) \
             if args.over_nearer else None
         report = relcheck.verify_oracle_agreement(rng_words, cfg, conv)
-    else:
-        raise ValueError("pass one of --rep, --cocycle, --oracle")
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -178,7 +157,7 @@ def _obtain_braid(args) -> geom.GeomBraid:
         raise ValueError("pass --synth WORD or --in FILE")
     if args.perturb:
         braid = geom.perturb(braid, args.seed, args.perturb)
-    if args.resample > 1:
+    if args.resample != 1:
         braid = geom.resample(braid, args.resample)
     return braid
 
@@ -291,14 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--rep", default=None, choices=repmod.REP_IDS)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--rep", default=None, choices=repmod.REP_IDS,
+                      help="relation suite of a representation")
+    mode.add_argument("--cocycle", action="store_true",
+                      help="strand-removal consistency across start positions")
+    mode.add_argument("--oracle", action="store_true",
+                      help="trajectory extraction against the algebraic pipeline")
     p.add_argument("--group", default=None, help="group id for --rep")
     p.add_argument("--flat-braid", action="store_true",
                    help="include the flat braid relation (FVB only)")
-    p.add_argument("--cocycle", action="store_true",
-                   help="strand-removal consistency across start positions")
-    p.add_argument("--oracle", action="store_true",
-                   help="trajectory extraction against the algebraic pipeline")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
@@ -370,9 +351,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (BraidrepError, ValueError, json.JSONDecodeError, OSError) as exc:
+    except (BraidrepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

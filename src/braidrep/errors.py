@@ -1,6 +1,7 @@
 """Exception taxonomy shared by every module.
 
-Each class maps to one CLI exit code family; see cli.EXIT_CODES.
+Each class carries the CLI exit code of its family as exit_code; the CLI
+exits with it, and with 2 for any other usage error.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 class BraidrepError(Exception):
     """Base class for all library errors."""
+    exit_code = 2
 
 
 # -- usage / parse family (exit 2) -------------------------------------------
@@ -44,10 +46,12 @@ class IncompatibleRepGroup(BraidrepError):
 
 class NotPure(BraidrepError):
     """Word's underlying permutation is not the identity."""
+    exit_code = 3
 
 
 class NonIntegerWinding(BraidrepError):
     """Total winding of a strand pair is not close to an integer."""
+    exit_code = 3
 
 
 # -- genericity family (exit 4) ----------------------------------------------
@@ -56,6 +60,7 @@ class NonGenericInput(BraidrepError):
     """Trajectories violate a genericity margin (tangency, coincidence,
     event separation, boundary event). Carries the offending time and,
     when known, the strand pair."""
+    exit_code = 4
 
     def __init__(self, message: str, time: float | None = None,
                  pair: tuple[int, int] | None = None):
@@ -71,16 +76,19 @@ class NonGenericInput(BraidrepError):
 
 class SeparationViolated(BraidrepError):
     """Two strands come closer than the separation tolerance."""
+    exit_code = 4
 
 
 class PunctureCollision(BraidrepError):
     """A normalized strand comes within tolerance of a puncture (0 or 1)."""
+    exit_code = 4
 
 
 # -- linking family (exit 5) --------------------------------------------------
 
 class NonZeroLinking(BraidrepError):
     """A strand pair has nonzero linking number where zero is required."""
+    exit_code = 5
 
     def __init__(self, message: str, pair: tuple[int, int] | None = None):
         if pair is not None:

@@ -46,7 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import truediv
+from operator import lt, truediv
 from typing import Iterable, Sequence
 
 from .braidword import GroupId, Letter, Word, free_reduce_letters, sigma, tau, pi
@@ -98,6 +98,8 @@ class Conventions:
     def __post_init__(self):
         if self.positive_crossing_rotation not in ("ccw", "cw"):
             raise ValueError("rotation must be 'ccw' or 'cw'")
+        if self.cut_angle is not None and not math.isfinite(self.cut_angle):
+            raise ValueError(f"cut angle must be finite, not {self.cut_angle}")
 
 
 DEFAULT_CONVENTIONS = Conventions()
@@ -154,9 +156,11 @@ class GeomBraid:
         for bps in self.strands:
             if len(bps) < 2 or bps[0][0] != 0.0 or bps[-1][0] != 1.0:
                 raise ValueError("each strand needs breakpoints from t=0 to t=1")
-            for (t0, _), (t1, _) in zip(bps, bps[1:]):
-                if not t1 > t0:
-                    raise ValueError("breakpoint times must strictly increase")
+            ts, zs = zip(*bps)
+            if not all(map(lt, ts, ts[1:])):
+                raise ValueError("breakpoint times must strictly increase")
+            if not all(map(cmath.isfinite, zs)):
+                raise ValueError("breakpoint points must be finite")
         object.__setattr__(self, "_times",
                            tuple([bp[0] for bp in bps] for bps in self.strands))
         times = _merged_times(self.strands)
@@ -165,7 +169,11 @@ class GeomBraid:
         object.__setattr__(self, "segments", tuple(
             (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
             for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
-        self._check_separation()
+        try:
+            self._check_separation()
+        except OverflowError:
+            raise ValueError("breakpoint points too large for float "
+                             "arithmetic") from None
 
     @property
     def pure(self) -> bool:
@@ -266,6 +274,8 @@ def artin_dynamics(word: Word, conv: Conventions | None = None, *,
     conv = conv or DEFAULT_CONVENTIONS
     if word.group.family != "B":
         raise ValueError("trajectory synthesis expects a braid word (family B)")
+    if segments_per_crossing < 1:
+        raise ValueError("segments per crossing must be at least 1")
     n = word.group.strands
     pts = base_points(n, radial_spread)
     letters = list(word.expanded())
@@ -1006,7 +1016,7 @@ def braid_from_json(data) -> GeomBraid:
         strands = tuple(
             tuple((float(t), complex(re, im)) for t, re, im in bps)
             for bps in data["strands"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed braid JSON: {exc}") from exc
     return GeomBraid(n, strands)
 

@@ -95,22 +95,10 @@ class LaurentPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
+        a, b = self, _coerce(other)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Exponents, int] = {}
-        for (x1, y1, z1), c1 in a.items():
-            for (x2, y2, z2), c2 in b.items():
-                exp = (x1 + x2, y1 + y2, z1 + z2)
-                v = out.get(exp, 0) + c1 * c2
-                if v:
-                    out[exp] = v
-                else:
-                    del out[exp]
-        return _wrap(out)
+        return monomial_sum((b,), [(c, e, 0) for e, c in a._terms.items()])
 
     __rmul__ = __mul__
 
@@ -169,23 +157,37 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 
 
 def monomial_sum(polys, terms) -> LaurentPoly:
-    """sum of sign * t^a s^b r^c * polys[i] over terms (sign, (a, b, c), i),
-    built in one dict pass by shifting exponents."""
+    """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i),
+    built in one dict pass by shifting exponents. The only loop that
+    multiplies terms: products, matrix products and the symbolic fold all
+    come here."""
     if len(terms) == 1:
-        (sign, (a, b, c), i), = terms
+        (coeff, (a, b, c), i), = terms
         src = polys[i]._terms
-        return _wrap({(x + a, y + b, z + c): sign * k
+        return _wrap({(x + a, y + b, z + c): coeff * k
                       for (x, y, z), k in src.items()}) if src else _ZERO
     out: dict[Exponents, int] = {}
-    for sign, (a, b, c), i in terms:
+    for coeff, (a, b, c), i in terms:
         for (x, y, z), k in polys[i]._terms.items():
             exp = (x + a, y + b, z + c)
-            v = out.get(exp, 0) + sign * k
+            v = out.get(exp, 0) + coeff * k
             if v:
                 out[exp] = v
             else:
                 del out[exp]
     return _wrap(out) if out else _ZERO
+
+
+def apply_action(rows, action) -> None:
+    """Right-multiply rows (lists of LaurentPoly) in place by an action
+    ((dest, terms), ...): column dest becomes monomial_sum(row, terms) in
+    every row. All new columns are computed from the old rows before any is
+    written back; action may be a one-pass iterable."""
+    new = [(d, [monomial_sum(row, terms) for row in rows])
+           for d, terms in action]
+    for d, col in new:
+        for row, value in zip(rows, col):
+            row[d] = value
 
 
 _ZERO = LaurentPoly()
@@ -196,7 +198,6 @@ S = LaurentPoly.monomial(1, 0, 1, 0)
 R = LaurentPoly.monomial(1, 0, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0, 0)
 S_INV = LaurentPoly.monomial(1, 0, -1, 0)
-R_INV = LaurentPoly.monomial(1, 0, 0, -1)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -326,21 +327,15 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a * b as one action: column j of b is the term list
+    (coeff, shift, k) of its entries b[k, j]."""
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} x {a.dim} times {b.dim} x {b.dim}")
-    n = a.dim
-    cols = list(zip(*b.rows))
-    out = []
-    for row in a.rows:
-        new_row = []
-        for col in cols:
-            acc = _ZERO
-            for x, y in zip(row, col):
-                if x._terms and y._terms:
-                    acc = acc + x * y
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return Matrix(n, tuple(out))
+    rows = [list(row) for row in a.rows]
+    apply_action(rows, ((j, [(c, e, k) for k, b_row in enumerate(b.rows)
+                             for e, c in b_row[j]._terms.items()])
+                        for j in range(b.dim)))
+    return Matrix(a.dim, tuple(map(tuple, rows)))
 
 
 def mat_eval(m: Matrix, a: Assignment) -> tuple[tuple[Fraction, ...], ...]:

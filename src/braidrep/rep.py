@@ -12,14 +12,15 @@ Words act on the right of an accumulator matrix. z^k rotates the columns
 by k; every other letter is one action form, a tuple of updates
 dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 (1 - t is two terms), so a product costs O(len * dim) ring operations
-instead of O(len * dim^3). The symbolic fold builds each updated entry in
-one pass of exponent shifts. The evaluated fold clears an action's
-coefficients at the point to integer numerators over its own denominator
-den, and folds ints over one scalar scale: an action with den != 1
-multiplies the other columns, and the scale, by den. Whenever the scale's
-bit length has doubled since the last reduction (and passed 64), rows and
-scale are divided by their gcd, so entries whose true denominators stay
-small keep small integers. Entries become Fraction(x, scale) at the end.
+instead of O(len * dim^3). The symbolic fold hands each action to
+laurent.apply_action, the row update mat_mul uses too. The evaluated fold
+clears an action's coefficients at the point to integer numerators over
+its own denominator den, and folds ints over one scalar scale: an action
+with den != 1 multiplies the other columns, and the scale, by den.
+Whenever the scale's bit length has doubled since the last reduction (and
+passed 64), rows and scale are divided by their gcd, so entries whose true
+denominators stay small keep small integers. Entries become
+Fraction(x, scale) at the end.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from math import gcd
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup, KindNotInGroup
-from .laurent import (Assignment, LaurentPoly, Matrix, eval_numerators,
-                      monomial_sum)
+from .laurent import (Assignment, LaurentPoly, Matrix, apply_action,
+                      eval_numerators)
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -141,10 +142,7 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
             reps %= 2
         for _ in range(reps):
             if assignment is None:
-                for row in rows:
-                    new = [(d, monomial_sum(row, terms)) for d, terms in action]
-                    for d, value in new:
-                        row[d] = value
+                apply_action(rows, action)
                 continue
             updates, den, kept = action
             for row in rows:

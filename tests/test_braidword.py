@@ -305,3 +305,14 @@ def test_zeta_letters():
     assert format_word(w) == "z^2"
     assert zeta(-2).power == -2
     assert tau(1).kind == "t" and sigma(2, -1).power == -1
+
+
+def test_letter_kind_is_one_whole_kind():
+    for kind in ("", "st", "sz", "stpz", "x", "S"):
+        with pytest.raises(ValueError, match="unknown kind"):
+            Letter(kind, 1, 1)
+    for kind in ("", "st", "tz"):
+        data = {"group": {"family": "VCB", "strands": 3},
+                "letters": [{"k": kind, "i": 1, "p": 1}]}
+        with pytest.raises(WordSyntaxError, match="unknown kind"):
+            word_from_json(data)

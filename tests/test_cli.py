@@ -183,6 +183,58 @@ def test_geom_reads_cylinder_events_once(capsys, tmp_path, monkeypatch):
     assert events and target.read_text().count("<circle") == len(events)
 
 
+def test_check_needs_exactly_one_mode(capsys):
+    for argv in ((), ("--cocycle", "--oracle"), ("--rep", "rho", "--cocycle")):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    code, out, err = run(capsys, "check", "--rep", "rho")
+    assert code == 2 and out == ""
+    assert "error: --rep needs --group" in err
+
+
+@pytest.mark.parametrize("extra,message", (
+    (("--spread", "nan"), "finite"),
+    (("--cut-angle", "nan"), "cut angle must be finite"),
+    (("--cut-angle", "inf"), "cut angle must be finite"),
+    (("--segments", "0"), "segments per crossing"),
+    (("--segments", "-2"), "segments per crossing"),
+    (("--resample", "0"), "factor"),
+    (("--resample", "-3"), "factor"),
+))
+def test_geom_refuses_what_cannot_be_a_braid(capsys, extra, message):
+    code, out, err = run(capsys, "geom", "--synth", "A[1,2]", "--n", "3",
+                         "--project-pk", "1", *extra)
+    assert code == 2 and out == ""
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_geom_in_refuses_non_finite_points(capsys, tmp_path):
+    code, out, _ = run(capsys, "geom", "--synth", "A[1,2]", "--n", "3",
+                       "--emit-braid")
+    data = json.loads(out)
+    data["strands"][0][2][1] = float("nan")
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "geom", "--in", str(path), "--project-pk", "1")
+    assert code == 2 and out == ""
+    assert "error:" in err and "finite" in err
+
+
+def test_error_classes_carry_their_exit_codes():
+    from braidrep import errors
+    codes = {name: cls.exit_code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert codes == {
+        "BraidrepError": 2, "WordSyntaxError": 2, "UnknownMacro": 2,
+        "IndexOutOfRange": 2, "KindNotInGroup": 2, "ZeroAssignment": 2,
+        "DimMismatch": 2, "IncompatibleRepGroup": 2, "NotPure": 3,
+        "NonIntegerWinding": 3, "NonGenericInput": 4,
+        "SeparationViolated": 4, "PunctureCollision": 4, "NonZeroLinking": 5}
+
+
 def test_exit_code_syntax_error(capsys):
     code, _, err = run(capsys, "parse", "s1^", "--group", "B4")
     assert code == 2 and "error:" in err

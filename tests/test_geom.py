@@ -61,6 +61,33 @@ def test_braid_validation():
                       ((0.0, 1 + 0j), (1.0, 0j))))       # paths cross
 
 
+def test_non_finite_input_is_refused():
+    for bad in (complex(math.nan, 0), complex(0, math.inf), -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GeomBraid(2, (((0.0, 0j), (0.5, bad), (1.0, 0j)),
+                          ((0.0, 5j), (1.0, 5j))))
+    word = parse_word("A[1,2]", GroupId("B", 3))
+    with pytest.raises(ValueError, match="finite"):
+        artin_dynamics(word, radial_spread=math.nan)
+    data = braid_to_json(artin_dynamics(word))
+    data["strands"][1][3][2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        braid_from_json(data)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="cut angle must be finite"):
+            Conventions(cut_angle=angle)
+
+
+def test_overflowing_input_is_refused():
+    data = braid_to_json(artin_dynamics(parse_word("A[1,2]", GroupId("B", 3))))
+    data["strands"][0][0][1] = 1e160
+    with pytest.raises(ValueError, match="too large"):
+        braid_from_json(data)
+    data["n"] = math.inf
+    with pytest.raises(ValueError, match="malformed braid JSON"):
+        braid_from_json(data)
+
+
 def test_separation_checked_inside_merged_interval():
     # strand 3 adds the grid times 0.3 and 0.8, which strands 1 and 2 lack;
     # their closest approach (t=0.5) lies inside the merged interval [0.3, 0.8]
@@ -123,6 +150,16 @@ def test_artin_dynamics_exact_endpoints():
 def test_artin_rejects_other_families():
     with pytest.raises(ValueError):
         artin_dynamics(parse_word("z", GroupId("CPB", 3)))
+
+
+def test_artin_and_resample_need_at_least_one_step():
+    b = artin_dynamics(parse_word("A[1,2]", GroupId("B", 3)))
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="segments per crossing"):
+            artin_dynamics(parse_word("A[1,2]", GroupId("B", 3)),
+                           segments_per_crossing=steps)
+        with pytest.raises(ValueError, match="factor"):
+            resample(b, steps)
 
 
 def test_artin_deterministic():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrep.errors import DimMismatch, ZeroAssignment
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
@@ -120,6 +121,36 @@ def test_matrix_eval_commutes_with_mul():
         rhs = tuple(tuple(sum(rows_a[i][k] * rows_b[k][j] for k in range(3))
                           for j in range(3)) for i in range(3))
         assert lhs == rhs
+
+
+def nonzero_fractions():
+    return st.builds(Fraction, st.integers(-7, 7).filter(bool),
+                     st.integers(1, 5))
+
+
+POLYS = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3),
+                        st.integers(-9, 9), max_size=6).map(LaurentPoly)
+POINTS = st.builds(Assignment, nonzero_fractions(), nonzero_fractions(),
+                   nonzero_fractions())
+
+
+@settings(max_examples=50)
+@given(p=POLYS, q=POLYS, at=POINTS)
+def test_eval_is_multiplicative(p, q, at):
+    assert lp_eval(p * q, at) == lp_eval(p, at) * lp_eval(q, at)
+    assert lp_eval(p * 3, at) == 3 * lp_eval(p, at)
+
+
+@settings(max_examples=25)
+@given(data=st.data(), dim=st.integers(1, 3), at=POINTS)
+def test_matrix_eval_is_multiplicative(data, dim, at):
+    a, b = (Matrix.from_rows(data.draw(st.lists(
+        st.lists(POLYS, min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim))) for _ in range(2))
+    rows_a, rows_b = mat_eval(a, at), mat_eval(b, at)
+    assert mat_eval(mat_mul(a, b), at) == tuple(
+        tuple(sum(rows_a[i][k] * rows_b[k][j] for k in range(dim))
+              for j in range(dim)) for i in range(dim))
 
 
 def test_det_known_values():

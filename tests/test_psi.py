@@ -721,7 +721,7 @@ def untransformed(text: str, k: int, l: int):
     return b, pair_words_and_links(b, k, l)
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(case=st.sampled_from(SIMILARITY_CASES),
        angle=st.floats(0.0, TWO_PI),
        log_scale=st.floats(-3.0, 4.0),
