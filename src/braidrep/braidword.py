@@ -12,6 +12,11 @@ Letter kinds are single characters matching the text grammar: "s" crossing,
 adjacent powers of the same generator merge, involutive kinds ("p", "t")
 keep powers in {1}, zero powers vanish. No braid-type rewriting happens.
 
+Letters are immutable shared values: sigma, tau, pi, zeta, Letter.inverse,
+the parser and the word maps hand out one Letter per (kind, index, power)
+from a bounded table, so a Word checks each distinct letter once, and a
+one-letter power such as s1^2000000 stays one letter.
+
 A letter of index i acts on slots i and i % n + 1 (GroupId.slots), so only
 the cyclic families' index n wraps. One relation table, read over each
 family's alphabet and slot adjacency, gives the defining relation suites of
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -37,6 +43,7 @@ _KINDS_BY_FAMILY = {
 }
 _INVOLUTIVE = ("t", "p")
 MAX_NESTING = 100    # parentheses and comm( levels a word may nest
+SHARED_LETTERS = 1024    # letter values kept shared, least recently used out
 
 
 @dataclass(frozen=True)
@@ -98,23 +105,29 @@ class Letter:
             raise ValueError("zero power letter")
 
     def inverse(self) -> "Letter":
-        return Letter(self.kind, self.index, -self.power)
+        return _letter(self.kind, self.index, -self.power)
+
+
+@lru_cache(maxsize=SHARED_LETTERS, typed=True)
+def _letter(kind: str, index: int | None, power: int) -> Letter:
+    """The shared Letter of a value; typed, so index 1 and 1.0 stay apart."""
+    return Letter(kind, index, power)
 
 
 def sigma(i: int, power: int = 1) -> Letter:
-    return Letter("s", i, power)
+    return _letter("s", i, power)
 
 
 def tau(i: int, power: int = 1) -> Letter:
-    return Letter("t", i, power)
+    return _letter("t", i, power)
 
 
 def pi(i: int, power: int = 1) -> Letter:
-    return Letter("p", i, power)
+    return _letter("p", i, power)
 
 
 def zeta(power: int = 1) -> Letter:
-    return Letter("z", None, power)
+    return _letter("z", None, power)
 
 
 def _check_letter(group: GroupId, letter: Letter) -> None:
@@ -140,9 +153,9 @@ def free_reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
                 merged %= 2
             out.pop()
             if merged:
-                out.append(Letter(l.kind, l.index, merged))
+                out.append(_letter(l.kind, l.index, merged))
         else:
-            out.append(Letter(l.kind, l.index, p))
+            out.append(l if p == l.power else _letter(l.kind, l.index, p))
     return tuple(out)
 
 
@@ -152,8 +165,10 @@ class Word:
     letters: tuple[Letter, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        # shared letters repeat as the same object: check each one once
+        for l in {id(l): l for l in letters}.values():
             _check_letter(self.group, l)
 
     @classmethod
@@ -170,10 +185,10 @@ class Word:
 
     def expanded(self) -> tuple[Letter, ...]:
         """Letters with |power| 1, in order."""
-        out = []
+        out: list[Letter] = []
         for l in self.letters:
-            unit = 1 if l.power > 0 else -1
-            out.extend(Letter(l.kind, l.index, unit) for _ in range(abs(l.power)))
+            out += [_letter(l.kind, l.index, 1 if l.power > 0 else -1)] \
+                * abs(l.power)
         return tuple(out)
 
 
@@ -250,6 +265,8 @@ class _Parser:
         if self.peek() == "caret":
             self.take("caret")
             k = int(self.take("int"))
+            if len(atom) == 1 and k:    # one letter keeps its power whole
+                return [_letter(atom[0].kind, atom[0].index, atom[0].power * k)]
             if k < 0:
                 atom = [l.inverse() for l in reversed(atom)]
                 k = -k
@@ -260,7 +277,7 @@ class _Parser:
         kind = self.peek()
         if kind == "gen":
             tok = self.take("gen")
-            return [Letter(tok[0], int(tok[1:]), 1)]
+            return [_letter(tok[0], int(tok[1:]), 1)]
         if kind == "zeta":
             self.take("zeta")
             return [zeta()]
@@ -438,7 +455,7 @@ def relation_suite(group: GroupId) -> list[Relation]:
     n = group.strands
     kinds = tuple(x for x in group.kinds if x != "z")
     slots = {i: group.slots(i) for i in group.indices}
-    gen = {(x, i): Letter(x, i, 1) for x in kinds for i in slots}
+    gen = {(x, i): _letter(x, i, 1) for x in kinds for i in slots}
     far = [(i, j) for i, a in slots.items() for j, b in slots.items()
            if a[0] not in b and a[1] not in b]
     # j follows i when i's upper slot is j's lower one; two wrapping slots

@@ -23,6 +23,39 @@ from .errors import BraidrepError
 from .laurent import Assignment, mat_to_json, mat_to_text
 
 
+_PIPELINE_MODES = ("cocycle", "oracle")
+_READINGS = ("project_pk", "power_map", "psi")
+# Options that only modify a mode, by subcommand: dest -> (the dests of the
+# modes it modifies, its default). A default other than None is filled in
+# here, so that argparse's None shows whether the option was given.
+_MODIFIERS = {
+    "check": {"group": (("rep",), None), "flat_braid": (("rep",), False),
+              "n": (_PIPELINE_MODES, 4), "k": (_PIPELINE_MODES, 1),
+              "d": (_PIPELINE_MODES, 1), "seed": (_PIPELINE_MODES, 0),
+              "pairs": (("cocycle",), 4), "count": (("oracle",), 3),
+              "factors": (("oracle",), 2),
+              "over_nearer": (("oracle",), False)},
+    "geom": {"psi_d": (("psi",), None), "d": (("power_map",), None),
+             "emit_matrix": (_READINGS, False),
+             "emit_events": (_READINGS, False),
+             "eval": (("emit_matrix",), None)},
+}
+
+
+def _given(value) -> bool:
+    return value is not None and value is not False
+
+
+def _apply_modifiers(args) -> None:
+    for dest, (modes, default) in _MODIFIERS.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, default)
+        elif _given(value) and not any(_given(getattr(args, m)) for m in modes):
+            flags = " or ".join("--" + m.replace("_", "-") for m in modes)
+            raise ValueError(f"--{dest.replace('_', '-')} needs {flags}")
+
+
 def _parse_eval(text: str) -> Assignment:
     vals = {}
     for chunk in text.replace(",", " ").split():
@@ -74,7 +107,8 @@ def _cmd_parse(args) -> int:
         return 0
     print(braidword.format_word(word))
     perm = braidword.underlying_permutation(word)
-    print(f"group: {word.group}  letters: {len(word.expanded())}  "
+    letters = sum(abs(l.power) for l in word.letters)
+    print(f"group: {word.group}  letters: {letters}  "
           f"pure: {braidword.is_pure(word)}")
     print("permutation: " + " ".join(str(p) for p in perm))
     return 0
@@ -163,16 +197,6 @@ def _obtain_braid(args) -> geom.GeomBraid:
 
 
 def _cmd_geom(args) -> int:
-    reading = any(x is not None
-                  for x in (args.project_pk, args.power_map, args.psi))
-    for flag, given, ok, needs in (
-            ("--psi-d", args.psi_d is not None, args.psi is not None, "--psi"),
-            ("--d", args.d is not None, args.power_map is not None, "--power-map"),
-            ("--emit-matrix", args.emit_matrix, reading,
-             "--project-pk, --power-map or --psi"),
-            ("--eval", args.eval is not None, args.emit_matrix, "--emit-matrix")):
-        if given and not ok:
-            raise ValueError(f"{flag} needs {needs}")
     braid = _obtain_braid(args)
     conv = _conventions(args)
     emitted = False
@@ -191,8 +215,6 @@ def _cmd_geom(args) -> int:
                 print(f"lk({i},{j}) = {geom.linking_number(braid, i, j)}")
         emitted = True
     if args.emit_events:
-        if events is None:
-            raise ValueError("--emit-events needs an extraction flag")
         print(json.dumps(geom.events_to_json(events), indent=2))
         emitted = True
     if word is not None:
@@ -280,13 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None, help="group id for --rep")
     p.add_argument("--flat-braid", action="store_true",
                    help="include the flat braid relation (FVB only)")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=4)
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--factors", type=int, default=2)
+    for flag in ("--n", "--k", "--d", "--seed", "--pairs", "--count",
+                 "--factors"):
+        p.add_argument(flag, type=int, default=None)
     p.add_argument("--over-nearer", action="store_true",
                    help="read crossings with the nearer strand on top "
                         "(demonstrates the calibration; fails --oracle)")
@@ -348,6 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_modifiers(args)
         return args.func(args)
     except BrokenPipeError:
         return 0

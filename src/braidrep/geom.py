@@ -720,16 +720,23 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
 def _pair_segments(braid: GeomBraid | PuncturedView):
     """Per segment (t0, h, a, da, c, dc): each watched strand a + da*u and
     the other puncture c + dc*u, u in [0, 1], seen from the puncture at 0. A
-    plain GeomBraid has its punctures fixed at 0 and 1."""
+    plain GeomBraid has its punctures fixed at 0 and 1. A view is scaled by
+    the power of two that brings the largest |z_l - z_k| into [1/2, 1):
+    exact, and the readings are similarity-invariant, so its quartics stay
+    in float range at any scale the braid accepts."""
     if isinstance(braid, GeomBraid):
         yield from ((t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments)
         return
     k0, l0 = braid.k0, braid.l0
     others = [s for s in range(braid.braid.n) if s not in (k0, l0)]
-    for t0, t1, p, q in braid.braid.segments:
+    segments = braid.braid.segments
+    f = math.ldexp(1.0, -math.frexp(max(abs(p[l0] - p[k0])
+                                        for _, _, p, _ in segments))[1])
+    for t0, t1, p, q in segments:
         zk, dzk = p[k0], q[k0]
-        yield (t0, t1 - t0, [p[s] - zk for s in others],
-               [q[s] - dzk for s in others], p[l0] - zk, q[l0] - dzk)
+        yield (t0, t1 - t0, [(p[s] - zk) * f for s in others],
+               [(q[s] - dzk) * f for s in others], (p[l0] - zk) * f,
+               (q[l0] - dzk) * f)
 
 
 def initial_order(braid: GeomBraid | PuncturedView) -> tuple[int, ...]:
@@ -851,6 +858,9 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
                 coeffs, bern = _pair_quartic(num, den)
+                if not all(map(cmath.isfinite, coeffs + bern)):
+                    raise NonGenericInput("pair quartic outside float range",
+                                          time=t0, pair=pair)
                 for ray, w in lines:
                     for u in _line_roots(coeffs, bern, w, t0, h, pair):
                         side = (w * _horner(coeffs, u)).real

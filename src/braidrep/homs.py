@@ -11,6 +11,7 @@ the crossing representation gives Laurent matrices of size n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braidword import (GroupId, Letter, Word, free_reduce_letters, is_pure,
                         sigma, tau, zeta)
@@ -37,19 +38,21 @@ class PipelineConfig:
             raise ValueError("d must be positive")
 
 
-def _delta_c_letters(m: int, power: int) -> list[Letter]:
+@lru_cache(maxsize=64)
+def _delta_c_letters(m: int, power: int) -> tuple[Letter, ...]:
     if power > 0:
-        return [sigma(i) for i in range(1, m)]
-    return [sigma(i, -1) for i in range(m - 1, 0, -1)]
+        return tuple(sigma(i) for i in range(1, m))
+    return tuple(sigma(i, -1) for i in range(m - 1, 0, -1))
 
 
 def strand_removal_letters(letters, n: int, start_pos: int):
-    """Translate expanded crossing letters, returning (letters, end_pos).
+    """Translate crossing letters, returning (letters, end_pos).
 
     The distinguished strand sits at position start_pos; each crossing either
     moves it (emitting a rotation or a full twist of the others) or braids
     two of the remaining strands, whose slot is the crossing position counted
-    from the removed strand's current position.
+    from the removed strand's current position. A power of a crossing away
+    from the strand stays one letter; one beside it is walked unit by unit.
     """
     m = n - 1
     pos = start_pos
@@ -58,18 +61,18 @@ def strand_removal_letters(letters, n: int, start_pos: int):
         if letter.kind != "s":
             raise NotPure(f"unexpected {letter.kind!r} letter")
         i, e = letter.index, letter.power
-        if e not in (1, -1):
-            raise ValueError("letters must be expanded to unit powers")
-        if i == pos - 1:
-            out.extend([zeta(-1)] if e > 0 else _delta_c_letters(m, 1))
-            pos -= 1
-        elif i == pos:
-            out.extend(_delta_c_letters(m, -1) if e > 0 else [zeta()])
-            pos += 1
-        else:
+        if i != pos - 1 and i != pos:
             slot = (pos - i - 1) % n
             assert 1 <= slot <= m - 1
             out.append(sigma(slot, e))
+            continue
+        for _ in range(abs(e)):
+            if i == pos - 1:
+                out.extend((zeta(-1),) if e > 0 else _delta_c_letters(m, 1))
+                pos -= 1
+            else:
+                out.extend(_delta_c_letters(m, -1) if e > 0 else (zeta(),))
+                pos += 1
     return out, pos
 
 
@@ -83,22 +86,20 @@ def p_k(word: Word, k: int) -> Word:
         raise ValueError(f"k={k} outside 1..{n}")
     if not is_pure(word):
         raise NotPure(f"word is not pure; strand removal at k={k} undefined")
-    out, end = strand_removal_letters(word.expanded(), n, k)
+    out, end = strand_removal_letters(word.letters, n, k)
     if end != k:
         raise AssertionError("position bookkeeping corrupted")
     return Word(GroupId("CPB", n - 1), free_reduce_letters(out))
 
 
-def rotation_block_letters(m: int, d: int, power: int) -> list[Letter]:
+@lru_cache(maxsize=256)
+def rotation_block_letters(m: int, d: int, power: int) -> tuple[Letter, ...]:
     """Image of one slot rotation under the d-th power map:
     z (Dv z)^(d-1), inverted for power -1."""
-    block = [zeta()]
-    for _ in range(d - 1):
-        block.extend(tau(i) for i in range(1, m))
-        block.append(zeta())
     if power < 0:
-        block = [l.inverse() for l in reversed(block)]
-    return block
+        return tuple(l.inverse() for l in reversed(
+            rotation_block_letters(m, d, 1)))
+    return (zeta(),) + (tuple(tau(i) for i in range(1, m)) + (zeta(),)) * (d - 1)
 
 
 def f_d(word: Word, d: int) -> Word:
@@ -109,16 +110,16 @@ def f_d(word: Word, d: int) -> Word:
         raise ValueError("d must be positive")
     m = word.group.strands
     out: list[Letter] = []
-    for letter in word.expanded():
+    for letter in word.letters:
         if letter.kind == "z":
-            out.extend(rotation_block_letters(m, d, letter.power))
+            sign = 1 if letter.power > 0 else -1
+            out += rotation_block_letters(m, d, sign) * abs(letter.power)
         elif letter.index < m:
             out.append(letter)
         else:
-            conj = rotation_block_letters(m, d, 1)
-            out.extend(conj)
+            out += rotation_block_letters(m, d, 1)
             out.append(sigma(1, letter.power))
-            out.extend([l.inverse() for l in reversed(conj)])
+            out += rotation_block_letters(m, d, -1)
     return Word(GroupId("VCB", m), free_reduce_letters(out))
 
 

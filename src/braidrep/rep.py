@@ -21,11 +21,17 @@ Whenever the scale's bit length has doubled since the last reduction (and
 passed 64), rows and scale are divided by their gcd, so entries whose true
 denominators stay small keep small integers. Entries become
 Fraction(x, scale) at the end.
+
+An evaluated action depends only on (rep, dim, kind, slots, sign, point),
+so it is kept across calls in one table of at most EVALUATED_ACTIONS
+entries, least recently used out first. Each call looks a letter up in its
+own dict first, so a repeated letter costs one lookup.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .braidword import GroupId, Letter, Word
@@ -47,6 +53,7 @@ _FAMILIES = {
 }
 
 _1, _T, _T_INV = (0, 0, 0), (1, 0, 0), (-1, 0, 0)   # exponent shifts
+EVALUATED_ACTIONS = 1024    # evaluated letter actions kept across calls
 
 
 def check_compatible(rep: str, group: GroupId) -> None:
@@ -89,17 +96,22 @@ def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     return ((a, ((1, m_inv, b),)), (b, ((1, m, a),)))
 
 
-def _eval_action(action, assignment: Assignment, dim: int):
-    """(updates, den, kept): updates ((dest, ((num, src), ...)), ...) carry
-    integer numerators over den > 0 in lowest terms, one per source; kept
-    lists the columns the action leaves alone."""
+@lru_cache(maxsize=EVALUATED_ACTIONS)
+def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
+                      positive: bool, point: tuple[tuple[int, int], ...]):
+    """The letter's action form evaluated at the point t, s, r, given as
+    integer ratios (they hash faster than Fractions): (updates, den, kept).
+    updates ((dest, ((num, src), ...)), ...) carry integer numerators over
+    den > 0 in lowest terms, one per source; kept lists the columns the
+    action leaves alone."""
+    action = _action(rep, dim, kind, slots, positive)
     merged: dict = {}
     for dest, terms in action:
         for sign, shift, src in terms:
             poly = merged.setdefault((dest, src), {})
             poly[shift] = poly.get(shift, 0) + sign
     nums, den = eval_numerators([LaurentPoly(p) for p in merged.values()],
-                                assignment)
+                                Assignment(*(Fraction(*x) for x in point)))
     g = gcd(den, *nums) * (-1 if den < 0 else 1)
     updates: dict = {dest: [] for dest, _ in action}
     for (dest, src), num in zip(merged, nums):
@@ -124,6 +136,8 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                         for i in range(dim)]
     scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
     cache: dict = {}
+    point = None if assignment is None else tuple(
+        v.as_integer_ratio() for v in (assignment.t, assignment.s, assignment.r))
     for letter in word.letters:
         if letter.kind == "z":
             cols = [(c - letter.power) % dim for c in range(dim)]
@@ -132,11 +146,10 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
         if action is None:
-            action = _action(rep, dim, letter.kind,
-                             word.group.slots(letter.index), letter.power > 0)
-            if assignment is not None:
-                action = _eval_action(action, assignment, dim)
-            cache[key] = action
+            form = (rep, dim, letter.kind, word.group.slots(letter.index),
+                    letter.power > 0)
+            action = cache[key] = _action(*form) if point is None \
+                else _evaluated_action(*form, point)
         reps = abs(letter.power)
         if letter.kind in ("t", "p"):
             reps %= 2

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from braidrep.braidword import (MAX_NESTING, GroupId, Letter, Word,
-                                bigelow5, format_word, free_reduce_letters,
+from braidrep import braidword
+from braidrep.braidword import (MAX_NESTING, SHARED_LETTERS, GroupId, Letter,
+                                Word, bigelow5, format_word, free_reduce_letters,
                                 invert, is_pure, parse_group, parse_word,
                                 random_pure_word, random_zero_linking_word,
                                 relation_suite, sigma, tau, pi, zeta,
@@ -41,6 +42,11 @@ def test_group_kind_gating():
     parse_word("s3", CPB3)
     with pytest.raises(IndexOutOfRange):
         parse_word("s4", CPB3)
+    # every distinct letter is checked, not only the first of its kind
+    with pytest.raises(IndexOutOfRange):
+        parse_word("s1 s2 s1 s4", B4)
+    with pytest.raises(KindNotInGroup):
+        Word(B4, (sigma(1), sigma(2), sigma(1), tau(1)))
 
 
 def test_parse_format_round_trip_random():
@@ -316,3 +322,34 @@ def test_letter_kind_is_one_whole_kind():
                 "letters": [{"k": kind, "i": 1, "p": 1}]}
         with pytest.raises(WordSyntaxError, match="unknown kind"):
             word_from_json(data)
+
+
+def test_one_letter_power_stays_one_letter():
+    B3 = GroupId("B", 3)
+    assert parse_word("s1^2000000", B3).letters == (sigma(1, 2000000),)
+    assert parse_word("(s2)^-3 A[1,2]^4", B3).letters == \
+        (sigma(2, -3), sigma(1, 8))
+    assert parse_word("z^3 z^-5 (z)^0", CPB3).letters == (zeta(-2),)
+    assert format_word(parse_word("t1^3 t2^-1 p1^4", FVB3)) == "t1 t2"
+    # a power of several letters is still spelled out
+    assert len(parse_word("(s1 s2)^3", B3)) == 6
+    for k in range(-7, 8):
+        for text, gid in (("s2", B4), ("t1", FVB3), ("z", CPB3)):
+            unit = parse_word(text, gid).letters * abs(k)
+            if k < 0:
+                unit = tuple(l.inverse() for l in unit)
+            assert parse_word(f"{text}^{k}", gid) == \
+                Word(gid, free_reduce_letters(unit))
+
+
+def test_letters_are_shared_and_their_table_is_bounded():
+    braidword._letter.cache_clear()
+    # a field that only compares equal to an int is a letter of its own
+    assert sigma(3.0) is not sigma(3) and type(sigma(3).index) is int
+    w = parse_word("s1 s2^-1 s1 comm(s1; s2)", B4)
+    assert w.letters[0] is sigma(1) is sigma(1, -1).inverse()
+    unit = w.expanded()
+    assert unit[0] is unit[2] is unit[3]
+    for k in range(1, 2 * SHARED_LETTERS):
+        assert sigma(1, k) == Letter("s", 1, k)
+    assert braidword._letter.cache_info().currsize == SHARED_LETTERS

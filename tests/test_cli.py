@@ -195,6 +195,26 @@ def test_check_needs_exactly_one_mode(capsys):
     assert "error: --rep needs --group" in err
 
 
+@pytest.mark.parametrize("argv,message", (
+    (("--cocycle", "--n", "3", "--group", "VCB9", "--flat-braid"),
+     "--group needs --rep"),
+    (("--cocycle", "--n", "3", "--flat-braid"), "--flat-braid needs --rep"),
+    (("--rep", "rho", "--group", "B3", "--n", "7", "--count", "5",
+      "--over-nearer"), "--n needs --cocycle or --oracle"),
+    (("--rep", "rho", "--group", "B3", "--over-nearer"),
+     "--over-nearer needs --oracle"),
+    (("--rep", "rho", "--group", "B3", "--seed", "0"),
+     "--seed needs --cocycle or --oracle"),
+    (("--oracle", "--n", "4", "--pairs", "2"), "--pairs needs --cocycle"),
+    (("--cocycle", "--n", "3", "--count", "1"), "--count needs --oracle"),
+    (("--cocycle", "--n", "3", "--factors", "1"), "--factors needs --oracle"),
+))
+def test_check_refuses_options_of_another_mode(capsys, argv, message):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra,message", (
     (("--spread", "nan"), "finite"),
     (("--cut-angle", "nan"), "cut angle must be finite"),
@@ -323,6 +343,11 @@ def test_geom_emit_matrix_needs_reading(capsys):
         capsys, "--emit-matrix")
     assert "--emit-matrix needs" in _modifier_without_reading(
         capsys, "--emit-matrix", "--eval", "t=2")
+
+
+def test_geom_emit_events_needs_reading(capsys):
+    assert "--emit-events needs --project-pk or --power-map or --psi" in \
+        _modifier_without_reading(capsys, "--linking", "--emit-events")
 
 
 def test_geom_eval_needs_emit_matrix(capsys):

@@ -1,15 +1,20 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from braidrep.braidword import (GroupId, Word, format_word, invert,
-                                parse_word, random_pure_word)
+from braidrep import rep
+from braidrep.braidword import (GroupId, Word, format_word,
+                                free_reduce_letters, invert, parse_word,
+                                random_pure_word)
 from braidrep.errors import NotPure
 from braidrep.homs import (PipelineConfig, f_d, p_k, pipeline_matrix,
                            pipeline_word, rotation_block_letters,
                            strand_removal_letters)
-from braidrep.laurent import mat_mul
-from braidrep.rep import RHO, word_image
+from braidrep.laurent import Assignment, mat_mul, mat_to_text
+from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
+                          word_image)
 
 B3 = GroupId("B", 3)
 B5 = GroupId("B", 5)
@@ -160,3 +165,106 @@ def test_d_one_never_emits_virtual_letters():
         w = random_pure_word(5, rng, factors=2)
         pw = pipeline_word(w, PipelineConfig(5, rng.randrange(1, 6), 1))
         assert all(l.kind != "t" for l in pw.letters)
+
+
+def test_strand_removal_walks_powers_as_their_units():
+    rng = random.Random(22)
+    for n in (3, 4, 5):
+        for _ in range(20):
+            w = random_pure_word(n, rng, factors=3)
+            w = w * parse_word(f"s{rng.randrange(1, n)}^{rng.choice((4, -6))}",
+                               w.group)
+            for k in range(1, n + 1):
+                whole, end = strand_removal_letters(w.letters, n, k)
+                units, unit_end = strand_removal_letters(w.expanded(), n, k)
+                assert end == unit_end == k
+                assert free_reduce_letters(whole) == \
+                    free_reduce_letters(units)
+
+
+def test_rotation_blocks_are_shared_inverse_tuples():
+    for m in (2, 3, 5):
+        for d in (1, 2, 3, 4):
+            fwd = rotation_block_letters(m, d, 1)
+            want = tuple(l.inverse() for l in reversed(fwd))
+            f_d(parse_word("z^-2 s1 z^3", GroupId("CPB", m)), d)
+            assert rotation_block_letters(m, d, -1) == want
+            assert rotation_block_letters(m, d, 1) is fwd
+            assert len(fwd) == 1 + d * m - m
+
+
+# -- seeded pipeline battery -------------------------------------------------
+
+BATTERY_POINTS = tuple(Assignment(Fraction(t), Fraction(s)) for t, s in (
+    ("-1", "1"), ("2/3", "1"), ("-3/2", "2"), ("1/2", "-1/3"), ("3", "-2"),
+    ("-2/3", "3/2")))
+# SHA-256 of pipeline_battery()'s 864 lines, recorded before letters were
+# shared and evaluated actions kept across calls
+BATTERY_DIGEST = \
+    "837868b279e790176feb18c160781225ffaf5df2d39a258eb2e33c14b4d78b75"
+
+
+def _rows_text(rows) -> str:
+    return ";".join(",".join(str(x) for x in row) for row in rows)
+
+
+def _battery_word(rng, n: int, factors: int) -> str:
+    def band():
+        i = rng.randrange(1, n)
+        j = rng.randrange(i + 1, n + 1)
+        return f"A[{i},{j}]" + rng.choice(("", "^-1", "^2", "^-3"))
+
+    def factor():
+        r = rng.random()
+        if r < 0.3:
+            return band()
+        if r < 0.5:
+            return f"s{rng.randrange(1, n)}^{rng.choice((2, -2, 4, -6))}"
+        if r < 0.75:
+            return f"comm({band()}; {band()})"
+        return f"({band()} {band()})^{rng.choice((2, 3, -2))}"
+    return " ".join(factor() for _ in range(factors))
+
+
+def pipeline_battery() -> str:
+    """Pure words on 4-6 strands, parsed, through p_k and f_d, with their
+    Burau, cylinder and rotation-virtual images at several points (and
+    symbolic for short words); flat-virtual words under rho-tilde."""
+    rng = random.Random(2024)
+    lines = []
+    for n in (4, 5, 6):
+        for idx in range(20):
+            symbolic = idx < 3
+            text = _battery_word(rng, n, 2 if symbolic else 6)
+            word = parse_word(text, GroupId("B", n))
+            lines.append(f"{text} -> {format_word(word)}")
+            for rep_id in (BURAU_UNREDUCED, BURAU_REDUCED):
+                lines.append(_rows_text(word_image(
+                    word, rep_id, rng.choice(BATTERY_POINTS))))
+            k, d = rng.randrange(1, n + 1), rng.randrange(1, 4)
+            cyl = p_k(word, k)
+            vir = f_d(cyl, d)
+            lines += [format_word(cyl), format_word(vir)]
+            if symbolic:
+                lines.append(mat_to_text(word_image(vir, RHO)))
+            for point in rng.sample(BATTERY_POINTS, 4):
+                lines.append(_rows_text(word_image(vir, RHO, point)))
+                lines.append(_rows_text(word_image(cyl, RHO, point)))
+        for _ in range(8):
+            text = " ".join(f"{rng.choice('spt')}{rng.randrange(1, n)}"
+                            f"^{rng.choice((1, -1, 2, 3))}" for _ in range(12))
+            word = parse_word(text, GroupId("FVB", n))
+            lines.append(f"{text} -> {format_word(word)}")
+            lines.append(_rows_text(word_image(
+                word, RHO_TILDE, rng.choice(BATTERY_POINTS))))
+    return "\n".join(lines)
+
+
+def test_pipeline_battery_is_pinned_with_cold_and_warm_caches():
+    rep._evaluated_action.cache_clear()
+    cold = pipeline_battery()
+    assert rep._evaluated_action.cache_info().hits > 0
+    warm = pipeline_battery()
+    assert warm == cold
+    assert len(cold.splitlines()) == 864
+    assert hashlib.sha256(cold.encode()).hexdigest() == BATTERY_DIGEST

@@ -735,3 +735,25 @@ def test_pair_words_survive_rotation_translation_and_scaling(case, angle,
     scale = 10.0 ** log_scale
     moved = transformed(braid, scale * cmath.exp(1j * angle), scale * shift)
     assert pair_words_and_links(moved, *case[1:]) == want
+
+
+COMM_4 = artin_dynamics(parse_word("comm(A[1,3]; A[2,4])", GroupId("B", 4)),
+                        segments_per_crossing=2)
+COMM_4_WORDS = ("p1 s1^-2 p1 s1^-2 p1 s1^2 p1 s1^2",
+                "t1 p1 t1 s1^-2 t1 p1 t1 p1 t1 s1^-2 t1 p1 t1 p1 t1 s1^2 "
+                "t1 p1 t1 p1 t1 s1^2 t1 p1")
+
+
+def test_pair_words_hold_at_every_float_scale():
+    """A view is read at a power-of-two scale of its own, so the quartics
+    neither overflow nor lose the words from 1 to 1e153; a plain braid,
+    whose punctures stay at 0 and 1, refuses what it cannot read."""
+    for e in sorted(set(range(0, 154, 9)) | {76, 77, 80, 153}):
+        braid = transformed(COMM_4, 10.0 ** e)
+        words = tuple(format_word(flat_virtual_word(braid, 1, 3, d))
+                      for d in (None, 3))
+        assert words == COMM_4_WORDS, e
+    for e in (77, 100, 153):
+        for read in (psi_events, lambda b: psi_d_events(b, 3)):
+            with pytest.raises(NonGenericInput, match="float range"):
+                read(transformed(COMM_4, 10.0 ** e))

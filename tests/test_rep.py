@@ -9,9 +9,10 @@ from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               mat_eval, mat_mul)
-from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
-                          check_compatible, generator_image, rep_dim,
-                          word_image)
+from braidrep import rep
+from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, EVALUATED_ACTIONS,
+                          RHO, RHO_TILDE, check_compatible, generator_image,
+                          rep_dim, word_image)
 
 CPB4 = GroupId("CPB", 4)
 VCB4 = GroupId("VCB", 4)
@@ -211,3 +212,18 @@ def test_generator_image_and_word_image_dispatch():
         word_image(w, "frobenius")
     with pytest.raises(IncompatibleRepGroup):
         word_image(parse_word("s1", CPB4), BURAU_REDUCED)
+
+
+def test_evaluated_action_table_stays_within_its_bound():
+    table = rep._evaluated_action
+    table.cache_clear()
+    word = parse_word("s1 s2^-1 s1", GroupId("B", 3))
+    symbolic = word_image(word, BURAU_UNREDUCED)
+    points = [Assignment(Fraction(k, 7), Fraction(1))
+              for k in range(1, EVALUATED_ACTIONS + 100)]
+    for a in points:
+        word_image(word, BURAU_UNREDUCED, a)
+        assert table.cache_info().currsize <= EVALUATED_ACTIONS
+    assert table.cache_info().currsize == EVALUATED_ACTIONS
+    for a in points[::97] + points[-3:]:
+        assert word_image(word, BURAU_UNREDUCED, a) == mat_eval(symbolic, a)
