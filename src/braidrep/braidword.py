@@ -43,6 +43,8 @@ _KINDS_BY_FAMILY = {
 }
 _INVOLUTIVE = ("t", "p")
 MAX_NESTING = 100    # parentheses and comm( levels a word may nest
+MAX_LETTERS = 2 ** 20    # letters a word may spell out while parsed
+MAX_STRANDS = 64     # strands a group may have
 SHARED_LETTERS = 1024    # letter values kept shared, least recently used out
 
 
@@ -57,8 +59,8 @@ class GroupId:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.strands < 2:
-            raise ValueError("need at least 2 strands")
+        if not 2 <= self.strands <= MAX_STRANDS:
+            raise ValueError(f"need 2 to {MAX_STRANDS} strands")
         if self.flat_braid_relation and self.family != "FVB":
             raise ValueError("flat_braid_relation only applies to FVB")
         object.__setattr__(self, "indices", range(
@@ -101,6 +103,11 @@ class Letter:
             raise ValueError(f"unknown kind {self.kind!r}")
         if (self.index is None) != (self.kind == "z"):
             raise ValueError("index is required exactly for indexed kinds")
+        # bool is an int too, and a float may equal one
+        for name, value in (("i", self.index), ("p", self.power)):
+            if value is not None and type(value) is not int:
+                raise ValueError(f"letter field {name!r} must be an integer, "
+                                 f"not {value!r}")
         if self.power == 0:
             raise ValueError("zero power letter")
 
@@ -110,7 +117,7 @@ class Letter:
 
 @lru_cache(maxsize=SHARED_LETTERS, typed=True)
 def _letter(kind: str, index: int | None, power: int) -> Letter:
-    """The shared Letter of a value; typed, so index 1 and 1.0 stay apart."""
+    """The shared Letter of a value; typed, so 1.0 misses 1's and is refused."""
     return Letter(kind, index, power)
 
 
@@ -254,10 +261,15 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise WordSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
 
+    def cap(self, letters: int) -> None:    # a list this long is refused
+        if letters > MAX_LETTERS:
+            raise WordSyntaxError(f"word spelled out past {MAX_LETTERS} letters")
+
     def parse_word(self, *, stop: tuple[str, ...] = ()) -> list[Letter]:
         out: list[Letter] = []
         while self.peek() is not None and self.peek() not in stop:
             out.extend(self.parse_term())
+            self.cap(len(out))
         return out
 
     def parse_term(self) -> list[Letter]:
@@ -267,6 +279,7 @@ class _Parser:
             k = int(self.take("int"))
             if len(atom) == 1 and k:    # one letter keeps its power whole
                 return [_letter(atom[0].kind, atom[0].index, atom[0].power * k)]
+            self.cap(len(atom) * abs(k))
             if k < 0:
                 atom = [l.inverse() for l in reversed(atom)]
                 k = -k
@@ -310,6 +323,7 @@ class _Parser:
             b = self.parse_word(stop=("close",))
             self.take("close")
             self.nest(-1)
+            self.cap(2 * (len(a) + len(b)))
             return commutator_letters(a, b, self.comm)
         got = self.toks[self.i][1] if self.i < len(self.toks) else "end of input"
         raise WordSyntaxError(f"expected a generator, group or macro, got {got!r}")
@@ -390,21 +404,12 @@ def word_to_json(w: Word) -> dict:
     return {"group": g, "letters": letters}
 
 
-def _json_int(value, field: str, optional: bool = False):
-    """A letter's integer field as given: bool, float and text are refused."""
-    if optional and value is None or type(value) is int:
-        return value
-    raise ValueError(f"letter field {field!r} must be an integer, "
-                     f"not {value!r}")
-
-
 def word_from_json(data: dict) -> Word:
     try:
         g = data["group"]
         group = GroupId(g["family"], int(g["strands"]),
                         bool(g.get("flatBraidRelation", False)))
-        letters = [Letter(item["k"], _json_int(item.get("i"), "i", True),
-                          _json_int(item["p"], "p"))
+        letters = [Letter(item["k"], item.get("i"), item["p"])
                    for item in data["letters"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise WordSyntaxError(f"malformed word JSON: {exc}") from exc

@@ -22,20 +22,19 @@ through the four-point cross ratio on the braid's own segments; its real
 crossings are events, classified as over, under or flat by where on the real
 line they happen, and realized as a flat-virtual word. The d-th power
 reading watches the rays at angles 2 pi p / d; the plain reading is d=2.
-Before the quartic below is built, an angle bound skips the segments it
-proves event-free: the ratio's argument is a signed sum of the angles of
-four vectors z - z_k and z - z_l, each monotone on a segment between its
-unwound breakpoint values, which q_kl's winding check has already computed.
 
 All event detection happens on the polyline model itself: between merged
-breakpoints every strand is linear in t. Two vectors a, b seen from strand
-k point the same way where the real quadratic Im(a conj(b)) vanishes and
-Re(a conj(b)) > 0. A cross ratio N/D has quadratic N and D, so it lies on
-the line through 0 in direction conj(w) where the real quartic
-Im(w N conj(D)) vanishes, on the ray p or p + d/2 by the sign of
-Re(w N conj(D)). Every event is one real root of such a polynomial, and one
-routine isolates them all: Descartes' rule of signs in the Bernstein basis
-with halving, then bisection; roots too close to separate raise
+breakpoints every strand is linear in t, and every event is a ratio N/D on
+a ray. The cylinder's ratios, (z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for
+the cut direction v, have linear N and D and watch ray 0 alone (d=1); a
+cross ratio has quadratic N and D. N/D lies on the line through 0 in
+direction conj(w) where the real polynomial Im(w N conj(D)) vanishes, on the
+ray p or p + d/2 by the sign of Re(w N conj(D)). Before that polynomial is
+built, one angle bound skips the segments it proves event-free: arg(N/D) is
+a signed sum of the angles of the vectors N and D are made of, each
+monotone on a segment between its unwound breakpoint values. One routine
+isolates every root: Descartes' rule of signs in the Bernstein basis with
+halving, then bisection; roots too close to separate raise
 NonGenericInput. Every reading returns Event records.
 """
 
@@ -44,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import lt, truediv
@@ -61,7 +61,6 @@ GENERICITY_TOL = 1e-9        # event separation and boundary margin
 PUNCTURE_TOL = 1e-9          # margin around the punctures 0 and 1
 BISECTION_TOL = 1e-12        # root refinement width in t
 _ANGLE_MARGIN = 1e-9         # triple-alignment margin, radians
-_REL_EPS = 1e-11             # relative threshold for degenerate polynomials
 _CUT_FLOOR = 1e-9            # cut direction this short, times n, is degenerate
 _SLOPE_TOL = 1e-9            # relative slope of a tangential alignment
 _RADIAL_TIE = 1e-9           # relative radius difference of a radial tie
@@ -184,15 +183,8 @@ class GeomBraid:
         """Position of 1-based strand at time t."""
         bps = self.strands[strand - 1]
         times = self._times[strand - 1]
-        lo, hi = 0, len(times) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, z0 = bps[lo]
-        t1, z1 = bps[hi]
+        lo = bisect_right(times, t, 1, len(times) - 1) - 1
+        (t0, z0), (t1, z1) = bps[lo], bps[lo + 1]
         if t <= t0:
             return z0
         if t >= t1:
@@ -419,21 +411,44 @@ def _horner(coeffs, u: float):
     return acc
 
 
-def _line_roots(coeffs, bern, w: complex, t0: float, h: float,
-                pair: tuple[int, int]) -> list[float]:
-    """Real roots of Im(w * P) on a segment, P given by _pair_quartic; a
-    segment on which Im(w * P) vanishes identically raises NonGenericInput."""
-    # the exclusion test is the hot path, hence unrolled
+def _ray_lines(d: int):
+    """(ray, far, w) per line of the d-th reading, ray p in direction
+    conj(w) and its far ray p + d/2 (None for odd d); the lines' spacing."""
+    if d % 2:
+        return [(ray, None, cmath.exp(-1j * TWO_PI * ray / d))
+                for ray in range(d)], math.pi / d
+    return [(ray, ray + d // 2, cmath.exp(-1j * TWO_PI * ray / d))
+            for ray in range(d // 2)], TWO_PI / d
+
+
+def _ray_roots(coeffs, bern, lines, t0: float, h: float,
+               pair: tuple[int, int], what: str) -> list[tuple[float, int | None]]:
+    """(u, ray) per root u on a segment at which N/D is on a line of
+    _ray_lines, P = N conj(D) given by _pair_quartic; ray is the line's own
+    where Re(w P) >= 0, else its far one. NonGenericInput: P outside float
+    range, or N/D on a line all along the segment (a persistent `what`)
+    unless Re(w P) < 0 keeps it on a far side that holds no ray."""
+    if not all(map(cmath.isfinite, coeffs + bern)):
+        raise NonGenericInput("pair quartic outside float range",
+                              time=t0, pair=pair)
+    roots = []
     c0, c1, c2, c3, c4 = bern
-    b0, b1, b2 = (w * c0).imag, (w * c1).imag, (w * c2).imag
-    b3, b4 = (w * c3).imag, (w * c4).imag
-    if b0 > 0.0 and b1 > 0.0 and b2 > 0.0 and b3 > 0.0 and b4 > 0.0 \
-            or b0 < 0.0 and b1 < 0.0 and b2 < 0.0 and b3 < 0.0 and b4 < 0.0:
-        return []
-    bern = [b0, b1, b2, b3, b4]
-    if not any(bern):
-        raise NonGenericInput("persistent crossing", time=t0, pair=pair)
-    return _isolate([(w * c).imag for c in coeffs], bern, t0, h, pair)
+    for ray, far, w in lines:
+        # the exclusion test is the hot path, hence unrolled
+        b0, b1, b2 = (w * c0).imag, (w * c1).imag, (w * c2).imag
+        b3, b4 = (w * c3).imag, (w * c4).imag
+        if b0 > 0.0 and b1 > 0.0 and b2 > 0.0 and b3 > 0.0 and b4 > 0.0 \
+                or b0 < 0.0 and b1 < 0.0 and b2 < 0.0 and b3 < 0.0 and b4 < 0.0:
+            continue
+        if not (b0 or b1 or b2 or b3 or b4):
+            if far is None and all((w * c).real < 0.0 for c in bern):
+                continue
+            raise NonGenericInput(f"persistent {what}", time=t0, pair=pair)
+        for u in _isolate([(w * c).imag for c in coeffs], [b0, b1, b2, b3, b4],
+                          t0, h, pair):
+            roots.append((u, ray if (w * _horner(coeffs, u)).real >= 0.0
+                          else far))
+    return roots
 
 
 def _isolate(coeffs, bern, t0: float, h: float,
@@ -497,51 +512,13 @@ def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
     return (lo + hi) / 2
 
 
-def _aligned_roots(a0: complex, da: complex, b0: complex, db: complex,
-                   t0: float, h: float, pair: tuple[int, int],
-                   what: str, floor: float) -> list[tuple[float, bool]]:
-    """Times u on a segment at which a = a0 + da*u points the way of
-    b = b0 + db*u: the roots of the real quadratic Im(a conj(b)) at which
-    Re(a conj(b)) > 0. Returns (u, rising) with rising true where the
-    quadratic falls through 0. The quadratic negligible against the vectors'
-    size counts as identically zero: no roots. NonGenericInput: a and b the
-    same way throughout, a tangency, or a root at which |b| <= floor."""
-    c0 = (a0 * b0.conjugate()).imag
-    c1 = (a0 * db.conjugate() + da * b0.conjugate()).imag
-    c2 = (da * db.conjugate()).imag
-    scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + _TINY
-    eps = _REL_EPS * scale
-    if abs(c2) <= eps and abs(c1) <= eps:
-        if abs(c0) <= eps and \
-                ((a0 + da * 0.5) * (b0 + db * 0.5).conjugate()).real > 0:
-            raise NonGenericInput(f"persistent {what}", time=t0, pair=pair)
-        return []
-    b1, b2 = c0 + c1 / 2, ((a0 + da) * (b0 + db).conjugate()).imag
-    if c0 > 0.0 and b1 > 0.0 and b2 > 0.0 or c0 < 0.0 and b1 < 0.0 and b2 < 0.0:
-        return []
-    out = []
-    for u in _isolate((c0, c1, c2), [c0, b1, b2], t0, h, pair):
-        b = b0 + db * u
-        if abs(b) <= floor:
-            raise NonGenericInput("cut direction degenerate", time=t0 + h * u,
-                                  pair=pair)
-        if ((a0 + da * u) * b.conjugate()).real <= 0:
-            continue
-        slope = 2.0 * c2 * u + c1
-        if abs(slope) <= _SLOPE_TOL * scale:
-            raise NonGenericInput(f"tangential {what}", time=t0 + h * u,
-                                  pair=pair)
-        out.append((u, slope < 0.0))
-    return out
-
-
 def _finish(events: list[Event]) -> tuple[Event, ...]:
     """Events sorted by time, checked for spacing. A root at the end of one
-    segment and the start of the next counts once."""
+    segment and the start of the next counts once; with opposite signs, twice."""
     events.sort(key=lambda e: e.time)
     out: list[Event] = []
     for e in events:
-        if out and (e.i, e.j) == (out[-1].i, out[-1].j) \
+        if out and (e.i, e.j, e.sign) == (out[-1].i, out[-1].j, out[-1].sign) \
                 and abs(e.time - out[-1].time) < _DEDUPE_GAP:
             continue
         out.append(e)
@@ -560,48 +537,79 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
 
 def cylinder_events(braid: GeomBraid, k: int,
                     conv: Conventions | None = None) -> tuple[Event, ...]:
-    """Generic events seen from strand k, sorted by time: 'crossing' events
-    of two strands aligned as seen from k, and 'cut' events of a strand
-    passing the cut."""
+    """Generic events seen from strand k, sorted by time: 'crossing' of two
+    strands aligned as seen from k, 'cut' of a strand passing the cut. Each
+    is a ratio of linear forms on ray 0, found as the d=1 ray reading."""
     conv = conv or DEFAULT_CONVENTIONS
     n = braid.n
     if n < 3:
         raise ValueError("need at least 3 strands")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    k0 = k - 1
-    others = [s for s in range(n) if s != k0]
-    fixed = None if conv.cut_angle is None else cmath.exp(1j * conv.cut_angle)
+    others = [s for s in range(n) if s != k - 1]
+    segments, ranges = _cylinder_segments(braid, k - 1, conv)
+    lines, spacing = _ray_lines(1)
+    # strand pairs, then each strand against the cut, entry n of rel
+    items = [(si, sj, (si + 1, sj + 1), "alignment")
+             for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
+        [(l, n, (l + 1, k), "cut passage") for l in others]
     events: list[Event] = []
-    for t0, t1, p, q in braid.segments:
-        h = t1 - t0
-        rel = [(p[s] - p[k0], q[s] - q[k0]) for s in range(n)]
-        # cut direction: fixed, or n (z_k - centroid), exact on a dyadic grid
-        w0, dw = (fixed, 0j) if fixed is not None else \
-            (n * p[k0] - sum(p), n * q[k0] - sum(q))
-        for ia, si in enumerate(others):
-            for sj in others[ia + 1:]:
-                pair = (si + 1, sj + 1)
-                for u, rising in _aligned_roots(*rel[si], *rel[sj], t0, h,
-                                                pair, "alignment", _CUT_FLOOR):
-                    events.append(_cylinder_crossing(
-                        rel, others, w0 + dw * u, u, t0 + h * u, pair, rising,
-                        conv))
-        for l in others:
-            for u, rising in _aligned_roots(*rel[l], w0, dw, t0, h, (l + 1, k),
-                                            "cut passage", n * _CUT_FLOOR):
-                events.append(Event(t0 + h * u, l + 1, k, "cut",
-                                    sign=1 if rising else -1))
+    for g, (t0, h, rel) in enumerate(segments):
+        for sa, sb, pair, what in items:
+            (ca, ha), (cb, hb) = ranges[sa], ranges[sb]
+            radius = ha[g] + hb[g]
+            if radius < (ca[g] - cb[g]) % spacing < spacing - radius:
+                continue
+            (a0, da), (b0, db) = rel[sa], rel[sb]
+            coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
+            # the end value is the product at the breakpoint, as next starts
+            bern = bern[:4] + ((a0 + da) * (b0 + db).conjugate(),)
+            for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
+                t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
+                # a passage is refused on either side, before the side test
+                if (sb == n or ray is not None) and abs(wv) <= n * _CUT_FLOOR:
+                    raise NonGenericInput("cut direction degenerate", time=t,
+                                          pair=pair)
+                if ray is None:
+                    continue
+                slope = (coeffs[1] + 2.0 * coeffs[2] * u).imag
+                if abs(slope) <= _SLOPE_TOL * (
+                        (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + _TINY):
+                    raise NonGenericInput(f"tangential {what}", time=t,
+                                          pair=pair)
+                rising = slope < 0.0    # Im(P) falls through 0
+                events.append(
+                    Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
+                    if sb == n else _cylinder_crossing(
+                        rel, others, wv, u, t, pair, rising, conv))
     return _finish(events)
+
+
+def _cylinder_segments(braid: GeomBraid, k0: int, conv: Conventions):
+    """Per segment (t0, h, rel), rel[s] (value, increment) of z_s - z_k and
+    rel[n] of the cut direction, fixed or n (z_k - centroid); per entry its
+    _angle_range, whose cs is the strands' summed distance from 0."""
+    n = braid.n
+    fixed = None if conv.cut_angle is None else cmath.exp(1j * conv.cut_angle)
+    configs = [p for _, _, p, _ in braid.segments] + [braid.end_config()]
+    values = [[z[s] - z[k0] for z in configs] for s in range(n)] + [
+        [fixed if fixed is not None else n * z[k0] - sum(z) for z in configs]]
+    mags = [sum(map(abs, z)) for z in configs]
+    cs = [x + y for x, y in zip(mags, mags[1:])]
+    return [(t0, t1 - t0, [(p[s] - p[k0], q[s] - q[k0]) for s in range(n)]
+             + [(fixed, 0j) if fixed is not None else
+                (n * p[k0] - sum(p), n * q[k0] - sum(q))])
+            for t0, t1, p, q in braid.segments], \
+        [None if s == k0 else _angle_range(v, cs, None)
+         for s, v in enumerate(values)]
 
 
 def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
                        pair: tuple[int, int], rising: bool,
                        conv: Conventions) -> Event:
     """Slot and sign of an alignment, from the angular coordinates of every
-    other strand measured from the cut direction wv (rel holds all n strands)."""
-    if abs(wv) <= len(rel) * _CUT_FLOOR:
-        raise NonGenericInput("cut direction degenerate", time=t, pair=pair)
+    other strand measured from the cut direction wv (rel of
+    _cylinder_segments)."""
     si, sj = pair[0] - 1, pair[1] - 1
     ui = rel[si][0] + rel[si][1] * u
     vj = rel[sj][0] + rel[sj][1] * u
@@ -787,18 +795,8 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
 
 
 def _angle_ranges(braid: GeomBraid | PuncturedView, segments):
-    """Per watched strand, for a = z - z_k and for b = a - c: per segment
-    the centre and the half-width of an interval that holds the vector's
-    angle, up to a multiple of 2 pi. On a segment the vector is linear in u,
-    so its angle is monotone between the breakpoint values.
-
-    The quartic's Bernstein coefficients are positive sums of products of
-    the four vectors' end values, whose angles lie in the summed interval;
-    their rounding, against those products, stays below a small multiple of
-    the product of the four kappa = (|v0| + |v1| + |c0| + |c1|) /
-    min(|v0|, |v1|). The allowance _ARG_ROUNDING * kappa^4 per vector bounds
-    that product, and the rounding of the breakpoint angles too. A vector
-    that is 0 at a breakpoint gets no bound."""
+    """Per watched strand, the _angle_range of a = z - z_k and of b = a - c,
+    whose rounding is relative to the puncture c as well."""
     _, _, a_last, da_last, c_last, dc_last = segments[-1]
     c_end = c_last + dc_last
     cs = [abs(seg[4]) for seg in segments] + [abs(c_end)]
@@ -815,8 +813,17 @@ def _angle_ranges(braid: GeomBraid | PuncturedView, segments):
 
 
 def _angle_range(values, cs, turns):
-    """(centres, half-widths) per segment of one vector given at the
-    breakpoints; turns are its _turns, computed here if None."""
+    """(centres, half-widths) per segment of intervals holding, up to 2 pi,
+    the angle of a vector given at the breakpoints, with turns its _turns or
+    None. It is monotone on a segment; a vector 0 at a breakpoint is unbound.
+
+    A ratio's P has as Bernstein coefficients positive sums of products of
+    its vectors' end values, four for a cross ratio, two for the cylinder,
+    whose rounding against them is a small multiple of the product of their
+    kappa = (|v0| + |v1| + cs) / min(|v0|, |v1|), cs the other sizes the
+    vector's rounding is relative to. As kappa >= 2, by the AM-GM inequality
+    the allowances _ARG_ROUNDING * kappa^4 of four vectors, or of two, bound
+    that product, and the rounding of the breakpoint angles too."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
         return [0.0] * len(cs), [math.inf] * len(cs)
@@ -834,13 +841,10 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
     # the sign of Re(w P), so each line is isolated once
-    half = d // 2 if d % 2 == 0 else None
-    lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
-             for ray in range(d if half is None else half)]
+    lines, spacing = _ray_lines(d)
     # the lines lie at the multiples of spacing; arg(N/D) = arg a_i + arg b_j
     # - arg b_i - arg a_j, so a segment whose bound on it misses them all
     # has no root; the mobius ratio m is real exactly where N/D = (1 - m)/m is
-    spacing = math.pi / d if half is None else TWO_PI / d
     segments = list(_pair_segments(braid))
     ranges = _angle_ranges(braid, segments)
     events: list[Event] = []
@@ -857,21 +861,11 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
                     continue
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
-                coeffs, bern = _pair_quartic(num, den)
-                if not all(map(cmath.isfinite, coeffs + bern)):
-                    raise NonGenericInput("pair quartic outside float range",
-                                          time=t0, pair=pair)
-                for ray, w in lines:
-                    for u in _line_roots(coeffs, bern, w, t0, h, pair):
-                        side = (w * _horner(coeffs, u)).real
-                        if side >= 0.0:
-                            hit = ray
-                        elif half is not None:
-                            hit = ray + half
-                        else:
-                            continue
+                for u, ray in _ray_roots(*_pair_quartic(num, den), lines, t0,
+                                         h, pair, "crossing"):
+                    if ray is not None:
                         events.append(_classify(num, den, u, t0 + h * u,
-                                                *pair, method, hit, d))
+                                                *pair, method, ray, d))
     return _finish(events)
 
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from braidrep import braidword
-from braidrep.braidword import (MAX_NESTING, SHARED_LETTERS, GroupId, Letter,
+from braidrep.braidword import (MAX_LETTERS, MAX_NESTING, MAX_STRANDS,
+                                SHARED_LETTERS, GroupId, Letter,
                                 Word, bigelow5, format_word, free_reduce_letters,
                                 invert, is_pure, parse_group, parse_word,
                                 random_pure_word, random_zero_linking_word,
@@ -344,8 +345,11 @@ def test_one_letter_power_stays_one_letter():
 
 def test_letters_are_shared_and_their_table_is_bounded():
     braidword._letter.cache_clear()
-    # a field that only compares equal to an int is a letter of its own
-    assert sigma(3.0) is not sigma(3) and type(sigma(3).index) is int
+    # a field that only compares equal to an int is refused, though the
+    # int's letter is in the table
+    assert type(sigma(3).index) is int
+    with pytest.raises(ValueError, match="must be an integer"):
+        sigma(3.0)
     w = parse_word("s1 s2^-1 s1 comm(s1; s2)", B4)
     assert w.letters[0] is sigma(1) is sigma(1, -1).inverse()
     unit = w.expanded()
@@ -353,3 +357,33 @@ def test_letters_are_shared_and_their_table_is_bounded():
     for k in range(1, 2 * SHARED_LETTERS):
         assert sigma(1, k) == Letter("s", 1, k)
     assert braidword._letter.cache_info().currsize == SHARED_LETTERS
+
+
+def test_letter_fields_must_be_integers():
+    for make in (lambda: Word(B4, (sigma(3.0),)), lambda: sigma(True),
+                 lambda: Letter("s", 1, 1.5), lambda: zeta(2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+    assert sigma(3) == Letter("s", 3, 1) and zeta(-2).power == -2
+
+
+def test_spelled_out_words_are_capped():
+    B3 = GroupId("B", 3)
+    assert len(parse_word("(s1 s2)^300000", B3)) == 600000
+    assert parse_word("s1^2000000000", B3).letters == (sigma(1, 2000000000),)
+    nested = "s1"
+    for _ in range(40):
+        nested = f"comm({nested}; s2)"
+    # a power, a power of a power, nested commutators, a concatenation
+    for text in ("(s1 s2)^1000000000", "((s1 s2)^1000)^-1000", nested,
+                 f"(s1 s2)^{MAX_LETTERS // 2} s1"):
+        with pytest.raises(WordSyntaxError, match="spelled out past"):
+            parse_word(text, B3)
+
+
+def test_group_strands_are_capped():
+    assert GroupId("VCB", MAX_STRANDS).indices[-1] == MAX_STRANDS
+    with pytest.raises(ValueError, match=f"need 2 to {MAX_STRANDS} strands"):
+        GroupId("B", MAX_STRANDS + 1)
+    with pytest.raises(WordSyntaxError, match="strands"):
+        parse_group("B1000000000")

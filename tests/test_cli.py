@@ -304,6 +304,19 @@ def test_parse_deep_nesting_is_a_usage_error(capsys):
     assert code == 2 and "nesting" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("parse", "(s1 s2)^1000000000", "--group", "B3"),
+    ("parse", "s1", "--group", "B1000000000"),
+    ("rep", "s1", "--group", "B1000000000"),
+    ("check", "--cocycle", "--n", "1000000000"),
+    ("check", "--oracle", "--n", "1000000000"),
+    ("geom", "--synth", "s1", "--n", "1000000000")))
+def test_oversized_input_is_a_usage_error(capsys, argv):
+    # refused before any letter list or n x n matrix is built
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_geom_readings_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",

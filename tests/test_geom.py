@@ -298,6 +298,46 @@ def test_persistent_alignment_rejected():
         cylinder_events(b, 1, FIXED_CUT)
 
 
+def test_alignment_persistent_on_the_far_side_is_read():
+    # the satellites stay on opposite rays from the watched strand: their
+    # ratio stays on ray pi, which holds no event
+    strands = (((0.0, 0j), (1.0, 0j)),
+               ((0.0, 1 + 0j), (1.0, 1 + 0j)),
+               ((0.0, -1 + 0j), (1.0, -1 + 0j)))
+    assert cylinder_events(GeomBraid(3, strands), 1,
+                           Conventions(cut_angle=2.0)) == ()
+
+
+TOUCHES = (
+    # strand 2 touches the cut (angle 0) of strand 1 at t = 1/2
+    (((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 1j), (0.5, 1 + 0j), (1.0, 1 + 1j)),
+     ((0.0, -2 + 2j), (1.0, -2 + 2j))),
+    # strand 3 touches the ray from strand 1 through strand 2 at t = 1/2
+    (((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 1j), (1.0, 1 + 1j)),
+     ((0.0, 2 + 3j), (0.5, 2 + 2j), (1.0, 2 + 3j))))
+
+
+@pytest.mark.parametrize("strands", TOUCHES)
+def test_touch_at_a_breakpoint_is_refused(strands):
+    # the strand turns back at the touch, so the segments on either side
+    # each see a root there, of opposite sense: two events, too close, that
+    # used to be merged into one
+    with pytest.raises(NonGenericInput, match="events closer"):
+        cylinder_events(GeomBraid(3, strands), 1, FIXED_CUT)
+
+
+def test_segments_agree_on_the_sign_at_their_breakpoint():
+    # on a grid of quarters strand 2 comes to 0.75i at t = 1/2 and turns
+    # back: seen past the cut at angle pi/2, whose direction is rounded to
+    # 6.1e-17 + 1i, it stays on one side all along, 4.6e-17 off at t = 1/2,
+    # which both segments must see alike
+    strands = (((0.0, 0j), (1.0, 0j)),
+               ((0.0, -0.25 + 1.25j), (0.5, 0.75j), (1.0, -0.75 + 0.5j)),
+               ((0.0, 3 - 3j), (1.0, 3 - 3j)))
+    assert cylinder_events(GeomBraid(3, strands), 1,
+                           Conventions(cut_angle=math.pi / 2)) == ()
+
+
 def test_cut_passage_at_a_degenerate_cut_is_refused():
     # at t = 1/2 the watched strand 1 sits on the centroid, so the moving
     # cut has no direction while strand 2 seems to pass it
@@ -305,6 +345,19 @@ def test_cut_passage_at_a_degenerate_cut_is_refused():
                ((0.0, -1.25 - 1.5j), (1.0, -0.75 + 0j)),
                ((0.0, 1.5 - 0.5j), (1.0, 1 + 2j)))
     with pytest.raises(NonGenericInput, match="cut direction degenerate"):
+        cylinder_events(GeomBraid(3, strands), 1)
+
+
+def test_degenerate_cut_is_refused_on_either_side():
+    # the braid above turned and scaled: strand 2's root at t = 1/2 falls
+    # on the far side of the cut's line by rounding, and is refused there,
+    # before strand 3's
+    c = 1.5832190268924882 - 0.5991299327755134j
+    strands = (((0.0, (1.5 - 1.25j) * c), (1.0, (-1.25 + 1.25j) * c)),
+               ((0.0, (-1.25 - 1.5j) * c), (1.0, (-0.75 + 0j) * c)),
+               ((0.0, (1.5 - 0.5j) * c), (1.0, (1 + 2j) * c)))
+    with pytest.raises(NonGenericInput,
+                       match=r"cut direction degenerate .* pair \(2, 1\)"):
         cylinder_events(GeomBraid(3, strands), 1)
 
 

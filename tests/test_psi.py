@@ -12,14 +12,15 @@ from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
 from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
 from braidrep.geom import (PUNCTURE_TOL, TWO_PI, Conventions, Event, GeomBraid,
-                           _classify, _cross_ratio_models, _finish, _horner,
-                           _line_roots, _pair_quartic, _pair_segments,
+                           _classify, _cross_ratio_models, _cylinder_crossing,
+                           _cylinder_segments, _finish, _pair_quartic,
+                           _pair_segments, _ray_lines, _ray_roots,
                            artin_dynamics, concat, cylinder_events,
-                           flat_virtual_word, initial_order, linking_number,
-                           perturb, psi_d_events, psi_events, q_kl,
-                           realize_flat_virtual, resample)
+                           cylinder_reading, flat_virtual_word, initial_order,
+                           linking_number, perturb, psi_d_events, psi_events,
+                           q_kl, realize_flat_virtual, resample)
 from braidrep.laurent import mat_mul, mat_to_text
-from braidrep.rep import RHO_TILDE, word_image
+from braidrep.rep import RHO, RHO_TILDE, word_image
 
 
 def two_strand(x0: float, v: float) -> GeomBraid:
@@ -113,6 +114,17 @@ def test_pair_moving_along_the_real_line_is_refused():
     sliding = ((0.0, 2.0 + 0j), (1.0, 3.0 + 0j))
     b = GeomBraid(2, (parked, sliding))
     for read in (psi_events, lambda b: psi_d_events(b, 2)):
+        with pytest.raises(NonGenericInput, match="persistent crossing"):
+            read(b)
+
+
+def test_pair_parked_off_every_ray_reads_nothing():
+    # the cross ratio of strands parked at 1/2 and 2 stays at -1/2: on ray
+    # pi, an event of the even readings, and on no ray of the d=3 reading
+    b = GeomBraid(2, (((0.0, 0.5 + 0j), (1.0, 0.5 + 0j)),
+                      ((0.0, 2.0 + 0j), (1.0, 2.0 + 0j))))
+    assert psi_d_events(b, 3) == ()
+    for read in (psi_events, lambda b: psi_d_events(b, 4)):
         with pytest.raises(NonGenericInput, match="persistent crossing"):
             read(b)
 
@@ -481,9 +493,7 @@ def test_pair_reading_matches_dense_reference(text, k, l, digests):
 def reference_pair_events(braid, method: str, d: int):
     """The pair loop without the angle filter: every pair and segment goes
     through the quartic."""
-    half = d // 2 if d % 2 == 0 else None
-    lines = [(ray, cmath.exp(-1j * TWO_PI * ray / d))
-             for ray in range(d if half is None else half)]
+    lines, _ = _ray_lines(d)
     segments = list(_pair_segments(braid))
     events = []
     for i0 in range(braid.n):
@@ -492,18 +502,11 @@ def reference_pair_events(braid, method: str, d: int):
             for t0, h, a, da, c, dc in segments:
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
-                coeffs, bern = _pair_quartic(num, den)
-                for ray, w in lines:
-                    for u in _line_roots(coeffs, bern, w, t0, h, pair):
-                        side = (w * _horner(coeffs, u)).real
-                        if side >= 0.0:
-                            hit = ray
-                        elif half is not None:
-                            hit = ray + half
-                        else:
-                            continue
+                for u, ray in _ray_roots(*_pair_quartic(num, den), lines, t0,
+                                         h, pair, "crossing"):
+                    if ray is not None:
                         events.append(_classify(num, den, u, t0 + h * u,
-                                                *pair, method, hit, d))
+                                                *pair, method, ray, d))
     return _finish(events)
 
 
@@ -697,6 +700,142 @@ def test_filter_leaves_a_vector_through_a_puncture_unbounded():
     assert bad == [] and refused >= 6
 
 
+# -- angle filter against the unfiltered cylinder loop ------------------------
+
+
+def reference_cylinder_events(braid: GeomBraid, k: int, conv: Conventions):
+    """The cylinder loop without the angle filter: every pair of watched
+    strands and every strand against the cut goes through _ray_roots on
+    every segment."""
+    n = braid.n
+    others = [s for s in range(n) if s != k - 1]
+    segments, _ = _cylinder_segments(braid, k - 1, conv)
+    lines, _ = _ray_lines(1)
+    items = [(si, sj, (si + 1, sj + 1), "alignment")
+             for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
+        [(l, n, (l + 1, k), "cut passage") for l in others]
+    events = []
+    for t0, h, rel in segments:
+        for sa, sb, pair, what in items:
+            (a0, da), (b0, db) = rel[sa], rel[sb]
+            coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
+            bern = bern[:4] + ((a0 + da) * (b0 + db).conjugate(),)
+            scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + 1e-300
+            for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
+                t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
+                if (sb == n or ray is not None) and abs(wv) <= n * 1e-9:
+                    raise NonGenericInput("cut direction degenerate", time=t,
+                                          pair=pair)
+                if ray is None:
+                    continue
+                slope = (coeffs[1] + 2.0 * coeffs[2] * u).imag
+                if abs(slope) <= 1e-9 * scale:
+                    raise NonGenericInput(f"tangential {what}", time=t,
+                                          pair=pair)
+                if sb == n:
+                    events.append(Event(t, sa + 1, k, "cut",
+                                        sign=1 if slope < 0.0 else -1))
+                else:
+                    events.append(_cylinder_crossing(
+                        rel, others, wv, u, t, pair, slope < 0.0, conv))
+    return _finish(events)
+
+
+CUTS = (Conventions(), Conventions(cut_angle=0.0), Conventions(cut_angle=2.0))
+
+
+def cylinder_filter_mismatches(braids, ks=None) -> tuple[list, list, int]:
+    """Every cylinder reading of each braid, from each strand in ks (all if
+    None) past each of CUTS, with and without the filter: the differing
+    (braid, k, cut) cases, the events compared and the refusals compared."""
+    bad, events, refused = [], [], 0
+    for braid in braids:
+        for k in ks or range(1, braid.n + 1):
+            for conv in CUTS:
+                want = pair_outcome(reference_cylinder_events, braid, k, conv)
+                if pair_outcome(cylinder_events, braid, k, conv) != want:
+                    bad.append((braid, k, conv))
+                elif want and isinstance(want[0], type):
+                    refused += 1
+                else:
+                    events += want
+    return bad, events, refused
+
+
+def test_cylinder_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
+    """Bench-shaped braids, perturbed and resampled, and at scales 1e-3 to
+    1e6, read from seeded strands past the moving cut and two fixed ones."""
+    rng = random.Random(9104)
+    braids = []
+    for _ in range(2):
+        b = bench_shaped(rng)
+        braids += [b, perturb(b, rng.randrange(1 << 30), 1e-6), resample(b, 2),
+                   transformed(b, 1e-3, 2e-3), transformed(b, 1e6, -3e6j)]
+    bad, events, refused = cylinder_filter_mismatches(braids, (1, 3, 6))
+    assert bad == [] and len(events) > 2000
+
+
+def aligned_at_half(rng, scale: float, cut: Conventions) -> GeomBraid:
+    """Strand 1 stands still; strands 2 and 3 each run round a small
+    triangle with a corner at t = 1/2, where strand 3 is, as seen from
+    strand 1, in the direction of strand 2 or of the cut, exactly up to
+    rounding or 1e-12 to 1e-5 radians off; strand 4 stands still. So an
+    alignment or a cut passage crosses or touches the breakpoint."""
+    def point():
+        return scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    def triangle(corner):
+        a, b = (corner + scale * 0.3 * cmath.exp(1j * rng.uniform(0, TWO_PI))
+                for _ in range(2))
+        return (0.0, a), (0.5, corner), (0.75, b), (1.0, a)
+
+    zk, z2, z4 = point(), point(), point()
+    if rng.random() < 0.5:
+        direction = z2 - zk
+    elif cut.cut_angle is not None:
+        direction = cmath.exp(1j * cut.cut_angle)
+    else:
+        # z3 - zk on the ray of 4 zk - (zk + z2 + z3 + z4) = w - (z3 - zk)
+        direction = 3 * zk - z2 - z4
+    off = rng.choice((0.0, 0.0, 10 ** rng.uniform(-12, -5) * rng.choice((-1, 1))))
+    length = rng.uniform(0.2, 0.9) * (abs(direction) if cut.cut_angle is None
+                                      else scale)
+    z3 = zk + length * cmath.exp(1j * off) * direction / abs(direction)
+    return GeomBraid(4, (((0.0, zk), (1.0, zk)), triangle(z2), triangle(z3),
+                         ((0.0, z4), (1.0, z4))))
+
+
+def test_cylinder_filter_keeps_roots_at_and_near_breakpoints():
+    """Alignments and cut passages exactly at a breakpoint up to rounding,
+    or just off it, found by one segment, by the other or by both, at
+    scales 1e-3 to 1e6."""
+    rng = random.Random(9105)
+    braids = []
+    for _ in range(240):
+        scale = 10.0 ** rng.choice((-3, 0, 3, 6))
+        try:
+            braids.append(aligned_at_half(rng, scale, rng.choice(CUTS)))
+        except BraidrepError:
+            continue
+    bad, events, refused = cylinder_filter_mismatches(braids, (1,))
+    assert bad == []
+    assert sum(abs(e.time - 0.5) < 1e-9 for e in events) >= 100
+
+
+def test_cylinder_filter_keeps_far_side_double_root_refusal():
+    """Seen from strand 1, strands 2 and 3 point opposite ways at t = 1/3,
+    where Im((z_2 - z_1) conj(z_3 - z_1)) = (3t - 1)^2 has an exact double
+    root: on the far side of the line of ray 0, which the d=1 reading keeps
+    unfiltered, so the isolator refuses it as before."""
+    for z1 in (0j, 0.5 + 0.25j):
+        b = GeomBraid(3, (((0.0, z1), (1.0, z1)),
+                          ((0.0, z1 - 3 - 2j), (1.0, z1 - 2j)),
+                          ((0.0, z1 + 2 + 1j), (1.0, z1 + 2 + 4j))))
+        with pytest.raises(NonGenericInput, match="closer than the genericity"):
+            cylinder_events(b, 1)
+        assert cylinder_filter_mismatches([b], (1,)) == ([], [], 3)
+
+
 # -- metamorphic: similarity transforms --------------------------------------
 
 
@@ -735,6 +874,58 @@ def test_pair_words_survive_rotation_translation_and_scaling(case, angle,
     scale = 10.0 ** log_scale
     moved = transformed(braid, scale * cmath.exp(1j * angle), scale * shift)
     assert pair_words_and_links(moved, *case[1:]) == want
+
+
+FIXED_CUT_ANGLE = 0.4
+
+
+def cylinder_words(braid: GeomBraid, k: int, turn: float = 0.0):
+    """Words read from strand k past the moving cut and past the fixed cut
+    at FIXED_CUT_ANGLE + turn: the cylinder word and the d = 1..3 power
+    readings."""
+    return tuple(format_word(cylinder_reading(braid, k, d, conv)[1])
+                 for conv in (Conventions(),
+                              Conventions(cut_angle=FIXED_CUT_ANGLE + turn))
+                 for d in (None, 1, 2, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def untransformed_cylinder(text: str, k: int):
+    b = artin_dynamics(parse_word(text, GroupId("B", 6)), radial_spread=0.25)
+    return b, cylinder_words(b, k)
+
+
+@settings(max_examples=12)
+@given(case=st.sampled_from(SIMILARITY_CASES),
+       angle=st.floats(0.0, TWO_PI),
+       log_scale=st.floats(-3.0, 4.0),
+       shift=st.complex_numbers(max_magnitude=10.0))
+def test_cylinder_words_survive_rotation_translation_and_scaling(
+        case, angle, log_scale, shift):
+    """z -> s e^(i angle) z + s shift, s = 10^log_scale from 1e-3 to 1e4,
+    leaves the cylinder and power reading words as they were, past the
+    moving cut and past a fixed cut turned with the braid."""
+    braid, want = untransformed_cylinder(*case[:2])
+    scale = 10.0 ** log_scale
+    moved = transformed(braid, scale * cmath.exp(1j * angle), scale * shift)
+    assert cylinder_words(moved, case[1], angle) == want
+
+
+def time_reversed(braid: GeomBraid) -> GeomBraid:
+    """The braid run backwards, t -> 1 - t."""
+    return GeomBraid(braid.n, tuple(tuple((1.0 - t, z) for t, z in reversed(bps))
+                                    for bps in braid.strands))
+
+
+@pytest.mark.parametrize("text,k", [case[:2] for case in SIMILARITY_CASES])
+def test_cylinder_reading_of_the_reversed_braid_is_the_inverse(text, k):
+    braid, _ = untransformed_cylinder(text, k)
+    back = time_reversed(braid)
+    for conv in (Conventions(), Conventions(cut_angle=FIXED_CUT_ANGLE)):
+        for d in (None, 2):
+            image = word_image(cylinder_reading(braid, k, d, conv)[1], RHO)
+            inverse = word_image(cylinder_reading(back, k, d, conv)[1], RHO)
+            assert (inverse * image).is_identity and not image.is_identity
 
 
 COMM_4 = artin_dynamics(parse_word("comm(A[1,3]; A[2,4])", GroupId("B", 4)),
