@@ -407,8 +407,10 @@ def word_to_json(w: Word) -> dict:
 def word_from_json(data: dict) -> Word:
     try:
         g = data["group"]
-        group = GroupId(g["family"], int(g["strands"]),
-                        bool(g.get("flatBraidRelation", False)))
+        flat = g.get("flatBraidRelation", False)
+        if type(flat) is not bool:
+            raise ValueError(f"flatBraidRelation {flat!r} is not a boolean")
+        group = GroupId(g["family"], int(g["strands"]), flat)
         letters = [Letter(item["k"], item.get("i"), item["p"])
                    for item in data["letters"]]
     except (KeyError, TypeError, ValueError) as exc:

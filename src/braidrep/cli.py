@@ -35,7 +35,10 @@ _MODIFIERS = {
               "pairs": (("cocycle",), 4), "count": (("oracle",), 3),
               "factors": (("oracle",), 2),
               "over_nearer": (("oracle",), False)},
+    "rep": {"k": (("pipeline",), 1), "d": (("pipeline",), 1)},
     "geom": {"psi_d": (("psi",), None), "d": (("power_map",), None),
+             "scheme": (("psi",), "route-and-return"),
+             "seed": (("perturb",), 0),
              "emit_matrix": (_READINGS, False),
              "emit_events": (_READINGS, False),
              "eval": (("emit_matrix",), None)},
@@ -118,11 +121,8 @@ def _cmd_rep(args) -> int:
     word = _load_word(args)
     assignment = _parse_eval(args.eval) if args.eval else None
     if args.pipeline:
-        if args.pipeline == "pk-fd":
-            cfg = homs.PipelineConfig(word.group.strands, args.k, args.d)
-            mat = homs.pipeline_matrix(word, cfg, assignment)
-        else:
-            raise ValueError(f"unknown pipeline {args.pipeline!r}")
+        cfg = homs.PipelineConfig(word.group.strands, args.k, args.d)
+        mat = homs.pipeline_matrix(word, cfg, assignment)
     else:
         mat = repmod.word_image(word, args.rep, assignment)
     if args.json:
@@ -231,8 +231,8 @@ def _cmd_geom(args) -> int:
         print(json.dumps(geom.braid_to_json(braid)))
         emitted = True
     if args.svg:
-        marks = geom.events_to_json(events) \
-            if args.project_pk is not None else None
+        # pair events name the strands of the punctured view, not the braid's
+        marks = geom.events_to_json(events or ()) if args.psi is None else None
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(geom.render_svg(braid, marks))
         print(f"wrote {args.svg}")
@@ -272,11 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep", help="matrix image of a word")
     _add_word_args(p)
-    p.add_argument("--rep", default=None, choices=repmod.REP_IDS)
-    p.add_argument("--pipeline", default=None, choices=("pk-fd",),
-                   help="composite map from plain braid words")
-    p.add_argument("--k", type=int, default=1, help="strand to remove")
-    p.add_argument("--d", type=int, default=1, help="power substitution")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--rep", default=None, choices=repmod.REP_IDS)
+    target.add_argument("--pipeline", default=None, choices=("pk-fd",),
+                        help="composite map from plain braid words")
+    p.add_argument("--k", type=int, default=None, help="strand to remove")
+    p.add_argument("--d", type=int, default=None, help="power substitution")
     p.add_argument("--eval", default=None, metavar="t=..,s=..[,r=..]",
                    help="evaluate at rational values instead of symbolically")
     p.add_argument("--json", action="store_true")
@@ -322,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=16)
     p.add_argument("--spread", type=float, default=0.0,
                    help="radial spread of the base configuration")
-    p.add_argument("--perturb", type=float, default=0.0, metavar="MAG")
+    p.add_argument("--perturb", type=float, default=None, metavar="MAG")
     p.add_argument("--resample", type=int, default=1, metavar="FACTOR")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     reading = p.add_mutually_exclusive_group()
     reading.add_argument("--project-pk", type=int, default=None, metavar="K",
                          help="cylinder word with strand K removed")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--psi-d", type=int, default=None,
                    help="power reading for --psi")
-    p.add_argument("--scheme", default="route-and-return",
+    p.add_argument("--scheme", default=None,
                    choices=("route-and-return", "swap-in-place"))
     p.add_argument("--linking", action="store_true",
                    help="print all pairwise winding numbers")

@@ -1,9 +1,9 @@
 """Trajectory engine: polyline braids in the plane, event extraction, and
 word realization.
 
-This module is the independent cross-check for the algebraic pipelines. It
-never consults the word-level maps: a braid is a family of piecewise-linear
-disjoint paths, and words are read off from geometric events only.
+This module is the independent cross-check for the algebraic pipelines: a
+braid is a family of piecewise-linear disjoint paths, and words are read off
+from geometric events, a cut passage spelled by homs.rotation_block_letters.
 
 Two extraction pipelines are provided.
 
@@ -306,7 +306,9 @@ def artin_dynamics(word: Word, conv: Conventions | None = None, *,
 
 def perturb(braid: GeomBraid, seed: int, magnitude: float) -> GeomBraid:
     """Jitter interior breakpoints; endpoints stay fixed. The magnitude must
-    stay below half the separation tolerance."""
+    be non-negative and stay below half the separation tolerance."""
+    if not magnitude >= 0.0:
+        raise ValueError(f"perturbation {magnitude} must be non-negative")
     if magnitude > SEPARATION_TOL / 2:
         raise SeparationViolated(
             f"perturbation {magnitude} exceeds half the separation tolerance")
@@ -391,7 +393,8 @@ def linking_number(braid: GeomBraid, i: int, j: int) -> int:
 
 def _pair_quartic(num, den):
     """P = num * conj(den) for quadratic coefficient triples (constant
-    first): the monomial and the Bernstein coefficients of P on [0, 1]."""
+    first): the monomial and the Bernstein coefficients of P on [0, 1], the
+    last one the product at u = 1, as the next segment's first one is."""
     n0, n1, n2 = num
     e0, e1, e2 = den[0].conjugate(), den[1].conjugate(), den[2].conjugate()
     a0 = n0 * e0
@@ -401,7 +404,8 @@ def _pair_quartic(num, den):
     a4 = n2 * e2
     return ((a0, a1, a2, a3, a4),
             (a0, a0 + a1 / 4, a0 + a1 / 2 + a2 / 6,
-             a0 + 0.75 * a1 + a2 / 2 + a3 / 4, a0 + a1 + a2 + a3 + a4))
+             a0 + 0.75 * a1 + a2 / 2 + a3 / 4,
+             (n0 + n1 + n2) * (e0 + e1 + e2)))
 
 
 def _horner(coeffs, u: float):
@@ -514,11 +518,12 @@ def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
 
 def _finish(events: list[Event]) -> tuple[Event, ...]:
     """Events sorted by time, checked for spacing. A root at the end of one
-    segment and the start of the next counts once; with opposite signs, twice."""
+    segment and the start of the next is one event if sign and ne agree."""
     events.sort(key=lambda e: e.time)
     out: list[Event] = []
     for e in events:
-        if out and (e.i, e.j, e.sign) == (out[-1].i, out[-1].j, out[-1].sign) \
+        if out and (e.i, e.j, e.sign, e.ne) == \
+                (out[-1].i, out[-1].j, out[-1].sign, out[-1].ne) \
                 and abs(e.time - out[-1].time) < _DEDUPE_GAP:
             continue
         out.append(e)
@@ -562,8 +567,6 @@ def cylinder_events(braid: GeomBraid, k: int,
                 continue
             (a0, da), (b0, db) = rel[sa], rel[sb]
             coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
-            # the end value is the product at the breakpoint, as next starts
-            bern = bern[:4] + ((a0 + da) * (b0 + db).conjugate(),)
             for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
                 t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
                 # a passage is refused on either side, before the side test

@@ -69,30 +69,21 @@ class LaurentPoly:
     # ring ops ------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        return _wrap(out)
+        return monomial_sum((self, _coerce(other)),
+                            ((1, (0, 0, 0), 0), (1, (0, 0, 0), 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return monomial_sum((self,), ((-1, (0, 0, 0), 0),))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-_coerce(other))
+        return monomial_sum((self, _coerce(other)),
+                            ((1, (0, 0, 0), 0), (-1, (0, 0, 0), 1)))
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return _coerce(other) + (-self)
+        return monomial_sum((_coerce(other), self),
+                            ((1, (0, 0, 0), 0), (-1, (0, 0, 0), 1)))
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         a, b = self, _coerce(other)
@@ -158,9 +149,9 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 
 def monomial_sum(polys, terms) -> LaurentPoly:
     """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i),
-    built in one dict pass by shifting exponents. The only loop that
-    multiplies terms: products, matrix products and the symbolic fold all
-    come here."""
+    built in one dict pass by shifting exponents. The ring's only term loop:
+    sums, differences, negation, products, matrix products and the symbolic
+    fold all come here."""
     if len(terms) == 1:
         (coeff, (a, b, c), i), = terms
         src = polys[i]._terms

@@ -14,30 +14,25 @@ dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 (1 - t is two terms), so a product costs O(len * dim) ring operations
 instead of O(len * dim^3). The symbolic fold hands each action to
 laurent.apply_action, the row update mat_mul uses too. The evaluated fold
-clears an action's coefficients at the point to integer numerators over
-its own denominator den, and folds ints over one scalar scale: an action
-with den != 1 multiplies the other columns, and the scale, by den.
-Whenever the scale's bit length has doubled since the last reduction (and
-passed 64), rows and scale are divided by their gcd, so entries whose true
-denominators stay small keep small integers. Entries become
-Fraction(x, scale) at the end.
-
-An evaluated action depends only on (rep, dim, kind, slots, sign, point),
-so it is kept across calls in one table of at most EVALUATED_ACTIONS
-entries, least recently used out first. Each call looks a letter up in its
-own dict first, so a repeated letter costs one lookup.
+evaluates each action's +-monomial terms directly in integers, puts them
+over one common denominator den and divides out their gcd, and folds ints
+over one scalar scale: an action with den != 1 multiplies the other
+columns, and the scale, by den. Whenever the scale's bit length has
+doubled since the last reduction (and passed 64), rows and scale are
+divided by their gcd, so entries whose true denominators stay small keep
+small integers. Entries become Fraction(x, scale) at the end. Each call
+keeps its letters' actions in its own dict, so a repeated letter costs one
+lookup and an image depends on nothing outside the call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .braidword import GroupId, Letter, Word
-from .errors import IncompatibleRepGroup, KindNotInGroup
-from .laurent import (Assignment, LaurentPoly, Matrix, apply_action,
-                      eval_numerators)
+from .errors import IncompatibleRepGroup
+from .laurent import Assignment, LaurentPoly, Matrix, apply_action
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -53,7 +48,6 @@ _FAMILIES = {
 }
 
 _1, _T, _T_INV = (0, 0, 0), (1, 0, 0), (-1, 0, 0)   # exponent shifts
-EVALUATED_ACTIONS = 1024    # evaluated letter actions kept across calls
 
 
 def check_compatible(rep: str, group: GroupId) -> None:
@@ -71,7 +65,8 @@ def rep_dim(rep: str, group: GroupId) -> int:
 def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
             positive: bool):
     """Action form of a letter on its two slots:
-    ((dest, ((sign, shift, src), ...)), ...)."""
+    ((dest, ((sign, shift, src), ...)), ...). The kind is one that Word and
+    check_compatible admit for rep."""
     a, b = slots[0] - 1, slots[1] - 1
     if kind == "s" and rep == BURAU_REDUCED:
         lo, mid, hi = (_T, _T, _1) if positive else (_1, _T_INV, _T_INV)
@@ -85,36 +80,37 @@ def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     if kind == "s":                 # block [[0, 1], [t^-1, 1 - t^-1]]
         return ((a, ((1, _T_INV, b),)),
                 (b, ((1, _1, a), (1, _1, b), (-1, _T_INV, b))))
-    if kind == "t" and rep in (BURAU_UNREDUCED, BURAU_REDUCED):
-        raise KindNotInGroup(f"t has no image under {rep}")
-    if kind == "p" and rep != RHO_TILDE:
-        raise KindNotInGroup(f"p has no image under {rep}")
-    if kind not in ("t", "p"):
-        raise KindNotInGroup(f"unknown kind {kind!r}")
     m = (0, 0, 1) if kind == "t" and rep == RHO_TILDE else (0, 1, 0)
     m_inv = tuple(-e for e in m)    # block [[0, m], [m^-1, 0]]
     return ((a, ((1, m_inv, b),)), (b, ((1, m, a),)))
 
 
-@lru_cache(maxsize=EVALUATED_ACTIONS)
 def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
                       positive: bool, point: tuple[tuple[int, int], ...]):
     """The letter's action form evaluated at the point t, s, r, given as
-    integer ratios (they hash faster than Fractions): (updates, den, kept).
-    updates ((dest, ((num, src), ...)), ...) carry integer numerators over
-    den > 0 in lowest terms, one per source; kept lists the columns the
-    action leaves alone."""
+    integer ratios: (updates, den, kept). updates
+    ((dest, ((num, src), ...)), ...) carry integer numerators over den > 0 in
+    lowest terms, one per source; kept lists the columns the action leaves
+    alone. Each term is a +-monomial, so it is a ratio of products of the
+    point's numerators and denominators."""
     action = _action(rep, dim, kind, slots, positive)
-    merged: dict = {}
+    values = []    # (dest, src, num, den) per term
     for dest, terms in action:
         for sign, shift, src in terms:
-            poly = merged.setdefault((dest, src), {})
-            poly[shift] = poly.get(shift, 0) + sign
-    nums, den = eval_numerators([LaurentPoly(p) for p in merged.values()],
-                                Assignment(*(Fraction(*x) for x in point)))
-    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+            num, den = sign, 1
+            for e, (n, d) in zip(shift, point):
+                if e > 0:
+                    num, den = num * n ** e, den * d ** e
+                elif e:
+                    num, den = num * d ** -e, den * n ** -e
+            values.append((dest, src, num, den))
+    den = lcm(*(v[3] for v in values))
+    nums: dict = {}
+    for dest, src, n, d in values:
+        nums[dest, src] = nums.get((dest, src), 0) + n * (den // d)
+    g = gcd(den, *nums.values())
     updates: dict = {dest: [] for dest, _ in action}
-    for (dest, src), num in zip(merged, nums):
+    for (dest, src), num in nums.items():
         if num:
             updates[dest].append((num // g, src))
     kept = tuple(c for c in range(dim) if c not in updates)

@@ -196,6 +196,14 @@ def test_word_json_refuses_non_integer_fields(letter, field):
         word_from_json(data)
 
 
+@pytest.mark.parametrize("flag", ("false", "true", 0, 1, None))
+def test_word_json_flat_braid_relation_must_be_a_boolean(flag):
+    data = {"group": {"family": "FVB", "strands": 3,
+                      "flatBraidRelation": flag}, "letters": []}
+    with pytest.raises(WordSyntaxError, match="is not a boolean"):
+        word_from_json(data)
+
+
 def test_relation_suite_shapes():
     labels_b = [lab for lab, _, _ in relation_suite(GroupId("B", 4))]
     assert any("far" in lab for lab in labels_b)

@@ -307,7 +307,7 @@ def test_parse_deep_nesting_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv", (
     ("parse", "(s1 s2)^1000000000", "--group", "B3"),
     ("parse", "s1", "--group", "B1000000000"),
-    ("rep", "s1", "--group", "B1000000000"),
+    ("rep", "s1", "--group", "B1000000000", "--rep", "rho"),
     ("check", "--cocycle", "--n", "1000000000"),
     ("check", "--oracle", "--n", "1000000000"),
     ("geom", "--synth", "s1", "--n", "1000000000")))
@@ -375,3 +375,50 @@ def test_rep_rational_eval(capsys):
                        "--rep", "burau-unreduced", "--eval", "t=1/2,s=1")
     assert code == 0
     assert out.splitlines()[0] == "1/2,1/2,0,0,0"
+
+
+@pytest.mark.parametrize("extra,message", (
+    (("--rep", "rho", "--k", "2"), "--k needs --pipeline"),
+    (("--rep", "rho", "--d", "2"), "--d needs --pipeline")))
+def test_rep_pipeline_options_need_pipeline(capsys, extra, message):
+    code, out, err = run(capsys, "rep", "s1", "--group", "B3", *extra)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", (
+    (), ("--pipeline", "pk-fd", "--rep", "burau-reduced")))
+def test_rep_needs_exactly_one_of_rep_and_pipeline(capsys, target):
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "s1^2", "--group", "B3", *target, "--eval", "t=-1,s=1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--rep" in err and "--pipeline" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,message", (
+    (("--project-pk", "2", "--scheme", "swap-in-place"),
+     "--scheme needs --psi"),
+    (("--project-pk", "2", "--seed", "3"), "--seed needs --perturb")))
+def test_geom_scheme_and_seed_need_their_modes(capsys, extra, message):
+    assert f"error: {message}" in _modifier_without_reading(capsys, *extra)
+
+
+@pytest.mark.parametrize("magnitude", ("-0.3", "nan"))
+def test_geom_negative_or_nan_perturbation_is_a_usage_error(capsys,
+                                                            magnitude):
+    code, out, err = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                         "--perturb", magnitude, "--project-pk", "2")
+    assert code == 2 and out == ""
+    assert "must be non-negative" in err and "Traceback" not in err
+
+
+def test_geom_svg_marks_power_map_events(capsys, tmp_path):
+    counts = []
+    for reading in ("--project-pk", "--power-map"):
+        target = tmp_path / "out.svg"
+        code, _, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                         reading, "2", "--svg", str(target))
+        assert code == 0
+        counts.append(target.read_text().count("<circle"))
+    assert counts[0] > 0 and counts[1] == counts[0]

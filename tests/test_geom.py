@@ -180,6 +180,13 @@ def test_perturb_guard_and_determinism():
     assert p1.end_config() == b.end_config()
 
 
+@pytest.mark.parametrize("magnitude", (-0.3, -1e-9, math.nan))
+def test_perturb_refuses_negative_and_nan_magnitude(magnitude):
+    b = artin_dynamics(parse_word("A[1,3]", B4))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        perturb(b, 1, magnitude)
+
+
 def test_resample_preserves_paths():
     b = artin_dynamics(parse_word("A[2,4]", B4))
     r = resample(b, 3)
@@ -369,6 +376,43 @@ def test_cut_passage_exactly_at_the_time_boundary_is_refused():
                ((0.0, 0.25 + 0.25j), (1.0, 2 + 0j)))
     with pytest.raises(NonGenericInput, match="event at the time boundary"):
         cylinder_events(GeomBraid(3, strands), 1)
+
+
+SIDEWAYS = Conventions(cut_angle=2.0)
+
+
+@pytest.mark.parametrize("strands,conv,what", (
+    # strand 3 crosses the ray from strand 1 through strand 2 at a slope of
+    # 2e-12, running along it
+    ((((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 0j), (1.0, 1 + 0j)),
+      ((0.0, 2 - 1e-12j), (1.0, 3 + 1e-12j))), SIDEWAYS, "alignment"),
+    # strand 2 crosses the cut at angle 0 of strand 1 the same way
+    ((((0.0, 0j), (1.0, 0j)), ((0.0, 1 - 1e-12j), (1.0, 2 + 1e-12j)),
+      ((0.0, -1 + 2j), (1.0, -1 + 2j))), FIXED_CUT, "cut passage")))
+def test_tangential_cylinder_event_is_refused(strands, conv, what):
+    with pytest.raises(NonGenericInput, match=f"tangential {what} at t=0.5"):
+        cylinder_events(GeomBraid(3, strands), 1, conv)
+
+
+def test_triple_alignment_is_refused():
+    # at t = 1/2 strands 2, 3 and 4 are all on the positive real axis, as
+    # seen from strand 1
+    strands = (((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 0j), (1.0, 1 + 0j)),
+               ((0.0, 2 - 1j), (1.0, 2 + 1j)), ((0.0, 3 + 1j), (1.0, 3 - 1j)))
+    with pytest.raises(NonGenericInput,
+                       match=r"triple alignment at t=0.5 .*pair \(2, 3\)"):
+        cylinder_events(GeomBraid(4, strands), 1, SIDEWAYS)
+
+
+def test_radial_tie_at_alignment_is_refused():
+    # strand 3 passes strand 2 5e-6 farther out, 1e4 from strand 1: more
+    # than SEPARATION_TOL apart, within _RADIAL_TIE of the same radius
+    far = 1e4
+    strands = (((0.0, 0j), (1.0, 0j)), ((0.0, far + 0j), (1.0, far + 0j)),
+               ((0.0, far + 5e-6 - 1j), (1.0, far + 5e-6 + 1j)))
+    with pytest.raises(NonGenericInput,
+                       match=r"radial tie at alignment at t=0.5"):
+        cylinder_events(GeomBraid(3, strands), 1, SIDEWAYS)
 
 
 def test_cylinder_events_json_records():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep import rep
 from braidrep.braidword import (GroupId, Word, format_word,
                                 free_reduce_letters, invert, parse_word,
                                 random_pure_word)
@@ -261,9 +260,9 @@ def pipeline_battery() -> str:
 
 
 def test_pipeline_battery_is_pinned_with_cold_and_warm_caches():
-    rep._evaluated_action.cache_clear()
+    rotation_block_letters.cache_clear()
     cold = pipeline_battery()
-    assert rep._evaluated_action.cache_info().hits > 0
+    assert rotation_block_letters.cache_info().hits > 0
     warm = pipeline_battery()
     assert warm == cold
     assert len(cold.splitlines()) == 864

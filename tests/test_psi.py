@@ -129,6 +129,28 @@ def test_pair_parked_off_every_ray_reads_nothing():
             read(b)
 
 
+def touching(dy: float) -> GeomBraid:
+    """Strand 2 comes to 3 + dy*i at t = 1/2 and turns back up: for dy = 0
+    its cross ratio touches the real line at the breakpoint."""
+    return GeomBraid(2, (((0.0, 2 + 0j), (1.0, 2 + 0j)),
+                         ((0.0, 3 + 1j), (0.5, 3 + dy * 1j),
+                          (1.0, 3.5 + 1j))))
+
+
+def test_touch_at_a_pair_breakpoint_is_refused():
+    # the segments on either side each see a root at the touch, with
+    # opposite negative ends: two events too close to tell apart, not one
+    # crossing
+    for read in (psi_events, lambda b: psi_d_events(b, 4)):
+        with pytest.raises(NonGenericInput, match="events closer than the "
+                           "separation margin at t=0.5"):
+            read(touching(0.0))
+        assert read(touching(1e-7)) == ()
+        below = read(touching(-1e-7))
+        assert [(e.cls, e.ne) for e in below] == \
+            [("classical_under", 1), ("classical_under", 2)]
+
+
 EVERY_READING = (psi_events, lambda b: psi_events(b, method="mobius"),
                  lambda b: psi_d_events(b, 2), lambda b: psi_d_events(b, 3),
                  lambda b: psi_d_events(b, 4))
@@ -719,7 +741,6 @@ def reference_cylinder_events(braid: GeomBraid, k: int, conv: Conventions):
         for sa, sb, pair, what in items:
             (a0, da), (b0, db) = rel[sa], rel[sb]
             coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
-            bern = bern[:4] + ((a0 + da) * (b0 + db).conjugate(),)
             scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + 1e-300
             for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
                 t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u

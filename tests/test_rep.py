@@ -9,10 +9,9 @@ from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               mat_eval, mat_mul)
-from braidrep import rep
-from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, EVALUATED_ACTIONS,
-                          RHO, RHO_TILDE, check_compatible, generator_image,
-                          rep_dim, word_image)
+from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
+                          check_compatible, generator_image, rep_dim,
+                          word_image)
 
 CPB4 = GroupId("CPB", 4)
 VCB4 = GroupId("VCB", 4)
@@ -214,16 +213,33 @@ def test_generator_image_and_word_image_dispatch():
         word_image(parse_word("s1", CPB4), BURAU_REDUCED)
 
 
-def test_evaluated_action_table_stays_within_its_bound():
-    table = rep._evaluated_action
-    table.cache_clear()
+def test_evaluated_image_matches_symbolic_at_1123_points():
     word = parse_word("s1 s2^-1 s1", GroupId("B", 3))
     symbolic = word_image(word, BURAU_UNREDUCED)
-    points = [Assignment(Fraction(k, 7), Fraction(1))
-              for k in range(1, EVALUATED_ACTIONS + 100)]
-    for a in points:
-        word_image(word, BURAU_UNREDUCED, a)
-        assert table.cache_info().currsize <= EVALUATED_ACTIONS
-    assert table.cache_info().currsize == EVALUATED_ACTIONS
-    for a in points[::97] + points[-3:]:
+    for k in range(1, 1124):
+        a = Assignment(Fraction(k, 7), Fraction(1))
         assert word_image(word, BURAU_UNREDUCED, a) == mat_eval(symbolic, a)
+
+
+def test_evaluated_letter_images_match_symbolic_on_a_grid():
+    """Every one-letter image of every rep, kind, slot and sign, evaluated
+    directly, equals mat_eval of its symbolic image, at points with negative
+    and non-unit values."""
+    cases = [(RHO, "B", "s"), (RHO, "CPB", "s"), (RHO, "VCB", "st"),
+             (RHO_TILDE, "FVB", "spt"), (BURAU_UNREDUCED, "B", "s"),
+             (BURAU_REDUCED, "B", "s")]
+    values = [Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(5, 7)]
+    grid = [Assignment(t, s, r) for t in values for s in values
+            for r in (Fraction(1), Fraction(-4, 9))]
+    for rep_id, fam, kinds in cases:
+        for n in (2, 3, 5):
+            g = GroupId(fam, n)
+            for kind in kinds:
+                for i in g.indices:
+                    for power in (1, -1):
+                        word = Word(g, (Letter(kind, i, power),))
+                        symbolic = word_image(word, rep_id)
+                        for a in grid:
+                            assert word_image(word, rep_id, a) == \
+                                mat_eval(symbolic, a), (rep_id, g, kind, i,
+                                                         power, a)
