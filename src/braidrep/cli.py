@@ -231,8 +231,11 @@ def _cmd_geom(args) -> int:
         print(json.dumps(geom.braid_to_json(braid)))
         emitted = True
     if args.svg:
-        # pair events name the strands of the punctured view, not the braid's
-        marks = geom.events_to_json(events or ()) if args.psi is None else None
+        marks = geom.events_to_json(events or ())
+        if args.psi is not None:    # view strand v is the v-th other than k, l
+            others = [s for s in range(1, braid.n + 1) if s not in args.psi]
+            for mark in marks:
+                mark["pair"] = [others[v - 1] for v in mark["pair"]]
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(geom.render_svg(braid, marks))
         print(f"wrote {args.svg}")

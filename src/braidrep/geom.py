@@ -34,8 +34,8 @@ built, one angle bound skips the segments it proves event-free: arg(N/D) is
 a signed sum of the angles of the vectors N and D are made of, each
 monotone on a segment between its unwound breakpoint values. One routine
 isolates every root: Descartes' rule of signs in the Bernstein basis with
-halving, then bisection; roots too close to separate raise
-NonGenericInput. Every reading returns Event records.
+halving, then Illinois steps on each isolating bracket; roots too close to
+separate raise NonGenericInput. Every reading returns Event records.
 """
 
 from __future__ import annotations
@@ -465,9 +465,9 @@ def _isolate(coeffs, bern, t0: float, h: float,
     Bernstein basis, the roots in an open interval are at most the sign
     variations of the Bernstein coefficients there, and as many mod 2. So
     halving by de Casteljau runs until each piece has at most one variation,
-    and a piece with one is bisected to BISECTION_TOL in t. Pieces that keep
-    two variations down to GENERICITY_TOL in t hold roots too close to tell
-    apart, and raise NonGenericInput."""
+    and a piece with one is refined to BISECTION_TOL in t (_refine). Pieces
+    that keep two variations down to GENERICITY_TOL in t hold roots too
+    close to tell apart, and raise NonGenericInput."""
     roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
     if bern[-1] == 0.0:
         roots.append(1.0)
@@ -477,7 +477,7 @@ def _isolate(coeffs, bern, t0: float, h: float,
         signs = [x > 0.0 for x in b if x != 0.0]
         changes = sum(s != r for s, r in zip(signs, signs[1:]))
         if changes == 1:
-            roots.append(_bisect(coeffs, lo, hi, signs[0], h))
+            roots.append(_refine(coeffs, lo, hi, b, signs[0], h))
         elif changes > 1:
             if (hi - lo) * h <= GENERICITY_TOL:
                 raise NonGenericInput("real roots closer than the genericity "
@@ -500,19 +500,29 @@ def _halve(b):
     return left, right[::-1]
 
 
-def _bisect(coeffs, lo: float, hi: float, positive_at_lo: bool,
+def _refine(coeffs, lo: float, hi: float, b, positive_at_lo: bool,
             h: float) -> float:
     """The one sign change of a real polynomial in (lo, hi), to BISECTION_TOL
-    in t; positive_at_lo is its sign just right of lo."""
+    in t; b is its Bernstein coefficients there, positive_at_lo its sign just
+    right of lo. Illinois steps (Dowell & Jarratt 1971): regula falsi that
+    halves the value at the end it keeps if the step before kept that end
+    too, or is the first. bound is bisection's width after as many
+    evaluations, times 4; a step that could leave the bracket wider than
+    bound (or an end with value 0, a root counted already) is a halving, so
+    no root costs more evaluations than bisection plus 2."""
+    flo, fhi, side, bound = b[0], b[-1], 0, 4.0 * (hi - lo)
     while (hi - lo) * h > BISECTION_TOL:
-        mid = (lo + hi) / 2
-        fm = _horner(coeffs, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == positive_at_lo:
-            lo = mid
+        bound /= 2
+        x = lo + (hi - lo) * flo / (flo - fhi) if flo and fhi else lo
+        if not lo < x < hi or hi - lo > bound:
+            x = (lo + hi) / 2
+        fx = _horner(coeffs, x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == positive_at_lo:
+            lo, flo, fhi, side = x, fx, fhi / 2 if side >= 0 else fhi, 1
         else:
-            hi = mid
+            hi, fhi, flo, side = x, fx, flo / 2 if side <= 0 else flo, -1
     return (lo + hi) / 2
 
 

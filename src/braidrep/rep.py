@@ -12,8 +12,15 @@ Words act on the right of an accumulator matrix. z^k rotates the columns
 by k; every other letter is one action form, a tuple of updates
 dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 (1 - t is two terms), so a product costs O(len * dim) ring operations
-instead of O(len * dim^3). The symbolic fold hands each action to
-laurent.apply_action, the row update mat_mul uses too. The evaluated fold
+instead of O(len * dim^3). The symbolic fold holds the accumulator as
+rows * P, P a pending monomial permutation: column c is t^a s^b r^c
+(shift[c]) times column perm[c] of rows. z, t and p, whose images are
+monomial permutations, only update (perm, shift). Every other letter's
+action is rewritten through P (dest and src mapped through perm, each
+term's shift plus shift[src] - shift[dest]; used as it is while P is the
+identity, indices only while no shift is set) and handed to
+laurent.apply_action, the row update mat_mul uses too; P is applied once
+at the end. The evaluated fold
 evaluates each action's +-monomial terms directly in integers, puts them
 over one common denominator den and divides out their gcd, and folds ints
 over one scalar scale: an action with den != 1 multiplies the other
@@ -29,10 +36,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup
-from .laurent import Assignment, LaurentPoly, Matrix, apply_action
+from .laurent import (Assignment, LaurentPoly, Matrix, apply_action,
+                      monomial_sum)
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -134,10 +143,15 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     cache: dict = {}
     point = None if assignment is None else tuple(
         v.as_integer_ratio() for v in (assignment.t, assignment.s, assignment.r))
+    ident = list(range(dim))
+    perm, shift = list(ident), [_1] * dim    # the symbolic fold's pending P
     for letter in word.letters:
-        if letter.kind == "z":
-            cols = [(c - letter.power) % dim for c in range(dim)]
-            rows = [[row[c] for c in cols] for row in rows]
+        if letter.kind == "z":    # column c becomes column c - power
+            k = -letter.power % dim
+            if point is None:
+                perm, shift = perm[k:] + perm[:k], shift[k:] + shift[:k]
+            else:
+                rows = [row[k:] + row[:k] for row in rows]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
@@ -149,6 +163,16 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
         reps = abs(letter.power)
         if letter.kind in ("t", "p"):
             reps %= 2
+            if point is None:    # P becomes P times the letter's block
+                for d, p, e in [(d, perm[src], tuple(map(add, m, shift[src])))
+                                for d, ((_, m, src),) in action] * reps:
+                    perm[d], shift[d] = p, e
+                continue
+        shifted = point is None and shift.count(_1) < dim
+        if shifted or point is None and perm != ident:    # rewrite through P
+            action = tuple((perm[d], tuple((sign, tuple(map(
+                sub, map(add, m, shift[src]), shift[d])) if shifted else m,
+                perm[src]) for sign, m, src in terms)) for d, terms in action)
         for _ in range(reps):
             if assignment is None:
                 apply_action(rows, action)
@@ -174,7 +198,9 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                 scale //= g
                 reduced = max(scale.bit_length(), 32)
     if assignment is None:
-        return Matrix(dim, tuple(tuple(r) for r in rows))
+        return Matrix(dim, tuple(tuple(
+            row[p] if e == _1 else monomial_sum(row, ((1, e, p),))
+            for p, e in zip(perm, shift)) for row in rows))
     return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
 
 

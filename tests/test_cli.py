@@ -3,6 +3,7 @@ import json
 import pytest
 
 from braidrep.cli import main
+from braidrep.geom import braid_from_json
 
 TARGET_ROWS = ["481,-880,800,-400", "480,-879,800,-400",
                "480,-880,801,-400", "480,-880,800,-399"]
@@ -422,3 +423,21 @@ def test_geom_svg_marks_power_map_events(capsys, tmp_path):
         assert code == 0
         counts.append(target.read_text().count("<circle"))
     assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_geom_svg_marks_pair_events_on_braid_strands(capsys, tmp_path):
+    target = tmp_path / "out.svg"
+    code, out, _ = run(capsys, "geom", "--synth", "comm(A[1,3]; A[2,4])",
+                       "--group", "B4", "--psi", "1", "3", "--emit-events",
+                       "--emit-braid", "--svg", str(target))
+    assert code == 0
+    events, _ = json.JSONDecoder().raw_decode(out)
+    braid = braid_from_json(json.loads(out.splitlines()[-2]))
+    svg = target.read_text()
+    assert len(events) == 12 and svg.count("<circle") == len(events)
+    # view strands 1 and 2 are braid strands 2 and 4: each mark sits midway
+    xs = [z.real for bps in braid.strands for _, z in bps]
+    for event in events:
+        x = (braid.at(2, event["t"]).real + braid.at(4, event["t"]).real) / 2
+        cx = 40.0 + (x - min(xs)) / (max(xs) - min(xs)) * 560.0
+        assert f'<circle cx="{cx:.2f}"' in svg

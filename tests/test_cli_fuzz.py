@@ -4,12 +4,18 @@ traceback.
 
 Generated powers stay in -3..3 and no token starts with a digit, so a power
 can never grow into something like s1^2000000 (which alone takes seconds to
-parse); word sizes are bounded by the token count.
+parse); word sizes are bounded by the token count. Each call also runs
+under a CALL_SECONDS alarm and fails, naming its argv, when the alarm fires;
+hypothesis itself keeps no per-example deadline (conftest.py), because the
+host's speed varies.
 """
 
 import io
 import json
 import math
+import signal
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -31,12 +37,42 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+CALL_SECONDS = 20    # time bound on one CLI call
+
+
+class CallTimedOut(BaseException):
+    """Raised by the alarm; a BaseException, so that no handler in the CLI
+    (which maps OSError, and so TimeoutError, to an exit code) swallows it."""
+
+
+def _expired(signum, frame):
+    raise CallTimedOut
+
+
 def assert_contract(argv):
-    code, _, err = run_cli(argv)
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(CALL_SECONDS)
+    try:
+        code, _, err = run_cli(argv)
+    except CallTimedOut:
+        pytest.fail(f"CLI call ran past {CALL_SECONDS} s: {argv!r}")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in range(6), (argv, code, err)
     assert "Traceback" not in err
     if code >= 2:
         assert "error:" in err, (argv, code, err)
+
+
+def test_contract_fails_a_call_that_outruns_its_bound(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "CALL_SECONDS", 1)
+    monkeypatch.setattr(sys.modules[__name__], "main",
+                        lambda argv: time.sleep(30))
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"ran past 1 s: \['geom', '--n', '4'\]"):
+        assert_contract(["geom", "--n", "4"])
+    assert signal.getsignal(signal.SIGALRM) is not _expired
 
 
 TOKENS = ("s1", "s2", "s4", "s0", "s9", "t1", "p1", "z", "s", "A[1,3]",

@@ -3,19 +3,21 @@ import functools
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidrep import geom
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
 from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
-from braidrep.geom import (PUNCTURE_TOL, TWO_PI, Conventions, Event, GeomBraid,
-                           _classify, _cross_ratio_models, _cylinder_crossing,
-                           _cylinder_segments, _finish, _pair_quartic,
-                           _pair_segments, _ray_lines, _ray_roots,
-                           artin_dynamics, concat, cylinder_events,
+from braidrep.geom import (BISECTION_TOL, PUNCTURE_TOL, TWO_PI, Conventions,
+                           Event, GeomBraid, _classify, _cross_ratio_models,
+                           _cylinder_crossing, _cylinder_segments, _finish,
+                           _pair_quartic, _pair_segments, _ray_lines,
+                           _ray_roots, artin_dynamics, concat, cylinder_events,
                            cylinder_reading, flat_virtual_word, initial_order,
                            linking_number, perturb, psi_d_events, psi_events,
                            q_kl, realize_flat_virtual, resample)
@@ -969,3 +971,81 @@ def test_pair_words_hold_at_every_float_scale():
         for read in (psi_events, lambda b: psi_d_events(b, 3)):
             with pytest.raises(NonGenericInput, match="float range"):
                 read(transformed(COMM_4, 10.0 ** e))
+
+
+def bisected(coeffs, lo, hi, b, positive_at_lo, h):
+    """Root refinement as it was before the Illinois steps: bisection to
+    BISECTION_TOL in t, one Horner evaluation per halving."""
+    while (hi - lo) * h > BISECTION_TOL:
+        mid = (lo + hi) / 2
+        fm = geom._horner(coeffs, mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("r", (0.01, 0.1, 1 / 3, 0.501, 0.9))
+@pytest.mark.parametrize("p", (3, 5))
+def test_illinois_refinement_is_bounded_at_a_multiple_root(monkeypatch, r, p):
+    """At a root of odd multiplicity regula falsi alone converges slowly,
+    here up to twice the halvings bisection needs on [0, 1] (40); the
+    halvings keep the refinement within those plus 2."""
+    coeffs = [math.comb(p, i) * (-r) ** (p - i) for i in range(p + 1)]
+    bern = [sum(math.comb(k, i) / math.comb(p, i) * coeffs[i]
+                for i in range(k + 1)) for k in range(p + 1)]
+    calls = []
+    horner = geom._horner
+    monkeypatch.setattr(geom, "_horner",
+                        lambda coeffs, u: calls.append(u) or horner(coeffs, u))
+    geom._refine(coeffs, 0.0, 1.0, bern, bern[0] > 0.0, 1.0)
+    assert len(calls) <= math.ceil(-math.log2(BISECTION_TOL)) + 2
+
+
+def test_illinois_refinement_reads_as_bisection(monkeypatch):
+    """Bench-shaped braids, plain and perturbed, read plain, at d=3 and on
+    the cylinder, once with the Illinois refinement and once with
+    bisection: every event but its time is equal, times move by at most
+    BISECTION_TOL, and no root costs more Horner calls than bisection's
+    plus 2."""
+    calls, costs = [0], []
+    horner, refine = geom._horner, geom._refine
+
+    def counted(coeffs, u):
+        calls[0] += 1
+        return horner(coeffs, u)
+
+    def refine_and_bisect(*args):
+        calls[0] = 0
+        root = refine(*args)
+        illinois, calls[0] = calls[0], 0
+        bisected(*args)
+        costs.append((illinois, calls[0]))
+        return root
+
+    rng = random.Random(9106)
+    readings = []
+    for _ in range(8):
+        b = bench_shaped(rng)
+        for copy in (b, perturb(b, rng.randrange(1 << 30), 1e-6)):
+            view = q_kl(copy, *rng.sample(range(1, 7), 2))
+            readings += [(psi_events, view), (psi_d_events, view, 3),
+                         (cylinder_events, copy, rng.randrange(1, 7))]
+    monkeypatch.setattr(geom, "_horner", counted)
+    monkeypatch.setattr(geom, "_refine", refine_and_bisect)
+    new = [pair_outcome(call, *args) for call, *args in readings]
+    monkeypatch.setattr(geom, "_refine", bisected)
+    old = [pair_outcome(call, *args) for call, *args in readings]
+    refusals = [(x, y) for x, y in zip(new, old) if isinstance(y[0], type)]
+    assert all(x == y for x, y in refusals)
+    pairs = [(a, b) for x, y in zip(new, old) if not isinstance(y[0], type)
+             for a, b in zip(x, y)]
+    assert [len(x) for x in new] == [len(y) for y in old]
+    assert len(pairs) > 2000 and len(costs) > 3000
+    assert all(replace(a, time=0.0) == replace(b, time=0.0) for a, b in pairs)
+    assert max(abs(a.time - b.time) for a, b in pairs) <= BISECTION_TOL
+    assert all(illinois <= bisection + 2 for illinois, bisection in costs)
+    assert 4 * sum(c[0] for c in costs) < sum(c[1] for c in costs)

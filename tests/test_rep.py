@@ -8,9 +8,9 @@ from braidrep.braidword import (GroupId, Letter, Word, bigelow5, parse_word,
 from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
-                              mat_eval, mat_mul)
+                              mat_eval, mat_mul, mat_to_text)
 from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
-                          check_compatible, generator_image, rep_dim,
+                          _action, check_compatible, generator_image, rep_dim,
                           word_image)
 
 CPB4 = GroupId("CPB", 4)
@@ -112,6 +112,55 @@ def test_word_image_multiplicative():
             u, v = rand_word(), rand_word()
             assert word_image(u * v, reps[fam]) == \
                 mat_mul(word_image(u, reps[fam]), word_image(v, reps[fam]))
+
+
+def letter_matrix(rep_id, g, letter):
+    """The image of a letter of power +-1 built entry by entry, apart from
+    the fold: z as the cyclic shift, any other letter from its action
+    form (column dest of the identity becomes the sum of its terms)."""
+    n = g.strands
+    if letter.kind == "z":
+        return Matrix(n, tuple(tuple(ONE if j == (i + letter.power) % n
+                                     else ZERO for j in range(n))
+                               for i in range(n)))
+    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    for dest, terms in _action(rep_id, n, letter.kind,
+                               g.slots(letter.index), letter.power > 0):
+        cols[dest] = [ZERO] * n
+        for sign, (a, b, c), src in terms:
+            cols[dest][src] += LaurentPoly.monomial(sign, a, b, c)
+    return Matrix(n, tuple(zip(*cols)))
+
+
+@pytest.mark.parametrize("family,rep_id,kinds", (
+    ("CPB", RHO, "sz"), ("VCB", RHO, "stz"), ("FVB", RHO_TILDE, "spt"),
+    ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt")))
+def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
+    """The fold that holds z, t and p as a pending monomial permutation
+    equals, byte for byte, the left-to-right product of the images of
+    single letters of power +-1, powers spelled out."""
+    rng = random.Random(f"{family} {kinds}")
+    for n in (3, 4, 5):
+        g = GroupId(family, n)
+        hi = n if g.cyclic else n - 1
+        for _ in range(20):
+            letters = []
+            for _ in range(rng.randrange(1, 14)):
+                k = rng.choice(kinds)
+                power = rng.choice((-1, 1)) * rng.choice(
+                    (1, 1, 2, 3) if k != "z" else (1, 2, n + 1, 2 * n + 3))
+                letters.append(Letter(k, None if k == "z" else
+                                      rng.randrange(1, hi + 1), power))
+            product = Matrix.identity(n)
+            for l in letters:
+                unit = letter_matrix(rep_id, g, Letter(
+                    l.kind, l.index, 1 if l.power > 0 else -1))
+                assert unit == generator_image(rep_id, g, Letter(
+                    l.kind, l.index, 1 if l.power > 0 else -1))
+                for _ in range(abs(l.power)):
+                    product = mat_mul(product, unit)
+            assert mat_to_text(word_image(Word(g, tuple(letters)), rep_id)) \
+                == mat_to_text(product), (str(g), letters)
 
 
 def test_evaluated_image_matches_symbolic():
