@@ -17,25 +17,28 @@ z (Dv z)^(d-1).
 
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
 q_kl views the braid with strands k and l as the punctures 0 and 1, after an
-exact check that no other strand comes near them. Each other pair is watched
-through the four-point cross ratio on the braid's own segments; its real
-crossings are events, classified as over, under or flat by where on the real
-line they happen, and realized as a flat-virtual word. The d-th power
-reading watches the rays at angles 2 pi p / d; the plain reading is d=2.
+exact check that no other strand comes near them, and builds the view's pair
+model once: its scaled segments and their angle ranges, which every reading
+of the view reads. Each other pair is watched through the four-point cross
+ratio on the braid's own segments; its real crossings are events,
+classified as over, under or flat by where on the real line they happen,
+and realized as a flat-virtual word. The d-th power reading watches the
+rays at angles 2 pi p / d; the plain reading is d=2.
 
-All event detection happens on the polyline model itself: between merged
-breakpoints every strand is linear in t, and every event is a ratio N/D on
-a ray. The cylinder's ratios, (z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for
-the cut direction v, have linear N and D and watch ray 0 alone (d=1); a
-cross ratio has quadratic N and D. N/D lies on the line through 0 in
-direction conj(w) where the real polynomial Im(w N conj(D)) vanishes, on the
-ray p or p + d/2 by the sign of Re(w N conj(D)). Before that polynomial is
-built, one angle bound skips the segments it proves event-free: arg(N/D) is
-a signed sum of the angles of the vectors N and D are made of, each
-monotone on a segment between its unwound breakpoint values. One routine
-isolates every root: Descartes' rule of signs in the Bernstein basis with
-halving, then Illinois steps on each isolating bracket; roots too close to
-separate raise NonGenericInput. Every reading returns Event records.
+All event detection happens on the polyline model itself, built once per
+braid with its bounding disks: between merged breakpoints every strand is
+linear in t, and every event is a ratio N/D on a ray. The cylinder's ratios,
+(z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for the cut direction v, have
+linear N and D and watch ray 0 alone (d=1); a cross ratio has quadratic N
+and D. N/D lies on the line through 0 in direction conj(w) where the real
+polynomial Im(w N conj(D)) vanishes, on the ray p or p + d/2 by the sign of
+Re(w N conj(D)). Before that polynomial is built, one angle bound skips the
+segments it proves event-free: arg(N/D) is a signed sum of the angles of the
+vectors N and D are made of, each monotone on a segment between its unwound
+breakpoint values. One routine isolates every root: Descartes' rule of signs
+in the Bernstein basis with halving, then Illinois steps on each isolating
+bracket; roots too close to separate raise NonGenericInput. Every reading
+returns Event records.
 """
 
 from __future__ import annotations
@@ -139,12 +142,14 @@ class Event:
 class GeomBraid:
     """Polyline braid: per strand, breakpoints (time, point) with times
     strictly increasing from 0 to 1. Strands stay SEPARATION_TOL apart at all
-    times: bounding disks (_disks) clear what they can per pair and segment
-    first, and the exact quadratic (_comes_within) decides the rest.
+    times: bounding disks clear what they can per pair and segment first, and
+    the exact quadratic (_comes_within) decides the rest.
 
-    segments is the shared linear model every reading works on: per merged
-    interval [t0, t1], values p and increments q with
-    strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1]."""
+    Two models are built once, when the braid is: segments, the shared
+    linear model every reading works on, per merged interval [t0, t1] values
+    p and increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1],
+    each value at() of its strand at t0; and disks, the _disks of the
+    segments, which the separation check and q_kl's puncture check share."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -163,12 +168,12 @@ class GeomBraid:
         object.__setattr__(self, "_times",
                            tuple([bp[0] for bp in bps] for bps in self.strands))
         times = _merged_times(self.strands)
-        configs = [tuple([self.at(s, t) for s in range(1, self.n + 1)])
-                   for t in times]
+        configs = list(zip(*(_walk(bps, times) for bps in self.strands)))
         object.__setattr__(self, "segments", tuple(
             (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
             for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
         try:
+            object.__setattr__(self, "disks", _disks(self.segments, self.n))
             self._check_separation()
         except OverflowError:
             raise ValueError("breakpoint points too large for float "
@@ -181,6 +186,7 @@ class GeomBraid:
 
     def at(self, strand: int, t: float) -> complex:
         """Position of 1-based strand at time t."""
+        _check_strand(self, strand)
         bps = self.strands[strand - 1]
         times = self._times[strand - 1]
         lo = bisect_right(times, t, 1, len(times) - 1) - 1
@@ -199,18 +205,38 @@ class GeomBraid:
         return tuple(bps[-1][1] for bps in self.strands)
 
     def _check_separation(self) -> None:
-        cen, rad = _disks(self.segments, self.n)
+        cen, rad = self.disks
+        # each filter keeps what its test does not clear, a nan test too
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for (t0, t1, p, q), ci, cj, ri, rj in zip(
-                        self.segments, cen[i], cen[j], rad[i], rad[j]):
-                    if abs(ci - cj) > ri + rj + SEPARATION_TOL:
-                        continue
+                near = [seg for seg, ci, cj, ri, rj in zip(
+                            self.segments, cen[i], cen[j], rad[i], rad[j])
+                        if not abs(ci - cj) > ri + rj + SEPARATION_TOL]
+                for t0, t1, p, q in near:
                     u = _comes_within(p[i] - p[j], q[i] - q[j], 1, 0, SEPARATION_TOL)
                     if u is not None:
                         raise SeparationViolated(
                             f"strands {i + 1} and {j + 1} within tolerance "
                             f"near t={t0 + (t1 - t0) * u:.6f}")
+
+
+def _check_strand(braid: GeomBraid, strand: int) -> None:
+    if not 1 <= strand <= braid.n:
+        raise ValueError(f"strand {strand} outside 1..{braid.n}")
+
+
+def _walk(bps, times) -> list[complex]:
+    """A strand's position at each of the increasing times, by one forward
+    walk over its breakpoints: the segment and the formula of at()."""
+    out, lo, last = [], 0, len(bps) - 2
+    (t0, z0), (t1, z1) = bps[0], bps[1]
+    for t in times:
+        while lo < last and t1 <= t:
+            lo += 1
+            (t0, z0), (t1, z1) = bps[lo], bps[lo + 1]
+        out.append(z0 if t <= t0 else z1 if t >= t1
+                   else z0 + (z1 - z0) * ((t - t0) / (t1 - t0)))
+    return out
 
 
 def _merged_times(strands) -> list[float]:
@@ -385,6 +411,10 @@ def _winding(turns: list[float], i: int, j: int) -> int:
 def linking_number(braid: GeomBraid, i: int, j: int) -> int:
     """Integer winding of strand i around strand j (symmetric): the last
     unwound angle of z_i - z_j over 2 pi."""
+    _check_strand(braid, i)
+    _check_strand(braid, j)
+    if i == j:
+        raise ValueError(f"strand {i} has no winding with itself")
     return _winding(_strand_turns(braid, i - 1, j - 1), i, j)
 
 
@@ -685,31 +715,31 @@ def power_map_extract(braid: GeomBraid, k: int, d: int,
 class PuncturedView:
     """A braid punctured at its strands k0 and l0 (0-based), sent to 0 and 1
     by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order.
-    turns holds, per other strand s, the _turns of z_s - z_k and of
-    z_s - z_l that q_kl computed for its winding check."""
+    model is the pair model every reading of the view works on, built once
+    by q_kl: its _pair_segments and their _angle_ranges."""
 
     braid: GeomBraid
     k0: int
     l0: int
-    turns: tuple[tuple[list[float], list[float]], ...] = \
-        field(compare=False, repr=False)
+    model: tuple[list, list] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.braid.n - 2
 
     def start_config(self) -> tuple[complex, ...]:
-        _, _, a, _, c, _ = next(_pair_segments(self))
+        _, _, a, _, c, _ = self.model[0][0]
         return tuple(x / c for x in a)
 
 
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
     winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
-    z_k| of z_k or z_l: bounding disks (_disks) clear what they can per
-    segment first, and the exact quadratic (_comes_within) decides the rest.
-    The unwound angles of the winding check that involve strand k or l go
-    to the view, where they bound the pair readings' cross ratios."""
+    z_k| of z_k or z_l: the braid's bounding disks clear what they can per
+    segment first, and the exact quadratic (_comes_within) decides the rest,
+    segment by segment, strand by strand. Then it builds the view's pair
+    model once; the unwound angles of the winding check that involve strand
+    k or l go into it, where they bound the pair readings' cross ratios."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
@@ -722,42 +752,53 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
             if _winding(turns[i, j], i + 1, j + 1) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
-    cen, rad = _disks(braid.segments, n)
-    for g, (t0, t1, p, q) in enumerate(braid.segments):
-        c, dc = p[l0] - p[k0], q[l0] - q[k0]
-        reach = PUNCTURE_TOL * (abs(c) + abs(dc)) * (1.0 + _DISK_ROUNDING)
-        for s in (s for s in range(n) if s not in (k0, l0)):
-            for x in (k0, l0):
-                if abs(cen[s][g] - cen[x][g]) > rad[s][g] + rad[x][g] + reach:
-                    continue
-                u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc, PUNCTURE_TOL)
-                if u is not None:
-                    raise PunctureCollision(f"strand {s + 1} touches a puncture "
-                                            f"near t={t0 + (t1 - t0) * u:.6f}")
-    return PuncturedView(braid, k0, l0, tuple(
-        (turns[s, k0], turns[s, l0]) for s in range(n) if s not in (k0, l0)))
+    others = [s for s in range(n) if s not in (k0, l0)]
+    cen, rad = braid.disks
+    reach = [PUNCTURE_TOL * (abs(p[l0] - p[k0]) + abs(q[l0] - q[k0]))
+             * (1.0 + _DISK_ROUNDING) for _, _, p, q in braid.segments]
+    # sorted back into the scan order: segment, then strand, then puncture
+    near = sorted((g, s, side) for s in others
+                  for side, x in enumerate((k0, l0))
+                  for g, (cs, cx, rs, rx, r) in enumerate(
+                      zip(cen[s], cen[x], rad[s], rad[x], reach))
+                  if not abs(cs - cx) > rs + rx + r)
+    for g, s, side in near:
+        t0, t1, p, q = braid.segments[g]
+        x = (k0, l0)[side]
+        u = _comes_within(p[s] - p[x], q[s] - q[x], p[l0] - p[k0],
+                          q[l0] - q[k0], PUNCTURE_TOL)
+        if u is not None:
+            raise PunctureCollision(f"strand {s + 1} touches a puncture "
+                                    f"near t={t0 + (t1 - t0) * u:.6f}")
+    segments = _pair_segments(braid, k0, l0)
+    return PuncturedView(braid, k0, l0, (segments, _angle_ranges(
+        segments, [(turns[s, k0], turns[s, l0]) for s in others])))
 
 
-def _pair_segments(braid: GeomBraid | PuncturedView):
+def _pair_segments(braid: GeomBraid, k0: int, l0: int):
     """Per segment (t0, h, a, da, c, dc): each watched strand a + da*u and
-    the other puncture c + dc*u, u in [0, 1], seen from the puncture at 0. A
-    plain GeomBraid has its punctures fixed at 0 and 1. A view is scaled by
-    the power of two that brings the largest |z_l - z_k| into [1/2, 1):
-    exact, and the readings are similarity-invariant, so its quartics stay
-    in float range at any scale the braid accepts."""
-    if isinstance(braid, GeomBraid):
-        yield from ((t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments)
-        return
-    k0, l0 = braid.k0, braid.l0
-    others = [s for s in range(braid.braid.n) if s not in (k0, l0)]
-    segments = braid.braid.segments
+    the other puncture c + dc*u, u in [0, 1], seen from the puncture at
+    strand k0, with l0 the other. The view is scaled by the power of two
+    that brings the largest |z_l - z_k| into [1/2, 1): exact, and the
+    readings are similarity-invariant, so its quartics stay in float range
+    at any scale the braid accepts."""
+    others = [s for s in range(braid.n) if s not in (k0, l0)]
+    segments = braid.segments
     f = math.ldexp(1.0, -math.frexp(max(abs(p[l0] - p[k0])
                                         for _, _, p, _ in segments))[1])
-    for t0, t1, p, q in segments:
-        zk, dzk = p[k0], q[k0]
-        yield (t0, t1 - t0, [(p[s] - zk) * f for s in others],
-               [(q[s] - dzk) * f for s in others], (p[l0] - zk) * f,
-               (q[l0] - dzk) * f)
+    return [(t0, t1 - t0, [(p[s] - p[k0]) * f for s in others],
+             [(q[s] - q[k0]) * f for s in others], (p[l0] - p[k0]) * f,
+             (q[l0] - q[k0]) * f) for t0, t1, p, q in segments]
+
+
+def _pair_model(braid: GeomBraid | PuncturedView):
+    """(segments, ranges) a pair reading works on: a view's model, or one
+    built per call for a plain GeomBraid, whose punctures are fixed at 0
+    and 1."""
+    if isinstance(braid, PuncturedView):
+        return braid.model
+    segments = [(t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments]
+    return segments, _angle_ranges(segments, None)
 
 
 def initial_order(braid: GeomBraid | PuncturedView) -> tuple[int, ...]:
@@ -807,14 +848,14 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     return _pair_events(braid, "cross-ratio", d)
 
 
-def _angle_ranges(braid: GeomBraid | PuncturedView, segments):
+def _angle_ranges(segments, turns):
     """Per watched strand, the _angle_range of a = z - z_k and of b = a - c,
-    whose rounding is relative to the puncture c as well."""
+    whose rounding is relative to the puncture c as well; turns holds per
+    watched strand the _turns of z_s - z_k and of z_s - z_l, or is None."""
     _, _, a_last, da_last, c_last, dc_last = segments[-1]
     c_end = c_last + dc_last
     cs = [abs(seg[4]) for seg in segments] + [abs(c_end)]
     cs = [x + y for x, y in zip(cs, cs[1:])]
-    turns = braid.turns if isinstance(braid, PuncturedView) else None
     out = []
     for s, end in enumerate([x + dx for x, dx in zip(a_last, da_last)]):
         avals = [seg[2][s] for seg in segments] + [end]
@@ -858,20 +899,18 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the lines lie at the multiples of spacing; arg(N/D) = arg a_i + arg b_j
     # - arg b_i - arg a_j, so a segment whose bound on it misses them all
     # has no root; the mobius ratio m is real exactly where N/D = (1 - m)/m is
-    segments = list(_pair_segments(braid))
-    ranges = _angle_ranges(braid, segments)
+    segments, ranges = _pair_model(braid)
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
             (cai, hai), (cbi, hbi) = ranges[i0]
             (caj, haj), (cbj, hbj) = ranges[j0]
-            for (t0, h, a, da, c, dc), x1, x2, x3, x4, r1, r2, r3, r4 in zip(
-                    segments, cai, cbj, cbi, caj, hai, hbj, hbi, haj):
-                off = (x1 + x2 - x3 - x4) % spacing
-                radius = r1 + r2 + r3 + r4
-                if radius < off < spacing - radius:
-                    continue
+            near = [seg for seg, x1, x2, x3, x4, r1, r2, r3, r4 in zip(
+                        segments, cai, cbj, cbi, caj, hai, hbj, hbi, haj)
+                    if not (radius := r1 + r2 + r3 + r4)
+                    < (x1 + x2 - x3 - x4) % spacing < spacing - radius]
+            for t0, h, a, da, c, dc in near:
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
                 for u, ray in _ray_roots(*_pair_quartic(num, den), lines, t0,

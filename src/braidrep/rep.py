@@ -4,7 +4,9 @@ Four representations share one evaluation engine:
 
     rho              dim n,   families B/CPB/VCB, crossing and virtual blocks
                      at cyclically adjacent slots, z acts as the slot rotation
-    rho-tilde        dim n,   family FVB, crossing/flat/virtual blocks on the line
+    rho-tilde        dim n,   family FVB, crossing/flat/virtual blocks on the line:
+                     crossings in t, virtual t_i blocks in r, flat p_i blocks
+                     in s (PAPER.md's summary names s and r the other way)
     burau-unreduced  dim n,   family B
     burau-reduced    dim n-1, family B
 

@@ -10,9 +10,9 @@ from braidrep.braidword import (GroupId, Word, format_word, parse_word,
 from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
-from braidrep.geom import (PUNCTURE_TOL, SEPARATION_TOL, Conventions,
-                           GeomBraid, _comes_within, artin_dynamics,
-                           base_points, braid_from_json,
+from braidrep.geom import (PUNCTURE_TOL, SEPARATION_TOL, _MERGE_GAP,
+                           Conventions, GeomBraid, _comes_within,
+                           artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
                            events_to_json, initial_order,
                            linking_number, perturb, power_map_extract,
@@ -25,6 +25,7 @@ TWO_PI = 2 * math.pi
 
 B4 = GroupId("B", 4)
 B5 = GroupId("B", 5)
+B6 = GroupId("B", 6)
 
 
 def rigid_rotation(direction: int, steps: int = 8, m: int = 4) -> GeomBraid:
@@ -116,6 +117,47 @@ def test_segment_model_matches_point_query():
             for s in range(1, 5):
                 assert abs(p[s - 1] + q[s - 1] * u
                            - b.at(s, t0 + (t1 - t0) * u)) < 1e-12
+
+
+def test_segments_are_the_point_queries_at_every_merged_time():
+    # bench-shaped braids, perturbed and resampled; strands with only their
+    # two end breakpoints; breakpoints within _MERGE_GAP of another
+    # strand's, which merge with it (two in a row, which a strand must walk
+    # past at once), and just past it, which do not
+    braids = []
+    for text in ("comm(A[1,3]; A[3,5]^-1)", "comm(A[5,6]^-1; A[2,5])"):
+        b = artin_dynamics(parse_word(text, B6), radial_spread=0.25)
+        braids += [b, perturb(b, 3, 1e-6), resample(b, 2)]
+    braids.append(GeomBraid(3, (
+        ((0.0, 0j), (1.0, 1 + 0j)),
+        ((0.0, 5j), (0.3, 5 + 5j), (0.6, 6j), (1.0, 5j)),
+        ((0.0, -5j), (0.3 + _MERGE_GAP / 4, -5 - 5j),
+         (0.3 + _MERGE_GAP / 2, -5 - 4j), (0.6 - 2 * _MERGE_GAP, -6j),
+         (1.0 - _MERGE_GAP / 2, -4j),
+         (1.0, -5j)))))
+    braids.append(GeomBraid(2, (((0.0, 0j), (1.0, 1 + 0j)),
+                                ((0.0, 5j), (1.0, 5 + 5j)))))
+    for b in braids:
+        for t0, t1, p, q in b.segments:
+            at0 = [b.at(s, t0) for s in range(1, b.n + 1)]
+            at1 = [b.at(s, t1) for s in range(1, b.n + 1)]
+            assert repr(p) == repr(tuple(at0))
+            assert repr(q) == repr(tuple(y - x for x, y in zip(at0, at1)))
+    assert [seg[:2] for seg in braids[-2].segments] == \
+        [(0.0, 0.3), (0.3, 0.6 - 2 * _MERGE_GAP), (0.6 - 2 * _MERGE_GAP, 0.6),
+         (0.6, 1.0)]
+
+
+def test_strand_arguments_are_checked():
+    b = artin_dynamics(parse_word("A[1,3]", B4))
+    for strand in (0, 5, -1):
+        with pytest.raises(ValueError, match=f"strand {strand} outside 1..4"):
+            b.at(strand, 0.5)
+    for i, j in ((0, 2), (2, 0), (1, 5)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            linking_number(b, i, j)
+    with pytest.raises(ValueError, match="no winding with itself"):
+        linking_number(b, 1, 1)
 
 
 def test_base_points_separated_and_deterministic():
@@ -470,6 +512,57 @@ def test_puncture_collision_inside_a_segment(k, l):
                ((0.0, 5e3 + 1j), (1.0, 5e3 + 1j)))
     with pytest.raises(PunctureCollision, match="strand 3 .* near t=0.125"):
         q_kl(GeomBraid(4, strands), k, l)
+
+
+def test_first_separation_violation_is_the_first_pair_then_segment():
+    # strand 3 comes within tolerance of strand 2 at t = 0.25, then of
+    # strand 1 at 0.6 and 0.85: pair (1, 3) is scanned first, then its
+    # segments in time order
+    strands = (((0.0, 0j), (1.0, 0j)), ((0.0, 10 + 0j), (1.0, 10 + 0j)),
+               ((0.0, 5j), (0.25, 10 + 2e-6j), (0.4, 5j), (0.6, 2e-6j),
+                (0.7, 5j), (0.85, -2e-6 + 0j), (1.0, 5j)),
+               ((0.0, 100j), (1.0, 100j)))
+    with pytest.raises(SeparationViolated) as info:
+        GeomBraid(4, strands)
+    assert str(info.value) == "strands 1 and 3 within tolerance near t=0.600000"
+
+
+FAR = 5e3 + 3e3j
+PUNCTURES = (((0.0, 0j), (1.0, 0j)), ((0.0, 1e4 + 0j), (1.0, 1e4 + 0j)))
+FIRST_COLLISIONS = (
+    # strand 4 touches puncture 1 on the first segment, strand 3 puncture 2
+    # on the third: segment before strand
+    (PUNCTURES + (((0.0, FAR), (0.5, FAR), (0.75, 1e4 + 5e-6j), (1.0, FAR)),
+                  ((0.0, FAR.conjugate()), (0.25, 5e-6j),
+                   (0.5, FAR.conjugate()), (1.0, FAR.conjugate()))),
+     0.25, 0.25, 4),
+    # on one segment strand 4 passes puncture 1 at t = 0.3, strand 3
+    # passes puncture 2 at t = 0.45: strand before time
+    (PUNCTURES + (((0.0, 1e4 + 5e-6 - 8e3j), (0.25, 1e4 + 5e-6 - 8e3j),
+                   (0.5, 1e4 + 5e-6 + 2e3j), (1.0, 1e4 + 5e-6 - 8e3j)),
+                  ((0.0, -2e3 + 5e-6j), (0.25, -2e3 + 5e-6j),
+                   (0.5, 8e3 + 5e-6j), (1.0, -2e3 + 5e-6j))),
+     0.45, 0.45, 3),
+    # on one segment strand 3 runs from puncture 1 to puncture 2: the
+    # puncture at strand k before the one at strand l
+    (PUNCTURES + (((0.0, FAR), (0.25, -1 + 5e-6j), (0.5, 1e4 + 1 + 5e-6j),
+                   (1.0, FAR)),
+                  ((0.0, FAR.conjugate()), (1.0, FAR.conjugate()))),
+     0.250025, 0.499975, 3),
+)
+
+
+@pytest.mark.parametrize("strands,t12,t21,strand", FIRST_COLLISIONS)
+def test_first_puncture_collision_is_the_first_segment_strand_puncture(
+        strands, t12, t21, strand):
+    braid = GeomBraid(4, strands)
+    for (k, l), t in (((1, 2), t12), ((2, 1), t21)):
+        with pytest.raises(PunctureCollision) as info:
+            q_kl(braid, k, l)
+        assert str(info.value) == \
+            f"strand {strand} touches a puncture near t={t:.6f}"
+        assert outcome(reference_q_kl, braid, k, l) == \
+            (PunctureCollision, str(info.value))
 
 
 # -- bounding-disk filter against the exhaustive checks ----------------------

@@ -16,7 +16,7 @@ from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
 from braidrep.geom import (BISECTION_TOL, PUNCTURE_TOL, TWO_PI, Conventions,
                            Event, GeomBraid, _classify, _cross_ratio_models,
                            _cylinder_crossing, _cylinder_segments, _finish,
-                           _pair_quartic, _pair_segments, _ray_lines,
+                           _pair_model, _pair_quartic, _ray_lines,
                            _ray_roots, artin_dynamics, concat, cylinder_events,
                            cylinder_reading, flat_virtual_word, initial_order,
                            linking_number, perturb, psi_d_events, psi_events,
@@ -518,7 +518,7 @@ def reference_pair_events(braid, method: str, d: int):
     """The pair loop without the angle filter: every pair and segment goes
     through the quartic."""
     lines, _ = _ray_lines(d)
-    segments = list(_pair_segments(braid))
+    segments, _ = _pair_model(braid)
     events = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
@@ -600,6 +600,34 @@ def test_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
         braids += [transformed(b, scale) for scale in (1e-3, 1e6)]
     bad, events, refused = filter_mismatches(braids)
     assert bad == [] and len(events) > 2000
+
+
+def test_view_readings_read_the_model_q_kl_built(monkeypatch):
+    """One view read plain, d=3, d=4, mobius and plain again gives, each
+    time, the events of that reading on a fresh q_kl and the same initial
+    order; no reading rebuilds the view's segments or angle ranges."""
+    def rebuilt(*args):
+        raise AssertionError("a reading rebuilt the view's pair model")
+
+    rng = random.Random(9105)
+    order = READINGS[0], READINGS[2], READINGS[3], READINGS[1], READINGS[0]
+    for _ in range(2):
+        b = bench_shaped(rng)
+        k, l = rng.sample(range(1, 7), 2)
+        for copy in (b, perturb(b, rng.randrange(1 << 30), 1e-6),
+                     resample(b, 2)):
+            view = q_kl(copy, k, l)
+            start = initial_order(view)
+            fresh = [pair_outcome(read, q_kl(copy, k, l), *reading)
+                     for reading in order]
+            with monkeypatch.context() as m:
+                m.setattr(geom, "_pair_segments", rebuilt)
+                m.setattr(geom, "_angle_ranges", rebuilt)
+                for reading, want in zip(order, fresh):
+                    assert pair_outcome(read, view, *reading) == want
+                    assert initial_order(view) == start
+            assert all(events and all(isinstance(e, Event) for e in events)
+                       for events in fresh)
 
 
 def concyclic_at_half(rng, scale: float) -> GeomBraid:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.braidword import (GroupId, Letter, Word, bigelow5, parse_word,
-                                relation_suite, sigma, tau, zeta)
+                                pi, relation_suite, sigma, tau, zeta)
 from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
@@ -76,6 +76,21 @@ def test_virtual_letter_is_involution():
     assert mat_mul(pm, pm) == Matrix.identity(4)
     rm = word_image(Word(FVB4, (tau(2),)), RHO_TILDE)
     assert rm[1, 2] == R and mat_mul(rm, rm) == Matrix.identity(4)
+
+
+@pytest.mark.parametrize("letter,unit", ((tau(2), R), (pi(2), S)),
+                         ids=("tau", "pi"))
+def test_rho_tilde_puts_virtual_blocks_in_r_and_flat_blocks_in_s(letter,
+                                                                 unit):
+    # PAPER.md's summary names s and r the other way round; the pinned
+    # geometry digests and acceptance matrices are images under this one
+    image = word_image(Word(FVB4, (letter,)), RHO_TILDE)
+    want = {(1, 2): unit, (2, 1): unit.inverse_unit()}
+    for i in range(4):
+        for j in range(4):
+            assert image[i, j] == want.get(
+                (i, j), LaurentPoly.one() if i == j and i not in (1, 2)
+                else LaurentPoly.zero())
 
 
 def test_relation_suites_hold():
