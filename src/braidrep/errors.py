@@ -50,7 +50,8 @@ class NotPure(BraidrepError):
 
 
 class NonIntegerWinding(BraidrepError):
-    """Total winding of a strand pair is not close to an integer."""
+    """A strand pair's difference does not end exactly where it starts, so
+    it winds no integer number of turns."""
     exit_code = 3
 
 

@@ -48,11 +48,13 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import lt, truediv
+from fractions import Fraction
+from itertools import accumulate, compress
+from operator import lt, ne, sub, truediv
 from typing import Iterable, Sequence
 
-from .braidword import GroupId, Letter, Word, free_reduce_letters, sigma, tau, pi
+from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
+                        free_reduce_letters, sigma, tau, pi)
 from .errors import (NonGenericInput, NonIntegerWinding, NonZeroLinking,
                      PunctureCollision, SeparationViolated)
 from .homs import rotation_block_letters
@@ -73,7 +75,6 @@ _TINY = 1e-300               # floor of a zero scale, denominator or underflow
 _DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
 _CLASS_MARGIN = 1e-9         # mobius class boundary margin at 0 and 1/2
 _MERGE_GAP = 1e-13           # breakpoint times this close are one
-_WINDING_TOL = 1e-6          # a winding this far from an integer is refused
 _ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
@@ -148,8 +149,8 @@ class GeomBraid:
     Two models are built once, when the braid is: segments, the shared
     linear model every reading works on, per merged interval [t0, t1] values
     p and increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1],
-    each value at() of its strand at t0; and disks, the _disks of the
-    segments, which the separation check and q_kl's puncture check share."""
+    p read from _paths, every strand's at() at every merged time; and disks,
+    the segments' _disks, shared by the separation and puncture checks."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -168,7 +169,9 @@ class GeomBraid:
         object.__setattr__(self, "_times",
                            tuple([bp[0] for bp in bps] for bps in self.strands))
         times = _merged_times(self.strands)
-        configs = list(zip(*(_walk(bps, times) for bps in self.strands)))
+        object.__setattr__(self, "_paths",
+                           tuple(_walk(bps, times) for bps in self.strands))
+        configs = list(zip(*self._paths))
         object.__setattr__(self, "segments", tuple(
             (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
             for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
@@ -288,12 +291,18 @@ def artin_dynamics(word: Word, conv: Conventions | None = None, *,
                    radial_spread: float = 0.0) -> GeomBraid:
     """Synthesize trajectories realizing a braid word: each crossing is a
     half-turn of the two affected strands about their midpoint, one uniform
-    time slice per unit-power letter."""
+    time slice per unit-power letter. A word whose letters times
+    segments_per_crossing pass braidword.MAX_LETTERS is refused before any
+    point is written."""
     conv = conv or DEFAULT_CONVENTIONS
     if word.group.family != "B":
         raise ValueError("trajectory synthesis expects a braid word (family B)")
     if segments_per_crossing < 1:
         raise ValueError("segments per crossing must be at least 1")
+    if sum(abs(l.power) for l in word.letters) * segments_per_crossing \
+            > MAX_LETTERS:
+        raise ValueError(f"synthesis would write more than {MAX_LETTERS} "
+                         f"segments")
     n = word.group.strands
     pts = base_points(n, radial_spread)
     letters = list(word.expanded())
@@ -351,9 +360,13 @@ def perturb(braid: GeomBraid, seed: int, magnitude: float) -> GeomBraid:
 
 
 def resample(braid: GeomBraid, factor: int = 2) -> GeomBraid:
-    """Insert factor-1 collinear midpoints per segment; same paths."""
+    """Insert factor-1 collinear midpoints per segment; same paths. More
+    than braidword.MAX_LETTERS segments in all are refused."""
     if factor < 1:
         raise ValueError("factor must be positive")
+    if sum(len(bps) - 1 for bps in braid.strands) * factor > MAX_LETTERS:
+        raise ValueError(f"resampling would write more than {MAX_LETTERS} "
+                         f"segments")
     strands = []
     for bps in braid.strands:
         out = [bps[0]]
@@ -384,38 +397,42 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
 # -- winding -----------------------------------------------------------------------
 
 
-def _turns(vectors: Sequence[complex]) -> list[float]:
-    """Unwound angle of each vector of a nonzero sequence, less the first
-    one's: the running sum of the phases of neighbour ratios."""
-    return list(accumulate(map(cmath.phase, map(truediv, vectors[1:], vectors)),
-                           initial=0.0))
+def _differences(braid: GeomBraid, i0: int, j0: int) -> list[complex]:
+    """z_i - z_j (0-based strands) at the merged times, a polygon."""
+    return list(map(sub, braid._paths[i0], braid._paths[j0]))
 
 
-def _strand_turns(braid: GeomBraid, i0: int, j0: int) -> list[float]:
-    """_turns of z_i - z_j (0-based strands) at the breakpoints."""
-    ends = braid.end_config()
-    return _turns([p[i0] - p[j0] for _, _, p, _ in braid.segments]
-                  + [ends[i0] - ends[j0]])
-
-
-def _winding(turns: list[float], i: int, j: int) -> int:
-    """Integer turns of pair (i, j) from its _turns."""
-    w = turns[-1] / TWO_PI
-    r = round(w)
-    if abs(w - r) > _WINDING_TOL:
-        raise NonIntegerWinding(
-            f"pair ({i},{j}) winds {w:.9f} turns; braid not pure or corrupted")
-    return int(r)
+def _winding(polygon: list[complex], i: int, j: int) -> int:
+    """Exact turns of pair (i, j)'s closed _differences about 0: the signed
+    count of edges a -> b crossing the positive real axis, upward if Im a <=
+    0 < Im b, on the side of 0 (never at 0: separation) that the sign of Re
+    a Im b - Im a Re b gives, by the float products unless they tie (rounding
+    is monotone), else by Fraction. An infinite crossing edge is refused."""
+    if polygon[-1] != polygon[0]:
+        raise NonIntegerWinding(f"pair ({i},{j}) does not return to its start")
+    ups = [z.imag > 0.0 for z in polygon]
+    count = 0
+    for e in compress(range(len(ups) - 1), map(ne, ups, ups[1:])):
+        a, b = polygon[e], polygon[e + 1]
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError(f"pair ({i},{j}) differs past float range")
+        left, right = a.real * b.imag, a.imag * b.real
+        if left == right:
+            left, right = (Fraction(a.real) * Fraction(b.imag),
+                           Fraction(a.imag) * Fraction(b.real))
+        if (left > right) == ups[e + 1]:
+            count += (left > right) - (left < right)
+    return count
 
 
 def linking_number(braid: GeomBraid, i: int, j: int) -> int:
-    """Integer winding of strand i around strand j (symmetric): the last
-    unwound angle of z_i - z_j over 2 pi."""
+    """Integer winding of strand i around strand j (symmetric): the _winding
+    of z_i - z_j."""
     _check_strand(braid, i)
     _check_strand(braid, j)
     if i == j:
         raise ValueError(f"strand {i} has no winding with itself")
-    return _winding(_strand_turns(braid, i - 1, j - 1), i, j)
+    return _winding(_differences(braid, i - 1, j - 1), i, j)
 
 
 # -- root finding on linear models --------------------------------------------
@@ -635,7 +652,7 @@ def _cylinder_segments(braid: GeomBraid, k0: int, conv: Conventions):
     n = braid.n
     fixed = None if conv.cut_angle is None else cmath.exp(1j * conv.cut_angle)
     configs = [p for _, _, p, _ in braid.segments] + [braid.end_config()]
-    values = [[z[s] - z[k0] for z in configs] for s in range(n)] + [
+    values = [_differences(braid, s, k0) for s in range(n)] + [
         [fixed if fixed is not None else n * z[k0] - sum(z) for z in configs]]
     mags = [sum(map(abs, z)) for z in configs]
     cs = [x + y for x, y in zip(mags, mags[1:])]
@@ -643,7 +660,7 @@ def _cylinder_segments(braid: GeomBraid, k0: int, conv: Conventions):
              + [(fixed, 0j) if fixed is not None else
                 (n * p[k0] - sum(p), n * q[k0] - sum(q))])
             for t0, t1, p, q in braid.segments], \
-        [None if s == k0 else _angle_range(v, cs, None)
+        [None if s == k0 else _angle_range(v, cs)
          for s, v in enumerate(values)]
 
 
@@ -734,22 +751,19 @@ class PuncturedView:
 
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
-    winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
+    _winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
     z_k| of z_k or z_l: the braid's bounding disks clear what they can per
     segment first, and the exact quadratic (_comes_within) decides the rest,
     segment by segment, strand by strand. Then it builds the view's pair
-    model once; the unwound angles of the winding check that involve strand
-    k or l go into it, where they bound the pair readings' cross ratios."""
+    model once: its scaled segments and their _angle_ranges."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"bad pair ({k},{l})")
-    turns = {}
     for i in range(n):
         for j in range(i + 1, n):
-            turns[i, j] = turns[j, i] = _strand_turns(braid, i, j)
-            if _winding(turns[i, j], i + 1, j + 1) != 0:
+            if _winding(_differences(braid, i, j), i + 1, j + 1) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
     others = [s for s in range(n) if s not in (k0, l0)]
@@ -771,8 +785,7 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
             raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                     f"near t={t0 + (t1 - t0) * u:.6f}")
     segments = _pair_segments(braid, k0, l0)
-    return PuncturedView(braid, k0, l0, (segments, _angle_ranges(
-        segments, [(turns[s, k0], turns[s, l0]) for s in others])))
+    return PuncturedView(braid, k0, l0, (segments, _angle_ranges(segments)))
 
 
 def _pair_segments(braid: GeomBraid, k0: int, l0: int):
@@ -798,7 +811,7 @@ def _pair_model(braid: GeomBraid | PuncturedView):
     if isinstance(braid, PuncturedView):
         return braid.model
     segments = [(t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments]
-    return segments, _angle_ranges(segments, None)
+    return segments, _angle_ranges(segments)
 
 
 def initial_order(braid: GeomBraid | PuncturedView) -> tuple[int, ...]:
@@ -848,10 +861,10 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     return _pair_events(braid, "cross-ratio", d)
 
 
-def _angle_ranges(segments, turns):
+def _angle_ranges(segments):
     """Per watched strand, the _angle_range of a = z - z_k and of b = a - c,
-    whose rounding is relative to the puncture c as well; turns holds per
-    watched strand the _turns of z_s - z_k and of z_s - z_l, or is None."""
+    at the breakpoints of the view's scaled segments; the rounding of b is
+    relative to the puncture c as well."""
     _, _, a_last, da_last, c_last, dc_last = segments[-1]
     c_end = c_last + dc_last
     cs = [abs(seg[4]) for seg in segments] + [abs(c_end)]
@@ -860,16 +873,14 @@ def _angle_ranges(segments, turns):
     for s, end in enumerate([x + dx for x, dx in zip(a_last, da_last)]):
         avals = [seg[2][s] for seg in segments] + [end]
         bvals = [x - seg[4] for x, seg in zip(avals, segments)] + [end - c_end]
-        out.append([_angle_range(values, cs,
-                                 None if turns is None else turns[s][side])
-                    for side, values in enumerate((avals, bvals))])
+        out.append([_angle_range(avals, cs), _angle_range(bvals, cs)])
     return out
 
 
-def _angle_range(values, cs, turns):
+def _angle_range(values, cs):
     """(centres, half-widths) per segment of intervals holding, up to 2 pi,
-    the angle of a vector given at the breakpoints, with turns its _turns or
-    None. It is monotone on a segment; a vector 0 at a breakpoint is unbound.
+    the angle of a vector given at the breakpoints: monotone on a segment,
+    between its unwound values at the ends. A vector 0 there is unbound.
 
     A ratio's P has as Bernstein coefficients positive sums of products of
     its vectors' end values, four for a cross ratio, two for the cylinder,
@@ -877,18 +888,20 @@ def _angle_range(values, cs, turns):
     kappa = (|v0| + |v1| + cs) / min(|v0|, |v1|), cs the other sizes the
     vector's rounding is relative to. As kappa >= 2, by the AM-GM inequality
     the allowances _ARG_ROUNDING * kappa^4 of four vectors, or of two, bound
-    that product, and the rounding of the breakpoint angles too."""
+    that product, and the rounding of the breakpoint angles too. The
+    allowance is a product of floats, so a kappa too large for it gives an
+    infinite half-width, an unbound segment, not an OverflowError."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
         return [0.0] * len(cs), [math.inf] * len(cs)
-    if turns is None:
-        turns = _turns(values)
+    turns = list(accumulate(map(cmath.phase, map(truediv, values[1:], values)),
+                            initial=0.0))
+    kappas = [(m0 + m1 + mc) / (m0 if m0 < m1 else m1)
+              for m0, m1, mc in zip(mags, mags[1:], cs)]
     base = cmath.phase(values[0])
     return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
-            [abs(t1 - t0) * 0.5
-             + _ARG_ROUNDING * ((m0 + m1 + mc) / (m0 if m0 < m1 else m1)) ** 4
-             for t0, t1, m0, m1, mc in zip(turns, turns[1:], mags, mags[1:],
-                                           cs)])
+            [abs(t1 - t0) * 0.5 + _ARG_ROUNDING * k * k * k * k
+             for t0, t1, k in zip(turns, turns[1:], kappas)])
 
 
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):

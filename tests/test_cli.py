@@ -3,7 +3,9 @@ import json
 import pytest
 
 from braidrep.cli import main
-from braidrep.geom import braid_from_json
+from braidrep.geom import braid_from_json, braid_to_json
+
+from test_geom import FAR_EXCURSION, NOT_CLOSING
 
 TARGET_ROWS = ["481,-880,800,-400", "480,-879,800,-400",
                "480,-880,801,-400", "480,-880,800,-399"]
@@ -271,6 +273,25 @@ def test_exit_code_purity(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("reading", (
+    ("--psi", "1", "2"), ("--project-pk", "1"), ("--project-pk", "2"),
+    ("--project-pk", "3"), ("--project-pk", "4")))
+def test_far_excursion_exits_as_non_generic(capsys, tmp_path, reading):
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(braid_to_json(FAR_EXCURSION)))
+    code, out, err = run(capsys, "geom", "--in", str(path), *reading)
+    assert code == 4 and out == "" and err.startswith("error:")
+
+
+def test_pair_that_does_not_close_exits_as_non_integer_winding(capsys,
+                                                               tmp_path):
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(braid_to_json(NOT_CLOSING)))
+    code, out, err = run(capsys, "geom", "--in", str(path), "--psi", "1", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "does not return" in err
+
+
 def test_exit_code_nonzero_linking(capsys):
     code, _, err = run(capsys, "geom", "--synth", "A[1,2]", "--group", "B4",
                        "--psi", "3", "4")
@@ -311,9 +332,12 @@ def test_parse_deep_nesting_is_a_usage_error(capsys):
     ("rep", "s1", "--group", "B1000000000", "--rep", "rho"),
     ("check", "--cocycle", "--n", "1000000000"),
     ("check", "--oracle", "--n", "1000000000"),
-    ("geom", "--synth", "s1", "--n", "1000000000")))
+    ("geom", "--synth", "s1", "--n", "1000000000"),
+    ("geom", "--synth", "s1^1000000000000", "--group", "B3"),
+    ("geom", "--synth", "s1", "--group", "B3", "--segments", "1000000000"),
+    ("geom", "--synth", "s1", "--group", "B3", "--resample", "1000000000")))
 def test_oversized_input_is_a_usage_error(capsys, argv):
-    # refused before any letter list or n x n matrix is built
+    # refused before any letter list, point list or n x n matrix is built
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
 

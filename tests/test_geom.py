@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from braidrep.braidword import (GroupId, Word, format_word, parse_word,
                                 random_pure_word, random_zero_linking_word,
@@ -12,10 +14,12 @@ from braidrep.errors import (BraidrepError, NonGenericInput,
                              PunctureCollision, SeparationViolated)
 from braidrep.geom import (PUNCTURE_TOL, SEPARATION_TOL, _MERGE_GAP,
                            Conventions, GeomBraid, _comes_within,
+                           _winding,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
                            events_to_json, initial_order,
                            linking_number, perturb, power_map_extract,
+                           psi_d_events, psi_events,
                            project_pk, q_kl, render_svg, resample)
 from braidrep.homs import PipelineConfig, pipeline_matrix, \
     strand_removal_letters
@@ -87,6 +91,30 @@ def test_overflowing_input_is_refused():
     data["n"] = math.inf
     with pytest.raises(ValueError, match="malformed braid JSON"):
         braid_from_json(data)
+    # each point is in float range, but the difference of strands 1 and 2
+    # is not where it crosses the real axis
+    b = GeomBraid(3, (((0, -1e308 + 0j), (1, -1e308 + 0j)),
+                      ((0, 1e308 - 1j), (0.5, 1e308 + 1j), (1, 1e308 - 1j)),
+                      ((0, 5j), (1, 5j))))
+    with pytest.raises(ValueError, match=r"pair \(1,2\) differs past float"):
+        linking_number(b, 1, 2)
+
+
+# strand 3 passes through 1e80 at t = 1/2, so over one segment a watched
+# vector's length changes by about 1e85, past what kappa^4 holds in a float
+FAR_EXCURSION = GeomBraid(4, (((0, 0j), (1, 0j)), ((0, 1 + 0j), (1, 1 + 0j)),
+                              ((0, 1e-5j), (0.5, 1e80 + 0j), (1, 1e-5j)),
+                              ((0, 3 + 3j), (1, 3 + 3j))))
+
+
+def test_far_excursion_is_refused_as_non_generic():
+    view = q_kl(FAR_EXCURSION, 1, 2)
+    for read in (psi_events, lambda v: psi_d_events(v, 3)):
+        with pytest.raises((NonGenericInput, PunctureCollision)):
+            read(view)
+    for k in range(1, 5):
+        with pytest.raises((NonGenericInput, PunctureCollision)):
+            cylinder_events(FAR_EXCURSION, k)
 
 
 def test_separation_checked_inside_merged_interval():
@@ -269,10 +297,95 @@ def test_linking_numbers_of_band_words():
                 assert linking_number(b, a, c) == want
 
 
+# strand 3 ends 1e-12 from where it starts, so its differences with the
+# others do not close
+NOT_CLOSING = GeomBraid(4, (((0, 0j), (1, 0j)), ((0, 1 + 0j), (1, 1 + 0j)),
+                            ((0, 2 + 2j), (0.5, 2 - 2j), (1, 2 + 2j + 1e-12)),
+                            ((0, 3 + 3j), (1, 3 + 3j))))
+
+
 def test_non_integer_winding_raises():
     b = artin_dynamics(parse_word("s2", B4))
     with pytest.raises(NonIntegerWinding):
         linking_number(b, 2, 3)
+    for i in (1, 2, 4):
+        with pytest.raises(NonIntegerWinding, match="does not return"):
+            linking_number(NOT_CLOSING, i, 3)
+    assert linking_number(NOT_CLOSING, 1, 4) == 0
+    with pytest.raises(NonIntegerWinding, match=r"pair \(1,3\)"):
+        q_kl(NOT_CLOSING, 1, 2)
+
+
+def fraction_winding(polygon) -> int:
+    """Signed count of the edges crossing the positive real axis, every
+    sign taken in Fraction."""
+    count = 0
+    for a, b in zip(polygon, polygon[1:]):
+        ay, by = Fraction(a.imag), Fraction(b.imag)
+        cross = Fraction(a.real) * by - ay * Fraction(b.real)
+        if ay <= 0 < by and cross > 0:
+            count += 1
+        elif by <= 0 < ay and cross < 0:
+            count -= 1
+    return count
+
+
+# on the axis, and within an ulp of it in the subnormal and normal range
+AXIS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -2.2250738585072014e-308, 1e-300, -1e-300)
+
+
+@st.composite
+def polygons(draw):
+    """Closed polygons with vertices on or next to the real axis, and edges
+    from a vertex to a few ulps off a negative multiple of it, which pass
+    within rounding of 0, so that the float products tie."""
+    coord = st.one_of(st.sampled_from(AXIS), st.floats(-4.0, 4.0))
+    pts = [complex(draw(coord), draw(coord))]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            c = -draw(st.floats(0.25, 4.0))
+            x, y = pts[-1].real * c, pts[-1].imag * c
+            for _ in range(draw(st.integers(0, 3))):
+                x = math.nextafter(x, draw(st.sampled_from((-math.inf,
+                                                             math.inf))))
+            pts.append(complex(x, y))
+        else:
+            pts.append(complex(draw(coord), draw(coord)))
+    return pts + [pts[0]]
+
+
+@settings(max_examples=400)
+@given(polygon=polygons())
+def test_winding_is_the_exact_crossing_count(polygon):
+    assert _winding(polygon, 1, 2) == fraction_winding(polygon)
+
+
+def test_winding_decides_tied_products_exactly():
+    # Re a Im b rounds to Im a Re b, though 3 * 0.1 < 0.30000000000000004:
+    # the edge a -> b crosses the real axis just left of 0
+    # and -a -> -b just right of it, so a thin loop a, b, -a, -b winds once
+    # clockwise about 0
+    a, b = complex(3.0, -1.0), complex(-0.30000000000000004, 0.1)
+    assert a.real * b.imag == a.imag * b.real
+    loop = [a, b, -a, -b, a]
+    assert _winding(loop, 1, 2) == fraction_winding(loop) == -1
+    assert _winding(loop[::-1], 1, 2) == fraction_winding(loop[::-1]) == 1
+
+
+@settings(max_examples=200)
+@given(polar=st.lists(st.tuples(st.floats(0.5, 2.0), st.integers(-31, 31)),
+                      min_size=2, max_size=12))
+def test_winding_agrees_with_the_turn_sum_off_the_origin(polar):
+    polygon = [cmath.rect(r, step / 10) for r, step in polar]
+    polygon.append(polygon[0])
+    for a, b in zip(polygon, polygon[1:]):
+        # every edge stays 0.1 from the origin, so its turn is below pi
+        u = min(max(-(a.conjugate() * (b - a)).real / abs(b - a) ** 2, 0.0),
+                1.0) if a != b else 0.0
+        assume(abs(a + (b - a) * u) > 0.1)
+    turns = sum(cmath.phase(b / a) for a, b in zip(polygon, polygon[1:]))
+    assert _winding(polygon, 1, 2) == round(turns / TWO_PI)
 
 
 # -- cylinder extraction -------------------------------------------------------
