@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     reading = p.add_mutually_exclusive_group()
     reading.add_argument("--project-pk", type=int, default=None, metavar="K",
-                         help="cylinder word with strand K removed")
+                         help="cylinder word with strand K removed, the "
+                         "translation from strand K's start; any braid reads, "
+                         "only map --pk needs a pure one")
     reading.add_argument("--power-map", type=int, default=None, metavar="K",
                          help="cylinder word of the d-th power reading")
     reading.add_argument("--psi", type=int, nargs=2, default=None,

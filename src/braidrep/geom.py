@@ -7,7 +7,7 @@ from geometric events, a cut passage spelled by homs.rotation_block_letters.
 
 Two extraction pipelines are provided.
 
-Cylinder reading (cylinder_reading / project_pk / power_map_extract): fix a
+Cylinder reading (cylinder_reading / power_map_extract): fix a
 strand k; watch the remaining strands through the angular coordinate around
 strand k, cut along the ray from strand k pointing away from the centroid.
 Alignment of two strands with each other (as seen from k) is a crossing
@@ -37,8 +37,10 @@ segments it proves event-free: arg(N/D) is a signed sum of the angles of the
 vectors N and D are made of, each monotone on a segment between its unwound
 breakpoint values. One routine isolates every root: Descartes' rule of signs
 in the Bernstein basis with halving, then Illinois steps on each isolating
-bracket; roots too close to separate raise NonGenericInput. Every reading
-returns Event records.
+bracket; roots too close to separate raise NonGenericInput, unless they lie
+where no ray is. The same routine decides each root's tangency and sense
+from the slope of the polynomial it solved, and one margin, GENERICITY_TOL,
+holds every genericity test. Every reading returns Event records.
 """
 
 from __future__ import annotations
@@ -62,18 +64,11 @@ from .homs import rotation_block_letters
 TWO_PI = 2.0 * math.pi
 
 SEPARATION_TOL = 4e-6        # minimum distance between strands
-GENERICITY_TOL = 1e-9        # event separation and boundary margin
-PUNCTURE_TOL = 1e-9          # margin around the punctures 0 and 1
+GENERICITY_TOL = 1e-9        # every genericity margin, in its own test's unit
 BISECTION_TOL = 1e-12        # root refinement width in t
-_ANGLE_MARGIN = 1e-9         # triple-alignment margin, radians
-_CUT_FLOOR = 1e-9            # cut direction this short, times n, is degenerate
-_SLOPE_TOL = 1e-9            # relative slope of a tangential alignment
-_RADIAL_TIE = 1e-9           # relative radius difference of a radial tie
-_DECIDER_TOL = 1e-12         # relative decider of a tangential pair crossing
 _DEDUPE_GAP = 1e-11          # one root at a segment end read from both sides
-_TINY = 1e-300               # floor of a zero scale, denominator or underflow
+_TINY = 1e-300               # floor of a zero denominator or underflow
 _DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
-_CLASS_MARGIN = 1e-9         # mobius class boundary margin at 0 and 1/2
 _MERGE_GAP = 1e-13           # breakpoint times this close are one
 _ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 
@@ -473,12 +468,17 @@ def _ray_lines(d: int):
 
 
 def _ray_roots(coeffs, bern, lines, t0: float, h: float,
-               pair: tuple[int, int], what: str) -> list[tuple[float, int | None]]:
-    """(u, ray) per root u on a segment at which N/D is on a line of
+               pair: tuple[int, int], what: str
+               ) -> list[tuple[float, int | None, bool | None]]:
+    """(u, ray, sense) per root u on a segment at which N/D is on a line of
     _ray_lines, P = N conj(D) given by _pair_quartic; ray is the line's own
-    where Re(w P) >= 0, else its far one. NonGenericInput: P outside float
-    range, or N/D on a line all along the segment (a persistent `what`)
-    unless Re(w P) < 0 keeps it on a far side that holds no ray."""
+    where Re(w P) >= 0, else its far one. sense is Im s > 0 for the slope
+    s = w P'(u), whether Im(w P) rises through 0, or None where |Im s| <=
+    GENERICITY_TOL |s|: a tangential crossing, P meeting the line at an
+    angle below the margin. NonGenericInput: P outside float range, or N/D
+    on a line all along the segment (a persistent `what`) unless Re(w P) < 0
+    keeps it on a far side that holds no ray; on such a side _isolate drops
+    roots it cannot separate as well."""
     if not all(map(cmath.isfinite, coeffs + bern)):
         raise NonGenericInput("pair quartic outside float range",
                               time=t0, pair=pair)
@@ -495,15 +495,20 @@ def _ray_roots(coeffs, bern, lines, t0: float, h: float,
             if far is None and all((w * c).real < 0.0 for c in bern):
                 continue
             raise NonGenericInput(f"persistent {what}", time=t0, pair=pair)
+        slope = (coeffs[1], 2.0 * coeffs[2], 3.0 * coeffs[3], 4.0 * coeffs[4])
+        far_side = None if far is not None else [(w * c).real for c in bern]
         for u in _isolate([(w * c).imag for c in coeffs], [b0, b1, b2, b3, b4],
-                          t0, h, pair):
+                          t0, h, pair, far_side):
+            s = w * _horner(slope, u)
+            sense = None if abs(s.imag) <= GENERICITY_TOL * abs(s) \
+                else s.imag > 0.0
             roots.append((u, ray if (w * _horner(coeffs, u)).real >= 0.0
-                          else far))
+                          else far, sense))
     return roots
 
 
-def _isolate(coeffs, bern, t0: float, h: float,
-             pair: tuple[int, int]) -> list[float]:
+def _isolate(coeffs, bern, t0: float, h: float, pair: tuple[int, int],
+             far_side=None) -> list[float]:
     """Real roots of a real polynomial on a segment, given by its monomial
     and its Bernstein coefficients on [0, 1].
 
@@ -514,26 +519,33 @@ def _isolate(coeffs, bern, t0: float, h: float,
     halving by de Casteljau runs until each piece has at most one variation,
     and a piece with one is refined to BISECTION_TOL in t (_refine). Pieces
     that keep two variations down to GENERICITY_TOL in t hold roots too
-    close to tell apart, and raise NonGenericInput."""
+    close to tell apart, and raise NonGenericInput, unless far_side, the
+    Bernstein coefficients of Re(w P) on [0, 1] for a line with no far
+    ray, halved along with the piece, is negative all over it: then the
+    roots lie on the side of the line that holds no ray, and are dropped."""
     roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
     if bern[-1] == 0.0:
         roots.append(1.0)
-    todo = [(0.0, 1.0, bern)]
+    todo = [(0.0, 1.0, bern, far_side)]
     while todo:
-        lo, hi, b = todo.pop()
+        lo, hi, b, far_b = todo.pop()
         signs = [x > 0.0 for x in b if x != 0.0]
         changes = sum(s != r for s, r in zip(signs, signs[1:]))
         if changes == 1:
             roots.append(_refine(coeffs, lo, hi, b, signs[0], h))
         elif changes > 1:
             if (hi - lo) * h <= GENERICITY_TOL:
+                if far_b is not None and all(x < 0.0 for x in far_b):
+                    continue
                 raise NonGenericInput("real roots closer than the genericity "
                                       "margin", time=t0 + h * lo, pair=pair)
             mid = (lo + hi) / 2
             left, right = _halve(b)
+            far_left, far_right = (None, None) if far_b is None \
+                else _halve(far_b)
             if right[0] == 0.0:
                 roots.append(mid)
-            todo += [(lo, mid, left), (mid, hi, right)]
+            todo += [(lo, mid, left, far_left), (mid, hi, right, far_right)]
     return sorted(roots)
 
 
@@ -601,7 +613,11 @@ def cylinder_events(braid: GeomBraid, k: int,
                     conv: Conventions | None = None) -> tuple[Event, ...]:
     """Generic events seen from strand k, sorted by time: 'crossing' of two
     strands aligned as seen from k, 'cut' of a strand passing the cut. Each
-    is a ratio of linear forms on ray 0, found as the d=1 ray reading."""
+    is a ratio of linear forms on ray 0, found as the d=1 ray reading; the
+    sense _ray_roots gives a root decides its sign, Im(P) falling through 0
+    being a rising angle, and a tangential one is refused. A root at which
+    the cut direction is n GENERICITY_TOL short, in absolute units, is
+    refused on either side of the line."""
     conv = conv or DEFAULT_CONVENTIONS
     n = braid.n
     if n < 3:
@@ -624,20 +640,18 @@ def cylinder_events(braid: GeomBraid, k: int,
                 continue
             (a0, da), (b0, db) = rel[sa], rel[sb]
             coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
-            for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
+            for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
                 t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
                 # a passage is refused on either side, before the side test
-                if (sb == n or ray is not None) and abs(wv) <= n * _CUT_FLOOR:
+                if (sb == n or ray is not None) and abs(wv) <= n * GENERICITY_TOL:
                     raise NonGenericInput("cut direction degenerate", time=t,
                                           pair=pair)
                 if ray is None:
                     continue
-                slope = (coeffs[1] + 2.0 * coeffs[2] * u).imag
-                if abs(slope) <= _SLOPE_TOL * (
-                        (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + _TINY):
+                if sense is None:
                     raise NonGenericInput(f"tangential {what}", time=t,
                                           pair=pair)
-                rising = slope < 0.0    # Im(P) falls through 0
+                rising = not sense    # Im(P) falls through 0
                 events.append(
                     Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
                     if sb == n else _cylinder_crossing(
@@ -680,12 +694,12 @@ def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
             continue
         fl = (cmath.phase(wv) - cmath.phase(rel[l][0] + rel[l][1] * u)) % TWO_PI
         gap = abs(fl - f_pair)
-        if min(gap, TWO_PI - gap) < _ANGLE_MARGIN:
+        if min(gap, TWO_PI - gap) < GENERICITY_TOL:
             raise NonGenericInput("triple alignment", time=t, pair=pair)
         if fl < f_pair:
             below += 1
     ri, rj = abs(ui), abs(vj)
-    if abs(ri - rj) <= _RADIAL_TIE * max(ri, rj):
+    if abs(ri - rj) <= GENERICITY_TOL * max(ri, rj):
         raise NonGenericInput("radial tie at alignment", time=t, pair=pair)
     over_i = (ri > rj) == conv.over_is_farther
     return Event(t, *pair, "crossing", slot=1 + below,
@@ -698,7 +712,10 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
     """Full cylinder pipeline seen from strand k: the events, and the word on
     n-1 strands they spell. Crossings stay crossings; each cut passage
     becomes a single z (d None, a cylinder word) or the d-th power rotation
-    block (a rotation-virtual word)."""
+    block (a rotation-virtual word). The word is the translation
+    homs.strand_removal_letters makes from strand k's start position, so it
+    is defined for any braid, pure or not; only p_k, its restriction to
+    pure braids, refuses one that is not."""
     if d is not None and d < 1:
         raise ValueError("d must be positive")
     events = cylinder_events(braid, k, conv)
@@ -710,12 +727,6 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
             letters.extend(rotation_block_letters(braid.n - 1, d or 1, e.sign))
     group = GroupId("CPB" if d is None else "VCB", braid.n - 1)
     return events, Word(group, free_reduce_letters(letters))
-
-
-def project_pk(braid: GeomBraid, k: int,
-               conv: Conventions | None = None) -> Word:
-    """Cylinder word on n-1 strands read off the trajectories."""
-    return cylinder_reading(braid, k, None, conv)[1]
 
 
 def power_map_extract(braid: GeomBraid, k: int, d: int,
@@ -751,7 +762,7 @@ class PuncturedView:
 
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
-    _winding to vanish, and no other strand ever within PUNCTURE_TOL * |z_l -
+    _winding to vanish, and no other strand ever within GENERICITY_TOL * |z_l -
     z_k| of z_k or z_l: the braid's bounding disks clear what they can per
     segment first, and the exact quadratic (_comes_within) decides the rest,
     segment by segment, strand by strand. Then it builds the view's pair
@@ -768,7 +779,7 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     k0, l0 = k - 1, l - 1
     others = [s for s in range(n) if s not in (k0, l0)]
     cen, rad = braid.disks
-    reach = [PUNCTURE_TOL * (abs(p[l0] - p[k0]) + abs(q[l0] - q[k0]))
+    reach = [GENERICITY_TOL * (abs(p[l0] - p[k0]) + abs(q[l0] - q[k0]))
              * (1.0 + _DISK_ROUNDING) for _, _, p, q in braid.segments]
     # sorted back into the scan order: segment, then strand, then puncture
     near = sorted((g, s, side) for s in others
@@ -780,7 +791,7 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
         t0, t1, p, q = braid.segments[g]
         x = (k0, l0)[side]
         u = _comes_within(p[s] - p[x], q[s] - q[x], p[l0] - p[k0],
-                          q[l0] - q[k0], PUNCTURE_TOL)
+                          q[l0] - q[k0], GENERICITY_TOL)
         if u is not None:
             raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                     f"near t={t0 + (t1 - t0) * u:.6f}")
@@ -926,38 +937,39 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
             for t0, h, a, da, c, dc in near:
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
-                for u, ray in _ray_roots(*_pair_quartic(num, den), lines, t0,
-                                         h, pair, "crossing"):
+                for u, ray, sense in _ray_roots(*_pair_quartic(num, den),
+                                                lines, t0, h, pair, "crossing"):
                     if ray is not None:
-                        events.append(_classify(num, den, u, t0 + h * u,
-                                                *pair, method, ray, d))
+                        events.append(_classify(num, den, u, t0 + h * u, *pair,
+                                                method, ray, d, sense))
     return _finish(events)
 
 
 def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
-              ray: int, d: int) -> Event:
-    """Event of pair (i, j) at a root on ray `ray` of the d-th reading. A
-    ratio within PUNCTURE_TOL of a puncture is refused; so is a root at
-    which Re(w P) = 0, where N conj(D) vanishes."""
+              ray: int, d: int, sense: bool | None) -> Event:
+    """Event of pair (i, j) at a root on ray `ray` of the d-th reading, with
+    the sense _ray_roots gave it. A ratio within GENERICITY_TOL of a
+    puncture is refused; so is a root at which Re(w P) = 0, where N conj(D)
+    vanishes, and a tangential one. The negative end is j where Im(w P)
+    rises, unless the reading runs against the line's cross ratio (flip):
+    the mobius ratio m does, as (1 - m)/m falls through the real line where
+    m rises through it, and so does a far ray p + d/2 other than d/2."""
     nv, dv = _horner(num, u), _horner(den, u)
     if abs(dv) < _TINY:
         raise NonGenericInput("classifier function blows up", time=t,
                               pair=(i, j))
     val = nv / dv
-    deriv = (_horner((num[1], 2.0 * num[2]), u) * dv
-             - nv * _horner((den[1], 2.0 * den[2]), u)) / (dv * dv)
     x = val.real
     guard = min(abs(val), abs(val - 1.0))
     if method != "mobius" and nv:
         # the cross ratio's third puncture is infinity; the mobius function
         # has it at 0
         guard = min(guard, abs(dv / nv))
-    if guard < PUNCTURE_TOL:
+    if guard < GENERICITY_TOL:
         raise NonGenericInput("crossing at a puncture boundary", time=t,
                               pair=(i, j))
     if method == "mobius":
-        # transport to the cross-ratio picture: cr = (1-w)/w, cr' = -w'/w^2
-        if abs(x - 0.5) < _CLASS_MARGIN or abs(x) < _CLASS_MARGIN:
+        if abs(x - 0.5) < GENERICITY_TOL or abs(x) < GENERICITY_TOL:
             raise NonGenericInput("crossing class at boundary", time=t,
                                   pair=(i, j))
         if 0.5 < x < 1.0:
@@ -966,20 +978,14 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
             cls = "classical_under"
         else:
             cls = "flat"
-        decider = -deriv.imag
+    elif ray == 0:
+        cls = "classical_over" if x < 1.0 else "classical_under"
     else:
-        if ray == 0:
-            cls = "classical_over" if x < 1.0 else "classical_under"
-        else:
-            cls = "flat"
-        if ray == 0 or 2 * ray == d:
-            decider = deriv.imag
-        else:
-            decider = (cmath.exp(-1j * TWO_PI * ray / d) * deriv).imag
-    if abs(decider) <= _DECIDER_TOL * (1.0 + abs(deriv)):
+        cls = "flat"
+    if sense is None:
         raise NonGenericInput("tangential crossing", time=t, pair=(i, j))
-    ne = j if decider > 0 else i
-    return Event(t, i, j, cls, ne)
+    flip = method == "mobius" or (d % 2 == 0 and 2 * ray > d)
+    return Event(t, i, j, cls, j if sense != flip else i)
 
 
 # -- realization --------------------------------------------------------------------------

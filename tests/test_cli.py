@@ -234,6 +234,18 @@ def test_geom_refuses_what_cannot_be_a_braid(capsys, extra, message):
     assert "error:" in err and message in err and "Traceback" not in err
 
 
+def test_cylinder_reading_is_defined_for_any_braid_and_p_k_only_on_pure(
+        capsys):
+    """The cylinder reading is the translation from strand k's start
+    position (acceptance test 6 reads single crossings), so a braid that is
+    not pure reads; the algebraic p_k needs a pure word and exits 3."""
+    code, out, _ = run(capsys, "geom", "--synth", "s1", "--group", "B4",
+                       "--project-pk", "3")
+    assert code == 0 and out.splitlines() == ["s1", "group: CPB3"]
+    code, out, err = run(capsys, "map", "s1", "--group", "B4", "--pk", "3")
+    assert code == 3 and out == "" and "not pure" in err
+
+
 def test_geom_in_refuses_non_finite_points(capsys, tmp_path):
     code, out, _ = run(capsys, "geom", "--synth", "A[1,2]", "--n", "3",
                        "--emit-braid")

@@ -12,15 +12,15 @@ from braidrep.braidword import (GroupId, Word, format_word, parse_word,
 from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
-from braidrep.geom import (PUNCTURE_TOL, SEPARATION_TOL, _MERGE_GAP,
+from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL, _MERGE_GAP,
                            Conventions, GeomBraid, _comes_within,
                            _winding,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
-                           events_to_json, initial_order,
+                           cylinder_reading, events_to_json, initial_order,
                            linking_number, perturb, power_map_extract,
                            psi_d_events, psi_events,
-                           project_pk, q_kl, render_svg, resample)
+                           q_kl, render_svg, resample)
 from braidrep.homs import PipelineConfig, pipeline_matrix, \
     strand_removal_letters
 from braidrep.rep import RHO, word_image
@@ -394,8 +394,8 @@ def test_winding_agrees_with_the_turn_sum_off_the_origin(polar):
 def test_rigid_rotation_frozen_words():
     cw = rigid_rotation(-1)
     ccw = rigid_rotation(+1)
-    assert format_word(project_pk(cw, 1, FIXED_CUT)) == "z"
-    assert format_word(project_pk(ccw, 1, FIXED_CUT)) == "z^-1"
+    assert format_word(cylinder_reading(cw, 1, None, FIXED_CUT)[1]) == "z"
+    assert format_word(cylinder_reading(ccw, 1, None, FIXED_CUT)[1]) == "z^-1"
     assert format_word(power_map_extract(cw, 1, 2, FIXED_CUT)) == \
         "z t1 t2 t3 z"
     assert format_word(power_map_extract(ccw, 1, 2, FIXED_CUT)) == \
@@ -416,7 +416,7 @@ def test_single_crossings_match_word_pipeline():
                 for k in range(1, n + 1):
                     lets, _ = strand_removal_letters(w.expanded(), n, k)
                     want = Word(GroupId("CPB", n - 1), tuple(lets))
-                    got = project_pk(b, k)
+                    _, got = cylinder_reading(b, k)
                     assert word_image(got, RHO) == word_image(want, RHO), \
                         (n, i, e, k)
 
@@ -436,18 +436,18 @@ def test_power_extraction_matches_pipeline_random():
 def test_extraction_invariant_under_perturb_and_resample():
     w = random_pure_word(4, random.Random(31), factors=2)
     b = artin_dynamics(w)
-    base = word_image(project_pk(b, 2), RHO)
-    assert word_image(project_pk(perturb(b, 5, 1e-6), 2), RHO) == base
-    assert word_image(project_pk(resample(b, 2), 2), RHO) == base
+    base = word_image(cylinder_reading(b, 2)[1], RHO)
+    assert word_image(cylinder_reading(perturb(b, 5, 1e-6), 2)[1], RHO) == base
+    assert word_image(cylinder_reading(resample(b, 2), 2)[1], RHO) == base
 
 
 def test_reading_depends_on_calibration():
     w = random_pure_word(4, random.Random(2), factors=2)
     b = artin_dynamics(w)
     want = pipeline_matrix(w, PipelineConfig(4, 1, 1))
-    assert word_image(project_pk(b, 1), RHO) == want
+    assert word_image(cylinder_reading(b, 1)[1], RHO) == want
     flipped = Conventions(over_is_farther=False)
-    assert word_image(project_pk(b, 1, flipped), RHO) != want
+    assert word_image(cylinder_reading(b, 1, None, flipped)[1], RHO) != want
 
 
 def test_persistent_alignment_rejected():
@@ -561,7 +561,7 @@ def test_triple_alignment_is_refused():
 
 def test_radial_tie_at_alignment_is_refused():
     # strand 3 passes strand 2 5e-6 farther out, 1e4 from strand 1: more
-    # than SEPARATION_TOL apart, within _RADIAL_TIE of the same radius
+    # than SEPARATION_TOL apart, within GENERICITY_TOL of the same radius
     far = 1e4
     strands = (((0.0, 0j), (1.0, 0j)), ((0.0, far + 0j), (1.0, far + 0j)),
                ((0.0, far + 5e-6 - 1j), (1.0, far + 5e-6 + 1j)))
@@ -618,7 +618,7 @@ def test_puncture_collision_guard():
 def test_puncture_collision_inside_a_segment(k, l):
     # strand 3 runs along the real axis just above strand 1 and passes it at
     # u = 0.25 of each segment: 5e-6 apart, so the braid is separated, but
-    # within PUNCTURE_TOL * 1e4 of the puncture at strand 1
+    # within GENERICITY_TOL * 1e4 of the puncture at strand 1
     strands = (((0.0, 0j), (1.0, 0j)),
                ((0.0, 1e4 + 0j), (1.0, 1e4 + 0j)),
                ((0.0, -1 + 5e-6j), (0.5, 3 + 5e-6j), (1.0, -1 + 5e-6j)),
@@ -707,7 +707,8 @@ def reference_q_kl(braid: GeomBraid, k: int, l: int) -> None:
         c, dc = p[l0] - p[k0], q[l0] - q[k0]
         for s in (s for s in range(n) if s not in (k0, l0)):
             for x in (k0, l0):
-                u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc, PUNCTURE_TOL)
+                u = _comes_within(p[s] - p[x], q[s] - q[x], c, dc,
+                                  GENERICITY_TOL)
                 if u is not None:
                     raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                             f"near t={t0 + (t1 - t0) * u:.6f}")
@@ -771,7 +772,7 @@ def test_disk_filter_refuses_exactly_as_the_exhaustive_separation_check(
 def test_disk_filter_refuses_exactly_as_the_exhaustive_puncture_check(
         monkeypatch):
     # the punctures are scale apart, at the origin or 1e12 off it; strand 3
-    # passes the puncture at hit, factor * PUNCTURE_TOL * |zl - zk|
+    # passes the puncture at hit, factor * GENERICITY_TOL * |zl - zk|
     # away at u_min of [0, 1/2], and retraces its path on [1/2, 1]; the
     # other puncture may drift straight away from hit on [1/2, 1], so every
     # winding stays far below 1e-6 turns
@@ -788,7 +789,7 @@ def test_disk_filter_refuses_exactly_as_the_exhaustive_puncture_check(
                 drift = (other - hit) * 10 ** rng.uniform(-12, 0.7) \
                     * rng.choice((0, 1))
                 s0, s1 = passing_path(rng, scale, hit,
-                                      factor * PUNCTURE_TOL * abs(zl - zk),
+                                      factor * GENERICITY_TOL * abs(zl - zk),
                                       u_min, e)
                 punctures = [((0.0, z), (0.5, z),
                               (1.0, z + (drift if z is other else 0)))

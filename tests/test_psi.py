@@ -13,7 +13,7 @@ from braidrep import geom
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
 from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
-from braidrep.geom import (BISECTION_TOL, PUNCTURE_TOL, TWO_PI, Conventions,
+from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI, Conventions,
                            Event, GeomBraid, _classify, _cross_ratio_models,
                            _cylinder_crossing, _cylinder_segments, _finish,
                            _pair_model, _pair_quartic, _ray_lines,
@@ -169,6 +169,96 @@ def test_crossing_at_a_puncture_is_refused_by_every_reading(x0):
     for read in EVERY_READING:
         with pytest.raises(NonGenericInput, match="puncture boundary|blows up"):
             read(b)
+
+
+def ray_crossing(angle: float, r: float, turn: int) -> GeomBraid:
+    """Strand 1 parked at (1 + i)/2; strand 2 runs straight through the
+    point where the cross ratio of the pair is r e^(i angle), where the
+    ratio crosses that ray at right angles, counterclockwise about 0 for
+    turn = 1 and clockwise for turn = -1. One event at t = 1/2."""
+    z1 = 0.5 + 0.5j
+    c = z1 / (z1 - 1)                     # cross ratio c (z2 - 1) / z2
+    z2 = c / (c - r * cmath.exp(1j * angle))
+    step = 0.1 * r * turn * 1j * cmath.exp(1j * angle) * z2 * z2 / c
+    return GeomBraid(2, (((0.0, z1), (1.0, z1)),
+                         ((0.0, z2 - step / 2), (1.0, z2 + step / 2))))
+
+
+# (method, d, ray, r, class, ne counterclockwise, ne clockwise), as the
+# readings gave them when each took its sense from the derivative of N/D
+RAY_CROSSINGS = (
+    ("cross-ratio", 2, 0, 0.5, "classical_over", 2, 1),
+    ("cross-ratio", 2, 0, 2.0, "classical_under", 2, 1),
+    ("cross-ratio", 2, 1, 0.5, "flat", 1, 2),
+    ("cross-ratio", 2, 1, 2.0, "flat", 1, 2),
+    ("mobius", 2, 0, 0.5, "classical_over", 2, 1),
+    ("mobius", 2, 0, 2.0, "classical_under", 2, 1),
+    ("mobius", 2, 1, 0.5, "flat", 1, 2),
+    ("mobius", 2, 1, 2.0, "flat", 1, 2),
+    ("cross-ratio", 3, 0, 0.5, "classical_over", 2, 1),
+    ("cross-ratio", 3, 0, 2.0, "classical_under", 2, 1),
+    ("cross-ratio", 3, 1, 0.5, "flat", 2, 1),
+    ("cross-ratio", 3, 1, 2.0, "flat", 2, 1),
+    ("cross-ratio", 3, 2, 0.5, "flat", 2, 1),
+    ("cross-ratio", 3, 2, 2.0, "flat", 2, 1),
+    ("cross-ratio", 4, 0, 0.5, "classical_over", 2, 1),
+    ("cross-ratio", 4, 0, 2.0, "classical_under", 2, 1),
+    ("cross-ratio", 4, 1, 0.5, "flat", 2, 1),
+    ("cross-ratio", 4, 1, 2.0, "flat", 2, 1),
+    ("cross-ratio", 4, 2, 0.5, "flat", 1, 2),
+    ("cross-ratio", 4, 2, 2.0, "flat", 1, 2),
+    ("cross-ratio", 4, 3, 0.5, "flat", 2, 1),
+    ("cross-ratio", 4, 3, 2.0, "flat", 2, 1),
+)
+
+
+@pytest.mark.parametrize("method,d,ray,r,cls,ne_ccw,ne_cw", RAY_CROSSINGS)
+def test_every_ray_crossing_keeps_its_class_and_negative_end(
+        method, d, ray, r, cls, ne_ccw, ne_cw):
+    """One crossing of each ray of the plain, mobius, d=3 and d=4 readings,
+    inside and outside the unit circle, in both directions: the one
+    transversality rule with its flip of the mobius ratio and of the far
+    rays other than d/2 gives each the class and negative end it had."""
+    for turn, ne in ((1, ne_ccw), (-1, ne_cw)):
+        events = read(ray_crossing(TWO_PI * ray / d, r, turn), method, d)
+        assert [(round(e.time, 9), e.cls, e.ne) for e in events] == \
+            [(0.5, cls, ne)]
+
+
+def grazing_pair(angle: float, turn: int) -> GeomBraid:
+    """Strand 1 parked at 1/2; strand 2 crosses the real line at 3/4, at
+    angle `angle` to it, rightwards for turn = 1."""
+    e = turn * cmath.exp(1j * angle)
+    return GeomBraid(2, (((0.0, 0.5 + 0j), (1.0, 0.5 + 0j)),
+                         ((0.0, 0.75 - 0.1 * e), (1.0, 0.75 + 0.1 * e))))
+
+
+def grazing_alignment(angle: float, turn: int) -> GeomBraid:
+    """Seen from strand 1 at 0, strand 3 crosses the ray through strand 2
+    (at 1) at the point 2, at angle `angle` to it, outwards for turn = 1."""
+    e = turn * cmath.exp(1j * angle)
+    return GeomBraid(3, (((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 0j), (1.0, 1 + 0j)),
+                         ((0.0, 2 - 0.25 * e), (1.0, 2 + 0.25 * e))))
+
+
+@pytest.mark.parametrize("turn,ne,sign", ((1, 1, 1), (-1, 2, -1)))
+def test_small_crossing_angle_is_read_and_tangential_one_refused(turn, ne,
+                                                                 sign):
+    """At 1e-7 radians a pair crossing and a cylinder alignment are read
+    with the sense the derivative rules gave them; at 1e-11 both are
+    tangential and refused."""
+    cut = Conventions(cut_angle=2.0)
+    for pair_read in (psi_events, lambda b: psi_events(b, method="mobius"),
+                      lambda b: psi_d_events(b, 4)):
+        assert signature(pair_read(grazing_pair(1e-7, turn))) == \
+            [(0.5, 1, 2, "classical_over", ne)]
+        with pytest.raises(NonGenericInput, match="tangential crossing"):
+            pair_read(grazing_pair(1e-11, turn))
+    events = cylinder_events(grazing_alignment(1e-7, turn), 1, cut)
+    assert [(round(e.time, 9), e.cls, e.slot, e.sign) for e in events] == \
+        [(0.5, "crossing", 1, sign)]
+    with pytest.raises(NonGenericInput, match="tangential alignment"):
+        cylinder_events(grazing_alignment(1e-11, turn), 1, cut)
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -526,11 +616,11 @@ def reference_pair_events(braid, method: str, d: int):
             for t0, h, a, da, c, dc in segments:
                 num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
                                                c, dc, method)
-                for u, ray in _ray_roots(*_pair_quartic(num, den), lines, t0,
-                                         h, pair, "crossing"):
+                for u, ray, sense in _ray_roots(*_pair_quartic(num, den),
+                                                lines, t0, h, pair, "crossing"):
                     if ray is not None:
-                        events.append(_classify(num, den, u, t0 + h * u,
-                                                *pair, method, ray, d))
+                        events.append(_classify(num, den, u, t0 + h * u, *pair,
+                                                method, ray, d, sense))
     return _finish(events)
 
 
@@ -672,7 +762,7 @@ def test_filter_keeps_roots_at_and_near_breakpoints():
 
 
 def test_filter_keeps_puncture_grazes():
-    """Strand 3 passes a puncture 1 to 3 times PUNCTURE_TOL * |z_l - z_k|
+    """Strand 3 passes a puncture 1 to 3 times GENERICITY_TOL * |z_l - z_k|
     away, sideways inside a segment or head-on to a breakpoint. Strand 4
     crosses the view, or stands where the cross ratio of strands 3 and 4 at
     the closest pass is 1e-12 to 1e-5 radians off a line of a reading: the
@@ -685,7 +775,7 @@ def test_filter_keeps_puncture_grazes():
         zk = scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         zl = zk + scale * cmath.exp(1j * rng.uniform(0, TWO_PI))
         hit = rng.choice((zk, zl))
-        gap = rng.choice((1 + 1e-6, 2.0, 3.0)) * PUNCTURE_TOL * abs(zl - zk)
+        gap = rng.choice((1 + 1e-6, 2.0, 3.0)) * GENERICITY_TOL * abs(zl - zk)
         e = cmath.exp(1j * rng.uniform(0, TWO_PI))
         if trial % 4 < 2:
             at = hit + 1j * e * gap   # sideways, closest at u_min
@@ -719,13 +809,14 @@ def test_filter_keeps_puncture_grazes():
     assert len(views) >= 120 and len(events) >= 1000 and refused >= 30
 
 
-def test_filter_keeps_far_side_double_root_refusal():
+def test_filter_drops_far_side_double_root_of_an_odd_reading():
     """Strand 2 runs along the tangent at 1/2 - i/2 of the circle through
     0, 1 and strand 1, where the cross ratio is -1: on the far side of the
     d=3 reading's line 0, which holds no ray, and far from the rays at
     +-2 pi / 3. The exact double root at u = 1/3 of a segment 2^-20 long
-    is refused before its side is known, and the filter must keep that
-    refusal for as long as the isolator makes it."""
+    is too close to separate; the d=3 reading drops it, as Re(w P) < 0 all
+    over its piece, and reads nothing, while the even readings, whose far
+    ray it is on, refuse it. The filter reads the same either way."""
     start, end = 0.5 - 1 / 256 - 0.5j, 0.5 + 2 / 256 - 0.5j
     b = GeomBraid(2, (((0.0, 0.5 + 0.5j), (1.0, 0.5 + 0.5j)),
                       ((0.0, start), (0.5, start), (0.5 + 2 ** -20, end),
@@ -733,9 +824,13 @@ def test_filter_keeps_far_side_double_root_refusal():
     for view in (b, q_kl(GeomBraid(4, (((0.0, 0j), (1.0, 0j)),
                                        ((0.0, 1 + 0j), (1.0, 1 + 0j)),
                                        *b.strands)), 1, 2)):
-        with pytest.raises(NonGenericInput, match="closer than the genericity"):
-            psi_d_events(view, 3)
-        assert filter_mismatches([view]) == ([], [], 4)
+        assert psi_d_events(view, 3) == ()
+        for method, d in READINGS:
+            if d != 3:
+                with pytest.raises(NonGenericInput,
+                                   match="closer than the genericity"):
+                    read(view, method, d)
+        assert filter_mismatches([view]) == ([], [], 3)
 
 
 def test_filter_leaves_a_vector_through_a_puncture_unbounded():
@@ -771,24 +866,24 @@ def reference_cylinder_events(braid: GeomBraid, k: int, conv: Conventions):
         for sa, sb, pair, what in items:
             (a0, da), (b0, db) = rel[sa], rel[sb]
             coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
-            scale = (abs(a0) + abs(da)) * (abs(b0) + abs(db)) + 1e-300
-            for u, ray in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
+            for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair,
+                                            what):
                 t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
-                if (sb == n or ray is not None) and abs(wv) <= n * 1e-9:
+                if (sb == n or ray is not None) \
+                        and abs(wv) <= n * GENERICITY_TOL:
                     raise NonGenericInput("cut direction degenerate", time=t,
                                           pair=pair)
                 if ray is None:
                     continue
-                slope = (coeffs[1] + 2.0 * coeffs[2] * u).imag
-                if abs(slope) <= 1e-9 * scale:
+                if sense is None:
                     raise NonGenericInput(f"tangential {what}", time=t,
                                           pair=pair)
                 if sb == n:
                     events.append(Event(t, sa + 1, k, "cut",
-                                        sign=1 if slope < 0.0 else -1))
+                                        sign=-1 if sense else 1))
                 else:
                     events.append(_cylinder_crossing(
-                        rel, others, wv, u, t, pair, slope < 0.0, conv))
+                        rel, others, wv, u, t, pair, not sense, conv))
     return _finish(events)
 
 
@@ -873,18 +968,23 @@ def test_cylinder_filter_keeps_roots_at_and_near_breakpoints():
     assert sum(abs(e.time - 0.5) < 1e-9 for e in events) >= 100
 
 
-def test_cylinder_filter_keeps_far_side_double_root_refusal():
+def test_cylinder_filter_drops_far_side_double_root():
     """Seen from strand 1, strands 2 and 3 point opposite ways at t = 1/3,
     where Im((z_2 - z_1) conj(z_3 - z_1)) = (3t - 1)^2 has an exact double
-    root: on the far side of the line of ray 0, which the d=1 reading keeps
-    unfiltered, so the isolator refuses it as before."""
+    root: on the far side of the line of ray 0, which holds no ray, so past
+    a fixed cut nothing is read. The moving cut points along both strands
+    there, so strand 2's passage of it is a double root on ray 0 itself,
+    and is refused. The filter reads the same either way."""
     for z1 in (0j, 0.5 + 0.25j):
         b = GeomBraid(3, (((0.0, z1), (1.0, z1)),
                           ((0.0, z1 - 3 - 2j), (1.0, z1 - 2j)),
                           ((0.0, z1 + 2 + 1j), (1.0, z1 + 2 + 4j))))
-        with pytest.raises(NonGenericInput, match="closer than the genericity"):
+        with pytest.raises(NonGenericInput, match=r"closer than the "
+                           r"genericity margin at t=0\.3333.* pair \(2, 1\)"):
             cylinder_events(b, 1)
-        assert cylinder_filter_mismatches([b], (1,)) == ([], [], 3)
+        for cut in CUTS[1:]:
+            assert cylinder_events(b, 1, cut) == ()
+        assert cylinder_filter_mismatches([b], (1,)) == ([], [], 1)
 
 
 # -- metamorphic: similarity transforms --------------------------------------
