@@ -22,10 +22,9 @@ from .homs import (PipelineConfig, f_d, p_k, pipeline_matrix, pipeline_word,
                    rotation_block_letters, strand_removal_letters)
 from .relcheck import (Failure, Report, verify_oracle_agreement,
                        verify_pk_cocycle, verify_relations)
-from .geom import (BISECTION_TOL, GENERICITY_TOL, SEPARATION_TOL,
-                   Conventions, Event, GeomBraid, PuncturedView,
-                   artin_dynamics, base_points, braid_from_json,
-                   braid_to_json, concat, cylinder_events,
+from .geom import (BISECTION_TOL, GENERICITY_TOL, SEPARATION_TOL, Event,
+                   GeomBraid, PuncturedView, artin_dynamics, base_points,
+                   braid_from_json, braid_to_json, concat, cylinder_events,
                    cylinder_reading, events_to_json, flat_virtual_word,
                    initial_order, linking_number, pair_reading, perturb,
                    power_map_extract, psi_d_events, psi_events, q_kl,

@@ -33,15 +33,15 @@ _MODIFIERS = {
               "n": (_PIPELINE_MODES, 4), "k": (_PIPELINE_MODES, 1),
               "d": (_PIPELINE_MODES, 1), "seed": (_PIPELINE_MODES, 0),
               "pairs": (("cocycle",), 4), "count": (("oracle",), 3),
-              "factors": (("oracle",), 2),
-              "over_nearer": (("oracle",), False)},
+              "factors": (("oracle",), 2)},
     "rep": {"k": (("pipeline",), 1), "d": (("pipeline",), 1)},
     "geom": {"psi_d": (("psi",), None), "d": (("power_map",), None),
              "scheme": (("psi",), "route-and-return"),
              "seed": (("perturb",), 0),
              "emit_matrix": (_READINGS, False),
              "emit_events": (_READINGS, False),
-             "eval": (("emit_matrix",), None)},
+             "eval": (("emit_matrix",), None),
+             "cut_angle": (("project_pk", "power_map"), None)},
 }
 
 
@@ -86,13 +86,6 @@ def _load_word(args) -> braidword.Word:
     group = braidword.parse_group(args.group)
     return braidword.parse_word(args.word, group,
                                 comm_convention=args.comm_convention)
-
-
-def _conventions(args) -> geom.Conventions:
-    return geom.Conventions(
-        positive_crossing_rotation="cw" if args.cw else "ccw",
-        over_is_farther=not args.over_nearer,
-        cut_angle=args.cut_angle)
 
 
 def _add_word_args(p: argparse.ArgumentParser) -> None:
@@ -167,9 +160,7 @@ def _cmd_check(args) -> int:
                                                 factors=args.factors)
                      for _ in range(args.count)]
         cfg = homs.PipelineConfig(args.n, args.k, args.d)
-        conv = geom.Conventions(over_is_farther=not args.over_nearer) \
-            if args.over_nearer else None
-        report = relcheck.verify_oracle_agreement(rng_words, cfg, conv)
+        report = relcheck.verify_oracle_agreement(rng_words, cfg)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -181,8 +172,7 @@ def _obtain_braid(args) -> geom.GeomBraid:
     if args.synth:
         group = braidword.parse_group(args.group or f"B{args.n}")
         word = braidword.parse_word(args.synth, group)
-        braid = geom.artin_dynamics(word, _conventions(args),
-                                    segments_per_crossing=args.segments,
+        braid = geom.artin_dynamics(word, segments_per_crossing=args.segments,
                                     radial_spread=args.spread)
     elif args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -198,14 +188,15 @@ def _obtain_braid(args) -> geom.GeomBraid:
 
 def _cmd_geom(args) -> int:
     braid = _obtain_braid(args)
-    conv = _conventions(args)
     emitted = False
     word = events = None
     if args.project_pk is not None:
-        events, word = geom.cylinder_reading(braid, args.project_pk, None, conv)
+        events, word = geom.cylinder_reading(braid, args.project_pk, None,
+                                             args.cut_angle)
     elif args.power_map is not None:
         events, word = geom.cylinder_reading(
-            braid, args.power_map, 1 if args.d is None else args.d, conv)
+            braid, args.power_map, 1 if args.d is None else args.d,
+            args.cut_angle)
     elif args.psi is not None:
         k, l = args.psi
         events, word = geom.pair_reading(braid, k, l, args.psi_d, args.scheme)
@@ -309,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--n", "--k", "--d", "--seed", "--pairs", "--count",
                  "--factors"):
         p.add_argument(flag, type=int, default=None)
-    p.add_argument("--over-nearer", action="store_true",
-                   help="read crossings with the nearer strand on top "
-                        "(demonstrates the calibration; fails --oracle)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -351,12 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-matrix", action="store_true")
     p.add_argument("--eval", default=None, metavar="t=..,s=..[,r=..]")
     p.add_argument("--svg", default=None, metavar="FILE")
-    p.add_argument("--cut-angle", type=float, default=None,
-                   help="fixed cut direction instead of the moving radial cut")
-    p.add_argument("--cw", action="store_true",
-                   help="positive crossings rotate clockwise")
-    p.add_argument("--over-nearer", action="store_true",
-                   help="the nearer strand passes over")
+    p.add_argument("--cut-angle", type=float, default=None, metavar="RAD",
+                   help="fixed cut direction of a cylinder reading, in "
+                        "radians, instead of the moving radial cut")
     p.set_defaults(func=_cmd_geom, comm_convention="direct")
 
     p = sub.add_parser("example",

@@ -9,9 +9,10 @@ Two extraction pipelines are provided.
 
 Cylinder reading (cylinder_reading / power_map_extract): fix a
 strand k; watch the remaining strands through the angular coordinate around
-strand k, cut along the ray from strand k pointing away from the centroid.
-Alignment of two strands with each other (as seen from k) is a crossing
-event; a strand sweeping through the cut is a rotation event. Under the
+strand k, cut along the ray from strand k pointing away from the centroid,
+or along a fixed direction cut_angle. Alignment of two strands with each
+other (as seen from k) is a crossing event, the farther strand over; a
+strand sweeping through the cut is a rotation event. Under the
 d-th power reading a rotation event expands into the rotation-virtual block
 z (Dv z)^(d-1).
 
@@ -77,30 +78,6 @@ _ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 _ANG_AMP, _ANG_FREQ, _ANG_PHASE = 0.031, 2.39996, 0.7
 _RAD_AMP, _RAD_FREQ, _RAD_PHASE = 0.043, 1.61803, 1.1
 _SPREAD_FREQ, _SPREAD_PHASE = 2.71828, 0.5
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Calibration switches for synthesis and reading.
-
-    positive_crossing_rotation: rotation sense realizing a positive crossing.
-    over_is_farther: the strand farther from the watched strand is on top.
-    cut_angle: None for the moving radial cut (away from the centroid
-    through strand k); a float fixes the cut direction instead.
-    """
-
-    positive_crossing_rotation: str = "ccw"
-    over_is_farther: bool = True
-    cut_angle: float | None = None
-
-    def __post_init__(self):
-        if self.positive_crossing_rotation not in ("ccw", "cw"):
-            raise ValueError("rotation must be 'ccw' or 'cw'")
-        if self.cut_angle is not None and not math.isfinite(self.cut_angle):
-            raise ValueError(f"cut angle must be finite, not {self.cut_angle}")
-
-
-DEFAULT_CONVENTIONS = Conventions()
 
 
 @dataclass(frozen=True)
@@ -281,15 +258,13 @@ def base_points(n: int, radial_spread: float = 0.0) -> list[complex]:
     return pts
 
 
-def artin_dynamics(word: Word, conv: Conventions | None = None, *,
-                   segments_per_crossing: int = 16,
+def artin_dynamics(word: Word, *, segments_per_crossing: int = 16,
                    radial_spread: float = 0.0) -> GeomBraid:
     """Synthesize trajectories realizing a braid word: each crossing is a
-    half-turn of the two affected strands about their midpoint, one uniform
-    time slice per unit-power letter. A word whose letters times
-    segments_per_crossing pass braidword.MAX_LETTERS is refused before any
-    point is written."""
-    conv = conv or DEFAULT_CONVENTIONS
+    half-turn of the two affected strands about their midpoint,
+    counter-clockwise for a positive letter, one uniform time slice per
+    unit-power letter. A word whose letters times segments_per_crossing
+    pass braidword.MAX_LETTERS is refused before any point is written."""
     if word.group.family != "B":
         raise ValueError("trajectory synthesis expects a braid word (family B)")
     if segments_per_crossing < 1:
@@ -315,8 +290,7 @@ def artin_dynamics(word: Word, conv: Conventions | None = None, *,
         za, zb = current[sa], current[sb]
         mid = (za + zb) / 2
         rel = za - mid
-        direction = 1.0 if (letter.power > 0) == \
-            (conv.positive_crossing_rotation == "ccw") else -1.0
+        direction = 1.0 if letter.power > 0 else -1.0
         for s in range(1, seg + 1):
             t = t0 + (t1 - t0) * s / seg
             if s == seg:
@@ -610,22 +584,24 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
 
 
 def cylinder_events(braid: GeomBraid, k: int,
-                    conv: Conventions | None = None) -> tuple[Event, ...]:
+                    cut_angle: float | None = None) -> tuple[Event, ...]:
     """Generic events seen from strand k, sorted by time: 'crossing' of two
-    strands aligned as seen from k, 'cut' of a strand passing the cut. Each
-    is a ratio of linear forms on ray 0, found as the d=1 ray reading; the
-    sense _ray_roots gives a root decides its sign, Im(P) falling through 0
-    being a rising angle, and a tangential one is refused. A root at which
-    the cut direction is n GENERICITY_TOL short, in absolute units, is
-    refused on either side of the line."""
-    conv = conv or DEFAULT_CONVENTIONS
+    strands aligned as seen from k, 'cut' of a strand passing the cut: the
+    ray from k away from the centroid, or the fixed direction cut_angle, a
+    finite angle. Each is a ratio of linear forms on ray 0, found as the d=1
+    ray reading; the sense _ray_roots gives a root decides its sign, Im(P)
+    falling through 0 being a rising angle, and a tangential one is
+    refused. A root at which the cut direction is n GENERICITY_TOL short,
+    in absolute units, is refused on either side of the line."""
     n = braid.n
     if n < 3:
         raise ValueError("need at least 3 strands")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
+    if cut_angle is not None and not math.isfinite(cut_angle):
+        raise ValueError(f"cut angle must be finite, not {cut_angle}")
     others = [s for s in range(n) if s != k - 1]
-    segments, ranges = _cylinder_segments(braid, k - 1, conv)
+    segments, ranges = _cylinder_segments(braid, k - 1, cut_angle)
     lines, spacing = _ray_lines(1)
     # strand pairs, then each strand against the cut, entry n of rel
     items = [(si, sj, (si + 1, sj + 1), "alignment")
@@ -655,16 +631,16 @@ def cylinder_events(braid: GeomBraid, k: int,
                 events.append(
                     Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
                     if sb == n else _cylinder_crossing(
-                        rel, others, wv, u, t, pair, rising, conv))
+                        rel, others, wv, u, t, pair, rising))
     return _finish(events)
 
 
-def _cylinder_segments(braid: GeomBraid, k0: int, conv: Conventions):
+def _cylinder_segments(braid: GeomBraid, k0: int, cut_angle: float | None):
     """Per segment (t0, h, rel), rel[s] (value, increment) of z_s - z_k and
     rel[n] of the cut direction, fixed or n (z_k - centroid); per entry its
     _angle_range, whose cs is the strands' summed distance from 0."""
     n = braid.n
-    fixed = None if conv.cut_angle is None else cmath.exp(1j * conv.cut_angle)
+    fixed = None if cut_angle is None else cmath.exp(1j * cut_angle)
     configs = [p for _, _, p, _ in braid.segments] + [braid.end_config()]
     values = [_differences(braid, s, k0) for s in range(n)] + [
         [fixed if fixed is not None else n * z[k0] - sum(z) for z in configs]]
@@ -679,11 +655,10 @@ def _cylinder_segments(braid: GeomBraid, k0: int, conv: Conventions):
 
 
 def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
-                       pair: tuple[int, int], rising: bool,
-                       conv: Conventions) -> Event:
+                       pair: tuple[int, int], rising: bool) -> Event:
     """Slot and sign of an alignment, from the angular coordinates of every
     other strand measured from the cut direction wv (rel of
-    _cylinder_segments)."""
+    _cylinder_segments); the strand farther from k passes over."""
     si, sj = pair[0] - 1, pair[1] - 1
     ui = rel[si][0] + rel[si][1] * u
     vj = rel[sj][0] + rel[sj][1] * u
@@ -701,13 +676,12 @@ def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
     ri, rj = abs(ui), abs(vj)
     if abs(ri - rj) <= GENERICITY_TOL * max(ri, rj):
         raise NonGenericInput("radial tie at alignment", time=t, pair=pair)
-    over_i = (ri > rj) == conv.over_is_farther
     return Event(t, *pair, "crossing", slot=1 + below,
-                 sign=1 if over_i != rising else -1)
+                 sign=1 if (ri > rj) != rising else -1)
 
 
 def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
-                     conv: Conventions | None = None
+                     cut_angle: float | None = None
                      ) -> tuple[tuple[Event, ...], Word]:
     """Full cylinder pipeline seen from strand k: the events, and the word on
     n-1 strands they spell. Crossings stay crossings; each cut passage
@@ -718,7 +692,7 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
     pure braids, refuses one that is not."""
     if d is not None and d < 1:
         raise ValueError("d must be positive")
-    events = cylinder_events(braid, k, conv)
+    events = cylinder_events(braid, k, cut_angle)
     letters: list[Letter] = []
     for e in events:
         if e.cls == "crossing":
@@ -730,10 +704,10 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
 
 
 def power_map_extract(braid: GeomBraid, k: int, d: int,
-                      conv: Conventions | None = None) -> Word:
+                      cut_angle: float | None = None) -> Word:
     """Word of the d-th power reading: crossings stay crossings, each cut
     passage becomes the rotation-virtual block."""
-    return cylinder_reading(braid, k, d, conv)[1]
+    return cylinder_reading(braid, k, d, cut_angle)[1]
 
 
 # -- pair normalization ------------------------------------------------------------------

@@ -103,17 +103,18 @@ def verify_pk_cocycle(n: int, k: int, d: int, seed: int = 0,
     return Report(checked, _sorted(failures))
 
 
-def verify_oracle_agreement(words, cfg: PipelineConfig, conv=None) -> Report:
-    """Compare the algebraic pipeline with the word extracted from synthesized
-    trajectories, exactly, word by word."""
+def verify_oracle_agreement(words, cfg: PipelineConfig) -> Report:
+    """Compare the algebraic pipeline with the word geom.power_map_extract
+    reads off the trajectories geom.artin_dynamics synthesizes, exactly,
+    word by word."""
     from . import geom  # deferred: geom pulls in the numeric layer
 
     failures: list[Failure] = []
     count = 0
     for word in words:
         count += 1
-        braid = geom.artin_dynamics(word, conv)
-        extracted = geom.power_map_extract(braid, cfg.k, cfg.d, conv)
+        braid = geom.artin_dynamics(word)
+        extracted = geom.power_map_extract(braid, cfg.k, cfg.d)
         lhs = rep.word_image(extracted, rep.RHO)
         rhs = pipeline_matrix(word, cfg)
         if lhs != rhs:

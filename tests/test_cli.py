@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidrep
+from braidrep import geom
+from braidrep.braidword import invert
 from braidrep.cli import main
 from braidrep.geom import braid_from_json, braid_to_json
 
@@ -80,10 +87,12 @@ def test_check_flat_braid_needs_fvb(capsys):
         assert "flat_braid_relation only applies to FVB" in err
 
 
-def test_check_oracle_fails_with_flipped_reading(capsys):
+def test_check_oracle_fails_with_flipped_reading(capsys, monkeypatch):
+    read = geom.power_map_extract
+    monkeypatch.setattr(geom, "power_map_extract",
+                        lambda *args: invert(read(*args)))
     code, out, _ = run(capsys, "check", "--oracle", "--n", "4", "--k", "1",
-                       "--d", "1", "--count", "2", "--factors", "1",
-                       "--over-nearer")
+                       "--d", "1", "--count", "2", "--factors", "1")
     assert code == 1
     assert "FAIL" in out
 
@@ -159,6 +168,21 @@ def test_geom_refine_is_not_an_option(capsys):
     assert "unrecognized arguments: --refine 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ("geom", "--synth", "A[1,3]", "--group", "B4", "--project-pk", "2",
+     "--cw"),
+    ("geom", "--synth", "A[1,3]", "--group", "B4", "--project-pk", "2",
+     "--over-nearer"),
+    ("check", "--oracle", "--count", "1", "--over-nearer")))
+def test_reading_conventions_are_not_options(capsys, argv):
+    """A positive crossing turns counter-clockwise and the farther strand
+    passes over; neither can be switched."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+
 def test_geom_svg(capsys, tmp_path):
     target = tmp_path / "out.svg"
     code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
@@ -202,10 +226,10 @@ def test_check_needs_exactly_one_mode(capsys):
     (("--cocycle", "--n", "3", "--group", "VCB9", "--flat-braid"),
      "--group needs --rep"),
     (("--cocycle", "--n", "3", "--flat-braid"), "--flat-braid needs --rep"),
-    (("--rep", "rho", "--group", "B3", "--n", "7", "--count", "5",
-      "--over-nearer"), "--n needs --cocycle or --oracle"),
-    (("--rep", "rho", "--group", "B3", "--over-nearer"),
-     "--over-nearer needs --oracle"),
+    (("--rep", "rho", "--group", "B3", "--n", "7", "--count", "5"),
+     "--n needs --cocycle or --oracle"),
+    (("--rep", "rho", "--group", "B3", "--d", "2"),
+     "--d needs --cocycle or --oracle"),
     (("--rep", "rho", "--group", "B3", "--seed", "0"),
      "--seed needs --cocycle or --oracle"),
     (("--oracle", "--n", "4", "--pairs", "2"), "--pairs needs --cocycle"),
@@ -232,6 +256,17 @@ def test_geom_refuses_what_cannot_be_a_braid(capsys, extra, message):
                          "--project-pk", "1", *extra)
     assert code == 2 and out == ""
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", (("--psi", "1", "3", "--cut-angle", "1.5"),
+                                   ("--cut-angle", "nan"),
+                                   ("--linking", "--cut-angle", "0")))
+def test_geom_refuses_a_cut_angle_without_a_cylinder_reading(capsys, extra):
+    code, out, err = run(capsys, "geom", "--synth", "comm(A[1,3]; A[2,4])",
+                         "--group", "B4", *extra)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "--cut-angle needs --project-pk or --power-map" in err
 
 
 def test_cylinder_reading_is_defined_for_any_braid_and_p_k_only_on_pure(
@@ -477,3 +512,32 @@ def test_geom_svg_marks_pair_events_on_braid_strands(capsys, tmp_path):
         x = (braid.at(2, event["t"]).real + braid.at(4, event["t"]).real) / 2
         cx = 40.0 + (x - min(xs)) / (max(xs) - min(xs)) * 560.0
         assert f'<circle cx="{cx:.2f}"' in svg
+
+
+def test_geom_svg_marks_a_cut_event_on_its_strand(capsys, tmp_path):
+    target = tmp_path / "out.svg"
+    code, out, _ = run(capsys, "geom", "--synth", "A[1,3]", "--group", "B4",
+                       "--project-pk", "1", "--emit-events", "--emit-braid",
+                       "--svg", str(target))
+    assert code == 0
+    events, _ = json.JSONDecoder().raw_decode(out)
+    braid = braid_from_json(json.loads(out.splitlines()[-2]))
+    svg = target.read_text()
+    assert svg.count("<circle") == len(events)
+    cuts = [e for e in events if e["kind"] == "cut"]
+    assert len(cuts) == 1
+    xs = [z.real for bps in braid.strands for _, z in bps]
+    x = braid.at(cuts[0]["strand"], cuts[0]["t"]).real
+    cx = 40.0 + (x - min(xs)) / (max(xs) - min(xs)) * 560.0
+    assert f'<circle cx="{cx:.2f}"' in svg
+
+
+def test_python_m_braidrep_runs_the_cli():
+    src = str(Path(braidrep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "braidrep", "parse", "s1", "--group", "B3"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "s1"

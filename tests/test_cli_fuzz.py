@@ -168,7 +168,7 @@ CHECK_COMMANDS = st.one_of(
         lambda c: ["check", "--cocycle", "--n", c[0], "--k", c[1],
                    "--d", c[2], "--pairs", c[3], *c[4]]),
     st.tuples(number(3, 4), number(1, 4), number(1, 2),
-              flags("--json", "--over-nearer")).map(
+              flags("--json")).map(
         lambda c: ["check", "--oracle", "--n", c[0], "--k", c[1], "--d", c[2],
                    "--count", "1", "--factors", "1", *c[3]]))
 

@@ -13,7 +13,7 @@ from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
 from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL, _MERGE_GAP,
-                           Conventions, GeomBraid, _comes_within,
+                           GeomBraid, _comes_within,
                            _winding,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
@@ -46,7 +46,7 @@ def rigid_rotation(direction: int, steps: int = 8, m: int = 4) -> GeomBraid:
     return GeomBraid(m + 1, tuple(strands))
 
 
-FIXED_CUT = Conventions(cut_angle=0.0)
+FIXED_CUT = 0.0
 
 
 # -- model validation -------------------------------------------------------
@@ -80,7 +80,7 @@ def test_non_finite_input_is_refused():
         braid_from_json(data)
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="cut angle must be finite"):
-            Conventions(cut_angle=angle)
+            cylinder_events(artin_dynamics(word), 1, angle)
 
 
 def test_overflowing_input_is_refused():
@@ -446,8 +446,10 @@ def test_reading_depends_on_calibration():
     b = artin_dynamics(w)
     want = pipeline_matrix(w, PipelineConfig(4, 1, 1))
     assert word_image(cylinder_reading(b, 1)[1], RHO) == want
-    flipped = Conventions(over_is_farther=False)
-    assert word_image(cylinder_reading(b, 1, None, flipped)[1], RHO) != want
+    # the mirror turns every crossing the other way: the reading follows
+    mirror = Word(w.group, tuple(l.inverse() for l in w.letters))
+    got = word_image(cylinder_reading(artin_dynamics(mirror), 1)[1], RHO)
+    assert got == pipeline_matrix(mirror, PipelineConfig(4, 1, 1)) != want
 
 
 def test_persistent_alignment_rejected():
@@ -466,8 +468,7 @@ def test_alignment_persistent_on_the_far_side_is_read():
     strands = (((0.0, 0j), (1.0, 0j)),
                ((0.0, 1 + 0j), (1.0, 1 + 0j)),
                ((0.0, -1 + 0j), (1.0, -1 + 0j)))
-    assert cylinder_events(GeomBraid(3, strands), 1,
-                           Conventions(cut_angle=2.0)) == ()
+    assert cylinder_events(GeomBraid(3, strands), 1, 2.0) == ()
 
 
 TOUCHES = (
@@ -496,8 +497,7 @@ def test_segments_agree_on_the_sign_at_their_breakpoint():
     strands = (((0.0, 0j), (1.0, 0j)),
                ((0.0, -0.25 + 1.25j), (0.5, 0.75j), (1.0, -0.75 + 0.5j)),
                ((0.0, 3 - 3j), (1.0, 3 - 3j)))
-    assert cylinder_events(GeomBraid(3, strands), 1,
-                           Conventions(cut_angle=math.pi / 2)) == ()
+    assert cylinder_events(GeomBraid(3, strands), 1, math.pi / 2) == ()
 
 
 def test_cut_passage_at_a_degenerate_cut_is_refused():
@@ -533,10 +533,10 @@ def test_cut_passage_exactly_at_the_time_boundary_is_refused():
         cylinder_events(GeomBraid(3, strands), 1)
 
 
-SIDEWAYS = Conventions(cut_angle=2.0)
+SIDEWAYS = 2.0
 
 
-@pytest.mark.parametrize("strands,conv,what", (
+@pytest.mark.parametrize("strands,cut,what", (
     # strand 3 crosses the ray from strand 1 through strand 2 at a slope of
     # 2e-12, running along it
     ((((0.0, 0j), (1.0, 0j)), ((0.0, 1 + 0j), (1.0, 1 + 0j)),
@@ -544,9 +544,9 @@ SIDEWAYS = Conventions(cut_angle=2.0)
     # strand 2 crosses the cut at angle 0 of strand 1 the same way
     ((((0.0, 0j), (1.0, 0j)), ((0.0, 1 - 1e-12j), (1.0, 2 + 1e-12j)),
       ((0.0, -1 + 2j), (1.0, -1 + 2j))), FIXED_CUT, "cut passage")))
-def test_tangential_cylinder_event_is_refused(strands, conv, what):
+def test_tangential_cylinder_event_is_refused(strands, cut, what):
     with pytest.raises(NonGenericInput, match=f"tangential {what} at t=0.5"):
-        cylinder_events(GeomBraid(3, strands), 1, conv)
+        cylinder_events(GeomBraid(3, strands), 1, cut)
 
 
 def test_triple_alignment_is_refused():

@@ -191,3 +191,15 @@ def test_matrix_json_round_trip():
     rng = random.Random(707)
     m = Matrix.from_rows([[rand_poly(rng) for _ in range(2)] for _ in range(2)])
     assert mat_from_json(mat_to_json(m)) == m
+
+
+def test_equal_polynomials_hash_equal():
+    """2 - t + 3 s^-2 r, from JSON in two term orders and by arithmetic."""
+    terms = [{"e": [1, 0, 0], "c": "-1"}, {"e": [0, -2, 1], "c": "3"},
+             {"e": [0, 0, 0], "c": "2"}]
+    built = [poly_from_json(terms), poly_from_json(terms[::-1]),
+             3 * S_INV * S_INV * R - T + 2,
+             (1 - T) * (1 + T) + T * T + 1 - T + 3 * R * S_INV * S_INV]
+    assert all(p == built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1
+    assert set(built) == {built[0]} and built[0] + 1 not in set(built)

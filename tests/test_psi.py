@@ -13,7 +13,7 @@ from braidrep import geom
 from braidrep.braidword import (GroupId, format_word, parse_word,
                                 random_zero_linking_word)
 from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
-from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI, Conventions,
+from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI,
                            Event, GeomBraid, _classify, _cross_ratio_models,
                            _cylinder_crossing, _cylinder_segments, _finish,
                            _pair_model, _pair_quartic, _ray_lines,
@@ -247,7 +247,7 @@ def test_small_crossing_angle_is_read_and_tangential_one_refused(turn, ne,
     """At 1e-7 radians a pair crossing and a cylinder alignment are read
     with the sense the derivative rules gave them; at 1e-11 both are
     tangential and refused."""
-    cut = Conventions(cut_angle=2.0)
+    cut = 2.0
     for pair_read in (psi_events, lambda b: psi_events(b, method="mobius"),
                       lambda b: psi_d_events(b, 4)):
         assert signature(pair_read(grazing_pair(1e-7, turn))) == \
@@ -351,7 +351,7 @@ def test_event_counts_match_exact_oracle():
     assert compared >= 55 and compared + refused == 60
 
 
-def exact_cylinder_count(braid: GeomBraid, k: int, conv: Conventions):
+def exact_cylinder_count(braid: GeomBraid, k: int, cut_angle: float):
     """Event count of the cylinder reading of a one-segment braid seen from
     strand k past a fixed cut, from Fraction-exact coefficients. With a and
     b the positions of two other strands relative to strand k, or of one
@@ -369,7 +369,7 @@ def exact_cylinder_count(braid: GeomBraid, k: int, conv: Conventions):
     vectors = {s: (poly(q[s].real, p[s].real) - poly(q[k0].real, p[k0].real),
                    poly(q[s].imag, p[s].imag) - poly(q[k0].imag, p[k0].imag))
                for s in range(braid.n) if s != k0}
-    w = cmath.exp(1j * conv.cut_angle)
+    w = cmath.exp(1j * cut_angle)
     cut = (poly(w.real), poly(w.imag))
 
     def count(a, b):
@@ -409,7 +409,7 @@ def test_cylinder_event_counts_match_exact_oracle():
     mismatches, compared, refused, events = [], 0, 0, 0
     for trial in range(60):
         n = 3 + trial % 2
-        conv = Conventions(cut_angle=rng.uniform(0.0, 2 * math.pi))
+        cut = rng.uniform(0.0, 2 * math.pi)
         strands = tuple(((0.0, point()), (1.0, point())) for _ in range(n))
         try:
             braid = GeomBraid(n, strands)
@@ -418,15 +418,15 @@ def test_cylinder_event_counts_match_exact_oracle():
             continue
         for k in range(1, n + 1):
             try:
-                got = len(cylinder_events(braid, k, conv))
+                got = len(cylinder_events(braid, k, cut))
             except NonGenericInput:
                 refused += 1
                 continue
-            want = exact_cylinder_count(braid, k, conv)
+            want = exact_cylinder_count(braid, k, cut)
             if want is None:
                 refused += 1
             elif got != want:
-                mismatches.append((strands, k, conv.cut_angle, got, want))
+                mismatches.append((strands, k, cut, got, want))
             else:
                 compared += 1
                 events += got
@@ -850,13 +850,14 @@ def test_filter_leaves_a_vector_through_a_puncture_unbounded():
 # -- angle filter against the unfiltered cylinder loop ------------------------
 
 
-def reference_cylinder_events(braid: GeomBraid, k: int, conv: Conventions):
+def reference_cylinder_events(braid: GeomBraid, k: int,
+                              cut_angle: float | None):
     """The cylinder loop without the angle filter: every pair of watched
     strands and every strand against the cut goes through _ray_roots on
     every segment."""
     n = braid.n
     others = [s for s in range(n) if s != k - 1]
-    segments, _ = _cylinder_segments(braid, k - 1, conv)
+    segments, _ = _cylinder_segments(braid, k - 1, cut_angle)
     lines, _ = _ray_lines(1)
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
@@ -883,11 +884,11 @@ def reference_cylinder_events(braid: GeomBraid, k: int, conv: Conventions):
                                         sign=-1 if sense else 1))
                 else:
                     events.append(_cylinder_crossing(
-                        rel, others, wv, u, t, pair, not sense, conv))
+                        rel, others, wv, u, t, pair, not sense))
     return _finish(events)
 
 
-CUTS = (Conventions(), Conventions(cut_angle=0.0), Conventions(cut_angle=2.0))
+CUTS = (None, 0.0, 2.0)
 
 
 def cylinder_filter_mismatches(braids, ks=None) -> tuple[list, list, int]:
@@ -897,10 +898,10 @@ def cylinder_filter_mismatches(braids, ks=None) -> tuple[list, list, int]:
     bad, events, refused = [], [], 0
     for braid in braids:
         for k in ks or range(1, braid.n + 1):
-            for conv in CUTS:
-                want = pair_outcome(reference_cylinder_events, braid, k, conv)
-                if pair_outcome(cylinder_events, braid, k, conv) != want:
-                    bad.append((braid, k, conv))
+            for cut in CUTS:
+                want = pair_outcome(reference_cylinder_events, braid, k, cut)
+                if pair_outcome(cylinder_events, braid, k, cut) != want:
+                    bad.append((braid, k, cut))
                 elif want and isinstance(want[0], type):
                     refused += 1
                 else:
@@ -921,7 +922,7 @@ def test_cylinder_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
     assert bad == [] and len(events) > 2000
 
 
-def aligned_at_half(rng, scale: float, cut: Conventions) -> GeomBraid:
+def aligned_at_half(rng, scale: float, cut: float | None) -> GeomBraid:
     """Strand 1 stands still; strands 2 and 3 each run round a small
     triangle with a corner at t = 1/2, where strand 3 is, as seen from
     strand 1, in the direction of strand 2 or of the cut, exactly up to
@@ -938,13 +939,13 @@ def aligned_at_half(rng, scale: float, cut: Conventions) -> GeomBraid:
     zk, z2, z4 = point(), point(), point()
     if rng.random() < 0.5:
         direction = z2 - zk
-    elif cut.cut_angle is not None:
-        direction = cmath.exp(1j * cut.cut_angle)
+    elif cut is not None:
+        direction = cmath.exp(1j * cut)
     else:
         # z3 - zk on the ray of 4 zk - (zk + z2 + z3 + z4) = w - (z3 - zk)
         direction = 3 * zk - z2 - z4
     off = rng.choice((0.0, 0.0, 10 ** rng.uniform(-12, -5) * rng.choice((-1, 1))))
-    length = rng.uniform(0.2, 0.9) * (abs(direction) if cut.cut_angle is None
+    length = rng.uniform(0.2, 0.9) * (abs(direction) if cut is None
                                       else scale)
     z3 = zk + length * cmath.exp(1j * off) * direction / abs(direction)
     return GeomBraid(4, (((0.0, zk), (1.0, zk)), triangle(z2), triangle(z3),
@@ -1034,9 +1035,8 @@ def cylinder_words(braid: GeomBraid, k: int, turn: float = 0.0):
     """Words read from strand k past the moving cut and past the fixed cut
     at FIXED_CUT_ANGLE + turn: the cylinder word and the d = 1..3 power
     readings."""
-    return tuple(format_word(cylinder_reading(braid, k, d, conv)[1])
-                 for conv in (Conventions(),
-                              Conventions(cut_angle=FIXED_CUT_ANGLE + turn))
+    return tuple(format_word(cylinder_reading(braid, k, d, cut)[1])
+                 for cut in (None, FIXED_CUT_ANGLE + turn)
                  for d in (None, 1, 2, 3))
 
 
@@ -1072,10 +1072,10 @@ def time_reversed(braid: GeomBraid) -> GeomBraid:
 def test_cylinder_reading_of_the_reversed_braid_is_the_inverse(text, k):
     braid, _ = untransformed_cylinder(text, k)
     back = time_reversed(braid)
-    for conv in (Conventions(), Conventions(cut_angle=FIXED_CUT_ANGLE)):
+    for cut in (None, FIXED_CUT_ANGLE):
         for d in (None, 2):
-            image = word_image(cylinder_reading(braid, k, d, conv)[1], RHO)
-            inverse = word_image(cylinder_reading(back, k, d, conv)[1], RHO)
+            image = word_image(cylinder_reading(braid, k, d, cut)[1], RHO)
+            inverse = word_image(cylinder_reading(back, k, d, cut)[1], RHO)
             assert (inverse * image).is_identity and not image.is_identity
 
 

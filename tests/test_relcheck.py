@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from braidrep.braidword import GroupId, random_pure_word
+from braidrep import geom
+from braidrep.braidword import GroupId, invert, random_pure_word
 from braidrep.errors import IncompatibleRepGroup
-from braidrep.geom import Conventions
 from braidrep.homs import PipelineConfig
 from braidrep.relcheck import (verify_oracle_agreement, verify_pk_cocycle,
                                verify_relations)
@@ -50,11 +50,13 @@ def test_oracle_agreement_default_conventions():
     assert report.passed
 
 
-def test_oracle_disagrees_under_flipped_reading():
+def test_oracle_disagrees_under_flipped_reading(monkeypatch):
+    read = geom.power_map_extract
+    monkeypatch.setattr(geom, "power_map_extract",
+                        lambda *args: invert(read(*args)))
     rng = random.Random(6)
     words = [random_pure_word(4, rng, factors=2) for _ in range(3)]
-    flipped = Conventions(over_is_farther=False)
-    report = verify_oracle_agreement(words, PipelineConfig(4, 1, 1), flipped)
+    report = verify_oracle_agreement(words, PipelineConfig(4, 1, 1))
     assert not report.passed
     assert report.failures
     assert "FAIL" in report.summary()
