@@ -27,8 +27,8 @@ and realized as a flat-virtual word. The d-th power reading watches the
 rays at angles 2 pi p / d; the plain reading is d=2.
 
 All event detection happens on the polyline model itself, built once per
-braid with its bounding disks: between merged breakpoints every strand is
-linear in t, and every event is a ratio N/D on a ray. The cylinder's ratios,
+braid: between merged breakpoints every strand is linear in t, and every
+event is a ratio N/D on a ray. The cylinder's ratios,
 (z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for the cut direction v, have
 linear N and D and watch ray 0 alone (d=1); a cross ratio has quadratic N
 and D. N/D lies on the line through 0 in direction conj(w) where the real
@@ -52,6 +52,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate, compress
 from operator import lt, ne, sub, truediv
 from typing import Iterable, Sequence
@@ -68,8 +69,6 @@ SEPARATION_TOL = 4e-6        # minimum distance between strands
 GENERICITY_TOL = 1e-9        # every genericity margin, in its own test's unit
 BISECTION_TOL = 1e-12        # root refinement width in t
 _DEDUPE_GAP = 1e-11          # one root at a segment end read from both sides
-_TINY = 1e-300               # floor of a zero denominator or underflow
-_DISK_ROUNDING = 1e-14       # disk filter's rounding allowance, relative
 _MERGE_GAP = 1e-13           # breakpoint times this close are one
 _ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 
@@ -83,8 +82,8 @@ _SPREAD_FREQ, _SPREAD_PHASE = 2.71828, 0.5
 @dataclass(frozen=True)
 class Event:
     """One generic event. The pair readings give events of strands i < j
-    with cls one of 'classical_over' (j passes over i), 'classical_under',
-    'flat', 'virtual', and ne the strand whose tangent heads to the negative
+    with cls one of 'classical_over' (j passes over i), 'classical_under'
+    or 'flat', and ne the strand whose tangent heads to the negative
     end. The cylinder reading gives 'crossing' events, two strands i < j
     aligned as seen from the watched strand, at slot with crossing sign
     sign, and 'cut' events, strand i passing the cut of the watched strand
@@ -111,18 +110,30 @@ class Event:
         return out
 
 
+def _in_float_range(check):
+    """check, with an OverflowError of its float arithmetic refused as the
+    ValueError of a braid whose points are too large for it."""
+    @wraps(check)
+    def guarded(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except OverflowError:
+            raise ValueError("breakpoint points too large for float "
+                             "arithmetic") from None
+    return guarded
+
+
 @dataclass(frozen=True)
 class GeomBraid:
     """Polyline braid: per strand, breakpoints (time, point) with times
     strictly increasing from 0 to 1. Strands stay SEPARATION_TOL apart at all
-    times: bounding disks clear what they can per pair and segment first, and
-    the exact quadratic (_comes_within) decides the rest.
+    times: pair by pair, segment by segment, the exact quadratic
+    (_comes_within) decides each that its clearance test does not skip.
 
-    Two models are built once, when the braid is: segments, the shared
-    linear model every reading works on, per merged interval [t0, t1] values
-    p and increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1],
-    p read from _paths, every strand's at() at every merged time; and disks,
-    the segments' _disks, shared by the separation and puncture checks."""
+    One model is built once, when the braid is: segments, the shared linear
+    model every reading works on, per merged interval [t0, t1] values p and
+    increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1], p
+    read from _paths, every strand's at() at every merged time."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -147,12 +158,7 @@ class GeomBraid:
         object.__setattr__(self, "segments", tuple(
             (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
             for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
-        try:
-            object.__setattr__(self, "disks", _disks(self.segments, self.n))
-            self._check_separation()
-        except OverflowError:
-            raise ValueError("breakpoint points too large for float "
-                             "arithmetic") from None
+        self._check_separation()
 
     @property
     def pure(self) -> bool:
@@ -179,16 +185,15 @@ class GeomBraid:
     def end_config(self) -> tuple[complex, ...]:
         return tuple(bps[-1][1] for bps in self.strands)
 
+    @_in_float_range
     def _check_separation(self) -> None:
-        cen, rad = self.disks
-        # each filter keeps what its test does not clear, a nan test too
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                near = [seg for seg, ci, cj, ri, rj in zip(
-                            self.segments, cen[i], cen[j], rad[i], rad[j])
-                        if not abs(ci - cj) > ri + rj + SEPARATION_TOL]
-                for t0, t1, p, q in near:
-                    u = _comes_within(p[i] - p[j], q[i] - q[j], 1, 0, SEPARATION_TOL)
+                for t0, t1, p, q in self.segments:
+                    d0, dd = p[i] - p[j], q[i] - q[j]
+                    if abs(d0) > 2.0 * (abs(dd) + SEPARATION_TOL):
+                        continue    # clear, as _comes_within shows
+                    u = _comes_within(d0, dd, 1, 0, SEPARATION_TOL)
                     if u is not None:
                         raise SeparationViolated(
                             f"strands {i + 1} and {j + 1} within tolerance "
@@ -224,19 +229,14 @@ def _merged_times(strands) -> list[float]:
     return out
 
 
-def _disks(segments, n: int):
-    """Per strand and segment, a disk holding the strand: centre p + q/2 and
-    radius |q|/2 + _DISK_ROUNDING (|p| + |q|) + _TINY, which covers all the
-    rounding, so disks farther apart than tol prove _comes_within None."""
-    return ([[p[s] + q[s] * 0.5 for _, _, p, q in segments] for s in range(n)],
-            [[abs(q[s]) * 0.5 + _DISK_ROUNDING * (abs(p[s]) + abs(q[s])) + _TINY
-              for _, _, p, q in segments] for s in range(n)])
-
-
 def _comes_within(d0, dd, c0, dc, tol: float) -> float | None:
     """A u in [0, 1] at which |d0 + dd*u| < tol * |c0 + dc*u|, or None: the
     real quadratic |d|^2 - tol^2 |c|^2 is checked at both ends and at its
-    vertex if inside, comparing the two lengths there directly."""
+    vertex if inside, comparing the two lengths there directly. Callers
+    skip it where |d0| > 2 |dd| + 2 tol (|c0| + |dc|) on these same floats:
+    there |d0 + dd*u| >= |d0| - |dd| > |d0|/2 + tol |c0 + dc*u| on [0, 1], a
+    margin of |d0|/2 that the few ulps lost here cannot close, so the skip
+    needs no rounding allowance. A nan is never skipped."""
     a = abs(dd) ** 2 - tol * tol * abs(dc) ** 2
     b = (d0 * dd.conjugate()).real - tol * tol * (c0 * dc.conjugate()).real
     for u in (0.0, 1.0, -b / a) if a > 0.0 and 0.0 < -b < a else (0.0, 1.0):
@@ -583,6 +583,7 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
 # -- cylinder extraction ---------------------------------------------------------------
 
 
+@_in_float_range
 def cylinder_events(braid: GeomBraid, k: int,
                     cut_angle: float | None = None) -> tuple[Event, ...]:
     """Generic events seen from strand k, sorted by time: 'crossing' of two
@@ -734,12 +735,13 @@ class PuncturedView:
         return tuple(x / c for x in a)
 
 
+@_in_float_range
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
     _winding to vanish, and no other strand ever within GENERICITY_TOL * |z_l -
-    z_k| of z_k or z_l: the braid's bounding disks clear what they can per
-    segment first, and the exact quadratic (_comes_within) decides the rest,
-    segment by segment, strand by strand. Then it builds the view's pair
+    z_k| of z_k or z_l: segment by segment, strand by strand, the puncture at
+    k before the one at l, the exact quadratic (_comes_within) decides each
+    that its clearance test does not skip. Then it builds the view's pair
     model once: its scaled segments and their _angle_ranges."""
     n = braid.n
     if n < 4:
@@ -751,24 +753,18 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
             if _winding(_differences(braid, i, j), i + 1, j + 1) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
-    others = [s for s in range(n) if s not in (k0, l0)]
-    cen, rad = braid.disks
-    reach = [GENERICITY_TOL * (abs(p[l0] - p[k0]) + abs(q[l0] - q[k0]))
-             * (1.0 + _DISK_ROUNDING) for _, _, p, q in braid.segments]
-    # sorted back into the scan order: segment, then strand, then puncture
-    near = sorted((g, s, side) for s in others
-                  for side, x in enumerate((k0, l0))
-                  for g, (cs, cx, rs, rx, r) in enumerate(
-                      zip(cen[s], cen[x], rad[s], rad[x], reach))
-                  if not abs(cs - cx) > rs + rx + r)
-    for g, s, side in near:
-        t0, t1, p, q = braid.segments[g]
-        x = (k0, l0)[side]
-        u = _comes_within(p[s] - p[x], q[s] - q[x], p[l0] - p[k0],
-                          q[l0] - q[k0], GENERICITY_TOL)
-        if u is not None:
-            raise PunctureCollision(f"strand {s + 1} touches a puncture "
-                                    f"near t={t0 + (t1 - t0) * u:.6f}")
+    pairs = [(s, x) for s in range(n) if s not in (k0, l0) for x in (k0, l0)]
+    for t0, t1, p, q in braid.segments:
+        c0, dc = p[l0] - p[k0], q[l0] - q[k0]
+        reach = 2.0 * GENERICITY_TOL * (abs(c0) + abs(dc))
+        for s, x in pairs:
+            d0, dd = p[s] - p[x], q[s] - q[x]
+            if abs(d0) > 2.0 * abs(dd) + reach:
+                continue    # clear, as _comes_within shows
+            u = _comes_within(d0, dd, c0, dc, GENERICITY_TOL)
+            if u is not None:
+                raise PunctureCollision(f"strand {s + 1} touches a puncture "
+                                        f"near t={t0 + (t1 - t0) * u:.6f}")
     segments = _pair_segments(braid, k0, l0)
     return PuncturedView(braid, k0, l0, (segments, _angle_ranges(segments)))
 
@@ -889,6 +885,7 @@ def _angle_range(values, cs):
              for t0, t1, k in zip(turns, turns[1:], kappas)])
 
 
+@_in_float_range
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
@@ -929,10 +926,10 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
     the mobius ratio m does, as (1 - m)/m falls through the real line where
     m rises through it, and so does a far ray p + d/2 other than d/2."""
     nv, dv = _horner(num, u), _horner(den, u)
-    if abs(dv) < _TINY:
+    val = nv / dv if dv else math.inf
+    if not cmath.isfinite(val):
         raise NonGenericInput("classifier function blows up", time=t,
                               pair=(i, j))
-    val = nv / dv
     x = val.real
     guard = min(abs(val), abs(val - 1.0))
     if method != "mobius" and nv:
@@ -1080,8 +1077,7 @@ _PALETTE = ("#1d4ed8", "#b91c1c", "#047857", "#7c3aed", "#b45309",
             "#0e7490", "#be185d", "#4d7c0f", "#6b7280", "#92400e")
 
 _MARK = {"classical_over": "#111827", "classical_under": "#6b7280",
-         "flat": "#d97706", "virtual": "#16a34a",
-         "crossing": "#111827", "cut": "#16a34a"}
+         "flat": "#d97706", "crossing": "#111827", "cut": "#16a34a"}
 
 
 def render_svg(braid: GeomBraid, marks: Iterable[dict] | None = None,

@@ -277,7 +277,10 @@ def poly_from_json(data: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[Exponents, int] = {}
     for item in data:
         e = item["e"]
-        terms[(int(e[0]), int(e[1]), int(e[2]))] = int(item["c"])
+        key = (int(e[0]), int(e[1]), int(e[2]))
+        if key in terms:
+            raise ValueError(f"exponent {list(key)} repeated")
+        terms[key] = int(item["c"])
     return LaurentPoly(terms)
 
 

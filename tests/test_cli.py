@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,6 +292,22 @@ def test_geom_in_refuses_non_finite_points(capsys, tmp_path):
     code, out, err = run(capsys, "geom", "--in", str(path), "--project-pk", "1")
     assert code == 2 and out == ""
     assert "error:" in err and "finite" in err
+
+
+def test_geom_in_refuses_points_too_large_for_floats(capsys, tmp_path):
+    # scaling by 2^1022 is exact and keeps every point finite, but not the
+    # float arithmetic of the checks and readings
+    code, out, _ = run(capsys, "geom", "--synth", "comm(A[1,3]; A[2,4])",
+                       "--group", "B4", "--emit-braid")
+    data = json.loads(out)
+    data["strands"] = [[[t, math.ldexp(x, 1022), math.ldexp(y, 1022)]
+                        for t, x, y in bps] for bps in data["strands"]]
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "geom", "--in", str(path), "--project-pk", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large for float arithmetic" in err
 
 
 def test_error_classes_carry_their_exit_codes():

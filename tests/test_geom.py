@@ -18,7 +18,8 @@ from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL, _MERGE_GAP,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
                            cylinder_reading, events_to_json, initial_order,
-                           linking_number, perturb, power_map_extract,
+                           linking_number, pair_reading, perturb,
+                           power_map_extract,
                            psi_d_events, psi_events,
                            q_kl, render_svg, resample)
 from braidrep.homs import PipelineConfig, pipeline_matrix, \
@@ -98,6 +99,50 @@ def test_overflowing_input_is_refused():
                       ((0, 5j), (1, 5j))))
     with pytest.raises(ValueError, match=r"pair \(1,2\) differs past float"):
         linking_number(b, 1, 2)
+
+
+def test_huge_coordinates_end_in_a_reading_or_a_refusal():
+    """Strands at 1e150 to 1e308 that move by up to a 1e-200 share of that:
+    every check and reading returns, or refuses with a ValueError or a
+    BraidrepError, never an OverflowError. Points this large overflow the
+    puncture check of q_kl, and the cylinder's summed distances."""
+    rng = random.Random(17)
+
+    def coord():
+        return rng.choice((-1, 1)) * 10.0 ** rng.uniform(150, 308)
+
+    readings = (
+        lambda b: [linking_number(b, i, j)
+                   for i in range(1, 5) for j in range(i + 1, 5)],
+        lambda b: q_kl(b, 1, 3),
+        lambda b: pair_reading(b, 1, 3),
+        lambda b: pair_reading(b, 1, 3, 3),
+        lambda b: cylinder_reading(b, 1),
+        lambda b: cylinder_reading(b, 2, 2))
+    # standing still near the corner (1.5e308, 1.5e308) of float range
+    corner = 1.5e308 + 1.5e308j
+    braids = [[((0.0, corner + z), (1.0, corner + z))
+               for z in (0, 1e300, 1e300j, 1e300 + 1e300j)]]
+    for draw in range(150):
+        moves = 10.0 ** -rng.uniform(0, 200)
+        strands = [((0.0, z), (rng.uniform(0.1, 0.9),
+                               z + complex(coord(), coord()) * moves), (1.0, z))
+                   for z in (complex(coord(), coord()) for _ in range(4))]
+        braids.append(strands)
+    too_large = set()
+    for strands in braids:
+        try:
+            braid = GeomBraid(4, tuple(strands))
+        except ValueError as exc:
+            assert "too large" in str(exc)
+            continue
+        for index, read in enumerate(readings):
+            try:
+                read(braid)
+            except (ValueError, BraidrepError) as exc:
+                if "too large" in str(exc):
+                    too_large.add(index)
+    assert too_large == {1, 2, 3, 4, 5}
 
 
 # strand 3 passes through 1e80 at t = 1/2, so over one segment a watched
@@ -678,11 +723,11 @@ def test_first_puncture_collision_is_the_first_segment_strand_puncture(
             (PunctureCollision, str(info.value))
 
 
-# -- bounding-disk filter against the exhaustive checks ----------------------
+# -- clearance tests against the exhaustive checks ---------------------------
 
 
 def reference_separation(braid: GeomBraid) -> None:
-    """The separation check without the disk filter: every pair, every
+    """The separation check without its clearance test: every pair, every
     segment through the exact quadratic."""
     for i in range(braid.n):
         for j in range(i + 1, braid.n):
@@ -695,7 +740,7 @@ def reference_separation(braid: GeomBraid) -> None:
 
 
 def reference_q_kl(braid: GeomBraid, k: int, l: int) -> None:
-    """The checks of q_kl without the disk filter: every strand, both
+    """The checks of q_kl without their clearance test: every strand, both
     punctures, every segment through the exact quadratic."""
     n = braid.n
     for i in range(1, n + 1):
@@ -741,10 +786,10 @@ def passing_path(rng, scale, point, gap, u_min, e):
 
 
 NEAR_FACTORS = (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 3.0)
-NEAR_SCALES = (1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)
+NEAR_SCALES = (1e-100, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12, 1e100)
 
 
-def test_disk_filter_refuses_exactly_as_the_exhaustive_separation_check(
+def test_clearance_refuses_exactly_as_the_exhaustive_separation_check(
         monkeypatch):
     # two strands move along e and are factor * SEPARATION_TOL apart across
     # it at u_min; a third splits their segment at t = 1/2
@@ -769,7 +814,7 @@ def test_disk_filter_refuses_exactly_as_the_exhaustive_separation_check(
     assert seen == {True, False}
 
 
-def test_disk_filter_refuses_exactly_as_the_exhaustive_puncture_check(
+def test_clearance_refuses_exactly_as_the_exhaustive_puncture_check(
         monkeypatch):
     # the punctures are scale apart, at the origin or 1e12 off it; strand 3
     # passes the puncture at hit, factor * GENERICITY_TOL * |zl - zk|

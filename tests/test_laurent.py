@@ -91,6 +91,15 @@ def test_poly_json_round_trip():
         assert poly_from_json(poly_to_json(p)) == p
 
 
+def test_poly_json_refuses_a_repeated_exponent():
+    terms = [{"e": [1, 0, 0], "c": "3"}, {"e": [1, 0, 0], "c": "-3"}]
+    for data in (terms, terms[::-1]):
+        with pytest.raises(ValueError, match=r"exponent \[1, 0, 0\] repeated"):
+            poly_from_json(data)
+        with pytest.raises(ValueError, match="repeated"):
+            mat_from_json({"dim": 1, "rows": [[data]]})
+
+
 def test_assignment_rejects_zero():
     with pytest.raises(ZeroAssignment):
         Assignment(Fraction(0), Fraction(1))

@@ -60,6 +60,16 @@ def test_crossing_outside_segment_is_flat():
     assert signature(ev) == [(0.5, 1, 2, "flat", 1)]
 
 
+@pytest.mark.parametrize("nv, dv", ((1.0, 0.0), (1e300, 1e-300),
+                                    (-1e200j, 1e-200 + 1e-200j)))
+@pytest.mark.parametrize("method", ("cross-ratio", "mobius"))
+def test_classifier_pole_is_refused(nv, dv, method):
+    # dv is 0, or so small against nv that their ratio overflows
+    with pytest.raises(NonGenericInput, match="classifier function blows up"):
+        _classify((nv, 0j, 0j), (dv, 0j, 0j), 0.5, 0.5, 1, 2, method, 0, 2,
+                  True)
+
+
 def test_both_methods_agree_on_synthetic_cases():
     for x0, v in ((0.75, 0.4), (0.75, -0.4), (0.25, 0.4), (2.0, 0.4),
                   (-1.0, 0.3), (0.6, -0.2)):
