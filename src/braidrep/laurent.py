@@ -1,15 +1,23 @@
 """Exact arithmetic in the Laurent ring Z[t^+-1, s^+-1, r^+-1] and matrices over it.
 
-Polynomials are dicts keyed by exponent triples (e_t, e_s, e_r) with nonzero
-integer coefficients; the canonical form never stores a zero coefficient and
-all iteration is in sorted exponent order, so equal elements compare and hash
-equal and serialize identically.
+A polynomial is stored as dense runs in t, one per (s, r) class: a dict
+{(e_s, e_r): (t_lo, coeffs)} where coeffs is a tuple of integers, the
+coefficient of t^(t_lo + i) s^e_s r^e_r at position i. The canonical form
+trims every run so its first and last entries are nonzero (interior zeros
+are allowed) and never stores a class with no nonzero coefficient, so equal
+elements compare and hash equal; items() and the text and JSON forms walk
+the nonzero terms in sorted exponent order (e_t, e_s, e_r), so equal
+elements also serialize identically. A shift by t^a s^b r^c rewrites keys
+and offsets, and a sum adds runs as slices, so memory and time are
+O(t-span) per class. A word image's t-span grows by at most one per letter,
+so it is bounded by the word's length (braidword.MAX_LETTERS).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimMismatch, ZeroAssignment
@@ -22,18 +30,12 @@ _VARS = ("t", "s", "r")
 class LaurentPoly:
     """Immutable Laurent polynomial in t, s, r over Z."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_runs", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        clean: dict[Exponents, int] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    e = (int(exp[0]), int(exp[1]), int(exp[2]))
-                    clean[e] = clean.get(e, 0) + int(coeff)
-                    if not clean[e]:
-                        del clean[e]
-        self._terms = clean
+        self._runs = monomial_sum((_ONE,), [
+            (int(c), (int(et), int(es), int(er)), 0)
+            for (et, es, er), c in (terms or {}).items()])._runs
         self._hash: int | None = None
 
     # construction ------------------------------------------------------
@@ -57,14 +59,14 @@ class LaurentPoly:
     # views ---------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(_term_list(self)))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(len(run) - run.count(0) for _, run in self._runs.values())
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._runs
 
     # ring ops ------------------------------------------------------------
 
@@ -89,7 +91,7 @@ class LaurentPoly:
         a, b = self, _coerce(other)
         if len(a) > len(b):
             a, b = b, a
-        return monomial_sum((b,), [(c, e, 0) for e, c in a._terms.items()])
+        return monomial_sum((b,), [(c, e, 0) for e, c in _term_list(a)])
 
     __rmul__ = __mul__
 
@@ -107,12 +109,11 @@ class LaurentPoly:
 
     def inverse_unit(self) -> "LaurentPoly":
         """Inverse of a +-monomial; raises ValueError otherwise."""
-        if len(self._terms) != 1:
-            raise ValueError("not a unit: " + format_poly(self))
-        (exp, c), = self._terms.items()
-        if c not in (1, -1):
-            raise ValueError("not a unit: " + format_poly(self))
-        return LaurentPoly({(-exp[0], -exp[1], -exp[2]): c})
+        if len(self._runs) == 1:
+            ((es, er), (lo, run)), = self._runs.items()
+            if run in ((1,), (-1,)):
+                return _wrap({(-es, -er): (-lo, run)})
+        raise ValueError("not a unit: " + format_poly(self))
 
     # comparison -----------------------------------------------------------
 
@@ -121,22 +122,37 @@ class LaurentPoly:
             other = _coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._runs == other._runs
 
     def __hash__(self) -> int:
+        """A constant hashes as the int it equals, so p == 3 implies
+        hash(p) == hash(3)."""
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            runs = self._runs
+            if not runs:
+                self._hash = hash(0)
+            elif runs.keys() == {(0, 0)} and runs[0, 0][0] == 0 \
+                    and len(runs[0, 0][1]) == 1:
+                self._hash = hash(runs[0, 0][1][0])
+            else:
+                self._hash = hash(frozenset(runs.items()))
         return self._hash
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
 
 
-def _wrap(terms: dict[Exponents, int]) -> LaurentPoly:
+def _wrap(runs: dict) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
-    p._terms = terms
+    p._runs = runs
     p._hash = None
     return p
+
+
+def _term_list(p: LaurentPoly) -> list[tuple[Exponents, int]]:
+    """The nonzero terms (exponents, coeff), class by class, unsorted."""
+    return [((lo + i, es, er), c) for (es, er), (lo, run) in p._runs.items()
+            for i, c in enumerate(run) if c]
 
 
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
@@ -148,25 +164,60 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 
 
 def monomial_sum(polys, terms) -> LaurentPoly:
-    """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i),
-    built in one dict pass by shifting exponents. The ring's only term loop:
-    sums, differences, negation, products, matrix products and the symbolic
-    fold all come here."""
+    """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
+    The ring's only term loop: sums, differences, negation, products, matrix
+    products and the symbolic fold all come here. Each class of polys[i]
+    moves to (e_s + b, e_r + c) with its run offset by a, and is added into
+    that class's accumulator as one slice; the sums are then trimmed. A
+    single term only rewrites keys and offsets (and scales the runs)."""
     if len(terms) == 1:
         (coeff, (a, b, c), i), = terms
-        src = polys[i]._terms
-        return _wrap({(x + a, y + b, z + c): coeff * k
-                      for (x, y, z), k in src.items()}) if src else _ZERO
-    out: dict[Exponents, int] = {}
+        runs = polys[i]._runs
+        if not runs or not coeff:
+            return _ZERO
+        if coeff == 1:
+            return _wrap({(s + b, r + c): (lo + a, run)
+                          for (s, r), (lo, run) in runs.items()})
+        return _wrap({(s + b, r + c): (lo + a, tuple(
+            map(neg, run) if coeff == -1 else [coeff * x for x in run]))
+            for (s, r), (lo, run) in runs.items()})
+    out: dict = {}    # class -> [t_lo, coefficient list]
     for coeff, (a, b, c), i in terms:
-        for (x, y, z), k in polys[i]._terms.items():
-            exp = (x + a, y + b, z + c)
-            v = out.get(exp, 0) + coeff * k
-            if v:
-                out[exp] = v
+        for (s, r), (lo, run) in polys[i]._runs.items():
+            key = s + b, r + c
+            lo += a
+            cur = out.get(key)
+            if cur is None:
+                out[key] = [lo, list(run) if coeff == 1 else list(
+                    map(neg, run)) if coeff == -1 else [coeff * x for x in run]]
+                continue
+            start, acc = lo - cur[0], cur[1]
+            if start < 0:
+                acc[:0] = [0] * -start
+                cur[0], start = lo, 0
+            end = start + len(run)
+            if end > len(acc):
+                acc += [0] * (end - len(acc))
+            if coeff == 1:
+                acc[start:end] = map(add, acc[start:end], run)
+            elif coeff == -1:
+                acc[start:end] = map(sub, acc[start:end], run)
             else:
-                del out[exp]
-    return _wrap(out) if out else _ZERO
+                acc[start:end] = [x + coeff * y
+                                  for x, y in zip(acc[start:end], run)]
+    runs = {}
+    for key, (lo, acc) in out.items():
+        if not (acc[0] and acc[-1]):
+            if not any(acc):
+                continue
+            while not acc[-1]:
+                acc.pop()
+            i = 0
+            while not acc[i]:
+                i += 1
+            lo, acc = lo + i, acc[i:]
+        runs[key] = (lo, tuple(acc))
+    return _wrap(runs) if runs else _ZERO
 
 
 def apply_action(rows, action) -> None:
@@ -181,8 +232,8 @@ def apply_action(rows, action) -> None:
             row[d] = value
 
 
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({(0, 0, 0): 1})
+_ZERO = _wrap({})
+_ONE = _wrap({(0, 0): (0, (1,))})
 
 T = LaurentPoly.monomial(1, 1, 0, 0)
 S = LaurentPoly.monomial(1, 0, 1, 0)
@@ -220,17 +271,18 @@ def eval_numerators(polys: list[LaurentPoly], a: Assignment) -> tuple[list[int],
     n^(e-lo) d^(hi-e) / (n^-lo d^hi) for t = n/d, read from one table per
     variable; likewise s and r. The denominator may be negative.
     """
-    exps = [e for p in polys for e in p._terms]
-    lo = [min([0] + [e[v] for e in exps]) for v in range(3)]
-    hi = [max([0] + [e[v] for e in exps]) for v in range(3)]
+    spans = [((lo, lo + len(run) - 1), (es, es), (er, er))
+             for p in polys for (es, er), (lo, run) in p._runs.items()]
+    lo = [min([0] + [x[v][0] for x in spans]) for v in range(3)]
+    hi = [max([0] + [x[v][1] for x in spans]) for v in range(3)]
     tables, den = [], 1
     for x, l, h in zip((a.t, a.s, a.r), lo, hi):
         n, d = x.numerator, x.denominator
         tables.append([n ** (e - l) * d ** (h - e) for e in range(l, h + 1)])
         den *= n ** -l * d ** h
     (tt, ts, tr), (lt, ls, lr) = tables, lo
-    nums = [sum(c * tt[et - lt] * ts[es - ls] * tr[er - lr]
-                for (et, es, er), c in p._terms.items()) for p in polys]
+    nums = [sum(sum(map(mul, run, tt[lo - lt:lo - lt + len(run)])) * ts[es - ls] * tr[er - lr]
+                for (es, er), (lo, run) in p._runs.items()) for p in polys]
     return nums, den
 
 
@@ -327,7 +379,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimMismatch(f"{a.dim} x {a.dim} times {b.dim} x {b.dim}")
     rows = [list(row) for row in a.rows]
     apply_action(rows, ((j, [(c, e, k) for k, b_row in enumerate(b.rows)
-                             for e, c in b_row[j]._terms.items()])
+                             for e, c in _term_list(b_row[j])])
                         for j in range(b.dim)))
     return Matrix(a.dim, tuple(map(tuple, rows)))
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from braidrep.errors import DimMismatch, ZeroAssignment
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               T_INV, S_INV, format_poly, lp_eval, mat_eval,
                               mat_from_json, mat_mul, mat_to_json,
-                              poly_from_json, poly_to_json, rational_det,
-                              rational_rank)
+                              monomial_sum, poly_from_json, poly_to_json,
+                              rational_det, rational_rank)
 
 
 def rand_poly(rng, terms=4, span=3):
@@ -203,7 +204,8 @@ def test_matrix_json_round_trip():
 
 
 def test_equal_polynomials_hash_equal():
-    """2 - t + 3 s^-2 r, from JSON in two term orders and by arithmetic."""
+    """2 - t + 3 s^-2 r, from JSON in two term orders and by arithmetic;
+    and constants against ints."""
     terms = [{"e": [1, 0, 0], "c": "-1"}, {"e": [0, -2, 1], "c": "3"},
              {"e": [0, 0, 0], "c": "2"}]
     built = [poly_from_json(terms), poly_from_json(terms[::-1]),
@@ -212,3 +214,127 @@ def test_equal_polynomials_hash_equal():
     assert all(p == built[0] for p in built)
     assert len({hash(p) for p in built}) == 1
     assert set(built) == {built[0]} and built[0] + 1 not in set(built)
+    # a constant equals its int, so it hashes as that int (zero as 0)
+    three = LaurentPoly.const(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert 3 in {three} and three in {3} and len({three, 3}) == 1
+    zero = T - T
+    assert zero == 0 and hash(zero) == hash(0) and len({zero, 0}) == 1
+    assert hash((1 + T) * (1 - T) + T * T - 4) == hash(-3)
+    assert LaurentPoly.const(-1) in {-1} and T not in {1}
+
+
+# -- a reference model: the dict of nonzero terms keyed by exponent triples ----
+
+
+def model_sum(models, terms):
+    """sum of coeff * t^a s^b r^c * models[i] over (coeff, (a, b, c), i)."""
+    out = {}
+    for coeff, (a, b, c), i in terms:
+        for (x, y, z), k in models[i].items():
+            e = (x + a, y + b, z + c)
+            out[e] = out.get(e, 0) + coeff * k
+    return {e: k for e, k in out.items() if k}
+
+
+def model_mul(p, q):
+    return model_sum([q], [(c, e, 0) for e, c in p.items()])
+
+
+def model_text(m):
+    """The text form, written out from the sorted terms."""
+    out = []
+    for e, c in sorted(m.items()):
+        factors = [n if v == 1 else f"{n}^{v}" for n, v in zip("tsr", e) if v]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        out.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    if not out:
+        return "0"
+    head = ("-" if out[0][0] == "-" else "") + out[0][2:]
+    return " ".join([head] + out[1:])
+
+
+def assert_matches(p, m):
+    assert list(p.items()) == sorted(m.items())
+    assert len(p) == len(m)
+    assert p == LaurentPoly(m) and hash(p) == hash(LaurentPoly(m))
+    assert format_poly(p) == model_text(m)
+    assert p.is_zero == (not m)
+    for _, run in p._runs.values():    # canonical: runs trimmed at both ends
+        assert run[0] and run[-1]
+
+
+# few (s, r) classes and a wide t range, so runs have gaps and cancel
+MODELS = st.dictionaries(
+    st.tuples(st.integers(-5, 5), st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-4, 4).filter(bool), max_size=10)
+SHIFTS = st.tuples(st.integers(-3, 3), st.integers(-1, 1), st.integers(-1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=MODELS, extra=MODELS)
+def test_ring_ops_match_the_dict_of_terms_model(data, m, extra):
+    # q cancels a drawn subset of p's terms, and adds extra on top
+    cancel = data.draw(st.sets(st.sampled_from(sorted(m)) if m
+                               else st.nothing()))
+    n = model_sum([extra, {e: -m[e] for e in cancel}], [(1, (0, 0, 0), 0),
+                                                         (1, (0, 0, 0), 1)])
+    p, q = LaurentPoly(m), LaurentPoly(n)
+    assert_matches(p, m)
+    assert_matches(q, n)
+    assert_matches(p + q, model_sum([m, n], [(1, (0, 0, 0), 0),
+                                             (1, (0, 0, 0), 1)]))
+    assert_matches(p - q, model_sum([m, n], [(1, (0, 0, 0), 0),
+                                             (-1, (0, 0, 0), 1)]))
+    assert_matches(-p, model_sum([m], [(-1, (0, 0, 0), 0)]))
+    assert_matches(p * q, model_mul(m, n))
+    assert_matches(p * 3, model_sum([m], [(3, (0, 0, 0), 0)]))
+    k = data.draw(st.integers(0, 3))
+    power = {(0, 0, 0): 1}
+    for _ in range(k):
+        power = model_mul(power, m)
+    assert_matches(p ** k, power)
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(-3, 3), SHIFTS, st.integers(0, 1)), max_size=6))
+    assert_matches(monomial_sum((p, q), terms), model_sum([m, n], terms))
+    # equal values by different paths
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    swapped = monomial_sum((q, p), [(c, e, 1 - i) for c, e, i in terms[::-1]])
+    assert swapped == monomial_sum((p, q), terms)
+    assert hash(swapped) == hash(monomial_sum((p, q), terms))
+
+
+@pytest.mark.parametrize("cancel", [
+    (0, 0, 0),     # the run's first entry
+    (3, 0, 0),     # its last entry
+    (1, 0, 0),     # an interior entry
+])
+def test_cancellation_trims_the_run(cancel):
+    m = {(0, 0, 0): 2, (1, 0, 0): -1, (2, 0, 0): 5, (3, 0, 0): 1,
+         (0, 1, 0): 7}
+    p = LaurentPoly(m)
+    q = p - LaurentPoly({cancel: m[cancel]})
+    assert_matches(q, {e: c for e, c in m.items() if e != cancel})
+    # the whole (s, r) = (0, 0) class cancels away
+    rest = p - LaurentPoly({e: c for e, c in m.items() if e[1:] == (0, 0)})
+    assert_matches(rest, {(0, 1, 0): 7})
+    assert list(rest._runs) == [(1, 0)]
+    assert_matches(p - p, {})
+    assert_matches(monomial_sum((p,), [(0, (1, 0, 0), 0)]), {})
+
+
+def test_a_sparse_class_costs_its_t_span():
+    """1 + t^(2^20) is one run of 2^20 + 1 coefficients."""
+    big = 2 ** 20
+    start = time.perf_counter()
+    p = 1 + T ** big
+    total, square = p + p, p * p
+    text = format_poly(square)
+    assert time.perf_counter() - start < 1.0
+    m = {(0, 0, 0): 1, (big, 0, 0): 1}
+    assert_matches(p, m)
+    assert_matches(total, model_sum([m], [(2, (0, 0, 0), 0)]))
+    assert_matches(square, model_mul(m, m))
+    assert text == f"1 + 2*t^{big} + t^{2 * big}" == model_text(model_mul(m, m))
