@@ -42,6 +42,13 @@ bracket; roots too close to separate raise NonGenericInput, unless they lie
 where no ray is. The same routine decides each root's tangency and sense
 from the slope of the polynomial it solved, and one margin, GENERICITY_TOL,
 holds every genericity test. Every reading returns Event records.
+
+Every reading works in a frame of its own (_frame), scaled by a power of
+two, which is exact: a reading is the same at every scale, and with the
+coordinate bound of GeomBraid nothing overflows. GENERICITY_TOL, the
+moving cut's floor n GENERICITY_TOL included, is taken in the frame's
+units; SEPARATION_TOL alone is absolute, as a margin relative to the
+braid's diameter would refuse a braid with one far excursion.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 from itertools import accumulate, compress
 from operator import lt, ne, sub, truediv
 from typing import Iterable, Sequence
@@ -110,30 +117,21 @@ class Event:
         return out
 
 
-def _in_float_range(check):
-    """check, with an OverflowError of its float arithmetic refused as the
-    ValueError of a braid whose points are too large for it."""
-    @wraps(check)
-    def guarded(*args, **kwargs):
-        try:
-            return check(*args, **kwargs)
-        except OverflowError:
-            raise ValueError("breakpoint points too large for float "
-                             "arithmetic") from None
-    return guarded
-
-
 @dataclass(frozen=True)
 class GeomBraid:
     """Polyline braid: per strand, breakpoints (time, point) with times
-    strictly increasing from 0 to 1. Strands stay SEPARATION_TOL apart at all
-    times: pair by pair, segment by segment, the exact quadratic
-    (_comes_within) decides each that its clearance test does not skip.
+    strictly increasing from 0 to 1, every coordinate finite and below
+    sys.float_info.max / 4 (just under 2^1022) in magnitude, so that every
+    difference of two points, and its length, is a finite float. Strands
+    stay SEPARATION_TOL apart at all times, in absolute units: pair by
+    pair, segment by segment, the exact quadratic (_comes_within) decides
+    each that its clearance test does not skip.
 
     One model is built once, when the braid is: segments, the shared linear
     model every reading works on, per merged interval [t0, t1] values p and
     increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1], p
-    read from _paths, every strand's at() at every merged time."""
+    read from _paths, every strand's at() at every merged time. Each
+    reading scales it by a power of two of its own (_frame)."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -141,6 +139,7 @@ class GeomBraid:
     def __post_init__(self):
         if self.n != len(self.strands) or self.n < 2:
             raise ValueError("strand count mismatch")
+        bound = sys.float_info.max / 4
         for bps in self.strands:
             if len(bps) < 2 or bps[0][0] != 0.0 or bps[-1][0] != 1.0:
                 raise ValueError("each strand needs breakpoints from t=0 to t=1")
@@ -149,6 +148,9 @@ class GeomBraid:
                 raise ValueError("breakpoint times must strictly increase")
             if not all(map(cmath.isfinite, zs)):
                 raise ValueError("breakpoint points must be finite")
+            if any(abs(z.real) >= bound or abs(z.imag) >= bound for z in zs):
+                raise ValueError("breakpoint points too large for float "
+                                 "arithmetic")
         object.__setattr__(self, "_times",
                            tuple([bp[0] for bp in bps] for bps in self.strands))
         times = _merged_times(self.strands)
@@ -185,15 +187,19 @@ class GeomBraid:
     def end_config(self) -> tuple[complex, ...]:
         return tuple(bps[-1][1] for bps in self.strands)
 
-    @_in_float_range
     def _check_separation(self) -> None:
+        # |q_i| + |q_j| bounds the pair's relative move and, unlike |q_i -
+        # q_j|, is a finite float for every braid the coordinate bound
+        # accepts
+        moves = [list(map(abs, q)) for _, _, _, q in self.segments]
+        ends = [p for _, _, p, _ in self.segments[1:]] + [self.end_config()]
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for t0, t1, p, q in self.segments:
-                    d0, dd = p[i] - p[j], q[i] - q[j]
-                    if abs(d0) > 2.0 * (abs(dd) + SEPARATION_TOL):
+                for (t0, t1, p, _), e, m in zip(self.segments, ends, moves):
+                    d0 = p[i] - p[j]
+                    if abs(d0) > 2.0 * (m[i] + m[j] + SEPARATION_TOL):
                         continue    # clear, as _comes_within shows
-                    u = _comes_within(d0, dd, 1, 0, SEPARATION_TOL)
+                    u = _comes_within(d0, e[i] - e[j], 1, 1, SEPARATION_TOL)
                     if u is not None:
                         raise SeparationViolated(
                             f"strands {i + 1} and {j + 1} within tolerance "
@@ -229,18 +235,34 @@ def _merged_times(strands) -> list[float]:
     return out
 
 
-def _comes_within(d0, dd, c0, dc, tol: float) -> float | None:
-    """A u in [0, 1] at which |d0 + dd*u| < tol * |c0 + dc*u|, or None: the
-    real quadratic |d|^2 - tol^2 |c|^2 is checked at both ends and at its
-    vertex if inside, comparing the two lengths there directly. Callers
-    skip it where |d0| > 2 |dd| + 2 tol (|c0| + |dc|) on these same floats:
-    there |d0 + dd*u| >= |d0| - |dd| > |d0|/2 + tol |c0 + dc*u| on [0, 1], a
-    margin of |d0|/2 that the few ulps lost here cannot close, so the skip
-    needs no rounding allowance. A nan is never skipped."""
+def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
+    """A u in [0, 1] at which |d(u)| < tol |c(u)|, or None, for d and c
+    linear on a segment from d0 to d1 and c0 to c1, as the braid stores its
+    ends: the real quadratic |d|^2 - tol^2 |c|^2 is checked at both ends
+    and at its vertex if inside, comparing the two lengths there directly.
+    The inputs are first scaled by the power of two that brings their
+    largest coordinate into [1/2, 1), exact, so nothing squared overflows;
+    the vertex is reached from its nearer end, so a long segment's rounding
+    loses no end. Callers skip it where |d0| > 2 |d1 - d0| + 2 tol (|c0| +
+    |c1 - c0|), each difference bounded by the summed moves of its two
+    strands, on these same floats: there |d(u)| >= |d0| - |d1 - d0| >
+    |d0|/2 + tol |c(u)| on [0, 1], a margin of |d0|/2 that the few ulps lost
+    here cannot close, so the skip needs no rounding allowance. A nan is
+    never skipped."""
+    f = math.ldexp(1.0, -math.frexp(max(map(abs, (
+        d0.real, d0.imag, d1.real, d1.imag, c0.real, c0.imag, c1.real,
+        c1.imag))))[1])
+    d0, d1, c0, c1 = d0 * f, d1 * f, c0 * f, c1 * f
+    dd, dc = d1 - d0, c1 - c0
     a = abs(dd) ** 2 - tol * tol * abs(dc) ** 2
     b = (d0 * dd.conjugate()).real - tol * tol * (c0 * dc.conjugate()).real
-    for u in (0.0, 1.0, -b / a) if a > 0.0 and 0.0 < -b < a else (0.0, 1.0):
-        if abs(d0 + dd * u) < tol * abs(c0 + dc * u):
+    points = [(0.0, d0, c0), (1.0, d1, c1)]
+    if a > 0.0 and 0.0 < -b < a:
+        u = -b / a
+        points.append((u, d0 + dd * u, c0 + dc * u) if u <= 0.5 else
+                      (u, d1 - dd * (1.0 - u), c1 - dc * (1.0 - u)))
+    for u, d, c in points:
+        if abs(d) < tol * abs(c):
             return u
     return None
 
@@ -376,15 +398,13 @@ def _winding(polygon: list[complex], i: int, j: int) -> int:
     count of edges a -> b crossing the positive real axis, upward if Im a <=
     0 < Im b, on the side of 0 (never at 0: separation) that the sign of Re
     a Im b - Im a Re b gives, by the float products unless they tie (rounding
-    is monotone), else by Fraction. An infinite crossing edge is refused."""
+    is monotone, overflow to infinity too), else by Fraction."""
     if polygon[-1] != polygon[0]:
         raise NonIntegerWinding(f"pair ({i},{j}) does not return to its start")
     ups = [z.imag > 0.0 for z in polygon]
     count = 0
     for e in compress(range(len(ups) - 1), map(ne, ups, ups[1:])):
         a, b = polygon[e], polygon[e + 1]
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError(f"pair ({i},{j}) differs past float range")
         left, right = a.real * b.imag, a.imag * b.real
         if left == right:
             left, right = (Fraction(a.real) * Fraction(b.imag),
@@ -449,13 +469,10 @@ def _ray_roots(coeffs, bern, lines, t0: float, h: float,
     where Re(w P) >= 0, else its far one. sense is Im s > 0 for the slope
     s = w P'(u), whether Im(w P) rises through 0, or None where |Im s| <=
     GENERICITY_TOL |s|: a tangential crossing, P meeting the line at an
-    angle below the margin. NonGenericInput: P outside float range, or N/D
-    on a line all along the segment (a persistent `what`) unless Re(w P) < 0
-    keeps it on a far side that holds no ray; on such a side _isolate drops
-    roots it cannot separate as well."""
-    if not all(map(cmath.isfinite, coeffs + bern)):
-        raise NonGenericInput("pair quartic outside float range",
-                              time=t0, pair=pair)
+    angle below the margin. NonGenericInput: N/D on a line all along the
+    segment (a persistent `what`) unless Re(w P) < 0 keeps it on a far side
+    that holds no ray; on such a side _isolate drops roots it cannot
+    separate as well. P is finite: its vectors come from a _frame."""
     roots = []
     c0, c1, c2, c3, c4 = bern
     for ray, far, w in lines:
@@ -583,7 +600,6 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
 # -- cylinder extraction ---------------------------------------------------------------
 
 
-@_in_float_range
 def cylinder_events(braid: GeomBraid, k: int,
                     cut_angle: float | None = None) -> tuple[Event, ...]:
     """Generic events seen from strand k, sorted by time: 'crossing' of two
@@ -593,7 +609,8 @@ def cylinder_events(braid: GeomBraid, k: int,
     ray reading; the sense _ray_roots gives a root decides its sign, Im(P)
     falling through 0 being a rising angle, and a tangential one is
     refused. A root at which the cut direction is n GENERICITY_TOL short,
-    in absolute units, is refused on either side of the line."""
+    in the units of the _frame of strand k, is refused on either side of
+    the line."""
     n = braid.n
     if n < 3:
         raise ValueError("need at least 3 strands")
@@ -636,21 +653,64 @@ def cylinder_events(braid: GeomBraid, k: int,
     return _finish(events)
 
 
+def _frame(braid: GeomBraid, k0: int | None, watched, far):
+    """The model every reading builds its own from, in the frame of strand
+    k0, or of the puncture 0 of a plain braid (k0 None). The points are the
+    braid's scaled by f, the power of two that brings the longest z_s - z_k0
+    into [1/2, 1) (for a plain braid, z_s and the puncture 1, which becomes
+    f), but keeps |z_k0| below 2^52: a difference below the points'
+    rounding asks no more, and no scaled point or sum of them overflows.
+    The scaling is exact and the readings invariant under it, so they read
+    the same at every scale, until a vector so much shorter than the
+    longest that a product of it underflows.
+
+    Returns (points, values, segments): each strand's scaled points at the
+    merged times; at those times, z_s - z_k0 (z_s, k0 None) of each watched
+    strand s, then the far vector; per merged interval (t0, h, a, da, c,
+    dc), each watched vector a + da*u for u in [0, 1] and the far one c +
+    dc*u. far(z, f) is the far vector at the merged times of the scaled
+    points z, far(q, 0.0) its increments of theirs. Every vector comes from
+    the scaled points by the formula it would take on the braid's own."""
+    paths = braid._paths
+    if k0 is None:
+        big = max(1.0, max(max(map(abs, path)) for path in paths))
+    else:
+        big = max(max(map(abs, map(sub, path, paths[k0]))) for path in paths)
+        big = max(big, sys.float_info.epsilon * max(map(abs, paths[k0])))
+    f = math.ldexp(1.0, -math.frexp(big)[1])
+    points = [list(map(complex(f).__mul__, path)) for path in paths]
+    steps = [list(map(sub, path[1:], path)) for path in points]
+    if k0 is None:
+        a, da = [points[s] for s in watched], [steps[s] for s in watched]
+    else:
+        a = [list(map(sub, points[s], points[k0])) for s in watched]
+        da = [list(map(sub, steps[s], steps[k0])) for s in watched]
+    c, dc = far(points, f), far(steps, 0.0)
+    segments = braid.segments
+    return points, a + [c], list(zip(
+        [t0 for t0, _, _, _ in segments], [t1 - t0 for t0, t1, _, _ in segments],
+        zip(*a), zip(*da), c, dc))
+
+
 def _cylinder_segments(braid: GeomBraid, k0: int, cut_angle: float | None):
-    """Per segment (t0, h, rel), rel[s] (value, increment) of z_s - z_k and
-    rel[n] of the cut direction, fixed or n (z_k - centroid); per entry its
-    _angle_range, whose cs is the strands' summed distance from 0."""
+    """Per segment (t0, h, rel) of the _frame of strand k0, rel[s] (value,
+    increment) of z_s - z_k and rel[n] of the cut direction, fixed or n (z_k
+    - centroid); per entry its _angle_range, whose cs is the strands'
+    summed distance from 0."""
     n = braid.n
-    fixed = None if cut_angle is None else cmath.exp(1j * cut_angle)
-    configs = [p for _, _, p, _ in braid.segments] + [braid.end_config()]
-    values = [_differences(braid, s, k0) for s in range(n)] + [
-        [fixed if fixed is not None else n * z[k0] - sum(z) for z in configs]]
-    mags = [sum(map(abs, z)) for z in configs]
+    if cut_angle is None:
+        def cut(z, unit):
+            return [n * x[k0] - sum(x) for x in zip(*z)]
+    else:
+        fixed = cmath.exp(1j * cut_angle)
+
+        def cut(z, unit):
+            return [fixed if unit else 0j] * len(z[0])
+    points, values, segments = _frame(braid, k0, range(n), cut)
+    mags = [sum(map(abs, z)) for z in zip(*points)]
     cs = [x + y for x, y in zip(mags, mags[1:])]
-    return [(t0, t1 - t0, [(p[s] - p[k0], q[s] - q[k0]) for s in range(n)]
-             + [(fixed, 0j) if fixed is not None else
-                (n * p[k0] - sum(p), n * q[k0] - sum(q))])
-            for t0, t1, p, q in braid.segments], \
+    return [(t0, h, tuple(zip(a, da)) + ((c, dc),))
+            for t0, h, a, da, c, dc in segments], \
         [None if s == k0 else _angle_range(v, cs)
          for s, v in enumerate(values)]
 
@@ -735,7 +795,6 @@ class PuncturedView:
         return tuple(x / c for x in a)
 
 
-@_in_float_range
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
     _winding to vanish, and no other strand ever within GENERICITY_TOL * |z_l -
@@ -754,14 +813,16 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
                 raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
     pairs = [(s, x) for s in range(n) if s not in (k0, l0) for x in (k0, l0)]
-    for t0, t1, p, q in braid.segments:
-        c0, dc = p[l0] - p[k0], q[l0] - q[k0]
-        reach = 2.0 * GENERICITY_TOL * (abs(c0) + abs(dc))
+    ends = [p for _, _, p, _ in braid.segments[1:]] + [braid.end_config()]
+    for (t0, t1, p, q), e in zip(braid.segments, ends):
+        m = list(map(abs, q))   # bounds as in _check_separation
+        c0, c1 = p[l0] - p[k0], e[l0] - e[k0]
+        reach = 2.0 * GENERICITY_TOL * (abs(c0) + m[l0] + m[k0])
         for s, x in pairs:
-            d0, dd = p[s] - p[x], q[s] - q[x]
-            if abs(d0) > 2.0 * abs(dd) + reach:
+            d0 = p[s] - p[x]
+            if abs(d0) > 2.0 * (m[s] + m[x]) + reach:
                 continue    # clear, as _comes_within shows
-            u = _comes_within(d0, dd, c0, dc, GENERICITY_TOL)
+            u = _comes_within(d0, e[s] - e[x], c0, c1, GENERICITY_TOL)
             if u is not None:
                 raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                         f"near t={t0 + (t1 - t0) * u:.6f}")
@@ -770,28 +831,20 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
 
 
 def _pair_segments(braid: GeomBraid, k0: int, l0: int):
-    """Per segment (t0, h, a, da, c, dc): each watched strand a + da*u and
-    the other puncture c + dc*u, u in [0, 1], seen from the puncture at
-    strand k0, with l0 the other. The view is scaled by the power of two
-    that brings the largest |z_l - z_k| into [1/2, 1): exact, and the
-    readings are similarity-invariant, so its quartics stay in float range
-    at any scale the braid accepts."""
-    others = [s for s in range(braid.n) if s not in (k0, l0)]
-    segments = braid.segments
-    f = math.ldexp(1.0, -math.frexp(max(abs(p[l0] - p[k0])
-                                        for _, _, p, _ in segments))[1])
-    return [(t0, t1 - t0, [(p[s] - p[k0]) * f for s in others],
-             [(q[s] - q[k0]) * f for s in others], (p[l0] - p[k0]) * f,
-             (q[l0] - q[k0]) * f) for t0, t1, p, q in segments]
+    """Per segment (t0, h, a, da, c, dc) of the _frame of strand k0: each
+    watched strand a + da*u and the other puncture, strand l0, c + dc*u."""
+    return _frame(braid, k0, [s for s in range(braid.n) if s not in (k0, l0)],
+                  lambda z, unit: list(map(sub, z[l0], z[k0])))[2]
 
 
 def _pair_model(braid: GeomBraid | PuncturedView):
     """(segments, ranges) a pair reading works on: a view's model, or one
-    built per call for a plain GeomBraid, whose punctures are fixed at 0
-    and 1."""
+    built per call for a plain GeomBraid, from its _frame with the
+    punctures at 0 and 1."""
     if isinstance(braid, PuncturedView):
         return braid.model
-    segments = [(t0, t1 - t0, p, q, 1.0, 0.0) for t0, t1, p, q in braid.segments]
+    segments = _frame(braid, None, range(braid.n),
+                      lambda z, unit: [unit] * len(z[0]))[2]
     return segments, _angle_ranges(segments)
 
 
@@ -871,7 +924,7 @@ def _angle_range(values, cs):
     the allowances _ARG_ROUNDING * kappa^4 of four vectors, or of two, bound
     that product, and the rounding of the breakpoint angles too. The
     allowance is a product of floats, so a kappa too large for it gives an
-    infinite half-width, an unbound segment, not an OverflowError."""
+    infinite half-width, an unbound segment, rather than raising."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
         return [0.0] * len(cs), [math.inf] * len(cs)
@@ -885,7 +938,6 @@ def _angle_range(values, cs):
              for t0, t1, k in zip(turns, turns[1:], kappas)])
 
 
-@_in_float_range
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
@@ -927,12 +979,15 @@ def _classify(num, den, u: float, t: float, i: int, j: int, method: str,
     m rises through it, and so does a far ray p + d/2 other than d/2."""
     nv, dv = _horner(num, u), _horner(den, u)
     val = nv / dv if dv else math.inf
-    if not cmath.isfinite(val):
+    # a val past the coordinate bound of GeomBraid is a pole in floats, and
+    # one inside it has a finite abs; a guard not yet below the margin
+    # keeps |dv / nv|, about 1 / |val|, below 1 / GENERICITY_TOL
+    if not abs(val.real) < sys.float_info.max / 4 > abs(val.imag):
         raise NonGenericInput("classifier function blows up", time=t,
                               pair=(i, j))
     x = val.real
     guard = min(abs(val), abs(val - 1.0))
-    if method != "mobius" and nv:
+    if method != "mobius" and nv and guard >= GENERICITY_TOL:
         # the cross ratio's third puncture is infinity; the mobius function
         # has it at 0
         guard = min(guard, abs(dv / nv))

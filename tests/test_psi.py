@@ -19,8 +19,8 @@ from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI,
                            _pair_model, _pair_quartic, _ray_lines,
                            _ray_roots, artin_dynamics, concat, cylinder_events,
                            cylinder_reading, flat_virtual_word, initial_order,
-                           linking_number, perturb, psi_d_events, psi_events,
-                           q_kl, realize_flat_virtual, resample)
+                           linking_number, pair_reading, perturb, psi_d_events,
+                           psi_events, q_kl, realize_flat_virtual, resample)
 from braidrep.laurent import mat_mul, mat_to_text
 from braidrep.rep import RHO, RHO_TILDE, word_image
 
@@ -61,10 +61,12 @@ def test_crossing_outside_segment_is_flat():
 
 
 @pytest.mark.parametrize("nv, dv", ((1.0, 0.0), (1e300, 1e-300),
-                                    (-1e200j, 1e-200 + 1e-200j)))
+                                    (-1e200j, 1e-200 + 1e-200j),
+                                    (1e300 + 1e300j, 1e-8)))
 @pytest.mark.parametrize("method", ("cross-ratio", "mobius"))
 def test_classifier_pole_is_refused(nv, dv, method):
-    # dv is 0, or so small against nv that their ratio overflows
+    # dv is 0, or so small against nv that their ratio overflows, or that
+    # its length does
     with pytest.raises(NonGenericInput, match="classifier function blows up"):
         _classify((nv, 0j, 0j), (dv, 0j, 0j), 0.5, 0.5, 1, 2, method, 0, 2,
                   True)
@@ -1099,16 +1101,75 @@ COMM_4_WORDS = ("p1 s1^-2 p1 s1^-2 p1 s1^2 p1 s1^2",
 def test_pair_words_hold_at_every_float_scale():
     """A view is read at a power-of-two scale of its own, so the quartics
     neither overflow nor lose the words from 1 to 1e153; a plain braid,
-    whose punctures stay at 0 and 1, refuses what it cannot read."""
+    whose punctures stay at 0 and 1, has cross ratios of 1 to float
+    precision at these scales, and is refused as non-generic, not for
+    float range, up to the coordinate bound."""
     for e in sorted(set(range(0, 154, 9)) | {76, 77, 80, 153}):
         braid = transformed(COMM_4, 10.0 ** e)
         words = tuple(format_word(flat_virtual_word(braid, 1, 3, d))
                       for d in (None, 3))
         assert words == COMM_4_WORDS, e
-    for e in (77, 100, 153):
+    for e in (77, 100, 153, 300):
         for read in (psi_events, lambda b: psi_d_events(b, 3)):
-            with pytest.raises(NonGenericInput, match="float range"):
+            with pytest.raises(NonGenericInput, match="persistent crossing"):
                 read(transformed(COMM_4, 10.0 ** e))
+
+
+def test_readings_are_bit_identical_at_every_power_of_two_scale():
+    """Bench-shaped braids scaled by 2^k, which is exact, down to 2^-10 and
+    up to 2^1021, the last power the coordinate bound accepts: each reading
+    works in a frame scaled by a power of two of its own, so every event's
+    repr, time to the last bit, is the one at scale 1. A plain GeomBraid
+    keeps its punctures at 0 and 1 whatever the scale of its points, so
+    its twin is the braid with two strands standing at 0 and 1, read as the
+    view of those two: at scale 1 that view reads as the plain braid."""
+    rng = random.Random(9107)
+    for _ in range(2):
+        b = bench_shaped(rng)
+        k = rng.randrange(1, 7)
+        kl = rng.sample(range(1, 7), 2)
+        readings = [(cylinder_reading, k, d, cut)
+                    for d in (None, 3) for cut in (None, FIXED_CUT_ANGLE)] + \
+            [(pair_reading, *kl, d) for d in (None, 3)]
+        plain = dense_reference(b, *kl, samples=2)
+        standing = GeomBraid(plain.n + 2, (((0.0, 0j), (1.0, 0j)),
+                                           ((0.0, 1 + 0j), (1.0, 1 + 0j)))
+                             + plain.strands)
+        assert repr(psi_events(q_kl(standing, 1, 2))) \
+            == repr(psi_events(plain))
+        want = [pair_outcome(call, b, *args) for call, *args in readings] + \
+            [pair_outcome(psi_events, plain)]
+        assert not any(isinstance(x[0], type) for x in want)
+        # the standing braid's points reach past 2, so its scales stop
+        # where its largest coordinate meets the bound
+        top = max(max(abs(z.real), abs(z.imag))
+                  for bps in standing.strands for _, z in bps)
+        for e in (-10, 300, 1000, 1021):
+            twin = transformed(b, math.ldexp(1.0, e))
+            view = q_kl(transformed(standing, math.ldexp(
+                1.0, min(e, 1022 - math.frexp(top)[1]))), 1, 2)
+            got = [pair_outcome(call, twin, *args)
+                   for call, *args in readings] + \
+                [pair_outcome(psi_events, view)]
+            assert repr(got) == repr(want), e
+
+
+def loop_braid(s: float) -> GeomBraid:
+    """Four strands at s (1, i, -1, -i); strand 1 runs once round a loop of
+    radius 0.1 s and back to its start, the others stand still."""
+    start = s + 0j
+    loop = [(m / 8, start + 0.1 * s * (cmath.exp(1j * TWO_PI * m / 8) - 1))
+            for m in range(8)] + [(1.0, start)]
+    return GeomBraid(4, (tuple(loop),) + tuple(
+        ((0.0, s * z), (1.0, s * z)) for z in (1j, -1, -1j)))
+
+
+def test_cylinder_reads_the_loop_braid_at_every_scale():
+    """The loop of strand 1 passes no alignment and no cut seen from strand
+    2, at 1e-3 as at 1e160 and 1e307, where absolute units overflowed."""
+    for s in (1e-3, 1.0, 1e100, 1e160, 1e300, 1e307):
+        events, word = cylinder_reading(loop_braid(s), 2)
+        assert events == () and word.letters == (), s
 
 
 def bisected(coeffs, lo, hi, b, positive_at_lo, h):
