@@ -18,17 +18,18 @@ z (Dv z)^(d-1).
 
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
 q_kl views the braid with strands k and l as the punctures 0 and 1, after an
-exact check that no other strand comes near them, and builds the view's pair
-model once: its scaled segments and their angle ranges, which every reading
-of the view reads. Each other pair is watched through the four-point cross
-ratio on the braid's own segments; its real crossings are events,
-classified as over, under or flat by where on the real line they happen,
-and realized as a flat-virtual word. The d-th power reading watches the
+exact check that no other strand comes near them, and builds the view's
+model once: the segments of its frame and their angle ranges, which every
+reading of the view reads. Each other pair is watched through the
+four-point cross ratio on the braid's own segments; its real crossings are
+events, classified as over, under or flat by where on the real line they
+happen, and realized as a flat-virtual word. The d-th power reading watches the
 rays at angles 2 pi p / d; the plain reading is d=2.
 
-All event detection happens on the polyline model itself, built once per
-braid: between merged breakpoints every strand is linear in t, and every
-event is a ratio N/D on a ray. The cylinder's ratios,
+All event detection happens on the polyline model itself, one grid per
+braid, its merged breakpoint times and every strand's point at each:
+between two of them every strand is linear in t, and every event is a
+ratio N/D on a ray. The cylinder's ratios,
 (z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for the cut direction v, have
 linear N and D and watch ray 0 alone (d=1); a cross ratio has quadratic N
 and D. N/D lies on the line through 0 in direction conj(w) where the real
@@ -45,10 +46,12 @@ holds every genericity test. Every reading returns Event records.
 
 Every reading works in a frame of its own (_frame), scaled by a power of
 two, which is exact: a reading is the same at every scale, and with the
-coordinate bound of GeomBraid nothing overflows. GENERICITY_TOL, the
-moving cut's floor n GENERICITY_TOL included, is taken in the frame's
-units; SEPARATION_TOL alone is absolute, as a margin relative to the
-braid's diameter would refuse a braid with one far excursion.
+coordinate bound of GeomBraid nothing overflows. Each frame gives its
+readings one segment shape, and the angle bounds are built from the
+frame's own breakpoint values. GENERICITY_TOL, the moving cut's floor n
+GENERICITY_TOL included, is taken in the frame's units; SEPARATION_TOL
+alone is absolute, as a margin relative to the braid's diameter would
+refuse a braid with one far excursion.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import lt, ne, sub, truediv
+from operator import itemgetter, lt, ne, sub, truediv
 from typing import Iterable, Sequence
 
 from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
@@ -127,11 +130,12 @@ class GeomBraid:
     pair, segment by segment, the exact quadratic (_comes_within) decides
     each that its clearance test does not skip.
 
-    One model is built once, when the braid is: segments, the shared linear
-    model every reading works on, per merged interval [t0, t1] values p and
-    increments q with strand(t0 + u*(t1-t0)) = p + q*u for u in [0, 1], p
-    read from _paths, every strand's at() at every merged time. Each
-    reading scales it by a power of two of its own (_frame)."""
+    One grid is built once, when the braid is: times, the breakpoint times
+    of all strands merged, and _paths, every strand's at() at each of them.
+    Between two merged times every strand is linear, so the grid is the one
+    piecewise-linear model that the checks, the windings and every reading
+    work on; each reading scales it by a power of two of its own
+    (_frame)."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -151,15 +155,10 @@ class GeomBraid:
             if any(abs(z.real) >= bound or abs(z.imag) >= bound for z in zs):
                 raise ValueError("breakpoint points too large for float "
                                  "arithmetic")
-        object.__setattr__(self, "_times",
-                           tuple([bp[0] for bp in bps] for bps in self.strands))
         times = _merged_times(self.strands)
+        object.__setattr__(self, "times", tuple(times))
         object.__setattr__(self, "_paths",
                            tuple(_walk(bps, times) for bps in self.strands))
-        configs = list(zip(*self._paths))
-        object.__setattr__(self, "segments", tuple(
-            (t0, t1, p, tuple([b - a for a, b in zip(p, nxt)]))
-            for t0, t1, p, nxt in zip(times, times[1:], configs, configs[1:])))
         self._check_separation()
 
     @property
@@ -168,11 +167,12 @@ class GeomBraid:
         return self.start_config() == self.end_config()
 
     def at(self, strand: int, t: float) -> complex:
-        """Position of 1-based strand at time t."""
+        """Position of 1-based strand at time t in [0, 1]."""
         _check_strand(self, strand)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"time {t} outside [0, 1]")
         bps = self.strands[strand - 1]
-        times = self._times[strand - 1]
-        lo = bisect_right(times, t, 1, len(times) - 1) - 1
+        lo = bisect_right(bps, t, 1, len(bps) - 1, key=itemgetter(0)) - 1
         (t0, z0), (t1, z1) = bps[lo], bps[lo + 1]
         if t <= t0:
             return z0
@@ -188,22 +188,21 @@ class GeomBraid:
         return tuple(bps[-1][1] for bps in self.strands)
 
     def _check_separation(self) -> None:
-        # |q_i| + |q_j| bounds the pair's relative move and, unlike |q_i -
-        # q_j|, is a finite float for every braid the coordinate bound
-        # accepts
-        moves = [list(map(abs, q)) for _, _, _, q in self.segments]
-        ends = [p for _, _, p, _ in self.segments[1:]] + [self.end_config()]
+        # the summed moves of two strands bound their relative move and,
+        # unlike the length of its difference, are a finite float for every
+        # braid the coordinate bound accepts
+        moves = _moves(self)
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for (t0, t1, p, _), e, m in zip(self.segments, ends, moves):
-                    d0 = p[i] - p[j]
-                    if abs(d0) > 2.0 * (m[i] + m[j] + SEPARATION_TOL):
+                d = _differences(self, i, j)
+                for g, (mi, mj) in enumerate(zip(moves[i], moves[j])):
+                    if abs(d[g]) > 2.0 * (mi + mj + SEPARATION_TOL):
                         continue    # clear, as _comes_within shows
-                    u = _comes_within(d0, e[i] - e[j], 1, 1, SEPARATION_TOL)
+                    u = _comes_within(d[g], d[g + 1], 1, 1, SEPARATION_TOL)
                     if u is not None:
                         raise SeparationViolated(
                             f"strands {i + 1} and {j + 1} within tolerance "
-                            f"near t={t0 + (t1 - t0) * u:.6f}")
+                            f"near t={_time(self, g, u):.6f}")
 
 
 def _check_strand(braid: GeomBraid, strand: int) -> None:
@@ -225,6 +224,17 @@ def _walk(bps, times) -> list[complex]:
     return out
 
 
+def _moves(braid: GeomBraid) -> list[list[float]]:
+    """Per strand, the length of its move over each merged interval."""
+    return [list(map(abs, map(sub, path[1:], path))) for path in braid._paths]
+
+
+def _time(braid: GeomBraid, g: int, u: float) -> float:
+    """The time at u in [0, 1] of merged interval g."""
+    t0, t1 = braid.times[g], braid.times[g + 1]
+    return t0 + (t1 - t0) * u
+
+
 def _merged_times(strands) -> list[float]:
     times = sorted({t for bps in strands for t, _ in bps})
     out = [times[0]]
@@ -237,9 +247,10 @@ def _merged_times(strands) -> list[float]:
 
 def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
     """A u in [0, 1] at which |d(u)| < tol |c(u)|, or None, for d and c
-    linear on a segment from d0 to d1 and c0 to c1, as the braid stores its
-    ends: the real quadratic |d|^2 - tol^2 |c|^2 is checked at both ends
-    and at its vertex if inside, comparing the two lengths there directly.
+    linear on a merged interval from d0 to d1 and c0 to c1, the differences
+    of the braid's grid points at its ends: the real quadratic |d|^2 -
+    tol^2 |c|^2 is checked at both ends and at its vertex if inside,
+    comparing the two lengths there directly.
     The inputs are first scaled by the power of two that brings their
     largest coordinate into [1/2, 1), exact, so nothing squared overflows;
     the vertex is reached from its nearer end, so a long segment's rounding
@@ -618,24 +629,41 @@ def cylinder_events(braid: GeomBraid, k: int,
         raise ValueError(f"k={k} outside 1..{n}")
     if cut_angle is not None and not math.isfinite(cut_angle):
         raise ValueError(f"cut angle must be finite, not {cut_angle}")
-    others = [s for s in range(n) if s != k - 1]
-    segments, ranges = _cylinder_segments(braid, k - 1, cut_angle)
+    k0 = k - 1
+    others = [s for s in range(n) if s != k0]
+    # the vectors z_s - z_k, then the cut direction: fixed, or n (z_k -
+    # centroid)
+    if cut_angle is None:
+        def cut(z, unit):
+            return [n * x[k0] - sum(x) for x in zip(*z)]
+    else:
+        fixed = cmath.exp(1j * cut_angle)
+
+        def cut(z, unit):
+            return [fixed if unit else 0j] * len(z[0])
+    points, values, segments = _frame(braid, k0, range(n), cut)
+    # each vector's rounding is relative to the strands' summed distance
+    # from 0 as well
+    mags = [sum(map(abs, z)) for z in zip(*points)]
+    cs = [x + y for x, y in zip(mags, mags[1:])]
+    ranges = [None if s == k0 else _angle_range(v, cs)
+              for s, v in enumerate(values)]
     lines, spacing = _ray_lines(1)
-    # strand pairs, then each strand against the cut, entry n of rel
+    # strand pairs, then each strand against the cut, vector n
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
         [(l, n, (l + 1, k), "cut passage") for l in others]
     events: list[Event] = []
-    for g, (t0, h, rel) in enumerate(segments):
+    for g, (t0, h, vals, incs) in enumerate(segments):
         for sa, sb, pair, what in items:
             (ca, ha), (cb, hb) = ranges[sa], ranges[sb]
             radius = ha[g] + hb[g]
             if radius < (ca[g] - cb[g]) % spacing < spacing - radius:
                 continue
-            (a0, da), (b0, db) = rel[sa], rel[sb]
-            coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
+            coeffs, bern = _pair_quartic((vals[sa], incs[sa], 0j),
+                                         (vals[sb], incs[sb], 0j))
             for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
-                t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
+                t, wv = t0 + h * u, vals[n] + incs[n] * u
                 # a passage is refused on either side, before the side test
                 if (sb == n or ray is not None) and abs(wv) <= n * GENERICITY_TOL:
                     raise NonGenericInput("cut direction degenerate", time=t,
@@ -649,26 +677,27 @@ def cylinder_events(braid: GeomBraid, k: int,
                 events.append(
                     Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
                     if sb == n else _cylinder_crossing(
-                        rel, others, wv, u, t, pair, rising))
+                        vals, incs, others, wv, u, t, pair, rising))
     return _finish(events)
 
 
 def _frame(braid: GeomBraid, k0: int | None, watched, far):
-    """The model every reading builds its own from, in the frame of strand
-    k0, or of the puncture 0 of a plain braid (k0 None). The points are the
-    braid's scaled by f, the power of two that brings the longest z_s - z_k0
-    into [1/2, 1) (for a plain braid, z_s and the puncture 1, which becomes
-    f), but keeps |z_k0| below 2^52: a difference below the points'
-    rounding asks no more, and no scaled point or sum of them overflows.
-    The scaling is exact and the readings invariant under it, so they read
-    the same at every scale, until a vector so much shorter than the
-    longest that a product of it underflows.
+    """The segments every reading reads, in the frame of strand k0, or of
+    the puncture 0 of a plain braid (k0 None). The points are the braid's
+    scaled by f, the power of two that brings the longest z_s - z_k0 into
+    [1/2, 1) (for a plain braid, z_s and the puncture 1, which becomes f),
+    but keeps |z_k0| below 2^52: a difference below the points' rounding
+    asks no more, and no scaled point or sum of them overflows. The scaling
+    is exact and the readings invariant under it, so they read the same at
+    every scale, until a vector so much shorter than the longest that a
+    product of it underflows.
 
     Returns (points, values, segments): each strand's scaled points at the
-    merged times; at those times, z_s - z_k0 (z_s, k0 None) of each watched
-    strand s, then the far vector; per merged interval (t0, h, a, da, c,
-    dc), each watched vector a + da*u for u in [0, 1] and the far one c +
-    dc*u. far(z, f) is the far vector at the merged times of the scaled
+    braid's merged times; the breakpoint values, at those times, of z_s -
+    z_k0 (z_s, k0 None) for each watched strand s, then of the far vector;
+    per merged interval the one segment shape every reading reads, (t0, h,
+    vals, incs), each vector vals[v] + incs[v]*u for u in [0, 1], the far
+    one last. far(z, f) is the far vector at the merged times of the scaled
     points z, far(q, 0.0) its increments of theirs. Every vector comes from
     the scaled points by the formula it would take on the braid's own."""
     paths = braid._paths
@@ -685,50 +714,26 @@ def _frame(braid: GeomBraid, k0: int | None, watched, far):
     else:
         a = [list(map(sub, points[s], points[k0])) for s in watched]
         da = [list(map(sub, steps[s], steps[k0])) for s in watched]
-    c, dc = far(points, f), far(steps, 0.0)
-    segments = braid.segments
-    return points, a + [c], list(zip(
-        [t0 for t0, _, _, _ in segments], [t1 - t0 for t0, t1, _, _ in segments],
-        zip(*a), zip(*da), c, dc))
+    values, incs = a + [far(points, f)], da + [far(steps, 0.0)]
+    times = braid.times
+    return points, values, list(zip(times, map(sub, times[1:], times),
+                                    zip(*values), zip(*incs)))
 
 
-def _cylinder_segments(braid: GeomBraid, k0: int, cut_angle: float | None):
-    """Per segment (t0, h, rel) of the _frame of strand k0, rel[s] (value,
-    increment) of z_s - z_k and rel[n] of the cut direction, fixed or n (z_k
-    - centroid); per entry its _angle_range, whose cs is the strands'
-    summed distance from 0."""
-    n = braid.n
-    if cut_angle is None:
-        def cut(z, unit):
-            return [n * x[k0] - sum(x) for x in zip(*z)]
-    else:
-        fixed = cmath.exp(1j * cut_angle)
-
-        def cut(z, unit):
-            return [fixed if unit else 0j] * len(z[0])
-    points, values, segments = _frame(braid, k0, range(n), cut)
-    mags = [sum(map(abs, z)) for z in zip(*points)]
-    cs = [x + y for x, y in zip(mags, mags[1:])]
-    return [(t0, h, tuple(zip(a, da)) + ((c, dc),))
-            for t0, h, a, da, c, dc in segments], \
-        [None if s == k0 else _angle_range(v, cs)
-         for s, v in enumerate(values)]
-
-
-def _cylinder_crossing(rel, others, wv: complex, u: float, t: float,
+def _cylinder_crossing(vals, incs, others, wv: complex, u: float, t: float,
                        pair: tuple[int, int], rising: bool) -> Event:
     """Slot and sign of an alignment, from the angular coordinates of every
-    other strand measured from the cut direction wv (rel of
-    _cylinder_segments); the strand farther from k passes over."""
+    other strand measured from the cut direction wv, on a cylinder segment
+    (t0, h, vals, incs); the strand farther from k passes over."""
     si, sj = pair[0] - 1, pair[1] - 1
-    ui = rel[si][0] + rel[si][1] * u
-    vj = rel[sj][0] + rel[sj][1] * u
+    ui = vals[si] + incs[si] * u
+    vj = vals[sj] + incs[sj] * u
     f_pair = (cmath.phase(wv) - cmath.phase(ui)) % TWO_PI
     below = 0
     for l in others:
         if l in (si, sj):
             continue
-        fl = (cmath.phase(wv) - cmath.phase(rel[l][0] + rel[l][1] * u)) % TWO_PI
+        fl = (cmath.phase(wv) - cmath.phase(vals[l] + incs[l] * u)) % TWO_PI
         gap = abs(fl - f_pair)
         if min(gap, TWO_PI - gap) < GENERICITY_TOL:
             raise NonGenericInput("triple alignment", time=t, pair=pair)
@@ -778,8 +783,9 @@ def power_map_extract(braid: GeomBraid, k: int, d: int,
 class PuncturedView:
     """A braid punctured at its strands k0 and l0 (0-based), sent to 0 and 1
     by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order.
-    model is the pair model every reading of the view works on, built once
-    by q_kl: its _pair_segments and their _angle_ranges."""
+    model is what every reading of the view works on, built once by q_kl:
+    the segments of the _frame of strand k, watching the others against the
+    far vector z_l - z_k, and the _angle_ranges of its breakpoint values."""
 
     braid: GeomBraid
     k0: int
@@ -791,7 +797,7 @@ class PuncturedView:
         return self.braid.n - 2
 
     def start_config(self) -> tuple[complex, ...]:
-        _, _, a, _, c, _ = self.model[0][0]
+        _, _, (*a, c), _ = self.model[0][0]
         return tuple(x / c for x in a)
 
 
@@ -800,8 +806,8 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     _winding to vanish, and no other strand ever within GENERICITY_TOL * |z_l -
     z_k| of z_k or z_l: segment by segment, strand by strand, the puncture at
     k before the one at l, the exact quadratic (_comes_within) decides each
-    that its clearance test does not skip. Then it builds the view's pair
-    model once: its scaled segments and their _angle_ranges."""
+    that its clearance test does not skip, all on the braid's grid. Then it
+    builds the view's model once (PuncturedView)."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
@@ -812,29 +818,23 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
             if _winding(_differences(braid, i, j), i + 1, j + 1) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
     k0, l0 = k - 1, l - 1
-    pairs = [(s, x) for s in range(n) if s not in (k0, l0) for x in (k0, l0)]
-    ends = [p for _, _, p, _ in braid.segments[1:]] + [braid.end_config()]
-    for (t0, t1, p, q), e in zip(braid.segments, ends):
-        m = list(map(abs, q))   # bounds as in _check_separation
-        c0, c1 = p[l0] - p[k0], e[l0] - e[k0]
-        reach = 2.0 * GENERICITY_TOL * (abs(c0) + m[l0] + m[k0])
-        for s, x in pairs:
-            d0 = p[s] - p[x]
-            if abs(d0) > 2.0 * (m[s] + m[x]) + reach:
+    watched = [s for s in range(n) if s not in (k0, l0)]
+    moves, c = _moves(braid), _differences(braid, l0, k0)
+    pairs = [(s, x, _differences(braid, s, x)) for s in watched
+             for x in (k0, l0)]
+    for g, (c0, c1) in enumerate(zip(c, c[1:])):
+        # bounds as in _check_separation
+        reach = 2.0 * GENERICITY_TOL * (abs(c0) + moves[l0][g] + moves[k0][g])
+        for s, x, d in pairs:
+            if abs(d[g]) > 2.0 * (moves[s][g] + moves[x][g]) + reach:
                 continue    # clear, as _comes_within shows
-            u = _comes_within(d0, e[s] - e[x], c0, c1, GENERICITY_TOL)
+            u = _comes_within(d[g], d[g + 1], c0, c1, GENERICITY_TOL)
             if u is not None:
                 raise PunctureCollision(f"strand {s + 1} touches a puncture "
-                                        f"near t={t0 + (t1 - t0) * u:.6f}")
-    segments = _pair_segments(braid, k0, l0)
-    return PuncturedView(braid, k0, l0, (segments, _angle_ranges(segments)))
-
-
-def _pair_segments(braid: GeomBraid, k0: int, l0: int):
-    """Per segment (t0, h, a, da, c, dc) of the _frame of strand k0: each
-    watched strand a + da*u and the other puncture, strand l0, c + dc*u."""
-    return _frame(braid, k0, [s for s in range(braid.n) if s not in (k0, l0)],
-                  lambda z, unit: list(map(sub, z[l0], z[k0])))[2]
+                                        f"near t={_time(braid, g, u):.6f}")
+    _, values, segments = _frame(braid, k0, watched,
+                                 lambda z, unit: list(map(sub, z[l0], z[k0])))
+    return PuncturedView(braid, k0, l0, (segments, _angle_ranges(values)))
 
 
 def _pair_model(braid: GeomBraid | PuncturedView):
@@ -843,9 +843,9 @@ def _pair_model(braid: GeomBraid | PuncturedView):
     punctures at 0 and 1."""
     if isinstance(braid, PuncturedView):
         return braid.model
-    segments = _frame(braid, None, range(braid.n),
-                      lambda z, unit: [unit] * len(z[0]))[2]
-    return segments, _angle_ranges(segments)
+    _, values, segments = _frame(braid, None, range(braid.n),
+                                 lambda z, unit: [unit] * len(z[0]))
+    return segments, _angle_ranges(values)
 
 
 def initial_order(braid: GeomBraid | PuncturedView) -> tuple[int, ...]:
@@ -895,20 +895,15 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     return _pair_events(braid, "cross-ratio", d)
 
 
-def _angle_ranges(segments):
-    """Per watched strand, the _angle_range of a = z - z_k and of b = a - c,
-    at the breakpoints of the view's scaled segments; the rounding of b is
-    relative to the puncture c as well."""
-    _, _, a_last, da_last, c_last, dc_last = segments[-1]
-    c_end = c_last + dc_last
-    cs = [abs(seg[4]) for seg in segments] + [abs(c_end)]
-    cs = [x + y for x, y in zip(cs, cs[1:])]
-    out = []
-    for s, end in enumerate([x + dx for x, dx in zip(a_last, da_last)]):
-        avals = [seg[2][s] for seg in segments] + [end]
-        bvals = [x - seg[4] for x, seg in zip(avals, segments)] + [end - c_end]
-        out.append([_angle_range(avals, cs), _angle_range(bvals, cs)])
-    return out
+def _angle_ranges(values):
+    """Per watched vector a of a pair _frame's breakpoint values, the
+    _angle_range of a and of b = a - c, c the far vector, the last; the
+    rounding of b is relative to c as well."""
+    *watched, c = values
+    mags = list(map(abs, c))
+    cs = [x + y for x, y in zip(mags, mags[1:])]
+    return [[_angle_range(a, cs), _angle_range(list(map(sub, a, c)), cs)]
+            for a in watched]
 
 
 def _angle_range(values, cs):
@@ -957,9 +952,10 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
                         segments, cai, cbj, cbi, caj, hai, hbj, hbi, haj)
                     if not (radius := r1 + r2 + r3 + r4)
                     < (x1 + x2 - x3 - x4) % spacing < spacing - radius]
-            for t0, h, a, da, c, dc in near:
-                num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
-                                               c, dc, method)
+            for t0, h, vals, incs in near:
+                num, den = _cross_ratio_models(vals[i0], incs[i0], vals[j0],
+                                               incs[j0], vals[-1], incs[-1],
+                                               method)
                 for u, ray, sense in _ray_roots(*_pair_quartic(num, den),
                                                 lines, t0, h, pair, "crossing"):
                     if ray is not None:

@@ -180,8 +180,7 @@ def test_separation_checked_inside_merged_interval():
         return GeomBraid(3, (((0.0, -1 + 0j), (1.0, 1 + 0j)),
                              ((0.0, gap * 1j), (1.0, gap * 1j)),
                              ((0.0, 5j), (0.3, 5 + 5j), (0.8, 5j), (1.0, 5j))))
-    assert [seg[:2] for seg in braid(1e-3).segments] == \
-        [(0.0, 0.3), (0.3, 0.8), (0.8, 1.0)]
+    assert braid(1e-3).times == (0.0, 0.3, 0.8, 1.0)
     with pytest.raises(SeparationViolated, match="strands 1 and 2"):
         braid(SEPARATION_TOL / 4)
 
@@ -194,13 +193,25 @@ def test_at_interpolates():
     assert b.at(2, 0.3) == 5 + 0j
 
 
+def test_at_refuses_times_outside_the_unit_interval():
+    b = GeomBraid(2, (((0.0, 0j), (0.5, 1 + 0j), (1.0, 1 + 1j)),
+                      ((0.0, 5 + 0j), (1.0, 5 + 0j))))
+    assert (b.at(1, 0.0), b.at(1, 1.0)) == (0j, 1 + 1j)
+    for t in (-1e-300, 1.0 + 1e-15, 2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"time .* outside \[0, 1\]"):
+            b.at(1, t)
+    # a mark at such a time is refused, not drawn at cx="nan"
+    with pytest.raises(ValueError, match="outside"):
+        render_svg(b, [{"t": math.nan, "kind": "cut", "strand": 1}])
+
+
 def test_segment_model_matches_point_query():
     b = artin_dynamics(parse_word("A[1,3] A[2,4]^-1", B4))
-    for t0, t1, p, q in b.segments:
+    for g, (t0, t1) in enumerate(zip(b.times, b.times[1:])):
         for u in (0.0, 0.3, 1.0):
-            for s in range(1, 5):
-                assert abs(p[s - 1] + q[s - 1] * u
-                           - b.at(s, t0 + (t1 - t0) * u)) < 1e-12
+            for s, path in enumerate(b._paths, start=1):
+                p, q = path[g], path[g + 1] - path[g]
+                assert abs(p + q * u - b.at(s, t0 + (t1 - t0) * u)) < 1e-12
 
 
 def test_segments_are_the_point_queries_at_every_merged_time():
@@ -222,14 +233,11 @@ def test_segments_are_the_point_queries_at_every_merged_time():
     braids.append(GeomBraid(2, (((0.0, 0j), (1.0, 1 + 0j)),
                                 ((0.0, 5j), (1.0, 5 + 5j)))))
     for b in braids:
-        for t0, t1, p, q in b.segments:
-            at0 = [b.at(s, t0) for s in range(1, b.n + 1)]
-            at1 = [b.at(s, t1) for s in range(1, b.n + 1)]
-            assert repr(p) == repr(tuple(at0))
-            assert repr(q) == repr(tuple(y - x for x, y in zip(at0, at1)))
-    assert [seg[:2] for seg in braids[-2].segments] == \
-        [(0.0, 0.3), (0.3, 0.6 - 2 * _MERGE_GAP), (0.6 - 2 * _MERGE_GAP, 0.6),
-         (0.6, 1.0)]
+        for g, t in enumerate(b.times):
+            assert repr(tuple(path[g] for path in b._paths)) == \
+                repr(tuple(b.at(s, t) for s in range(1, b.n + 1)))
+    assert braids[-2].times == \
+        (0.0, 0.3, 0.6 - 2 * _MERGE_GAP, 0.6, 1.0)
 
 
 def test_strand_arguments_are_checked():
@@ -740,11 +748,12 @@ def test_first_puncture_collision_is_the_first_segment_strand_puncture(
 def reference_separation(braid: GeomBraid) -> None:
     """The separation check without its clearance test: every pair, every
     segment through the exact quadratic."""
-    ends = [p for _, _, p, _ in braid.segments[1:]] + [braid.end_config()]
+    z, times = braid._paths, braid.times
     for i in range(braid.n):
         for j in range(i + 1, braid.n):
-            for (t0, t1, p, _), e in zip(braid.segments, ends):
-                u = _comes_within(p[i] - p[j], e[i] - e[j], 1, 1, SEPARATION_TOL)
+            for g, (t0, t1) in enumerate(zip(times, times[1:])):
+                u = _comes_within(z[i][g] - z[j][g], z[i][g + 1] - z[j][g + 1],
+                                  1, 1, SEPARATION_TOL)
                 if u is not None:
                     raise SeparationViolated(
                         f"strands {i + 1} and {j + 1} within tolerance "
@@ -760,13 +769,13 @@ def reference_q_kl(braid: GeomBraid, k: int, l: int) -> None:
             if linking_number(braid, i, j) != 0:
                 raise NonZeroLinking("winding must vanish", pair=(i, j))
     k0, l0 = k - 1, l - 1
-    ends = [p for _, _, p, _ in braid.segments[1:]] + [braid.end_config()]
-    for (t0, t1, p, _), e in zip(braid.segments, ends):
-        c0, c1 = p[l0] - p[k0], e[l0] - e[k0]
+    z, times = braid._paths, braid.times
+    for g, (t0, t1) in enumerate(zip(times, times[1:])):
+        c0, c1 = z[l0][g] - z[k0][g], z[l0][g + 1] - z[k0][g + 1]
         for s in (s for s in range(n) if s not in (k0, l0)):
             for x in (k0, l0):
-                u = _comes_within(p[s] - p[x], e[s] - e[x], c0, c1,
-                                  GENERICITY_TOL)
+                u = _comes_within(z[s][g] - z[x][g], z[s][g + 1] - z[x][g + 1],
+                                  c0, c1, GENERICITY_TOL)
                 if u is not None:
                     raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                             f"near t={t0 + (t1 - t0) * u:.6f}")

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +16,16 @@ from braidrep.braidword import (GroupId, format_word, parse_word,
 from braidrep.errors import BraidrepError, NonGenericInput, SeparationViolated
 from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI,
                            Event, GeomBraid, _classify, _cross_ratio_models,
-                           _cylinder_crossing, _cylinder_segments, _finish,
-                           _pair_model, _pair_quartic, _ray_lines,
-                           _ray_roots, artin_dynamics, concat, cylinder_events,
+                           _cylinder_crossing, _finish, _frame, _pair_model,
+                           _pair_quartic, _ray_lines, _ray_roots,
+                           artin_dynamics, concat, cylinder_events,
                            cylinder_reading, flat_virtual_word, initial_order,
                            linking_number, pair_reading, perturb, psi_d_events,
                            psi_events, q_kl, realize_flat_virtual, resample)
 from braidrep.laurent import mat_mul, mat_to_text
 from braidrep.rep import RHO, RHO_TILDE, word_image
+from parity import (CUTS, aligned_at_half, bench_shaped, concyclic_at_half,
+                    random_two_strand)
 
 
 def two_strand(x0: float, v: float) -> GeomBraid:
@@ -78,18 +81,6 @@ def test_both_methods_agree_on_synthetic_cases():
         b = two_strand(x0, v)
         assert signature(psi_events(b)) == \
             signature(psi_events(b, method="mobius"))
-
-
-def random_two_strand(rng) -> GeomBraid:
-    strands = []
-    for _ in range(2):
-        k = rng.randrange(2, 5)
-        ts = sorted(rng.random() for _ in range(k - 1))
-        times = [0.0] + [t for t in ts if 0.05 < t < 0.95] + [1.0]
-        bps = [(t, complex(rng.uniform(-2.5, 3.5), rng.uniform(-2.2, 2.2)))
-               for t in times]
-        strands.append(tuple(bps))
-    return GeomBraid(2, tuple(strands))
 
 
 def test_methods_agree_on_random_trajectories():
@@ -309,7 +300,8 @@ def exact_event_counts(braid: GeomBraid, powers=(2, 3, 4)) -> dict:
             found += 1
         return found
 
-    (_, _, p, q), = braid.segments
+    p, end = zip(*braid._paths)     # one segment
+    q = list(map(sub, end, p))
     z1, z2 = ((poly(q[s].real, p[s].real), poly(q[s].imag, p[s].imag))
               for s in (0, 1))
     one = poly(1)
@@ -376,7 +368,8 @@ def exact_cylinder_count(braid: GeomBraid, k: int, cut_angle: float):
     def poly(*coeffs):
         return sympy.Poly([Fraction(c) for c in coeffs], u, domain="QQ")
 
-    (_, _, p, q), = braid.segments
+    p, end = zip(*braid._paths)     # one segment
+    q = list(map(sub, end, p))
     k0 = k - 1
     vectors = {s: (poly(q[s].real, p[s].real) - poly(q[k0].real, p[k0].real),
                    poly(q[s].imag, p[s].imag) - poly(q[k0].imag, p[k0].imag))
@@ -575,9 +568,11 @@ def dense_reference(braid: GeomBraid, k: int, l: int,
     strands: an approximation of what q_kl reads exactly, closer the more
     samples are taken."""
     k0, l0 = k - 1, l - 1
+    times, grid = braid.times, list(zip(*braid._paths))
     configs = [(t0 + (t1 - t0) * s / samples,
-                [a + b * (s / samples) for a, b in zip(p, q)])
-               for t0, t1, p, q in braid.segments for s in range(samples)]
+                [a + (b - a) * (s / samples) for a, b in zip(p, e)])
+               for t0, t1, p, e in zip(times, times[1:], grid, grid[1:])
+               for s in range(samples)]
     configs.append((1.0, braid.end_config()))
     tracks = [[(t, (z[s] - z[k0]) / (z[l0] - z[k0])) for t, z in configs]
               for s in range(braid.n) if s not in (k0, l0)]
@@ -625,9 +620,10 @@ def reference_pair_events(braid, method: str, d: int):
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
-            for t0, h, a, da, c, dc in segments:
-                num, den = _cross_ratio_models(a[i0], da[i0], a[j0], da[j0],
-                                               c, dc, method)
+            for t0, h, vals, incs in segments:
+                num, den = _cross_ratio_models(vals[i0], incs[i0], vals[j0],
+                                               incs[j0], vals[-1], incs[-1],
+                                               method)
                 for u, ray, sense in _ray_roots(*_pair_quartic(num, den),
                                                 lines, t0, h, pair, "crossing"):
                     if ray is not None:
@@ -675,19 +671,6 @@ def transformed(braid: GeomBraid, scale: complex, shift: complex = 0j):
                                     for bps in braid.strands))
 
 
-def bench_shaped(rng) -> GeomBraid:
-    """A commutator of two band generators on 6 strands whose spans add to
-    4, as the geometry bench draws them."""
-    while True:
-        span = rng.randrange(1, 4)
-        i, j = rng.randrange(1, 7 - span), rng.randrange(1, 3 + span)
-        if (i, span) != (j, 4 - span):
-            break
-    text = f"comm(A[{i},{i + span}]^{rng.choice((1, -1))}; " \
-        f"A[{j},{j + 4 - span}]^{rng.choice((1, -1))})"
-    return artin_dynamics(parse_word(text, GroupId("B", 6)), radial_spread=0.25)
-
-
 def test_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
     """Bench-shaped braids, perturbed and resampled, through a view at a
     seeded pair; the plain braid at scales 1e-3 to 1e6."""
@@ -707,7 +690,7 @@ def test_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
 def test_view_readings_read_the_model_q_kl_built(monkeypatch):
     """One view read plain, d=3, d=4, mobius and plain again gives, each
     time, the events of that reading on a fresh q_kl and the same initial
-    order; no reading rebuilds the view's segments or angle ranges."""
+    order; no reading rebuilds the view's frame or angle ranges."""
     def rebuilt(*args):
         raise AssertionError("a reading rebuilt the view's pair model")
 
@@ -723,37 +706,13 @@ def test_view_readings_read_the_model_q_kl_built(monkeypatch):
             fresh = [pair_outcome(read, q_kl(copy, k, l), *reading)
                      for reading in order]
             with monkeypatch.context() as m:
-                m.setattr(geom, "_pair_segments", rebuilt)
+                m.setattr(geom, "_frame", rebuilt)
                 m.setattr(geom, "_angle_ranges", rebuilt)
                 for reading, want in zip(order, fresh):
                     assert pair_outcome(read, view, *reading) == want
                     assert initial_order(view) == start
             assert all(events and all(isinstance(e, Event) for e in events)
                        for events in fresh)
-
-
-def concyclic_at_half(rng, scale: float) -> GeomBraid:
-    """Punctures 1 and 2 stand still; strands 3 and 4 each run round a small
-    triangle with a corner at t = 1/2, where strand 4 is where the cross
-    ratio of strands 3 and 4 takes a value on a line of the plain, d=3 or
-    d=4 reading. So the ratio crosses or touches that line at the
-    breakpoint."""
-    def point():
-        return scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-    def triangle(corner):
-        a, b = (corner + scale * 0.3 * cmath.exp(1j * rng.uniform(0, TWO_PI))
-                for _ in range(2))
-        return (0.0, a), (0.5, corner), (0.75, b), (1.0, a)
-
-    zk, zl, z3 = point(), point(), point()
-    angle = math.pi * rng.choice((0, 1, 1 / 3, 2 / 3, 4 / 3, 5 / 3, 1 / 2, 3 / 2))
-    target = rng.uniform(0.2, 5.0) * cmath.exp(1j * angle)
-    # cr = (z3 - zk)(z4 - zl) / ((z3 - zl)(z4 - zk)) = target, solved for z4
-    y = target * (z3 - zl) / (z3 - zk)
-    z4 = (zl - y * zk) / (1 - y)
-    return GeomBraid(4, (((0.0, zk), (1.0, zk)), ((0.0, zl), (1.0, zl)),
-                         triangle(z3), triangle(z4)))
 
 
 def test_filter_keeps_roots_at_and_near_breakpoints():
@@ -867,21 +826,28 @@ def reference_cylinder_events(braid: GeomBraid, k: int,
     """The cylinder loop without the angle filter: every pair of watched
     strands and every strand against the cut goes through _ray_roots on
     every segment."""
-    n = braid.n
-    others = [s for s in range(n) if s != k - 1]
-    segments, _ = _cylinder_segments(braid, k - 1, cut_angle)
+    n, k0 = braid.n, k - 1
+    others = [s for s in range(n) if s != k0]
+
+    def cut(z, unit):
+        # n (z_k - centroid), or the fixed direction
+        if cut_angle is None:
+            return [n * x[k0] - sum(x) for x in zip(*z)]
+        return [cmath.exp(1j * cut_angle) if unit else 0j] * len(z[0])
+
+    _, _, segments = _frame(braid, k0, range(n), cut)
     lines, _ = _ray_lines(1)
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
         [(l, n, (l + 1, k), "cut passage") for l in others]
     events = []
-    for t0, h, rel in segments:
+    for t0, h, vals, incs in segments:
         for sa, sb, pair, what in items:
-            (a0, da), (b0, db) = rel[sa], rel[sb]
-            coeffs, bern = _pair_quartic((a0, da, 0j), (b0, db, 0j))
+            coeffs, bern = _pair_quartic((vals[sa], incs[sa], 0j),
+                                         (vals[sb], incs[sb], 0j))
             for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair,
                                             what):
-                t, wv = t0 + h * u, rel[n][0] + rel[n][1] * u
+                t, wv = t0 + h * u, vals[n] + incs[n] * u
                 if (sb == n or ray is not None) \
                         and abs(wv) <= n * GENERICITY_TOL:
                     raise NonGenericInput("cut direction degenerate", time=t,
@@ -896,11 +862,8 @@ def reference_cylinder_events(braid: GeomBraid, k: int,
                                         sign=-1 if sense else 1))
                 else:
                     events.append(_cylinder_crossing(
-                        rel, others, wv, u, t, pair, not sense))
+                        vals, incs, others, wv, u, t, pair, not sense))
     return _finish(events)
-
-
-CUTS = (None, 0.0, 2.0)
 
 
 def cylinder_filter_mismatches(braids, ks=None) -> tuple[list, list, int]:
@@ -932,36 +895,6 @@ def test_cylinder_filter_reads_bench_shaped_braids_as_the_unfiltered_loop():
                    transformed(b, 1e-3, 2e-3), transformed(b, 1e6, -3e6j)]
     bad, events, refused = cylinder_filter_mismatches(braids, (1, 3, 6))
     assert bad == [] and len(events) > 2000
-
-
-def aligned_at_half(rng, scale: float, cut: float | None) -> GeomBraid:
-    """Strand 1 stands still; strands 2 and 3 each run round a small
-    triangle with a corner at t = 1/2, where strand 3 is, as seen from
-    strand 1, in the direction of strand 2 or of the cut, exactly up to
-    rounding or 1e-12 to 1e-5 radians off; strand 4 stands still. So an
-    alignment or a cut passage crosses or touches the breakpoint."""
-    def point():
-        return scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-    def triangle(corner):
-        a, b = (corner + scale * 0.3 * cmath.exp(1j * rng.uniform(0, TWO_PI))
-                for _ in range(2))
-        return (0.0, a), (0.5, corner), (0.75, b), (1.0, a)
-
-    zk, z2, z4 = point(), point(), point()
-    if rng.random() < 0.5:
-        direction = z2 - zk
-    elif cut is not None:
-        direction = cmath.exp(1j * cut)
-    else:
-        # z3 - zk on the ray of 4 zk - (zk + z2 + z3 + z4) = w - (z3 - zk)
-        direction = 3 * zk - z2 - z4
-    off = rng.choice((0.0, 0.0, 10 ** rng.uniform(-12, -5) * rng.choice((-1, 1))))
-    length = rng.uniform(0.2, 0.9) * (abs(direction) if cut is None
-                                      else scale)
-    z3 = zk + length * cmath.exp(1j * off) * direction / abs(direction)
-    return GeomBraid(4, (((0.0, zk), (1.0, zk)), triangle(z2), triangle(z3),
-                         ((0.0, z4), (1.0, z4))))
 
 
 def test_cylinder_filter_keeps_roots_at_and_near_breakpoints():
@@ -1152,6 +1085,41 @@ def test_readings_are_bit_identical_at_every_power_of_two_scale():
                    for call, *args in readings] + \
                 [pair_outcome(psi_events, view)]
             assert repr(got) == repr(want), e
+
+
+def exact_exponents(braid: GeomBraid) -> tuple[int, int]:
+    """The least and the greatest e at which scaling braid by 2^e is exact:
+    its smallest nonzero coordinate stays a normal float, and its largest
+    stays below the coordinate bound of GeomBraid."""
+    coords = [abs(x) for bps in braid.strands for _, z in bps
+              for x in (z.real, z.imag) if x]
+    return (-1021 - math.frexp(min(coords))[1],
+            1021 - math.frexp(max(coords))[1])
+
+
+@settings(max_examples=16)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_readings_are_bit_identical_at_every_exact_power_of_two_scale(seed,
+                                                                      data):
+    """A bench-shaped braid scaled by 2^e, for any e at which that is exact:
+    its cylinder readings and the pair readings of its views are those at
+    scale 1 to the last bit, as each reading works in a frame scaled by a
+    power of two of its own. SEPARATION_TOL alone is absolute, so below
+    about 2^-14 the separation check refuses the scaled braid; it is built
+    without that check, which no reading depends on."""
+    rng = random.Random(seed)
+    b = bench_shaped(rng)
+    k, kl = rng.randrange(1, 7), rng.sample(range(1, 7), 2)
+    readings = [(cylinder_reading, k, None, None),
+                (cylinder_reading, k, 3, FIXED_CUT_ANGLE),
+                (pair_reading, *kl, None), (pair_reading, *kl, 3)]
+    e = data.draw(st.integers(*exact_exponents(b)), label="e")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(GeomBraid, "_check_separation", lambda self: None)
+        twin = transformed(b, math.ldexp(1.0, e))
+    for call, *args in readings:
+        assert repr(pair_outcome(call, twin, *args)) == \
+            repr(pair_outcome(call, b, *args)), (call.__name__, args)
 
 
 def loop_braid(s: float) -> GeomBraid:
