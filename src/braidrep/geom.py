@@ -603,7 +603,7 @@ def _finish(events: list[Event]) -> tuple[Event, ...]:
             raise NonGenericInput("event at the time boundary", time=e.time)
     for a, b in zip(out, out[1:]):
         if b.time - a.time < GENERICITY_TOL:
-            raise NonGenericInput("events closer than the separation margin",
+            raise NonGenericInput("events closer than the genericity margin",
                                   time=a.time)
     return tuple(out)
 

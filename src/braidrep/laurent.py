@@ -11,10 +11,20 @@ elements also serialize identically. A shift by t^a s^b r^c rewrites keys
 and offsets, and a sum adds runs as slices, so memory and time are
 O(t-span) per class. A word image's t-span grows by at most one per letter,
 so it is bounded by the word's length (braidword.MAX_LETTERS).
+
+Products of polynomials and of matrices are one routine, _products, by
+Kronecker substitution: a run becomes the int sum(c_i * 2^(B*i)), so the
+product of two runs is one big-int product, and each entry of a matrix
+product is unpacked from its per-class sums once. The digit width B is
+bounded per call from the operands' largest coefficients, their class
+counts and their nonzero terms per run, so every output coefficient fits
+a balanced base-2^B digit.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
@@ -88,10 +98,7 @@ class LaurentPoly:
                             ((1, (0, 0, 0), 0), (-1, (0, 0, 0), 1)))
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        a, b = self, _coerce(other)
-        if len(a) > len(b):
-            a, b = b, a
-        return monomial_sum((b,), [(c, e, 0) for e, c in _term_list(a)])
+        return _products(((self,),), ((_coerce(other),),))[0][0]
 
     __rmul__ = __mul__
 
@@ -165,8 +172,9 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 
 def monomial_sum(polys, terms) -> LaurentPoly:
     """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
-    The ring's only term loop: sums, differences, negation, products, matrix
-    products and the symbolic fold all come here. Each class of polys[i]
+    The ring's term loop: sums, differences, negation, the constructor and
+    the symbolic fold come here; products and matrix products go through
+    _products instead, which multiplies whole runs. Each class of polys[i]
     moves to (e_s + b, e_r + c) with its run offset by a, and is added into
     that class's accumulator as one slice; the sums are then trimmed. A
     single term only rewrites keys and offsets (and scales the runs)."""
@@ -218,6 +226,90 @@ def monomial_sum(polys, terms) -> LaurentPoly:
             lo, acc = lo + i, acc[i:]
         runs[key] = (lo, tuple(acc))
     return _wrap(runs) if runs else _ZERO
+
+
+def _products(a, b) -> list[list[LaurentPoly]]:
+    """The product of two square arrays of LaurentPoly, by Kronecker
+    substitution: each class run (t_lo, coeffs) is packed into the int
+    sum(c_i * 2^(B*i)), the packed ints of each class pair are multiplied,
+    the products are added per target class, aligned by t_lo, and each sum
+    is unpacked once into balanced base-2^B digits and trimmed.
+
+    No coefficient of sum_k a[i][k] * b[k][j] exceeds bound = dim *
+    min(classes) * min(nonzero terms per run) * max|a| * max|b|, each count
+    the largest over an entry of a or of b. So digits in [-2^(B-1), 2^(B-1))
+    hold every input and output coefficient when B is bound's bit length
+    plus one, rounded up to 8, 16, 32 or 64, or beyond that to whole bytes.
+    Digits go through bytes: a run is packed as B-bit two's complement
+    digits (array, or int.to_bytes past 64 bits), and xor-ing the top bit
+    of each digit offsets it by 2^(B-1), so the packed int less that offset
+    is the run's sum; unpacking adds the offset back and reads the digits
+    as signed again (memoryview.cast, or byte slices past 64 bits)."""
+    dim, order = len(a), sys.byteorder
+    stats = []
+    for m in (a, b):
+        polys = [x._runs for row in m for x in row]
+        runs = [run for p in polys for _, run in p.values()]
+        if not runs:
+            return [[_ZERO] * dim for _ in range(dim)]
+        stats.append((max(map(len, polys)),
+                      max(len(run) - run.count(0) for run in runs),
+                      max(max(max(run), -min(run)) for run in runs)))
+    (ca, na, ma), (cb, nb, mb) = stats
+    bound = dim * min(ca, cb) * min(na, nb) * ma * mb
+    width = (bound.bit_length() + 8) // 8    # bytes of B, bit_length + 1
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    bits, code = 8 * width, {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
+    top = (1 << (bits - 1)).to_bytes(width, order)
+
+    def offset(n):    # 2^(B-1) in each of n digits
+        return int.from_bytes(top * n, order)
+
+    def pack(run):
+        data = array(code, run) if code else b"".join(
+            c.to_bytes(width, order, signed=True) for c in run)
+        o = offset(len(run))
+        return (int.from_bytes(data, order) ^ o) - o
+
+    def unpack(lo, total):
+        first = ((total & -total).bit_length() - 1) // bits
+        total >>= bits * first
+        n = abs(total).bit_length() // bits + 1    # room for a carry
+        o = offset(n)
+        data = ((total + o) ^ o).to_bytes(n * width, order)
+        digits = memoryview(data).cast(code).tolist() if code else [
+            int.from_bytes(data[i:i + width], order, signed=True)
+            for i in range(0, n * width, width)]
+        while not digits[-1]:
+            digits.pop()
+        return lo + first, tuple(digits)
+
+    pa, pb = ([[{key: (lo, pack(run)) for key, (lo, run) in x._runs.items()}
+                for x in row] for row in m] for m in (a, b))
+    cols = list(zip(*pb))
+    out = []
+    for row in pa:
+        out_row = []
+        for col in cols:
+            sums: dict = {}    # class -> [t_lo, packed sum]
+            for x, y in zip(row, col):
+                for (sa, ra), (la, va) in x.items():
+                    for (sb, rb), (lb, vb) in y.items():
+                        key, lo, v = (sa + sb, ra + rb), la + lb, va * vb
+                        acc = sums.get(key)
+                        if acc is None:
+                            sums[key] = [lo, v]
+                        elif lo >= acc[0]:
+                            acc[1] += v << bits * (lo - acc[0])
+                        else:
+                            acc[1] = (acc[1] << bits * (acc[0] - lo)) + v
+                            acc[0] = lo
+            runs = {key: unpack(lo, total)
+                    for key, (lo, total) in sums.items() if total}
+            out_row.append(_wrap(runs) if runs else _ZERO)
+        out.append(out_row)
+    return out
 
 
 def apply_action(rows, action) -> None:
@@ -373,15 +465,9 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a * b as one action: column j of b is the term list
-    (coeff, shift, k) of its entries b[k, j]."""
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} x {a.dim} times {b.dim} x {b.dim}")
-    rows = [list(row) for row in a.rows]
-    apply_action(rows, ((j, [(c, e, k) for k, b_row in enumerate(b.rows)
-                             for e, c in _term_list(b_row[j])])
-                        for j in range(b.dim)))
-    return Matrix(a.dim, tuple(map(tuple, rows)))
+    return Matrix(a.dim, tuple(map(tuple, _products(a.rows, b.rows))))
 
 
 def mat_eval(m: Matrix, a: Assignment) -> tuple[tuple[Fraction, ...], ...]:

@@ -21,8 +21,8 @@ monomial permutations, only update (perm, shift). Every other letter's
 action is rewritten through P (dest and src mapped through perm, each
 term's shift plus shift[src] - shift[dest]; used as it is while P is the
 identity, indices only while no shift is set) and handed to
-laurent.apply_action, the row update mat_mul uses too; P is applied once
-at the end. The evaluated fold
+laurent.apply_action, which updates the rows one monomial_sum per new
+entry; P is applied once at the end. The evaluated fold
 evaluates each action's +-monomial terms directly in integers, puts them
 over one common denominator den and divides out their gcd, and folds ints
 over one scalar scale: an action with den != 1 multiplies the other

@@ -1,10 +1,11 @@
-"""Parity battery of the geometry readings.
+"""Parity battery of the geometry readings and the algebra images.
 
 Writes one record per input and reading: the repr of the events the reading
 returns (every time to the last bit), then the word it spells where it spells
-one, or the class and message of the refusal. Prints, per family, the number
-of records and the sha256 of its records, then the same for all of them. Run
-it on two versions of the code and compare the outputs:
+one, or the class and message of the refusal; an algebra record is one
+matrix, as its text form (rows joined by ';') and its JSON form. Prints, per
+family, the number of records and the sha256 of its records, then the same
+for all of them. Run it on two versions of the code and compare the outputs:
 
     PYTHONPATH=src python tests/parity.py --out new.txt
     PYTHONPATH=src python tests/parity.py --compare old.txt new.txt
@@ -15,8 +16,9 @@ and writes each record's key and a digest of its result:
 
     PYTHONPATH=src python tests/parity.py --pin tests/parity_slice.txt
 
-The script calls only the public API of braidrep.geom, so one copy of it
-reads any version of the package that PYTHONPATH names.
+The script calls only the public API of braidrep, so one copy of it reads
+any version of the package that PYTHONPATH names. The algebra family takes
+its inputs from bench/workloads.py.
 
 Families:
   bench        40 bench-shaped braids (random.Random(7)), each plain,
@@ -37,6 +39,14 @@ Families:
   huge         600 draws at 1e150 to 1e308 (random.Random(17)) and a braid
                standing near the corner of float range: linking numbers,
                q_kl, pair and cylinder readings
+  algebra      6,793 symbolic matrices: both sides of every relation of the
+               bench's REL_CASES under its representation; both sides of
+               every B_n relation translated by p_k from every start
+               position and through f_d, for n 3..6, k 1..n and d 1..3
+               (COC_CASES); BIGELOW5 through p_k, f_d and rho for k 1..5
+               and d 1..3; and for the 500 pinned multiplicativity inputs
+               (u, v, k, d) on B5, the pipeline images of uv, u and v and
+               the mat_mul of the last two
 """
 
 from __future__ import annotations
@@ -44,16 +54,26 @@ from __future__ import annotations
 import argparse
 import cmath
 import hashlib
+import json
 import math
 import random
 import sys
 from itertools import islice
+from pathlib import Path
 
-from braidrep.braidword import GroupId, format_word, parse_word
+from braidrep import rep
+from braidrep.braidword import (GroupId, Word, format_word, parse_word,
+                                relation_suite)
 from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL, TWO_PI, GeomBraid,
                            artin_dynamics, cylinder_events, cylinder_reading,
                            linking_number, pair_reading, perturb, psi_d_events,
                            psi_events, q_kl, resample)
+from braidrep.homs import (PipelineConfig, f_d, pipeline_matrix,
+                           strand_removal_letters)
+from braidrep.laurent import mat_mul, mat_to_json, mat_to_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 CUTS = (None, 0.0, 2.0)
 GRAZE_SCALES = tuple(math.ldexp(1.0, e) for e in range(-40, 81, 8))
@@ -231,9 +251,9 @@ def _records(name, built, readings):
 
 # -- families -----------------------------------------------------------------
 #
-# Each family yields, per input, a list of (name, built, readings); every
-# input is built, or refused, as it is drawn, so a subset of the inputs
-# reads what the whole family reads of them.
+# Each family yields, per input, an iterable of (name, built, readings);
+# every geometry input is built, or refused, as it is drawn, so a subset of
+# the inputs reads what the whole family reads of them.
 
 
 def bench():
@@ -344,12 +364,70 @@ def huge():
         yield [(f"{index}", _built(GeomBraid, 4, drawn), HUGE_READINGS)]
 
 
+ALGEBRA_READINGS = (("matrix", lambda m: mat_to_text(m).replace("\n", ";")
+                     + " " + json.dumps(mat_to_json(m), sort_keys=True)),)
+
+
+def _cocycle_image(letters, n, pos, d):
+    """A B_n word translated by p_k from start position pos, through f_d
+    and rho."""
+    out, _ = strand_removal_letters(letters, n, pos)
+    return rep.word_image(f_d(Word(GroupId("CPB", n - 1), tuple(out)), d),
+                          rep.RHO)
+
+
+def _relation_images(rep_id, family, flag, n):
+    name = f"relations {rep_id} {family}{n}" + (" flat" if flag else "")
+    for label, left, right in relation_suite(GroupId(family, n, flag)):
+        for side, word in (("left", left), ("right", right)):
+            yield (f"{name} {label} {side}",
+                   _built(rep.word_image, word, rep_id), ALGEBRA_READINGS)
+
+
+def _cocycle_images(n, k, d):
+    for label, left, right in relation_suite(GroupId("B", n)):
+        for pos in range(1, n + 1):
+            for side, word in (("left", left), ("right", right)):
+                yield (f"cocycle n={n} k={k} d={d} {label} from {pos} {side}",
+                       _built(_cocycle_image, list(word.expanded()), n, pos,
+                              d), ALGEBRA_READINGS)
+
+
+def _pipeline_images(name, texts, k, d):
+    """The pipeline images on B5 of the word texts, named by their sides,
+    and the mat_mul of the images of 'u' and 'v' where both are given."""
+    cfg = PipelineConfig(5, k, d)
+    got = {side: _built(pipeline_matrix, parse_word(text, GroupId("B", 5)),
+                        cfg) for side, text in texts}
+    if "u" in got:
+        got["u*v"] = _built(mat_mul, got["u"], got["v"])
+    for side, built in got.items():
+        yield f"{name} {side}", built, ALGEBRA_READINGS
+
+
+def algebra():
+    # nothing here is drawn at random, so an input is built only when it is
+    # read, and a slice builds only its own inputs
+    for case in workloads.REL_CASES:
+        yield _relation_images(*case)
+    for case in workloads.COC_CASES:
+        yield _cocycle_images(*case)
+    for k in range(1, 6):
+        for d in range(1, 4):
+            yield _pipeline_images(f"bigelow5 k={k} d={d}",
+                                   (("image", "BIGELOW5"),), k, d)
+    pairs = workloads.pinned_inputs("algebra-symbolic", "multiplicativity")
+    for index, (u, v, k, d) in enumerate(pairs):
+        yield _pipeline_images(f"multiplicativity {index}",
+                               (("uv", f"{u} {v}"), ("u", u), ("v", v)), k, d)
+
+
 FAMILIES = {f.__name__: f for f in (bench, concyclic, aligned, separation,
-                                    puncture, two_strand, huge)}
+                                    puncture, two_strand, huge, algebra)}
 
 # --pin reads every SLICE[family]-th input of a family, from its first
 SLICE = {"bench": 40, "concyclic": 10, "aligned": 12, "separation": 10,
-         "puncture": 16, "two_strand": 20, "huge": 30}
+         "puncture": 16, "two_strand": 20, "huge": 30, "algebra": 20}
 
 
 def records(slice=False):

@@ -306,6 +306,54 @@ def test_ring_ops_match_the_dict_of_terms_model(data, m, extra):
     assert hash(swapped) == hash(monomial_sum((p, q), terms))
 
 
+def model_mat_mul(a, b):
+    dim = len(a)
+    return [[model_sum([model_mul(a[i][k], b[k][j]) for k in range(dim)],
+                       [(1, (0, 0, 0), k) for k in range(dim)])
+             for j in range(dim)] for i in range(dim)]
+
+
+# coefficients on either side of each packed digit width (8, 16, 32 and 64
+# bits) and far past the widest, beside small ones
+EDGES = st.builds(lambda base, off, sign: sign * (base + off),
+                  st.sampled_from((2 ** 7 - 1, 2 ** 7, 2 ** 15, 2 ** 31,
+                                   2 ** 63, 2 ** 64, 2 ** 100)),
+                  st.integers(-1, 1), st.sampled_from((1, -1)))
+ENTRIES = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-1, 1), st.integers(-1, 1)),
+    st.one_of(st.integers(-3, 3).filter(bool), EDGES), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_products_match_the_dict_of_terms_model(data, dim):
+    # entries span several (s, r) classes and negative t, and may be zero
+    a, b = ([[data.draw(ENTRIES) for _ in range(dim)] for _ in range(dim)]
+            for _ in range(2))
+    if dim > 1 and data.draw(st.booleans()):
+        # a[i][1] = a[i][0] and b[1][j] = -(one class of b[0][j]), so the
+        # sum over k cancels that class's products to zero
+        for row in a:
+            row[1] = row[0]
+        for j in range(dim):
+            classes = sorted({e[1:] for e in b[0][j]})
+            keep = data.draw(st.sampled_from(classes)) if classes else None
+            b[1][j] = {e: -c for e, c in b[0][j].items() if e[1:] == keep}
+    ma, mb = (Matrix.from_rows([[LaurentPoly(x) for x in row] for row in m])
+              for m in (a, b))
+    product = mat_mul(ma, mb)
+    for i, row in enumerate(model_mat_mul(a, b)):
+        for j, want in enumerate(row):
+            assert_matches(product[i, j], want)
+    p, q = ma[0, 0], mb[0, 0]
+    assert_matches(p * q, model_mul(a[0][0], b[0][0]))
+    k = data.draw(st.integers(0, 3))
+    power = {(0, 0, 0): 1}
+    for _ in range(k):
+        power = model_mul(power, a[0][0])
+    assert_matches(p ** k, power)
+
+
 @pytest.mark.parametrize("cancel", [
     (0, 0, 0),     # the run's first entry
     (3, 0, 0),     # its last entry

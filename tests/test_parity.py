@@ -1,5 +1,6 @@
 """The slice of the parity battery in tests/parity.py, pinned: every few
-inputs of each geometry family, read as they were when the pin was taken.
+inputs of each family, geometry and algebra, read as they were when the
+pin was taken.
 After a change that is meant to move a reading, take the pin again with
 
     PYTHONPATH=src python tests/parity.py --pin tests/parity_slice.txt"""

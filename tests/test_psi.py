@@ -148,7 +148,7 @@ def test_touch_at_a_pair_breakpoint_is_refused():
     # crossing
     for read in (psi_events, lambda b: psi_d_events(b, 4)):
         with pytest.raises(NonGenericInput, match="events closer than the "
-                           "separation margin at t=0.5"):
+                           "genericity margin at t=0.5"):
             read(touching(0.0))
         assert read(touching(1e-7)) == ()
         below = read(touching(-1e-7))
