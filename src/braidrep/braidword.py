@@ -508,6 +508,8 @@ def relation_suite(group: GroupId) -> list[Relation]:
 
 def random_pure_word(n: int, rng, factors: int = 8) -> Word:
     """Product of band generators A[i,j]^{+-1}; always pure."""
+    if factors < 0:
+        raise ValueError(f"factor count {factors} is negative")
     group = GroupId("B", n)
     letters: list[Letter] = []
     for _ in range(factors):

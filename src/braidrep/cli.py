@@ -145,6 +145,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    for dest in ("pairs", "count", "factors"):
+        if getattr(args, dest) < 0:
+            raise ValueError(f"--{dest} must not be negative")
     if args.rep:
         if args.group is None:
             raise ValueError("--rep needs --group")
@@ -156,11 +159,10 @@ def _cmd_check(args) -> int:
                                             seed=args.seed, pairs=args.pairs)
     else:
         rng = random.Random(args.seed)
-        rng_words = [braidword.random_pure_word(args.n, rng,
-                                                factors=args.factors)
-                     for _ in range(args.count)]
+        words = [braidword.random_pure_word(args.n, rng, args.factors)
+                 for _ in range(args.count)]
         cfg = homs.PipelineConfig(args.n, args.k, args.d)
-        report = relcheck.verify_oracle_agreement(rng_words, cfg)
+        report = relcheck.verify_oracle_agreement(words, cfg)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -3,7 +3,7 @@ word realization.
 
 This module is the independent cross-check for the algebraic pipelines: a
 braid is a family of piecewise-linear disjoint paths, and words are read off
-from geometric events, a cut passage spelled by homs.rotation_block_letters.
+from geometric events.
 
 Two extraction pipelines are provided.
 
@@ -12,8 +12,8 @@ strand k; watch the remaining strands through the angular coordinate around
 strand k, cut along the ray from strand k pointing away from the centroid,
 or along a fixed direction cut_angle. Alignment of two strands with each
 other (as seen from k) is a crossing event, the farther strand over; a
-strand sweeping through the cut is a rotation event. Under the
-d-th power reading a rotation event expands into the rotation-virtual block
+strand sweeping through the cut is a rotation event, a z. The d-th power
+reading is homs.f_d of that word, each z the rotation-virtual block
 z (Dv z)^(d-1).
 
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
@@ -27,9 +27,9 @@ happen, and realized as a flat-virtual word. The d-th power reading watches the
 rays at angles 2 pi p / d; the plain reading is d=2.
 
 All event detection happens on the polyline model itself, one grid per
-braid, its merged breakpoint times and every strand's point at each:
-between two of them every strand is linear in t, and every event is a
-ratio N/D on a ray. The cylinder's ratios,
+braid, the breakpoint times of all its strands and every strand's point at
+each: between two of them every strand is linear in t, and every event is
+a ratio N/D on a ray. The cylinder's ratios,
 (z_i - z_k)/(z_j - z_k) and (z_l - z_k)/v for the cut direction v, have
 linear N and D and watch ray 0 alone (d=1); a cross ratio has quadratic N
 and D. N/D lies on the line through 0 in direction conj(w) where the real
@@ -68,10 +68,10 @@ from operator import itemgetter, lt, ne, sub, truediv
 from typing import Iterable, Sequence
 
 from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
-                        free_reduce_letters, sigma, tau, pi)
+                        free_reduce_letters, sigma, tau, pi, zeta)
 from .errors import (NonGenericInput, NonIntegerWinding, NonZeroLinking,
                      PunctureCollision, SeparationViolated)
-from .homs import rotation_block_letters
+from .homs import f_d
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +79,6 @@ SEPARATION_TOL = 4e-6        # minimum distance between strands
 GENERICITY_TOL = 1e-9        # every genericity margin, in its own test's unit
 BISECTION_TOL = 1e-12        # root refinement width in t
 _DEDUPE_GAP = 1e-11          # one root at a segment end read from both sides
-_MERGE_GAP = 1e-13           # breakpoint times this close are one
 _ARG_ROUNDING = 1e-12        # angle filter's rounding allowance, per kappa^4
 
 # deterministic base-point profile; small irrational-frequency jitter keeps
@@ -130,12 +129,11 @@ class GeomBraid:
     pair, segment by segment, the exact quadratic (_comes_within) decides
     each that its clearance test does not skip.
 
-    One grid is built once, when the braid is: times, the breakpoint times
-    of all strands merged, and _paths, every strand's at() at each of them.
-    Between two merged times every strand is linear, so the grid is the one
-    piecewise-linear model that the checks, the windings and every reading
-    work on; each reading scales it by a power of two of its own
-    (_frame)."""
+    One grid is built once, with the braid: times, the breakpoint times of
+    all strands, sorted, and _paths, every strand's at() at each, exactly
+    its own points at its own breakpoints. Between two grid times every
+    strand is linear: the grid is the braid's own piecewise-linear model,
+    which the checks, the windings and every reading (_frame) work on."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -155,7 +153,7 @@ class GeomBraid:
             if any(abs(z.real) >= bound or abs(z.imag) >= bound for z in zs):
                 raise ValueError("breakpoint points too large for float "
                                  "arithmetic")
-        times = _merged_times(self.strands)
+        times = sorted({t for bps in self.strands for t, _ in bps})
         object.__setattr__(self, "times", tuple(times))
         object.__setattr__(self, "_paths",
                            tuple(_walk(bps, times) for bps in self.strands))
@@ -225,29 +223,19 @@ def _walk(bps, times) -> list[complex]:
 
 
 def _moves(braid: GeomBraid) -> list[list[float]]:
-    """Per strand, the length of its move over each merged interval."""
+    """Per strand, the length of its move over each grid interval."""
     return [list(map(abs, map(sub, path[1:], path))) for path in braid._paths]
 
 
 def _time(braid: GeomBraid, g: int, u: float) -> float:
-    """The time at u in [0, 1] of merged interval g."""
+    """The time at u in [0, 1] of grid interval g."""
     t0, t1 = braid.times[g], braid.times[g + 1]
     return t0 + (t1 - t0) * u
 
 
-def _merged_times(strands) -> list[float]:
-    times = sorted({t for bps in strands for t, _ in bps})
-    out = [times[0]]
-    for t in times[1:]:
-        if t - out[-1] > _MERGE_GAP:
-            out.append(t)
-    out[-1] = 1.0
-    return out
-
-
 def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
     """A u in [0, 1] at which |d(u)| < tol |c(u)|, or None, for d and c
-    linear on a merged interval from d0 to d1 and c0 to c1, the differences
+    linear on a grid interval from d0 to d1 and c0 to c1, the differences
     of the braid's grid points at its ends: the real quadratic |d|^2 -
     tol^2 |c|^2 is checked at both ends and at its vertex if inside,
     comparing the two lengths there directly.
@@ -400,7 +388,7 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
 
 
 def _differences(braid: GeomBraid, i0: int, j0: int) -> list[complex]:
-    """z_i - z_j (0-based strands) at the merged times, a polygon."""
+    """z_i - z_j (0-based strands) at the grid times, a polygon."""
     return list(map(sub, braid._paths[i0], braid._paths[j0]))
 
 
@@ -693,12 +681,12 @@ def _frame(braid: GeomBraid, k0: int | None, watched, far):
     product of it underflows.
 
     Returns (points, values, segments): each strand's scaled points at the
-    braid's merged times; the breakpoint values, at those times, of z_s -
-    z_k0 (z_s, k0 None) for each watched strand s, then of the far vector;
-    per merged interval the one segment shape every reading reads, (t0, h,
-    vals, incs), each vector vals[v] + incs[v]*u for u in [0, 1], the far
-    one last. far(z, f) is the far vector at the merged times of the scaled
-    points z, far(q, 0.0) its increments of theirs. Every vector comes from
+    braid's grid times; the breakpoint values, at those times, of z_s - z_k0
+    (z_s, k0 None) for each watched strand s, then of the far vector; per
+    grid interval the one segment shape every reading reads, (t0, h, vals,
+    incs), each vector vals[v] + incs[v]*u for u in [0, 1], the far one
+    last. far(z, f) is the far vector at the grid times of the scaled points
+    z, far(q, 0.0) its increments of theirs. Every vector comes from
     the scaled points by the formula it would take on the braid's own."""
     paths = braid._paths
     if k0 is None:
@@ -750,29 +738,24 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
                      cut_angle: float | None = None
                      ) -> tuple[tuple[Event, ...], Word]:
     """Full cylinder pipeline seen from strand k: the events, and the word on
-    n-1 strands they spell. Crossings stay crossings; each cut passage
-    becomes a single z (d None, a cylinder word) or the d-th power rotation
-    block (a rotation-virtual word). The word is the translation
+    n-1 strands they spell. Crossings stay crossings and each cut passage
+    becomes a z, a cylinder word; for a given d, homs.f_d of it, a
+    rotation-virtual word. The word is the translation
     homs.strand_removal_letters makes from strand k's start position, so it
     is defined for any braid, pure or not; only p_k, its restriction to
     pure braids, refuses one that is not."""
     if d is not None and d < 1:
         raise ValueError("d must be positive")
     events = cylinder_events(braid, k, cut_angle)
-    letters: list[Letter] = []
-    for e in events:
-        if e.cls == "crossing":
-            letters.append(sigma(e.slot, e.sign))
-        else:
-            letters.extend(rotation_block_letters(braid.n - 1, d or 1, e.sign))
-    group = GroupId("CPB" if d is None else "VCB", braid.n - 1)
-    return events, Word(group, free_reduce_letters(letters))
+    word = Word(GroupId("CPB", braid.n - 1), free_reduce_letters(
+        sigma(e.slot, e.sign) if e.cls == "crossing" else zeta(e.sign)
+        for e in events))
+    return events, word if d is None else f_d(word, d)
 
 
 def power_map_extract(braid: GeomBraid, k: int, d: int,
                       cut_angle: float | None = None) -> Word:
-    """Word of the d-th power reading: crossings stay crossings, each cut
-    passage becomes the rotation-virtual block."""
+    """Word of the d-th power reading, homs.f_d of the cylinder word."""
     return cylinder_reading(braid, k, d, cut_angle)[1]
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braidword import (GroupId, Letter, Word, free_reduce_letters, is_pure,
-                        sigma, tau, zeta)
+from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
+                        free_reduce_letters, is_pure, sigma, tau, zeta)
 from .errors import NotPure
 from .laurent import Assignment
 from . import rep
@@ -52,7 +52,8 @@ def strand_removal_letters(letters, n: int, start_pos: int):
     moves it (emitting a rotation or a full twist of the others) or braids
     two of the remaining strands, whose slot is the crossing position counted
     from the removed strand's current position. A power of a crossing away
-    from the strand stays one letter; one beside it is walked unit by unit.
+    from the strand stays one letter; one beside it is spelled unit by unit.
+    An output of more than MAX_LETTERS letters is refused before it is made.
     """
     m = n - 1
     pos = start_pos
@@ -66,13 +67,17 @@ def strand_removal_letters(letters, n: int, start_pos: int):
             assert 1 <= slot <= m - 1
             out.append(sigma(slot, e))
             continue
-        for _ in range(abs(e)):
-            if i == pos - 1:
-                out.extend((zeta(-1),) if e > 0 else _delta_c_letters(m, 1))
-                pos -= 1
-            else:
-                out.extend(_delta_c_letters(m, -1) if e > 0 else (zeta(),))
-                pos += 1
+        # the units move the strand down and back up in turn
+        down = (zeta(-1),) if e > 0 else _delta_c_letters(m, 1)
+        up = _delta_c_letters(m, -1) if e > 0 else (zeta(),)
+        below, (half, odd) = i == pos - 1, divmod(abs(e), 2)
+        first, second = (down, up) if below else (up, down)
+        if len(out) + half * len(first + second) + odd * len(first) \
+                > MAX_LETTERS:
+            raise ValueError(f"strand removal would write more than "
+                             f"{MAX_LETTERS} letters")
+        out += (first + second) * half + first * odd
+        pos += odd * (-1 if below else 1)
     return out, pos
 
 
@@ -103,23 +108,27 @@ def rotation_block_letters(m: int, d: int, power: int) -> tuple[Letter, ...]:
 
 
 def f_d(word: Word, d: int) -> Word:
-    """Rotation-power map on cylinder words; image has virtual letters."""
+    """Rotation-power map on cylinder words; image has virtual letters,
+    refused before it is written if it has more than MAX_LETTERS."""
     if word.group.family != "CPB":
         raise ValueError("rotation power expects a cylinder word (family CPB)")
     if d < 1:
         raise ValueError("d must be positive")
     m = word.group.strands
+    block = 1 + m * (d - 1)    # the letters of rotation_block_letters
+    if sum(block * abs(l.power) if l.kind == "z" else 1 if l.index < m
+           else 2 * block + 1 for l in word.letters) > MAX_LETTERS:
+        raise ValueError(f"rotation power would write more than "
+                         f"{MAX_LETTERS} letters")
+    fwd, back = rotation_block_letters(m, d, 1), rotation_block_letters(m, d, -1)
     out: list[Letter] = []
     for letter in word.letters:
         if letter.kind == "z":
-            sign = 1 if letter.power > 0 else -1
-            out += rotation_block_letters(m, d, sign) * abs(letter.power)
+            out += (fwd if letter.power > 0 else back) * abs(letter.power)
         elif letter.index < m:
             out.append(letter)
         else:
-            out += rotation_block_letters(m, d, 1)
-            out.append(sigma(1, letter.power))
-            out += rotation_block_letters(m, d, -1)
+            out += (*fwd, sigma(1, letter.power), *back)
     return Word(GroupId("VCB", m), free_reduce_letters(out))
 
 

@@ -9,8 +9,9 @@ elements compare and hash equal; items() and the text and JSON forms walk
 the nonzero terms in sorted exponent order (e_t, e_s, e_r), so equal
 elements also serialize identically. A shift by t^a s^b r^c rewrites keys
 and offsets, and a sum adds runs as slices, so memory and time are
-O(t-span) per class. A word image's t-span grows by at most one per letter,
-so it is bounded by the word's length (braidword.MAX_LETTERS).
+O(t-span) per class. A word image's t-span grows by at most one per unit
+letter, so it is bounded by the word's spelled-out length, which nothing
+caps: a one-letter power such as s1^2000000000 parses to one letter.
 
 Products of polynomials and of matrices are one routine, _products, by
 Kronecker substitution: a run becomes the int sum(c_i * 2^(B*i)), so the

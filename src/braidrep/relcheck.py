@@ -72,6 +72,8 @@ def verify_pk_cocycle(n: int, k: int, d: int, seed: int = 0,
                       pairs: int = 4) -> Report:
     """Strand removal must turn braid relations into equal matrices from every
     start position, and the full pipeline must be multiplicative on pure words."""
+    if pairs < 0:
+        raise ValueError(f"pair count {pairs} is negative")
     cfg = PipelineConfig(n, k, d)
     failures: list[Failure] = []
     checked = 0

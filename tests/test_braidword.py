@@ -171,6 +171,12 @@ def test_purity_random_pure_words():
         assert is_pure(wz)
 
 
+def test_random_pure_word_factor_count_must_not_be_negative():
+    assert random_pure_word(4, random.Random(0), factors=0).letters == ()
+    with pytest.raises(ValueError, match="factor count -1 is negative"):
+        random_pure_word(4, random.Random(0), factors=-1)
+
+
 def test_word_json_round_trip():
     for text, g in (("s1 s2^-3", B4), ("z s2 t1", VCB4),
                     ("p1 t2 s1^-1", FVB3)):

@@ -13,7 +13,7 @@ from braidrep.braidword import invert
 from braidrep.cli import main
 from braidrep.geom import braid_from_json, braid_to_json
 
-from test_geom import FAR_EXCURSION, NOT_CLOSING
+from test_geom import FAR_EXCURSION, LOOP, NOT_CLOSING
 
 TARGET_ROWS = ["481,-880,800,-400", "480,-879,800,-400",
                "480,-880,801,-400", "480,-880,800,-399"]
@@ -72,6 +72,8 @@ def test_check_commands(capsys):
     code, out, _ = run(capsys, "check", "--cocycle", "--n", "3", "--k", "2",
                        "--d", "2")
     assert code == 0 and "PASS" in out
+    code, out, _ = run(capsys, "check", "--cocycle", "--pairs", "0")
+    assert code == 0 and out == "12 checked: PASS\n"
     code, out, _ = run(capsys, "check", "--oracle", "--n", "4", "--k", "1",
                        "--d", "1", "--count", "2", "--factors", "1")
     assert code == 0 and "PASS" in out
@@ -209,6 +211,15 @@ def test_geom_reads_cylinder_events_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
     events, _ = json.JSONDecoder().raw_decode(out)
     assert events and target.read_text().count("<circle") == len(events)
+
+
+@pytest.mark.parametrize("argv", (
+    ("--oracle", "--count", "-3"), ("--oracle", "--factors", "-1"),
+    ("--cocycle", "--pairs", "-2")))
+def test_check_refuses_negative_counts(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1]} must not be negative\n"
 
 
 def test_check_needs_exactly_one_mode(capsys):
@@ -362,6 +373,16 @@ def test_exit_code_nonzero_linking(capsys):
     assert code == 5
 
 
+def test_loop_between_breakpoints_closer_than_1e_13_exits_as_nonzero_linking(
+        capsys, tmp_path):
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(braid_to_json(LOOP)))
+    code, out, err = run(capsys, "geom", "--in", str(path), "--linking",
+                         "--psi", "2", "4")
+    assert code == 5 and out == ""
+    assert err == "error: winding must vanish for pair (1, 3)\n"
+
+
 def test_exit_code_genericity(capsys):
     code, _, err = run(capsys, "geom", "--synth", "A[1,2]", "--group", "B4",
                        "--perturb", "0.5")
@@ -399,7 +420,10 @@ def test_parse_deep_nesting_is_a_usage_error(capsys):
     ("geom", "--synth", "s1", "--n", "1000000000"),
     ("geom", "--synth", "s1^1000000000000", "--group", "B3"),
     ("geom", "--synth", "s1", "--group", "B3", "--segments", "1000000000"),
-    ("geom", "--synth", "s1", "--group", "B3", "--resample", "1000000000")))
+    ("geom", "--synth", "s1", "--group", "B3", "--resample", "1000000000"),
+    ("map", "z^2000000000", "--group", "CPB3", "--fd", "2"),
+    ("map", "z^400000", "--group", "CPB3", "--fd", "2"),
+    ("map", "s1^2000000000", "--group", "B3", "--pk", "1")))
 def test_oversized_input_is_a_usage_error(capsys, argv):
     # refused before any letter list, point list or n x n matrix is built
     code, out, err = run(capsys, *argv)

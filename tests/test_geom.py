@@ -13,7 +13,7 @@ from braidrep.braidword import (GroupId, Word, format_word, parse_word,
 from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
-from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL, _MERGE_GAP,
+from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL,
                            GeomBraid, _comes_within,
                            _winding,
                            artin_dynamics, base_points, braid_from_json,
@@ -175,7 +175,7 @@ def test_far_excursion_is_refused_as_non_generic():
 
 def test_separation_checked_inside_merged_interval():
     # strand 3 adds the grid times 0.3 and 0.8, which strands 1 and 2 lack;
-    # their closest approach (t=0.5) lies inside the merged interval [0.3, 0.8]
+    # their closest approach (t=0.5) lies inside the grid interval [0.3, 0.8]
     def braid(gap):
         return GeomBraid(3, (((0.0, -1 + 0j), (1.0, 1 + 0j)),
                              ((0.0, gap * 1j), (1.0, gap * 1j)),
@@ -216,9 +216,9 @@ def test_segment_model_matches_point_query():
 
 def test_segments_are_the_point_queries_at_every_merged_time():
     # bench-shaped braids, perturbed and resampled; strands with only their
-    # two end breakpoints; breakpoints within _MERGE_GAP of another
-    # strand's, which merge with it (two in a row, which a strand must walk
-    # past at once), and just past it, which do not
+    # two end breakpoints; breakpoints a few 1e-14 from another strand's,
+    # two in a row, which a strand must walk past at once, and one just
+    # before the end
     braids = []
     for text in ("comm(A[1,3]; A[3,5]^-1)", "comm(A[5,6]^-1; A[2,5])"):
         b = artin_dynamics(parse_word(text, B6), radial_spread=0.25)
@@ -226,9 +226,9 @@ def test_segments_are_the_point_queries_at_every_merged_time():
     braids.append(GeomBraid(3, (
         ((0.0, 0j), (1.0, 1 + 0j)),
         ((0.0, 5j), (0.3, 5 + 5j), (0.6, 6j), (1.0, 5j)),
-        ((0.0, -5j), (0.3 + _MERGE_GAP / 4, -5 - 5j),
-         (0.3 + _MERGE_GAP / 2, -5 - 4j), (0.6 - 2 * _MERGE_GAP, -6j),
-         (1.0 - _MERGE_GAP / 2, -4j),
+        ((0.0, -5j), (0.3 + 2.5e-14, -5 - 5j),
+         (0.3 + 5e-14, -5 - 4j), (0.6 - 2e-13, -6j),
+         (1.0 - 5e-14, -4j),
          (1.0, -5j)))))
     braids.append(GeomBraid(2, (((0.0, 0j), (1.0, 1 + 0j)),
                                 ((0.0, 5j), (1.0, 5 + 5j)))))
@@ -236,8 +236,42 @@ def test_segments_are_the_point_queries_at_every_merged_time():
         for g, t in enumerate(b.times):
             assert repr(tuple(path[g] for path in b._paths)) == \
                 repr(tuple(b.at(s, t) for s in range(1, b.n + 1)))
-    assert braids[-2].times == \
-        (0.0, 0.3, 0.6 - 2 * _MERGE_GAP, 0.6, 1.0)
+        # the grid is every breakpoint time, and holds every breakpoint
+        assert b.times == tuple(sorted({t for bps in b.strands
+                                        for t, _ in bps}))
+        for bps, path in zip(b.strands, b._paths):
+            for t, z in bps:
+                assert repr(path[b.times.index(t)]) == repr(z)
+    assert braids[-2].times == (0.0, 0.3, 0.3 + 2.5e-14, 0.3 + 5e-14,
+                                0.6 - 2e-13, 0.6, 1.0 - 5e-14, 1.0)
+
+
+# strand 3 loops once around strand 1 in 8e-14 of time, through the
+# vertices of the unit octagon, 1e-14 apart
+LOOP = GeomBraid(4, (
+    ((0.0, 0j), (1.0, 0j)),
+    ((0.0, 3j), (1.0, 3j)),
+    ((0.0, 1 + 0j), (0.5, 1 + 0j),
+     *((0.5 + q * 1e-14, cmath.exp(2j * math.pi * q / 8)) for q in range(1, 8)),
+     (0.5 + 8e-14, 1 + 0j), (1.0, 1 + 0j)),
+    ((0.0, 3 + 3j), (1.0, 3 + 3j))))
+
+
+def test_a_loop_of_breakpoints_closer_than_1e_13_winds():
+    assert len(LOOP.times) == 11
+    assert linking_number(LOOP, 1, 3) == linking_number(LOOP, 3, 1) == 1
+    with pytest.raises(NonZeroLinking, match=r"pair \(1, 3\)"):
+        q_kl(LOOP, 2, 4)
+
+
+def test_a_jump_between_breakpoints_closer_than_1e_13_is_refused_there():
+    # strand 3 jumps from -1 to 1 in 4e-14 of time, through strand 1 at 0
+    with pytest.raises(SeparationViolated,
+                       match=r"strands 1 and 3 within tolerance near "
+                             r"t=0\.500000"):
+        GeomBraid(3, (((0.0, 0j), (1.0, 0j)), ((0.0, 3j), (1.0, 3j)),
+                      ((0.0, -1 + 0j), (0.5, -1 + 0j), (0.5 + 4e-14, 1 + 0j),
+                       (1.0, 1 + 0j))))
 
 
 def test_strand_arguments_are_checked():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep import homs
 from braidrep.braidword import (GroupId, Word, format_word,
                                 free_reduce_letters, invert, parse_word,
-                                random_pure_word)
+                                random_pure_word, sigma, zeta)
 from braidrep.errors import NotPure
 from braidrep.homs import (PipelineConfig, f_d, p_k, pipeline_matrix,
                            pipeline_word, rotation_block_letters,
@@ -179,6 +180,46 @@ def test_strand_removal_walks_powers_as_their_units():
                 assert end == unit_end == k
                 assert free_reduce_letters(whole) == \
                     free_reduce_letters(units)
+
+
+def test_strand_removal_spells_any_power_as_its_units():
+    # odd powers too, which leave the strand one position over
+    rng = random.Random(23)
+    for n in (2, 3, 4, 5):
+        for _ in range(50):
+            word = Word(GroupId("B", n), tuple(
+                sigma(rng.randrange(1, n), rng.choice((1, -1)) *
+                      rng.randrange(1, 8)) for _ in range(4)))
+            for k in range(1, n + 1):
+                whole, end = strand_removal_letters(word.letters, n, k)
+                units, unit_end = strand_removal_letters(word.expanded(), n, k)
+                assert end == unit_end
+                assert free_reduce_letters(whole) == \
+                    free_reduce_letters(units)
+
+
+def test_word_maps_refuse_images_past_max_letters(monkeypatch):
+    cpb3 = GroupId("CPB", 3)
+    for word, d in ((Word(cpb3, (zeta(2_000_000_000),)), 2),
+                    (Word(cpb3, (sigma(3),)), 10 ** 12)):
+        with pytest.raises(ValueError, match="rotation power would write"):
+            f_d(word, d)
+    with pytest.raises(ValueError, match="strand removal would write"):
+        strand_removal_letters((sigma(1, 2_000_000_000),), 3, 1)
+    # the cap itself: on CPB3 the d=2 block z t1 t2 z has 4 letters and
+    # s3's image 9; on B3 each unit of s1 from position 1 is one letter
+    monkeypatch.setattr(homs, "MAX_LETTERS", 64)
+    f_d(Word(cpb3, (zeta(16),)), 2)
+    f_d(Word(cpb3, (sigma(3), zeta(-13), sigma(1, 2))), 2)
+    for letters in ((zeta(16), sigma(1)), (zeta(-17),), (sigma(3, 5), zeta(14))):
+        with pytest.raises(ValueError, match="more than 64 letters"):
+            f_d(Word(cpb3, letters), 2)
+    assert len(strand_removal_letters((sigma(1, 64),), 3, 1)[0]) == 64
+    assert len(strand_removal_letters((sigma(2), sigma(1, -63)), 3, 1)[0]) \
+        == 64
+    for letters in ((sigma(1, 65),), (sigma(2), sigma(1, -64))):
+        with pytest.raises(ValueError, match="more than 64 letters"):
+            strand_removal_letters(letters, 3, 1)
 
 
 def test_rotation_blocks_are_shared_inverse_tuples():

@@ -22,6 +22,7 @@ from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, TWO_PI,
                            cylinder_reading, flat_virtual_word, initial_order,
                            linking_number, pair_reading, perturb, psi_d_events,
                            psi_events, q_kl, realize_flat_virtual, resample)
+from braidrep.homs import f_d
 from braidrep.laurent import mat_mul, mat_to_text
 from braidrep.rep import RHO, RHO_TILDE, word_image
 from parity import (CUTS, aligned_at_half, bench_shaped, concyclic_at_half,
@@ -1022,6 +1023,16 @@ def test_cylinder_reading_of_the_reversed_braid_is_the_inverse(text, k):
             image = word_image(cylinder_reading(braid, k, d, cut)[1], RHO)
             inverse = word_image(cylinder_reading(back, k, d, cut)[1], RHO)
             assert (inverse * image).is_identity and not image.is_identity
+
+
+def test_power_reading_is_f_d_of_the_cylinder_word():
+    rng = random.Random(9107)
+    for _ in range(3):
+        b = bench_shaped(rng)
+        for k in range(1, b.n + 1):
+            events, word = cylinder_reading(b, k)
+            for d in (1, 2, 3):
+                assert cylinder_reading(b, k, d) == (events, f_d(word, d))
 
 
 COMM_4 = artin_dynamics(parse_word("comm(A[1,3]; A[2,4])", GroupId("B", 4)),

@@ -43,6 +43,12 @@ def test_cocycle_sweep_small():
             assert report.passed, report.summary()
 
 
+def test_cocycle_pair_count_must_not_be_negative():
+    assert verify_pk_cocycle(3, 1, 2, pairs=0).checked == 3
+    with pytest.raises(ValueError, match="pair count -1 is negative"):
+        verify_pk_cocycle(3, 1, 2, pairs=-1)
+
+
 def test_oracle_agreement_default_conventions():
     rng = random.Random(6)
     words = [random_pure_word(4, rng, factors=2) for _ in range(4)]
