@@ -332,10 +332,8 @@ class _Parser:
 def parse_word(text: str, group: GroupId, comm_convention: str = "direct") -> Word:
     if comm_convention not in ("direct", "inverse-first"):
         raise ValueError(f"unknown comm convention {comm_convention!r}")
-    parser = _Parser(_tokenize(text), group, comm_convention)
-    letters = parser.parse_word()
-    if parser.peek() is not None:
-        raise WordSyntaxError(f"unbalanced {parser.toks[parser.i][1]!r}")
+    # with no stop token it reads to the end; parse_atom refuses a stray ')'
+    letters = _Parser(_tokenize(text), group, comm_convention).parse_word()
     return Word(group, free_reduce_letters(letters))
 
 
@@ -524,6 +522,8 @@ def random_pure_word(n: int, rng, factors: int = 8) -> Word:
 
 def random_zero_linking_word(n: int, rng, factors: int = 2) -> Word:
     """Product of commutators of band generators; every pairwise winding is zero."""
+    if factors < 0:
+        raise ValueError(f"factor count {factors} is negative")
     group = GroupId("B", n)
     letters: list[Letter] = []
     for _ in range(factors):

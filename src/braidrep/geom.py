@@ -63,7 +63,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, combinations, compress
 from operator import itemgetter, lt, ne, sub, truediv
 from typing import Iterable, Sequence
 
@@ -125,9 +125,8 @@ class GeomBraid:
     strictly increasing from 0 to 1, every coordinate finite and below
     sys.float_info.max / 4 (just under 2^1022) in magnitude, so that every
     difference of two points, and its length, is a finite float. Strands
-    stay SEPARATION_TOL apart at all times, in absolute units: pair by
-    pair, segment by segment, the exact quadratic (_comes_within) decides
-    each that its clearance test does not skip.
+    stay SEPARATION_TOL apart at all times, in absolute units, as
+    _approach checks on every pair; the earliest approach is refused.
 
     One grid is built once, with the braid: times, the breakpoint times of
     all strands, sorted, and _paths, every strand's at() at each, exactly
@@ -186,21 +185,12 @@ class GeomBraid:
         return tuple(bps[-1][1] for bps in self.strands)
 
     def _check_separation(self) -> None:
-        # the summed moves of two strands bound their relative move and,
-        # unlike the length of its difference, are a finite float for every
-        # braid the coordinate bound accepts
-        moves = _moves(self)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = _differences(self, i, j)
-                for g, (mi, mj) in enumerate(zip(moves[i], moves[j])):
-                    if abs(d[g]) > 2.0 * (mi + mj + SEPARATION_TOL):
-                        continue    # clear, as _comes_within shows
-                    u = _comes_within(d[g], d[g + 1], 1, 1, SEPARATION_TOL)
-                    if u is not None:
-                        raise SeparationViolated(
-                            f"strands {i + 1} and {j + 1} within tolerance "
-                            f"near t={_time(self, g, u):.6f}")
+        hit = _approach(self, list(combinations(range(self.n), 2)), None,
+                        SEPARATION_TOL)
+        if hit is not None:
+            (i, j), t = hit
+            raise SeparationViolated(f"strands {i + 1} and {j + 1} within "
+                                     f"tolerance near t={t:.6f}")
 
 
 def _check_strand(braid: GeomBraid, strand: int) -> None:
@@ -222,15 +212,35 @@ def _walk(bps, times) -> list[complex]:
     return out
 
 
-def _moves(braid: GeomBraid) -> list[list[float]]:
-    """Per strand, the length of its move over each grid interval."""
-    return [list(map(abs, map(sub, path[1:], path))) for path in braid._paths]
-
-
-def _time(braid: GeomBraid, g: int, u: float) -> float:
-    """The time at u in [0, 1] of grid interval g."""
-    t0, t1 = braid.times[g], braid.times[g + 1]
-    return t0 + (t1 - t0) * u
+def _approach(braid: GeomBraid, pairs, far, tol: float):
+    """The first (pair, time) at which a pair (s, x) of 0-based strands comes
+    within tol |c| of each other, c = z_l - z_k for far = (k, l) and 1 for
+    far None, the grid intervals in time order and the pairs in order in
+    each; or None. The exact quadratic (_comes_within) decides an interval
+    unless |d0| > 2 (q_s + q_x) + 2 tol (|c0| + q_k + q_l), q a strand's
+    move over it (q_k = q_l = 0 for far None): the moves bound |d1 - d0|
+    and |c1 - c0| and, unlike those lengths, are finite floats under the
+    coordinate bound. There |d(u)| >= |d0| - |d1 - d0| > |d0|/2 + tol
+    |c(u)| on [0, 1], a margin the few ulps _comes_within loses on these
+    same floats cannot close, so the skip needs no rounding allowance. A
+    nan is never skipped."""
+    z, times = braid._paths, braid.times
+    moves = [list(map(abs, map(sub, path[1:], path))) for path in z]
+    c0 = c1 = 1
+    reach = 2.0 * tol
+    for g in range(len(times) - 1):
+        if far is not None:
+            k, l = far
+            c0, c1 = z[l][g] - z[k][g], z[l][g + 1] - z[k][g + 1]
+            reach = 2.0 * tol * (abs(c0) + moves[l][g] + moves[k][g])
+        for s, x in pairs:
+            d0 = z[s][g] - z[x][g]
+            if abs(d0) > 2.0 * (moves[s][g] + moves[x][g]) + reach:
+                continue
+            u = _comes_within(d0, z[s][g + 1] - z[x][g + 1], c0, c1, tol)
+            if u is not None:
+                return (s, x), times[g] + (times[g + 1] - times[g]) * u
+    return None
 
 
 def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
@@ -242,12 +252,8 @@ def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
     The inputs are first scaled by the power of two that brings their
     largest coordinate into [1/2, 1), exact, so nothing squared overflows;
     the vertex is reached from its nearer end, so a long segment's rounding
-    loses no end. Callers skip it where |d0| > 2 |d1 - d0| + 2 tol (|c0| +
-    |c1 - c0|), each difference bounded by the summed moves of its two
-    strands, on these same floats: there |d(u)| >= |d0| - |d1 - d0| >
-    |d0|/2 + tol |c(u)| on [0, 1], a margin of |d0|/2 that the few ulps lost
-    here cannot close, so the skip needs no rounding allowance. A nan is
-    never skipped."""
+    loses no end. _approach, its one caller, skips the intervals its
+    clearance test proves clear."""
     f = math.ldexp(1.0, -math.frexp(max(map(abs, (
         d0.real, d0.imag, d1.real, d1.imag, c0.real, c0.imag, c1.real,
         c1.imag))))[1])
@@ -387,17 +393,13 @@ def concat(first: GeomBraid, second: GeomBraid) -> GeomBraid:
 # -- winding -----------------------------------------------------------------------
 
 
-def _differences(braid: GeomBraid, i0: int, j0: int) -> list[complex]:
-    """z_i - z_j (0-based strands) at the grid times, a polygon."""
-    return list(map(sub, braid._paths[i0], braid._paths[j0]))
-
-
 def _winding(polygon: list[complex], i: int, j: int) -> int:
-    """Exact turns of pair (i, j)'s closed _differences about 0: the signed
-    count of edges a -> b crossing the positive real axis, upward if Im a <=
-    0 < Im b, on the side of 0 (never at 0: separation) that the sign of Re
-    a Im b - Im a Re b gives, by the float products unless they tie (rounding
-    is monotone, overflow to infinity too), else by Fraction."""
+    """Exact turns about 0 of pair (i, j)'s closed polygon z_i - z_j at the
+    grid times: the signed count of edges a -> b crossing the positive real
+    axis, upward if Im a <= 0 < Im b, on the side of 0 (never at 0:
+    separation) that the sign of Re a Im b - Im a Re b gives, by the float
+    products unless they tie (rounding is monotone, overflow to infinity
+    too), else by Fraction."""
     if polygon[-1] != polygon[0]:
         raise NonIntegerWinding(f"pair ({i},{j}) does not return to its start")
     ups = [z.imag > 0.0 for z in polygon]
@@ -420,7 +422,8 @@ def linking_number(braid: GeomBraid, i: int, j: int) -> int:
     _check_strand(braid, j)
     if i == j:
         raise ValueError(f"strand {i} has no winding with itself")
-    return _winding(_differences(braid, i - 1, j - 1), i, j)
+    return _winding(list(map(sub, braid._paths[i - 1], braid._paths[j - 1])),
+                    i, j)
 
 
 # -- root finding on linear models --------------------------------------------
@@ -786,35 +789,26 @@ class PuncturedView:
 
 def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     """Send strands k and l to the punctures 0 and 1; requires every pairwise
-    _winding to vanish, and no other strand ever within GENERICITY_TOL * |z_l -
-    z_k| of z_k or z_l: segment by segment, strand by strand, the puncture at
-    k before the one at l, the exact quadratic (_comes_within) decides each
-    that its clearance test does not skip, all on the braid's grid. Then it
-    builds the view's model once (PuncturedView)."""
+    linking_number to vanish, and no other strand ever within GENERICITY_TOL
+    * |z_l - z_k| of z_k or z_l, by _approach: interval by interval, strand
+    by strand, the puncture at k before the one at l. Then it builds the
+    view's model once (PuncturedView)."""
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"bad pair ({k},{l})")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _winding(_differences(braid, i, j), i + 1, j + 1) != 0:
-                raise NonZeroLinking("winding must vanish", pair=(i + 1, j + 1))
+    for i, j in combinations(range(1, n + 1), 2):
+        if linking_number(braid, i, j) != 0:
+            raise NonZeroLinking("winding must vanish", pair=(i, j))
     k0, l0 = k - 1, l - 1
     watched = [s for s in range(n) if s not in (k0, l0)]
-    moves, c = _moves(braid), _differences(braid, l0, k0)
-    pairs = [(s, x, _differences(braid, s, x)) for s in watched
-             for x in (k0, l0)]
-    for g, (c0, c1) in enumerate(zip(c, c[1:])):
-        # bounds as in _check_separation
-        reach = 2.0 * GENERICITY_TOL * (abs(c0) + moves[l0][g] + moves[k0][g])
-        for s, x, d in pairs:
-            if abs(d[g]) > 2.0 * (moves[s][g] + moves[x][g]) + reach:
-                continue    # clear, as _comes_within shows
-            u = _comes_within(d[g], d[g + 1], c0, c1, GENERICITY_TOL)
-            if u is not None:
-                raise PunctureCollision(f"strand {s + 1} touches a puncture "
-                                        f"near t={_time(braid, g, u):.6f}")
+    hit = _approach(braid, [(s, x) for s in watched for x in (k0, l0)],
+                    (k0, l0), GENERICITY_TOL)
+    if hit is not None:
+        (s, _), t = hit
+        raise PunctureCollision(f"strand {s + 1} touches a puncture "
+                                f"near t={t:.6f}")
     _, values, segments = _frame(braid, k0, watched,
                                  lambda z, unit: list(map(sub, z[l0], z[k0])))
     return PuncturedView(braid, k0, l0, (segments, _angle_ranges(values)))

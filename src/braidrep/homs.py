@@ -109,21 +109,25 @@ def rotation_block_letters(m: int, d: int, power: int) -> tuple[Letter, ...]:
 
 def f_d(word: Word, d: int) -> Word:
     """Rotation-power map on cylinder words; image has virtual letters,
-    refused before it is written if it has more than MAX_LETTERS."""
+    refused before it is written if it has more than MAX_LETTERS. For d = 1,
+    whose block is z, a power of z is its own image, one letter."""
     if word.group.family != "CPB":
         raise ValueError("rotation power expects a cylinder word (family CPB)")
     if d < 1:
         raise ValueError("d must be positive")
     m = word.group.strands
     block = 1 + m * (d - 1)    # the letters of rotation_block_letters
-    if sum(block * abs(l.power) if l.kind == "z" else 1 if l.index < m
-           else 2 * block + 1 for l in word.letters) > MAX_LETTERS:
+    if sum((1 if d == 1 else block * abs(l.power)) if l.kind == "z"
+           else 1 if l.index < m else 2 * block + 1
+           for l in word.letters) > MAX_LETTERS:
         raise ValueError(f"rotation power would write more than "
                          f"{MAX_LETTERS} letters")
     fwd, back = rotation_block_letters(m, d, 1), rotation_block_letters(m, d, -1)
     out: list[Letter] = []
     for letter in word.letters:
-        if letter.kind == "z":
+        if letter.kind == "z" and d == 1:
+            out.append(letter)
+        elif letter.kind == "z":
             out += (fwd if letter.power > 0 else back) * abs(letter.power)
         elif letter.index < m:
             out.append(letter)

@@ -276,14 +276,14 @@ def _products(a, b) -> list[list[LaurentPoly]]:
     def unpack(lo, total):
         first = ((total & -total).bit_length() - 1) // bits
         total >>= bits * first
-        n = abs(total).bit_length() // bits + 1    # room for a carry
+        # |digit| <= bound < 2^(B-1): a top nonzero digit at place m puts
+        # |total| in (2^(Bm-1), 2^(B(m+1)-1)), so n = m + 1, digits[-1] != 0
+        n = abs(total).bit_length() // bits + 1
         o = offset(n)
         data = ((total + o) ^ o).to_bytes(n * width, order)
         digits = memoryview(data).cast(code).tolist() if code else [
             int.from_bytes(data[i:i + width], order, signed=True)
             for i in range(0, n * width, width)]
-        while not digits[-1]:
-            digits.pop()
         return lo + first, tuple(digits)
 
     pa, pb = ([[{key: (lo, pack(run)) for key, (lo, run) in x._runs.items()}

@@ -93,6 +93,11 @@ def test_parse_errors():
         parse_word("s1^", B4)
     with pytest.raises(UnknownMacro):
         parse_word("FROB", B4)
+    # a stray ')' is refused where an atom is expected
+    for text in (")", "s1 s2)", "(s1) s2)", "comm(s1; s2))"):
+        with pytest.raises(WordSyntaxError, match=r"expected a generator, "
+                           r"group or macro, got '\)'"):
+            parse_word(text, B4)
     assert parse_word("s1^0", B4) == Word.empty(B4)
 
 
@@ -175,6 +180,13 @@ def test_random_pure_word_factor_count_must_not_be_negative():
     assert random_pure_word(4, random.Random(0), factors=0).letters == ()
     with pytest.raises(ValueError, match="factor count -1 is negative"):
         random_pure_word(4, random.Random(0), factors=-1)
+
+
+def test_random_zero_linking_word_factor_count_must_not_be_negative():
+    assert random_zero_linking_word(4, random.Random(0), factors=0).letters \
+        == ()
+    with pytest.raises(ValueError, match="factor count -1 is negative"):
+        random_zero_linking_word(4, random.Random(0), factors=-1)
 
 
 def test_word_json_round_trip():

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import braidrep
-from braidrep import geom
-from braidrep.braidword import invert
+from braidrep import geom, homs, rep, relcheck
+from braidrep.braidword import (GroupId, Word, format_word, invert,
+                                parse_word, sigma, zeta)
 from braidrep.cli import main
 from braidrep.geom import braid_from_json, braid_to_json
+from braidrep.laurent import mat_to_text
 
 from test_geom import FAR_EXCURSION, LOOP, NOT_CLOSING
 
@@ -64,6 +66,11 @@ def test_map_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "s1^3 z t1 z"
     assert "VCB2" in out
+    # for d=1 the rotation block is z, so a z power is its own image
+    code, out, err = run(capsys, "map", "z^2000000", "--group", "CPB3",
+                         "--fd", "1")
+    assert code == 0 and err == ""
+    assert out == "z^2000000\ngroup: VCB3\n"
 
 
 def test_check_commands(capsys):
@@ -79,15 +86,60 @@ def test_check_commands(capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_check_flat_braid_needs_fvb(capsys):
-    code, out, _ = run(capsys, "check", "--rep", "rho-tilde", "--group", "FVB3",
-                       "--flat-braid")
-    assert code == 0 and "PASS" in out
-    for rep_id, group in (("rho", "B3"), ("rho", "CPB3"), ("rho", "VCB3")):
-        code, out, err = run(capsys, "check", "--rep", rep_id, "--group",
-                             group, "--flat-braid")
-        assert code == 2 and out == ""
-        assert "flat_braid_relation only applies to FVB" in err
+def failures_of(capsys, *argv):
+    """The failures check --json lists, which must exit 1."""
+    code, out, err = run(capsys, "check", *argv, "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    return report["failures"]
+
+
+def test_check_rep_lists_a_broken_relation_with_both_matrices(capsys,
+                                                              monkeypatch):
+    # s1 acts as the plain swap of slots 1 and 2, so the braid relation of
+    # B3, s1 s2 s1 = s2 s1 s2, no longer holds under burau-unreduced
+    action = rep._action
+
+    def swap_s1(rep_id, dim, kind, slots, positive):
+        if slots == (1, 2):
+            return ((0, ((1, (0, 0, 0), 1),)), (1, ((1, (0, 0, 0), 0),)))
+        return action(rep_id, dim, kind, slots, positive)
+
+    monkeypatch.setattr(rep, "_action", swap_s1)
+    b3 = GroupId("B", 3)
+    left, right = (rep.word_image(parse_word(w, b3), rep.BURAU_UNREDUCED)
+                   for w in ("s1 s2 s1", "s2 s1 s2"))
+    assert left != right
+    assert failures_of(capsys, "--rep", "burau-unreduced", "--group",
+                       "B3") == [
+        {"label": "braid s1 s2", "left": "s1 s2 s1", "right": "s2 s1 s2",
+         "leftMatrix": mat_to_text(left), "rightMatrix": mat_to_text(right)}]
+
+
+def test_check_cocycle_lists_a_broken_case_with_both_matrices(capsys,
+                                                              monkeypatch):
+    # from position 2 the left side of the braid relation gains a z
+    removal = relcheck.strand_removal_letters
+
+    def skewed(letters, n, pos):
+        out, end = removal(letters, n, pos)
+        if pos == 2 and letters[0] == sigma(1):
+            out = out + [zeta()]
+        return out, end
+
+    monkeypatch.setattr(relcheck, "strand_removal_letters", skewed)
+    cpb2 = GroupId("CPB", 2)
+    left, _ = skewed([sigma(1), sigma(2), sigma(1)], 3, 2)
+    right, _ = removal([sigma(2), sigma(1), sigma(2)], 3, 2)
+    want = [mat_to_text(rep.word_image(Word(cpb2, tuple(w)), rep.RHO))
+            for w in (left, right)]
+    assert want[0] != want[1]
+    assert failures_of(capsys, "--cocycle", "--n", "3", "--k", "1", "--d",
+                       "1", "--pairs", "0") == [
+        {"label": "braid s1 s2 from position 2", "left": "s1 s2 s1",
+         "right": "s2 s1 s2", "leftMatrix": want[0] + "\nend=2",
+         "rightMatrix": want[1] + "\nend=2"}]
 
 
 def test_check_oracle_fails_with_flipped_reading(capsys, monkeypatch):
@@ -98,6 +150,28 @@ def test_check_oracle_fails_with_flipped_reading(capsys, monkeypatch):
                        "--d", "1", "--count", "2", "--factors", "1")
     assert code == 1
     assert "FAIL" in out
+    (failure,) = failures_of(capsys, "--oracle", "--n", "4", "--k", "1",
+                             "--d", "1", "--count", "1", "--factors", "1")
+    cfg = homs.PipelineConfig(4, 1, 1)
+    word = parse_word(failure["left"], GroupId("B", 4))
+    extracted = geom.power_map_extract(geom.artin_dynamics(word), 1, 1)
+    assert failure == {
+        "label": "oracle k=1 d=1", "left": failure["left"],
+        "right": format_word(extracted),
+        "leftMatrix": mat_to_text(rep.word_image(extracted, rep.RHO)),
+        "rightMatrix": mat_to_text(homs.pipeline_matrix(word, cfg))}
+    assert failure["leftMatrix"] != failure["rightMatrix"]
+
+
+def test_check_flat_braid_needs_fvb(capsys):
+    code, out, _ = run(capsys, "check", "--rep", "rho-tilde", "--group", "FVB3",
+                       "--flat-braid")
+    assert code == 0 and "PASS" in out
+    for rep_id, group in (("rho", "B3"), ("rho", "CPB3"), ("rho", "VCB3")):
+        code, out, err = run(capsys, "check", "--rep", rep_id, "--group",
+                             group, "--flat-braid")
+        assert code == 2 and out == ""
+        assert "flat_braid_relation only applies to FVB" in err
 
 
 def test_geom_extraction_matches_rep(capsys):
@@ -341,6 +415,54 @@ def test_exit_code_syntax_error(capsys):
     code, _, err = run(capsys, "rep", "s1", "--group", "B4",
                        "--rep", "rho-tilde")
     assert code == 2  # incompatible representation
+
+
+@pytest.mark.parametrize("argv,message", (
+    (("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",
+      "--power-map", "1", "--d", "0"), "d must be positive"),
+    (("geom", "--synth", "A[1,2]", "--n", "3", "--psi", "1", "2"),
+     "need at least 4 strands"),
+    (("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4", "--psi",
+      "1", "1"), "bad pair (1,1)"),
+    (("geom", "--power-map", "1"), "pass --synth WORD or --in FILE"),
+    (("map", "z", "--group", "CPB3", "--fd", "0"), "d must be positive"),
+    (("map", "s1", "--group", "B3"), "nothing to do: pass --pk and/or --fd"),
+    (("rep", "s1", "--group", "B3", "--rep", "burau-unreduced", "--eval",
+      "t=2"), "assignment must bind at least t and s"),
+    (("parse", "s1 s2)", "--group", "B3"),
+     "expected a generator, group or macro, got ')'"),
+))
+def test_refusals_exit_as_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+B4_WORD = parse_word("comm(A[1,3]; A[2,4])", GroupId("B", 4))
+
+
+@pytest.mark.parametrize("call,message", (
+    (lambda: geom.q_kl(geom.artin_dynamics(parse_word("A[1,2]",
+                                                      GroupId("B", 3))), 1, 2),
+     "need at least 4 strands"),
+    (lambda: geom.q_kl(geom.artin_dynamics(B4_WORD), 2, 2), "bad pair (2,2)"),
+    (lambda: geom.concat(geom.artin_dynamics(B4_WORD), geom.artin_dynamics(
+        parse_word("A[1,2]", GroupId("B", 3)))), "strand counts differ"),
+    (lambda: geom.psi_events(geom.artin_dynamics(B4_WORD), method="x"),
+     "unknown method 'x'"),
+    (lambda: homs.f_d(Word(GroupId("CPB", 3), (zeta(),)), 0),
+     "d must be positive"),
+    (lambda: homs.pipeline_word(B4_WORD, homs.PipelineConfig(5, 1)),
+     "word has 4 strands, config expects 5"),
+    (lambda: parse_word("s1", GroupId("B", 3), comm_convention="x"),
+     "unknown comm convention 'x'"),
+))
+def test_library_refusals_are_usage_errors(call, message):
+    # main turns an error without an exit_code of its own into exit 2
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert getattr(info.value, "exit_code", 2) == 2
 
 
 def test_exit_code_purity(capsys):

@@ -725,17 +725,18 @@ def test_puncture_collision_inside_a_segment(k, l):
         q_kl(GeomBraid(4, strands), k, l)
 
 
-def test_first_separation_violation_is_the_first_pair_then_segment():
+def test_first_separation_violation_is_the_earliest_interval_then_pair():
     # strand 3 comes within tolerance of strand 2 at t = 0.25, then of
-    # strand 1 at 0.6 and 0.85: pair (1, 3) is scanned first, then its
-    # segments in time order
+    # strand 1 at 0.6 and 0.85: the grid intervals are scanned in time
+    # order, then the pairs of each, so the earliest approach is refused
+    # although pair (1, 3) comes before pair (2, 3)
     strands = (((0.0, 0j), (1.0, 0j)), ((0.0, 10 + 0j), (1.0, 10 + 0j)),
                ((0.0, 5j), (0.25, 10 + 2e-6j), (0.4, 5j), (0.6, 2e-6j),
                 (0.7, 5j), (0.85, -2e-6 + 0j), (1.0, 5j)),
                ((0.0, 100j), (1.0, 100j)))
     with pytest.raises(SeparationViolated) as info:
         GeomBraid(4, strands)
-    assert str(info.value) == "strands 1 and 3 within tolerance near t=0.600000"
+    assert str(info.value) == "strands 2 and 3 within tolerance near t=0.250000"
 
 
 FAR = 5e3 + 3e3j
@@ -780,12 +781,12 @@ def test_first_puncture_collision_is_the_first_segment_strand_puncture(
 
 
 def reference_separation(braid: GeomBraid) -> None:
-    """The separation check without its clearance test: every pair, every
-    segment through the exact quadratic."""
+    """The separation check without its clearance test: every segment, every
+    pair through the exact quadratic."""
     z, times = braid._paths, braid.times
-    for i in range(braid.n):
-        for j in range(i + 1, braid.n):
-            for g, (t0, t1) in enumerate(zip(times, times[1:])):
+    for g, (t0, t1) in enumerate(zip(times, times[1:])):
+        for i in range(braid.n):
+            for j in range(i + 1, braid.n):
                 u = _comes_within(z[i][g] - z[j][g], z[i][g + 1] - z[j][g + 1],
                                   1, 1, SEPARATION_TOL)
                 if u is not None:

@@ -214,12 +214,42 @@ def test_word_maps_refuse_images_past_max_letters(monkeypatch):
     for letters in ((zeta(16), sigma(1)), (zeta(-17),), (sigma(3, 5), zeta(14))):
         with pytest.raises(ValueError, match="more than 64 letters"):
             f_d(Word(cpb3, letters), 2)
+    # for d=1 a z power is one letter and s3's image z s1 z^-1 three
+    assert f_d(Word(cpb3, (zeta(1000),)), 1).letters == (zeta(1000),)
+    f_d(Word(cpb3, (zeta(-1000),) + (sigma(3),) * 21), 1)
+    with pytest.raises(ValueError, match="more than 64 letters"):
+        f_d(Word(cpb3, (zeta(-1000),) + (sigma(3),) * 21 + (sigma(1),)), 1)
     assert len(strand_removal_letters((sigma(1, 64),), 3, 1)[0]) == 64
     assert len(strand_removal_letters((sigma(2), sigma(1, -63)), 3, 1)[0]) \
         == 64
     for letters in ((sigma(1, 65),), (sigma(2), sigma(1, -64))):
         with pytest.raises(ValueError, match="more than 64 letters"):
             strand_removal_letters(letters, 3, 1)
+
+
+def test_d_one_keeps_a_z_power_whole():
+    # the d=1 block is the one letter z: the image is the unit-by-unit
+    # spelling, each z unit its block and s_m z s1 z^-1, free-reduced
+    rng = random.Random(29)
+    for m in (2, 3, 4):
+        fwd, back = rotation_block_letters(m, 1, 1), \
+            rotation_block_letters(m, 1, -1)
+        for _ in range(50):
+            word = Word(GroupId("CPB", m), tuple(
+                zeta(rng.choice((1, -1)) * rng.randrange(1, 9))
+                if rng.random() < 0.4 else
+                sigma(rng.randrange(1, m + 1),
+                      rng.choice((1, -1)) * rng.randrange(1, 4))
+                for _ in range(6)))
+            units = []
+            for letter in word.expanded():
+                if letter.kind == "z":
+                    units += fwd if letter.power > 0 else back
+                elif letter.index < m:
+                    units.append(letter)
+                else:
+                    units += (*fwd, sigma(1, letter.power), *back)
+            assert f_d(word, 1).letters == free_reduce_letters(units)
 
 
 def test_rotation_blocks_are_shared_inverse_tuples():
