@@ -8,11 +8,15 @@ extraction), example (built-in kernel-element demonstration).
 Exit codes: 0 success, 1 a check reported failures, 2 usage or syntax
 errors, 3 purity or winding violations, 4 genericity violations, 5 nonzero
 winding where zero is required.
+
+main parses every call with one parser, built on the process's first call,
+so a program that calls main many times builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -74,12 +78,25 @@ def _parse_eval(text: str) -> Assignment:
     return Assignment(vals["t"], vals["s"], vals.get("r", Fraction(1)))
 
 
-def _print_matrix(mat, evaluated: bool) -> None:
-    if evaluated:
-        for row in mat:
-            print(",".join(str(x) for x in row))
-    else:
-        print(mat_to_text(mat))
+def _print_matrix(mat, evaluated: bool, as_json: bool = False) -> None:
+    """Print an image with every digit. CPython (3.10.7 and later) refuses
+    to write an int of more than 4300 digits by default, so that limit is
+    lifted while the text is built and restored before anything prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            text = json.dumps([[str(x) for x in row] for row in mat]
+                              if evaluated else mat_to_json(mat), indent=2)
+        elif evaluated:
+            text = "\n".join(",".join(str(x) for x in row) for row in mat)
+        else:
+            text = mat_to_text(mat)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _load_word(args) -> braidword.Word:
@@ -118,13 +135,7 @@ def _cmd_rep(args) -> int:
         mat = homs.pipeline_matrix(word, cfg, assignment)
     else:
         mat = repmod.word_image(word, args.rep, assignment)
-    if args.json:
-        if assignment is None:
-            print(json.dumps(mat_to_json(mat), indent=2))
-        else:
-            print(json.dumps([[str(x) for x in row] for row in mat], indent=2))
-        return 0
-    _print_matrix(mat, assignment is not None)
+    _print_matrix(mat, assignment is not None, args.json)
     return 0
 
 
@@ -253,7 +264,10 @@ def _cmd_example(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call. parse_args fills
+    a fresh namespace on every call, and no option has a mutable default."""
     top = argparse.ArgumentParser(
         prog="braidrep",
         description="Exact matrix representations of cylindrical and "
@@ -356,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_modifiers(args)
         return args.func(args)

@@ -14,24 +14,35 @@ Words act on the right of an accumulator matrix. z^k rotates the columns
 by k; every other letter is one action form, a tuple of updates
 dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 (1 - t is two terms), so a product costs O(len * dim) ring operations
-instead of O(len * dim^3). The symbolic fold holds the accumulator as
-rows * P, P a pending monomial permutation: column c is t^a s^b r^c
-(shift[c]) times column perm[c] of rows. z, t and p, whose images are
-monomial permutations, only update (perm, shift). Every other letter's
+instead of O(len * dim^3). Both folds hold the accumulator as a matrix
+times P, a pending monomial permutation, and each is its own loop.
+
+The symbolic fold holds rows * P: column c is t^a s^b r^c (shift[c]) times
+column perm[c] of rows. z, t and p, whose images are monomial
+permutations, only update (perm, shift); only s touches the rows. Its
 action is rewritten through P (dest and src mapped through perm, each
 term's shift plus shift[src] - shift[dest]; used as it is while P is the
 identity, indices only while no shift is set) and handed to
 laurent.apply_action, which updates the rows one monomial_sum per new
-entry; P is applied once at the end. The evaluated fold
-evaluates each action's +-monomial terms directly in integers, puts them
-over one common denominator den and divides out their gcd, and folds ints
-over one scalar scale: an action with den != 1 multiplies the other
-columns, and the scale, by den. Whenever the scale's bit length has
-doubled since the last reduction (and passed 64), rows and scale are
-divided by their gcd, so entries whose true denominators stay small keep
-small integers. Entries become Fraction(x, scale) at the end. Each call
-keeps its letters' actions in its own dict, so a repeated letter costs one
-lookup and an image depends on nothing outside the call.
+entry; P is applied once at the end.
+
+The evaluated fold evaluates each action's +-monomial terms in integers,
+puts them over one common denominator den and divides out their gcd. It
+holds cols * P / scale, in Python ints: column c is mult[c] times
+cols[perm[c]], over one scalar scale. z rotates P, and a one-term update
+only changes P: that is every t and p, and the one-term half of an s. Only
+an s's other update touches the columns: it writes one new column into a
+slot that no column reads after the update. An action with den != 1
+multiplies the untouched columns' multipliers, and the scale, by den.
+Whenever the scale's bit length has doubled since the last reduction (and
+passed 64), P is folded into the columns and columns and scale are divided
+by their gcd, so entries whose true denominators stay small keep small
+integers. P is folded in at the end, and entries become Fraction(x, scale).
+
+Each call keeps its letters' actions, or for the evaluated fold their plans
+(which updates are one-term, and which slot each sum takes), in its own
+dict, so a repeated letter costs one lookup and an image depends on nothing
+outside the call.
 """
 
 from __future__ import annotations
@@ -99,11 +110,14 @@ def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
 def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
                       positive: bool, point: tuple[tuple[int, int], ...]):
     """The letter's action form evaluated at the point t, s, r, given as
-    integer ratios: (updates, den, kept). updates
-    ((dest, ((num, src), ...)), ...) carry integer numerators over den > 0 in
-    lowest terms, one per source; kept lists the columns the action leaves
-    alone. Each term is a +-monomial, so it is a ratio of products of the
-    point's numerators and denominators."""
+    integer ratios, as the evaluated fold's plan (den, moves, sums, kept).
+    Every update carries integer numerators over den > 0, in lowest terms,
+    one per source. moves ((dest, num, src), ...) are the one-term updates;
+    sums ((dest, free, ((num, src), ...)), ...) are the others, each written
+    into the slot of column free, which no column reads after the update;
+    kept lists the columns the action leaves alone. Each term is a
+    +-monomial, so it is a ratio of products of the point's numerators and
+    denominators."""
     action = _action(rep, dim, kind, slots, positive)
     values = []    # (dest, src, num, den) per term
     for dest, terms in action:
@@ -124,8 +138,17 @@ def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     for (dest, src), num in nums.items():
         if num:
             updates[dest].append((num // g, src))
-    kept = tuple(c for c in range(dim) if c not in updates)
-    return tuple((d, tuple(t)) for d, t in updates.items()), den // g, kept
+    moves = [(d, *t[0]) for d, t in updates.items() if len(t) == 1]
+    sums = [(d, t) for d, t in updates.items() if len(t) != 1]
+    sources = {src for _, _, src in moves}
+    free = [c for c in updates if c not in sources]
+    # two moves from one source, or a move from a kept column, would leave
+    # two columns reading one slot; the fold reads two terms of every sum
+    assert len(sources) == len(moves) and sources <= updates.keys()
+    assert all(len(t) > 1 for _, t in sums)
+    sums = [(d, f, t) for (d, t), f in zip(sums, free)]
+    kept = [c for c in range(dim) if c not in updates]
+    return den // g, moves, sums, kept
 
 
 def word_image(word: Word, rep: str, assignment: Assignment | None = None):
@@ -137,73 +160,98 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     """
     check_compatible(rep, word.group)
     dim = rep_dim(rep, word.group)
-    one, zero = (LaurentPoly.one(), LaurentPoly.zero()) if assignment is None \
-        else (1, 0)
-    rows: list[list] = [[one if i == j else zero for j in range(dim)]
-                        for i in range(dim)]
-    scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
+    if assignment is not None:
+        return _evaluated_image(word, rep, dim, assignment)
+    rows = [[LaurentPoly.one() if i == j else LaurentPoly.zero()
+             for j in range(dim)] for i in range(dim)]
     cache: dict = {}
-    point = None if assignment is None else tuple(
-        v.as_integer_ratio() for v in (assignment.t, assignment.s, assignment.r))
     ident = list(range(dim))
-    perm, shift = list(ident), [_1] * dim    # the symbolic fold's pending P
+    perm, shift = list(ident), [_1] * dim    # the pending P
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
             k = -letter.power % dim
-            if point is None:
-                perm, shift = perm[k:] + perm[:k], shift[k:] + shift[:k]
-            else:
-                rows = [row[k:] + row[:k] for row in rows]
+            perm, shift = perm[k:] + perm[:k], shift[k:] + shift[:k]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
         if action is None:
-            form = (rep, dim, letter.kind, word.group.slots(letter.index),
-                    letter.power > 0)
-            action = cache[key] = _action(*form) if point is None \
-                else _evaluated_action(*form, point)
-        reps = abs(letter.power)
-        if letter.kind in ("t", "p"):
-            reps %= 2
-            if point is None:    # P becomes P times the letter's block
-                for d, p, e in [(d, perm[src], tuple(map(add, m, shift[src])))
-                                for d, ((_, m, src),) in action] * reps:
-                    perm[d], shift[d] = p, e
-                continue
-        shifted = point is None and shift.count(_1) < dim
-        if shifted or point is None and perm != ident:    # rewrite through P
+            action = cache[key] = _action(
+                rep, dim, letter.kind, word.group.slots(letter.index),
+                letter.power > 0)
+        if letter.kind in ("t", "p"):    # P becomes P times the letter's block
+            reps = letter.power % 2
+            for d, p, e in [(d, perm[src], tuple(map(add, m, shift[src])))
+                            for d, ((_, m, src),) in action] * reps:
+                perm[d], shift[d] = p, e
+            continue
+        shifted = shift.count(_1) < dim
+        if shifted or perm != ident:    # rewrite through P
             action = tuple((perm[d], tuple((sign, tuple(map(
                 sub, map(add, m, shift[src]), shift[d])) if shifted else m,
                 perm[src]) for sign, m, src in terms)) for d, terms in action)
+        for _ in range(abs(letter.power)):
+            apply_action(rows, action)
+    return Matrix(dim, tuple(tuple(
+        row[p] if e == _1 else monomial_sum(row, ((1, e, p),))
+        for p, e in zip(perm, shift)) for row in rows))
+
+
+def _evaluated_image(word: Word, rep: str, dim: int,
+                     assignment: Assignment) -> tuple:
+    """The image at the point, folded in Python ints: the product is
+    cols * P / scale, where column c of P is mult[c] at row perm[c]."""
+    point = tuple(v.as_integer_ratio()
+                  for v in (assignment.t, assignment.s, assignment.r))
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    perm, mult = list(range(dim)), [1] * dim
+    scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
+    plans: dict = {}
+    for letter in word.letters:
+        if letter.kind == "z":    # column c becomes column c - power
+            k = -letter.power % dim
+            perm, mult = perm[k:] + perm[:k], mult[k:] + mult[:k]
+            continue
+        key = (letter.kind, letter.index, letter.power > 0)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _evaluated_action(
+                rep, dim, letter.kind, word.group.slots(letter.index),
+                letter.power > 0, point)
+        den, moves, sums, kept = plan
+        reps = abs(letter.power)
+        if letter.kind in ("t", "p"):
+            reps %= 2
         for _ in range(reps):
-            if assignment is None:
-                apply_action(rows, action)
+            new = []
+            for d, f, terms in sums:
+                (n0, s0), (n1, s1), *rest = terms
+                a, b = n0 * mult[s0], n1 * mult[s1]
+                col = [a * x + b * y
+                       for x, y in zip(cols[perm[s0]], cols[perm[s1]])]
+                for num, src in rest:
+                    m = num * mult[src]
+                    col = [y + m * x for y, x in zip(col, cols[perm[src]])]
+                new.append((d, perm[f], col))
+            for d, p, m in [(d, perm[src], num * mult[src])
+                            for d, num, src in moves]:
+                perm[d], mult[d] = p, m
+            for d, p, col in new:
+                cols[p] = col
+                perm[d], mult[d] = p, 1
+            if den == 1:
                 continue
-            updates, den, kept = action
-            for row in rows:
-                new = []
-                for d, terms in updates:
-                    acc = 0
-                    for num, src in terms:
-                        acc += num * row[src]
-                    new.append((d, acc))
-                if den != 1:
-                    for c in kept:
-                        row[c] *= den
-                for d, value in new:
-                    row[d] = value
+            for c in kept:
+                mult[c] *= den
             scale *= den
             if scale.bit_length() >= 2 * reduced:
-                g = gcd(scale, *(x for row in rows for x in row))
-                for row in rows:
-                    row[:] = [x // g for x in row]
+                cols = [[m * x for x in cols[p]] for p, m in zip(perm, mult)]
+                perm, mult = list(range(dim)), [1] * dim
+                g = gcd(scale, *(x for col in cols for x in col))
+                cols = [[x // g for x in col] for col in cols]
                 scale //= g
                 reduced = max(scale.bit_length(), 32)
-    if assignment is None:
-        return Matrix(dim, tuple(tuple(
-            row[p] if e == _1 else monomial_sum(row, ((1, e, p),))
-            for p, e in zip(perm, shift)) for row in rows))
-    return tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
+    return tuple(tuple(Fraction(m * cols[p][i], scale)
+                       for p, m in zip(perm, mult)) for i in range(dim))
 
 
 def generator_image(rep: str, group: GroupId, letter: Letter) -> Matrix:

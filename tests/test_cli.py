@@ -1,14 +1,17 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import braidrep
-from braidrep import geom, homs, rep, relcheck
+from braidrep import cli, geom, homs, rep, relcheck
 from braidrep.braidword import (GroupId, Word, format_word, invert,
                                 parse_word, sigma, zeta)
 from braidrep.cli import main
@@ -610,6 +613,96 @@ def test_rep_rational_eval(capsys):
                        "--rep", "burau-unreduced", "--eval", "t=1/2,s=1")
     assert code == 0
     assert out.splitlines()[0] == "1/2,1/2,0,0,0"
+
+
+def _fraction_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
+def _burau_power(k):
+    """The burau-unreduced block of s1 at t=2/3 to the k-th power, by
+    squaring: [[1 - t, t], [1, 0]]^k."""
+    t = Fraction(2, 3)
+    block, out = ((1 - t, t), (Fraction(1), Fraction(0))), ((1, 0), (0, 1))
+    while k:
+        if k & 1:
+            out = _fraction_product(out, block)
+        block, k = _fraction_product(block, block), k >> 1
+    return out
+
+
+@pytest.mark.parametrize("word,group,as_json", (
+    ("s1^20000", "B2", False), ("s1^20000", "B2", True),
+    ("s2^20000", "B3", False)))
+def test_exact_values_past_the_int_to_str_limit_print_in_full(
+        capsys, word, group, as_json):
+    """Entries of about 31,700 bits, some 9,500 digits, past the 4300 digits
+    that CPython (3.10.7 and later) converts by default: every digit prints,
+    with exit 0, and the limit is back in place afterwards. The image takes
+    about 0.33 s on a shared 2-CPU host; each call must end within 5 s."""
+    block = _burau_power(20000)
+    rows = block if group == "B2" else ((1, 0, 0), (0, *block[0]),
+                                        (0, *block[1]))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(str(x.numerator)) for x in block[0]) > 9000
+        text = [[str(x) for x in row] for row in rows]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    argv = ["rep", word, "--group", group, "--rep", "burau-unreduced",
+            "--eval", "t=2/3,s=1"] + ["--json"] * as_json
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, err) == (0, "")
+    assert out == (json.dumps(text, indent=2) if as_json else
+                   "\n".join(",".join(row) for row in text)) + "\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """main parses every call with the parser its first call built; each of
+    these calls in one process prints and exits as it does in a fresh
+    one."""
+    src = str(Path(braidrep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    evaluated = ("rep", "s1 s2^-1 s1", "--group", "B3", "--rep",
+                 "burau-unreduced", "--eval", "t=2/3,s=1")
+    calls = [("rep", "s1", "--group", "B3", "--rep", "rho", "--bogus"),
+             evaluated + ("--json",), evaluated,
+             ("check", "--rep", "rho", "--group", "B3"),
+             ("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",
+              "--psi", "1", "3")]
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        for i, argv in enumerate(calls):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:     # argparse refusals
+                code = exc.code
+            out = capsys.readouterr().out
+            if i == 0:
+                assert code == 2 and built
+                first = len(built)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "braidrep", *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": path})
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
 
 
 @pytest.mark.parametrize("extra,message", (

@@ -199,21 +199,31 @@ def _assert_fold_matches_symbolic(word, rep_id, at):
 
 def test_evaluated_fold_sweep():
     rng = random.Random(2024)
-    cases = [(RHO, "B", "s"), (RHO, "CPB", "sz"), (RHO, "VCB", "stz"),
-             (RHO_TILDE, "FVB", "spt"), (BURAU_UNREDUCED, "B", "s"),
-             (BURAU_REDUCED, "B", "s")]
+    short, odd = ((3, 6), (1, 12), (-2, -1, 1, 2)), ((3, 6), (1, 12), (-3, 3))
+    cases = [(RHO, "B", "s", short), (RHO, "CPB", "sz", short),
+             (RHO, "VCB", "stz", short), (RHO_TILDE, "FVB", "spt", short),
+             (BURAU_UNREDUCED, "B", "s", short),
+             (BURAU_REDUCED, "B", "s", short),
+             # dim 1: s acts by one term, -t or -t^-1, on its own column
+             (BURAU_REDUCED, "B", "s", ((2, 3), (1, 12), (-3, -1, 1, 3))),
+             # odd powers of z, t and p above 1 survive t and p's mod 2
+             (RHO, "CPB", "sz", odd), (RHO, "VCB", "stz", odd),
+             (RHO_TILDE, "FVB", "spt", odd),
+             # 60 letters or more: the scale passes 64 bits, and the gcd
+             # reduction folds in multipliers that t and z left pending
+             (RHO, "VCB", "stz", ((4, 6), (60, 80), (-2, -1, 1, 2)))]
     values = [Fraction(2, 3), Fraction(-3, 2), Fraction(5, -7),
               Fraction(-4, 9), Fraction(7, 4), Fraction(3), Fraction(-1)]
-    for rep_id, fam, kinds in cases:
+    for rep_id, fam, kinds, (strands, length, powers) in cases:
         for _ in range(25):
-            g = GroupId(fam, rng.randrange(3, 6))
+            g = GroupId(fam, rng.randrange(*strands))
             hi = g.strands if g.cyclic else g.strands - 1
             letters = []
-            for _ in range(rng.randrange(1, 12)):
+            for _ in range(rng.randrange(*length)):
                 k = rng.choice(kinds)
                 letters.append(Letter(k, None if k == "z" else
                                       rng.randrange(1, hi + 1),
-                                      rng.choice((-2, -1, 1, 2))))
+                                      rng.choice(powers)))
             r = rng.choice(values) if rep_id == RHO_TILDE else Fraction(1)
             at = Assignment(rng.choice(values), rng.choice(values), r)
             _assert_fold_matches_symbolic(Word(g, tuple(letters)), rep_id, at)
