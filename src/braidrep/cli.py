@@ -189,7 +189,12 @@ def _obtain_braid(args) -> geom.GeomBraid:
                                     radial_spread=args.spread)
     elif args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            braid = geom.braid_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:    # the parser recurses per nesting level
+                raise ValueError("malformed braid JSON: nested too "
+                                 "deeply") from None
+        braid = geom.braid_from_json(data)
     else:
         raise ValueError("pass --synth WORD or --in FILE")
     if args.perturb:

@@ -20,11 +20,13 @@ Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
 q_kl views the braid with strands k and l as the punctures 0 and 1, after an
 exact check that no other strand comes near them, and builds the view's
 model once: the segments of its frame and their angle ranges, which every
-reading of the view reads. Each other pair is watched through the
-four-point cross ratio on the braid's own segments; its real crossings are
-events, classified as over, under or flat by where on the real line they
-happen, and realized as a flat-virtual word. The d-th power reading watches the
-rays at angles 2 pi p / d; the plain reading is d=2.
+reading of the view reads. A plain braid is read as the view of two strands
+standing at 0 and 1, its model built per reading. Each other pair is
+watched through the four-point cross ratio on the braid's own segments; its
+real crossings are events, classified as over, under or flat by where on
+the real line they happen, and realized as a flat-virtual word. The d-th
+power reading watches the rays at angles 2 pi p / d; the plain reading is
+d=2.
 
 All event detection happens on the polyline model itself, one grid per
 braid, the breakpoint times of all its strands and every strand's point at
@@ -44,8 +46,8 @@ where no ray is. The same routine decides each root's tangency and sense
 from the slope of the polynomial it solved, and one margin, GENERICITY_TOL,
 holds every genericity test. Every reading returns Event records.
 
-Every reading works in a frame of its own (_frame), scaled by a power of
-two, which is exact: a reading is the same at every scale, and with the
+Every reading works in the frame of one strand (_frame), scaled by a power
+of two, which is exact: a reading is the same at every scale, and with the
 coordinate bound of GeomBraid nothing overflows. Each frame gives its
 readings one segment shape, and the angle bounds are built from the
 frame's own breakpoint values. GENERICITY_TOL, the moving cut's floor n
@@ -63,6 +65,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, compress
 from operator import itemgetter, lt, ne, sub, truediv
 from typing import Iterable, Sequence
@@ -632,7 +635,8 @@ def cylinder_events(braid: GeomBraid, k: int,
 
         def cut(z, unit):
             return [fixed if unit else 0j] * len(z[0])
-    points, values, segments = _frame(braid, k0, range(n), cut)
+    points, values, segments = _frame(braid.times, braid._paths, k0,
+                                      range(n), cut)
     # each vector's rounding is relative to the strands' summed distance
     # from 0 as well
     mags = [sum(map(abs, z)) for z in zip(*points)]
@@ -672,41 +676,32 @@ def cylinder_events(braid: GeomBraid, k: int,
     return _finish(events)
 
 
-def _frame(braid: GeomBraid, k0: int | None, watched, far):
-    """The segments every reading reads, in the frame of strand k0, or of
-    the puncture 0 of a plain braid (k0 None). The points are the braid's
-    scaled by f, the power of two that brings the longest z_s - z_k0 into
-    [1/2, 1) (for a plain braid, z_s and the puncture 1, which becomes f),
-    but keeps |z_k0| below 2^52: a difference below the points' rounding
-    asks no more, and no scaled point or sum of them overflows. The scaling
-    is exact and the readings invariant under it, so they read the same at
+def _frame(times, paths, k0: int, watched, far):
+    """The segments every reading reads, in the frame of strand k0, from
+    each strand's points at the grid times. The points are scaled by f, the
+    power of two that brings the longest z_s - z_k0 into [1/2, 1), but
+    keeps |z_k0| below 2^52: a difference below the points' rounding asks
+    no more, and no scaled point or sum of them overflows. The scaling is
+    exact and the readings invariant under it, so they read the same at
     every scale, until a vector so much shorter than the longest that a
     product of it underflows.
 
-    Returns (points, values, segments): each strand's scaled points at the
-    braid's grid times; the breakpoint values, at those times, of z_s - z_k0
-    (z_s, k0 None) for each watched strand s, then of the far vector; per
-    grid interval the one segment shape every reading reads, (t0, h, vals,
-    incs), each vector vals[v] + incs[v]*u for u in [0, 1], the far one
-    last. far(z, f) is the far vector at the grid times of the scaled points
-    z, far(q, 0.0) its increments of theirs. Every vector comes from
-    the scaled points by the formula it would take on the braid's own."""
-    paths = braid._paths
-    if k0 is None:
-        big = max(1.0, max(max(map(abs, path)) for path in paths))
-    else:
-        big = max(max(map(abs, map(sub, path, paths[k0]))) for path in paths)
-        big = max(big, sys.float_info.epsilon * max(map(abs, paths[k0])))
+    Returns (points, values, segments): each strand's scaled points; the
+    breakpoint values of z_s - z_k0 for each watched strand s, then of the
+    far vector; per grid interval the one segment shape every reading
+    reads, (t0, h, vals, incs), each vector vals[v] + incs[v]*u for u in
+    [0, 1], the far one last. far(z, f) is the far vector at the grid times
+    of the scaled points z, far(q, 0.0) its increments of theirs. Every
+    vector comes from the scaled points by the formula it would take on the
+    braid's own."""
+    big = max(max(map(abs, map(sub, path, paths[k0]))) for path in paths)
+    big = max(big, sys.float_info.epsilon * max(map(abs, paths[k0])))
     f = math.ldexp(1.0, -math.frexp(big)[1])
     points = [list(map(complex(f).__mul__, path)) for path in paths]
     steps = [list(map(sub, path[1:], path)) for path in points]
-    if k0 is None:
-        a, da = [points[s] for s in watched], [steps[s] for s in watched]
-    else:
-        a = [list(map(sub, points[s], points[k0])) for s in watched]
-        da = [list(map(sub, steps[s], steps[k0])) for s in watched]
+    a = [list(map(sub, points[s], points[k0])) for s in watched]
+    da = [list(map(sub, steps[s], steps[k0])) for s in watched]
     values, incs = a + [far(points, f)], da + [far(steps, 0.0)]
-    times = braid.times
     return points, values, list(zip(times, map(sub, times[1:], times),
                                     zip(*values), zip(*incs)))
 
@@ -809,19 +804,22 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
         (s, _), t = hit
         raise PunctureCollision(f"strand {s + 1} touches a puncture "
                                 f"near t={t:.6f}")
-    _, values, segments = _frame(braid, k0, watched,
+    _, values, segments = _frame(braid.times, braid._paths, k0, watched,
                                  lambda z, unit: list(map(sub, z[l0], z[k0])))
     return PuncturedView(braid, k0, l0, (segments, _angle_ranges(values)))
 
 
 def _pair_model(braid: GeomBraid | PuncturedView):
     """(segments, ranges) a pair reading works on: a view's model, or one
-    built per call for a plain GeomBraid, from its _frame with the
-    punctures at 0 and 1."""
+    built per call for a plain GeomBraid as for a view whose punctures 0
+    and 1 are two strands that never move."""
     if isinstance(braid, PuncturedView):
         return braid.model
-    _, values, segments = _frame(braid, None, range(braid.n),
-                                 lambda z, unit: [unit] * len(z[0]))
+    n, times = braid.n, braid.times
+    fixed = ([0j] * len(times), [1 + 0j] * len(times))
+    _, values, segments = _frame(
+        times, braid._paths + fixed, n, range(n),
+        lambda z, unit: list(map(sub, z[n + 1], z[n])))
     return segments, _angle_ranges(values)
 
 
@@ -1020,14 +1018,10 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
         pb = work.index(ev.j) + 1
         a, b = min(pa, pb), max(pa, pb)
         if ev.cls == "flat":
-            def cross(idx: int) -> Letter:
-                return pi(idx)
+            cross = pi
         elif ev.cls in ("classical_over", "classical_under"):
             over = ev.j if ev.cls == "classical_over" else ev.i
-            sgn = 1 if over == ev.ne else -1
-
-            def cross(idx: int, s=sgn) -> Letter:
-                return sigma(idx, s)
+            cross = partial(sigma, power=1 if over == ev.ne else -1)
         else:
             raise ValueError(f"cannot realize class {ev.cls!r}")
         if scheme == "route-and-return":

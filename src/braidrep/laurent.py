@@ -174,11 +174,12 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 def monomial_sum(polys, terms) -> LaurentPoly:
     """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
     The ring's term loop: sums, differences, negation, the constructor and
-    the symbolic fold come here; products and matrix products go through
-    _products instead, which multiplies whole runs. Each class of polys[i]
-    moves to (e_s + b, e_r + c) with its run offset by a, and is added into
-    that class's accumulator as one slice; the sums are then trimmed. A
-    single term only rewrites keys and offsets (and scales the runs)."""
+    rep's symbolic fold, one call per new entry, come here; products and
+    matrix products go through _products instead, which multiplies whole
+    runs. Each class of polys[i] moves to (e_s + b, e_r + c) with its run
+    offset by a, and is added into that class's accumulator as one slice;
+    the sums are then trimmed. A single term only rewrites keys and offsets
+    (and scales the runs)."""
     if len(terms) == 1:
         (coeff, (a, b, c), i), = terms
         runs = polys[i]._runs
@@ -311,18 +312,6 @@ def _products(a, b) -> list[list[LaurentPoly]]:
             out_row.append(_wrap(runs) if runs else _ZERO)
         out.append(out_row)
     return out
-
-
-def apply_action(rows, action) -> None:
-    """Right-multiply rows (lists of LaurentPoly) in place by an action
-    ((dest, terms), ...): column dest becomes monomial_sum(row, terms) in
-    every row. All new columns are computed from the old rows before any is
-    written back; action may be a one-pass iterable."""
-    new = [(d, [monomial_sum(row, terms) for row in rows])
-           for d, terms in action]
-    for d, col in new:
-        for row, value in zip(rows, col):
-            row[d] = value
 
 
 _ZERO = _wrap({})

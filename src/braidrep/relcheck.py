@@ -10,7 +10,7 @@ from .braidword import (GroupId, Word, format_word, random_pure_word,
                         relation_suite)
 from .homs import PipelineConfig, f_d, pipeline_matrix, strand_removal_letters
 from .laurent import mat_to_text
-from . import rep
+from . import geom, rep
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ def verify_oracle_agreement(words, cfg: PipelineConfig) -> Report:
     """Compare the algebraic pipeline with the word geom.power_map_extract
     reads off the trajectories geom.artin_dynamics synthesizes, exactly,
     word by word."""
-    from . import geom  # deferred: geom pulls in the numeric layer
-
     failures: list[Failure] = []
     count = 0
     for word in words:

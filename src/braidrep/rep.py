@@ -22,9 +22,10 @@ column perm[c] of rows. z, t and p, whose images are monomial
 permutations, only update (perm, shift); only s touches the rows. Its
 action is rewritten through P (dest and src mapped through perm, each
 term's shift plus shift[src] - shift[dest]; used as it is while P is the
-identity, indices only while no shift is set) and handed to
-laurent.apply_action, which updates the rows one monomial_sum per new
-entry; P is applied once at the end.
+identity, indices only while no shift is set), and the fold applies it
+itself: each new entry of a row is one laurent.monomial_sum of the old row,
+written back once the row's new entries are all built. P is applied once
+at the end. Only rep knows the action format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It
@@ -53,8 +54,7 @@ from operator import add, sub
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup
-from .laurent import (Assignment, LaurentPoly, Matrix, apply_action,
-                      monomial_sum)
+from .laurent import Assignment, LaurentPoly, Matrix, monomial_sum
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -190,7 +190,10 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                 sub, map(add, m, shift[src]), shift[d])) if shifted else m,
                 perm[src]) for sign, m, src in terms)) for d, terms in action)
         for _ in range(abs(letter.power)):
-            apply_action(rows, action)
+            for row in rows:    # the row's new entries from its old ones
+                new = [(d, monomial_sum(row, terms)) for d, terms in action]
+                for d, value in new:
+                    row[d] = value
     return Matrix(dim, tuple(tuple(
         row[p] if e == _1 else monomial_sum(row, ((1, e, p),))
         for p, e in zip(perm, shift)) for row in rows))

@@ -434,6 +434,8 @@ def test_exit_code_syntax_error(capsys):
       "t=2"), "assignment must bind at least t and s"),
     (("parse", "s1 s2)", "--group", "B3"),
      "expected a generator, group or macro, got ')'"),
+    (("geom", "--synth", "s1", "--group", "B2", "--project-pk", "1"),
+     "need at least 3 strands"),
 ))
 def test_refusals_exit_as_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -3,11 +3,13 @@ or the braid JSON, braidrep exits with a code in 0..5 and never with a
 traceback.
 
 Generated powers stay in -3..3 and no token starts with a digit, so a power
-can never grow into something like s1^2000000 (which alone takes seconds to
-parse); word sizes are bounded by the token count. Each call also runs
-under a CALL_SECONDS alarm and fails, naming its argv, when the alarm fires;
-hypothesis itself keeps no per-example deadline (conftest.py), because the
-host's speed varies.
+can never grow into something like s1^2000000: that parses as one letter,
+but folding its image can outrun CALL_SECONDS. Word sizes are bounded by
+the token count. Only the large-power test draws single-letter powers up to
+20,000, under --eval on B2 and B3, where a fold takes at most about 2 s.
+Each call also runs under a CALL_SECONDS alarm and fails, naming its argv,
+when the alarm fires; hypothesis itself keeps no per-example deadline
+(conftest.py), because the host's speed varies.
 """
 
 import io
@@ -63,6 +65,7 @@ def assert_contract(argv):
     assert "Traceback" not in err
     if code >= 2:
         assert "error:" in err, (argv, code, err)
+    return code
 
 
 def test_contract_fails_a_call_that_outruns_its_bound(monkeypatch):
@@ -184,6 +187,23 @@ def test_rep_contract(argv):
     assert_contract(argv)
 
 
+# A single-letter power of 10,000 to 20,000 at a point other than +-1: its
+# image's entries have more digits than the int-to-str limit of 4,300.
+LARGE_POWER_COMMANDS = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.integers(1, n - 1),
+    st.integers(10000, 20000) | st.integers(-20000, -10000),
+    st.sampled_from(FAMILY_REPS["B"]),
+    st.sampled_from(("t=2/3,s=1", "t=3/2,s=-1/2")), flags("--json")).map(
+    lambda c: ["rep", f"s{c[0]}^{c[1]}", "--group", f"B{n}", "--rep", c[2],
+               "--eval", c[3], *c[4]]))
+
+
+@settings(max_examples=12)
+@given(argv=LARGE_POWER_COMMANDS)
+def test_rep_large_power_contract(argv):
+    assert assert_contract(argv) == 0, argv
+
+
 @settings(max_examples=60)
 @given(argv=spoiled(MAP_COMMANDS))
 def test_map_contract(argv):
@@ -214,7 +234,8 @@ JSON_VALUES = st.recursive(
 def braid_documents(draw, kind):
     """Text of a braid JSON file: a 4-strand pure braid, as it is, scaled,
     or with one field spoiled (a point, a breakpoint's length, a strand,
-    n); or any JSON value; or text that is not JSON."""
+    n); or any JSON value; or a value nested far deeper than the parser
+    recurses; or text that is not JSON."""
     doc = json.loads(json.dumps(BASE_BRAID))
     strands = doc["strands"]
     if kind == "scaled":
@@ -236,6 +257,11 @@ def braid_documents(draw, kind):
         doc["n"] = draw(ODD_VALUES | st.integers(-1, 5))
     elif kind == "any":
         doc = draw(JSON_VALUES)
+    elif kind == "deep":
+        depth = draw(st.sampled_from((10 ** 4, 10 ** 5)))
+        opener, inner, closer = draw(st.sampled_from(
+            (("[", "", "]"), ('{"strands": ', "[]", "}"))))
+        return opener * depth + inner + closer * depth
     else:
         return draw(st.text(max_size=12))
     return json.dumps(doc)
@@ -251,7 +277,7 @@ READINGS = st.sampled_from((
 
 
 @pytest.mark.parametrize("kind", ("as is", "scaled", "point", "ragged",
-                                  "strand", "n", "any", "text"))
+                                  "strand", "n", "any", "deep", "text"))
 def test_geom_in_contract(tmp_path_factory, kind):
     path = tmp_path_factory.mktemp("braid") / "braid.json"
 

@@ -836,7 +836,7 @@ def reference_cylinder_events(braid: GeomBraid, k: int,
             return [n * x[k0] - sum(x) for x in zip(*z)]
         return [cmath.exp(1j * cut_angle) if unit else 0j] * len(z[0])
 
-    _, _, segments = _frame(braid, k0, range(n), cut)
+    _, _, segments = _frame(braid.times, braid._paths, k0, range(n), cut)
     lines, _ = _ray_lines(1)
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
