@@ -19,14 +19,14 @@ z (Dv z)^(d-1).
 Plane-pair reading (q_kl / psi_events / psi_d_events / realize_flat_virtual):
 q_kl views the braid with strands k and l as the punctures 0 and 1, after an
 exact check that no other strand comes near them, and builds the view's
-model once: the segments of its frame and their angle ranges, which every
-reading of the view reads. A plain braid is read as the view of two strands
-standing at 0 and 1, its model built per reading. Each other pair is
-watched through the four-point cross ratio on the braid's own segments; its
-real crossings are events, classified as over, under or flat by where on
-the real line they happen, and realized as a flat-virtual word. The d-th
-power reading watches the rays at angles 2 pi p / d; the plain reading is
-d=2.
+model once: its frame's segments and one angle range per watched strand,
+which every reading of the view reads. A plain braid is read as the view of
+two strands standing at 0 and 1, its model built per reading. Each other
+pair is watched through the four-point cross ratio on the braid's own
+segments; its real crossings are events, classified as over, under or flat
+by where on the real line they happen, and realized as a flat-virtual word.
+The d-th power reading watches the rays at angles 2 pi p / d; the plain
+reading is d=2.
 
 All event detection happens on the polyline model itself, one grid per
 braid, the breakpoint times of all its strands and every strand's point at
@@ -39,12 +39,12 @@ polynomial Im(w N conj(D)) vanishes, on the ray p or p + d/2 by the sign of
 Re(w N conj(D)). Before that polynomial is built, one angle bound skips the
 segments it proves event-free: arg(N/D) is a signed sum of the angles of the
 vectors N and D are made of, each monotone on a segment between its unwound
-breakpoint values. One routine isolates every root: Descartes' rule of signs
-in the Bernstein basis with halving, then Illinois steps on each isolating
-bracket; roots too close to separate raise NonGenericInput, unless they lie
-where no ray is. The same routine decides each root's tangency and sense
-from the slope of the polynomial it solved, and one margin, GENERICITY_TOL,
-holds every genericity test. Every reading returns Event records.
+breakpoint values; a pair bounds it per watched strand. One routine isolates
+every root: Descartes' rule of signs in the Bernstein basis with halving,
+then Illinois steps on each isolating bracket; roots too close to separate
+raise NonGenericInput, unless they lie where no ray is. It decides each
+root's tangency and sense from the slope of the polynomial it solved; one
+margin, GENERICITY_TOL, holds every genericity test. Readings return Events.
 
 Every reading works in the frame of one strand (_frame), scaled by a power
 of two, which is exact: a reading is the same at every scale, and with the
@@ -450,6 +450,14 @@ def _pair_quartic(num, den):
 
 
 def _horner(coeffs, u: float):
+    """coeffs (constant first) at u by Horner; lengths 3 to 5 unrolled."""
+    match coeffs:
+        case (c0, c1, c2, c3, c4):
+            return (((c4 * u + c3) * u + c2) * u + c1) * u + c0
+        case (c0, c1, c2, c3):
+            return ((c3 * u + c2) * u + c1) * u + c0
+        case (c0, c1, c2):
+            return (c2 * u + c1) * u + c0
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * u + c
@@ -480,6 +488,7 @@ def _ray_roots(coeffs, bern, lines, t0: float, h: float,
     separate as well. P is finite: its vectors come from a _frame."""
     roots = []
     c0, c1, c2, c3, c4 = bern
+    slope = (coeffs[1], 2.0 * coeffs[2], 3.0 * coeffs[3], 4.0 * coeffs[4])
     for ray, far, w in lines:
         # the exclusion test is the hot path, hence unrolled
         b0, b1, b2 = (w * c0).imag, (w * c1).imag, (w * c2).imag
@@ -491,7 +500,6 @@ def _ray_roots(coeffs, bern, lines, t0: float, h: float,
             if far is None and all((w * c).real < 0.0 for c in bern):
                 continue
             raise NonGenericInput(f"persistent {what}", time=t0, pair=pair)
-        slope = (coeffs[1], 2.0 * coeffs[2], 3.0 * coeffs[3], 4.0 * coeffs[4])
         far_side = None if far is not None else [(w * c).real for c in bern]
         for u in _isolate([(w * c).imag for c in coeffs], [b0, b1, b2, b3, b4],
                           t0, h, pair, far_side):
@@ -505,22 +513,28 @@ def _ray_roots(coeffs, bern, lines, t0: float, h: float,
 
 def _isolate(coeffs, bern, t0: float, h: float, pair: tuple[int, int],
              far_side=None) -> list[float]:
-    """Real roots of a real polynomial on a segment, given by its monomial
-    and its Bernstein coefficients on [0, 1].
+    """Real roots of a real quartic on a segment, given by its monomial and
+    its Bernstein coefficients on [0, 1].
 
     Roots in (0, 1] count, and a root at 0 too past the first segment (the
     previous segment may miss it by rounding). By Descartes' rule in the
     Bernstein basis, the roots in an open interval are at most the sign
     variations of the Bernstein coefficients there, and as many mod 2. So
     halving by de Casteljau runs until each piece has at most one variation,
-    and a piece with one is refined to BISECTION_TOL in t (_refine). Pieces
+    and a piece with one is refined to BISECTION_TOL in t (_refine), at once
+    if it is the whole segment and no coefficient is 0 (most are). Pieces
     that keep two variations down to GENERICITY_TOL in t hold roots too
     close to tell apart, and raise NonGenericInput, unless far_side, the
     Bernstein coefficients of Re(w P) on [0, 1] for a line with no far
     ray, halved along with the piece, is negative all over it: then the
     roots lie on the side of the line that holds no ray, and are dropped."""
-    roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
-    if bern[-1] == 0.0:
+    b0, b1, b2, b3, b4 = bern
+    if b0 and b1 and b2 and b3 and b4:
+        s0, s1, s2, s3 = b0 > 0.0, b1 > 0.0, b2 > 0.0, b3 > 0.0
+        if (s0 != s1) + (s1 != s2) + (s2 != s3) + (s3 != (b4 > 0.0)) == 1:
+            return [_refine(coeffs, 0.0, 1.0, bern, s0, h)]
+    roots = [0.0] if t0 > 0.0 and b0 == 0.0 else []
+    if b4 == 0.0:
         roots.append(1.0)
     todo = [(0.0, 1.0, bern, far_side)]
     while todo:
@@ -766,7 +780,7 @@ class PuncturedView:
     by g = (z - z_k)/(z_l - z_k); the others are 1..n in original order.
     model is what every reading of the view works on, built once by q_kl:
     the segments of the _frame of strand k, watching the others against the
-    far vector z_l - z_k, and the _angle_ranges of its breakpoint values."""
+    far vector z_l - z_k, and per watched strand its _angle_ranges entry."""
 
     braid: GeomBraid
     k0: int
@@ -864,21 +878,30 @@ def psi_events(braid: GeomBraid | PuncturedView,
 def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     """Events of the d-th power reading in the punctured plane: per pair, the
     pair ratio sweeps through the rays at angles 2 pi p / d; ray 0 gives a
-    classical crossing, the others are flat."""
-    if d < 2:
-        raise ValueError("power readings need d >= 2")
+    classical crossing, the others are flat; d is at most MAX_LETTERS."""
+    if not 2 <= d <= MAX_LETTERS:
+        raise ValueError(f"power readings need 2 <= d <= {MAX_LETTERS}")
     return _pair_events(braid, "cross-ratio", d)
 
 
 def _angle_ranges(values):
     """Per watched vector a of a pair _frame's breakpoint values, the
-    _angle_range of a and of b = a - c, c the far vector, the last; the
-    rounding of b is relative to c as well."""
+    _angle_range of arg a - arg b, b = a - c for c the far vector, the last,
+    in one pass from both _turns; the rounding of b is relative to c too."""
     *watched, c = values
     mags = list(map(abs, c))
     cs = [x + y for x, y in zip(mags, mags[1:])]
-    return [[_angle_range(a, cs), _angle_range(list(map(sub, a, c)), cs)]
-            for a in watched]
+    ranges = []
+    for a in watched:
+        base, ta, ra = _turns(a, cs)
+        base_b, tb, rb = _turns(list(map(sub, a, c)), cs)
+        base -= base_b
+        ranges.append(([base + (a0 + a1 - b0 - b1) * 0.5 for a0, a1, b0, b1
+                        in zip(ta, ta[1:], tb, tb[1:])],
+                       [(abs(a1 - a0) + abs(b1 - b0)) * 0.5 + (x + y)
+                        for a0, a1, b0, b1, x, y
+                        in zip(ta, ta[1:], tb, tb[1:], ra, rb)]))
+    return ranges
 
 
 def _angle_range(values, cs):
@@ -895,17 +918,25 @@ def _angle_range(values, cs):
     that product, and the rounding of the breakpoint angles too. The
     allowance is a product of floats, so a kappa too large for it gives an
     infinite half-width, an unbound segment, rather than raising."""
+    base, turns, allowances = _turns(values, cs)
+    return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
+            [abs(t1 - t0) * 0.5 + r
+             for t0, t1, r in zip(turns, turns[1:], allowances)])
+
+
+def _turns(values, cs):
+    """(base, turns, allowances) of a vector at the breakpoints: its first
+    angle, its angles unwound from there, and per segment the allowance of
+    _angle_range; 0s and infinities for a vector 0 at one."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
-        return [0.0] * len(cs), [math.inf] * len(cs)
-    turns = list(accumulate(map(cmath.phase, map(truediv, values[1:], values)),
-                            initial=0.0))
-    kappas = [(m0 + m1 + mc) / (m0 if m0 < m1 else m1)
-              for m0, m1, mc in zip(mags, mags[1:], cs)]
-    base = cmath.phase(values[0])
-    return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
-            [abs(t1 - t0) * 0.5 + _ARG_ROUNDING * k * k * k * k
-             for t0, t1, k in zip(turns, turns[1:], kappas)])
+        return 0.0, [0.0] * len(values), [math.inf] * len(cs)
+    return (cmath.phase(values[0]),
+            list(accumulate(map(cmath.phase, map(truediv, values[1:], values)),
+                            initial=0.0)),
+            [_ARG_ROUNDING * k * k * k * k
+             for m0, m1, mc in zip(mags, mags[1:], cs)
+             for k in [(m0 + m1 + mc) / (m0 if m0 < m1 else m1)]])
 
 
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
@@ -913,20 +944,19 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # for even d, rays p and p + d/2 share the line of w and are told apart by
     # the sign of Re(w P), so each line is isolated once
     lines, spacing = _ray_lines(d)
-    # the lines lie at the multiples of spacing; arg(N/D) = arg a_i + arg b_j
-    # - arg b_i - arg a_j, so a segment whose bound on it misses them all
+    # the lines lie at the multiples of spacing; arg(N/D) = (arg a_i - arg b_i)
+    # - (arg a_j - arg b_j), so a segment whose bound on it misses them all
     # has no root; the mobius ratio m is real exactly where N/D = (1 - m)/m is
     segments, ranges = _pair_model(braid)
     events: list[Event] = []
     for i0 in range(braid.n):
+        ei, ri = ranges[i0]
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
-            (cai, hai), (cbi, hbi) = ranges[i0]
-            (caj, haj), (cbj, hbj) = ranges[j0]
-            near = [seg for seg, x1, x2, x3, x4, r1, r2, r3, r4 in zip(
-                        segments, cai, cbj, cbi, caj, hai, hbj, hbi, haj)
-                    if not (radius := r1 + r2 + r3 + r4)
-                    < (x1 + x2 - x3 - x4) % spacing < spacing - radius]
+            ej, rj = ranges[j0]
+            near = [seg for seg, xi, xj, hi, hj in zip(segments, ei, ej, ri, rj)
+                    if not (radius := hi + hj)
+                    < (xi - xj) % spacing < spacing - radius]
             for t0, h, vals, incs in near:
                 num, den = _cross_ratio_models(vals[i0], incs[i0], vals[j0],
                                                incs[j0], vals[-1], incs[-1],

@@ -12,8 +12,8 @@ import pytest
 
 import braidrep
 from braidrep import cli, geom, homs, rep, relcheck
-from braidrep.braidword import (GroupId, Word, format_word, invert,
-                                parse_word, sigma, zeta)
+from braidrep.braidword import (MAX_LETTERS, GroupId, Word, format_word,
+                                invert, parse_word, sigma, zeta)
 from braidrep.cli import main
 from braidrep.geom import braid_from_json, braid_to_json
 from braidrep.laurent import mat_to_text
@@ -436,6 +436,9 @@ def test_exit_code_syntax_error(capsys):
      "expected a generator, group or macro, got ')'"),
     (("geom", "--synth", "s1", "--group", "B2", "--project-pk", "1"),
      "need at least 3 strands"),
+    (("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4", "--psi",
+      "1", "3", "--psi-d", "2000000000"),
+     f"power readings need 2 <= d <= {MAX_LETTERS}"),
 ))
 def test_refusals_exit_as_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -461,6 +464,8 @@ B4_WORD = parse_word("comm(A[1,3]; A[2,4])", GroupId("B", 4))
      "word has 4 strands, config expects 5"),
     (lambda: parse_word("s1", GroupId("B", 3), comm_convention="x"),
      "unknown comm convention 'x'"),
+    (lambda: geom.psi_d_events(geom.artin_dynamics(B4_WORD), 1),
+     f"power readings need 2 <= d <= {MAX_LETTERS}"),
 ))
 def test_library_refusals_are_usage_errors(call, message):
     # main turns an error without an exit_code of its own into exit 2
@@ -468,6 +473,25 @@ def test_library_refusals_are_usage_errors(call, message):
         call()
     assert str(info.value) == message
     assert getattr(info.value, "exit_code", 2) == 2
+
+
+def test_power_reading_refuses_d_past_the_letter_cap_before_any_ray(
+        monkeypatch):
+    """d = MAX_LETTERS reaches the rays of the reading; one more, or a d
+    whose rays would not fit in memory, is refused before any is built."""
+    class RaysBuilt(Exception):
+        pass
+
+    def rays(d):
+        raise RaysBuilt(d)
+
+    monkeypatch.setattr(geom, "_ray_lines", rays)
+    view = geom.q_kl(geom.artin_dynamics(B4_WORD), 1, 3)
+    with pytest.raises(RaysBuilt):
+        geom.psi_d_events(view, MAX_LETTERS)
+    for d in (MAX_LETTERS + 1, 2_000_000_000, 10 ** 30):
+        with pytest.raises(ValueError, match=r"need 2 <= d <= "):
+            geom.psi_d_events(view, d)
 
 
 def test_exit_code_purity(capsys):

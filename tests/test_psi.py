@@ -1188,7 +1188,9 @@ def test_illinois_refinement_reads_as_bisection(monkeypatch):
     the cylinder, once with the Illinois refinement and once with
     bisection: every event but its time is equal, times move by at most
     BISECTION_TOL, and no root costs more Horner calls than bisection's
-    plus 2."""
+    plus 2. Every root makes at least one counted call, so the counts are
+    of the evaluations the refinement makes, through the module's
+    _horner."""
     calls, costs = [0], []
     horner, refine = geom._horner, geom._refine
 
@@ -1225,5 +1227,175 @@ def test_illinois_refinement_reads_as_bisection(monkeypatch):
     assert len(pairs) > 2000 and len(costs) > 3000
     assert all(replace(a, time=0.0) == replace(b, time=0.0) for a, b in pairs)
     assert max(abs(a.time - b.time) for a, b in pairs) <= BISECTION_TOL
+    assert all(illinois >= 1 for illinois, _ in costs)
     assert all(illinois <= bisection + 2 for illinois, bisection in costs)
     assert 4 * sum(c[0] for c in costs) < sum(c[1] for c in costs)
+
+
+def loop_horner(coeffs, u):
+    """Horner's rule as a loop: the reference of the unrolled lengths."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
+def test_horner_reads_as_the_loop():
+    """Lengths 1 to 6, as lists and tuples, of float, complex and mixed
+    coefficients over some 60 decades, at u = 0, 1 and seeded u in
+    between: bit for bit the loop's value."""
+    rng = random.Random(9107)
+
+    def coefficient(kind):
+        scale = 10.0 ** rng.uniform(-30, 30)
+        if kind == "float" or kind == "mixed" and rng.random() < 0.5:
+            return rng.uniform(-1, 1) * scale
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+
+    for length in range(1, 7):
+        for kind in ("float", "complex", "mixed"):
+            for _ in range(100):
+                coeffs = [coefficient(kind) for _ in range(length)]
+                if rng.random() < 0.5:
+                    coeffs = tuple(coeffs)
+                for u in (0.0, 1.0, rng.random(), rng.random() * 1e-9):
+                    assert repr(geom._horner(coeffs, u)) == \
+                        repr(loop_horner(coeffs, u)), (coeffs, u)
+
+
+def reference_isolate(coeffs, bern, t0: float, h: float, pair, far_side=None):
+    """_isolate without the one-change shortcut: every segment through the
+    halving loop."""
+    roots = [0.0] if t0 > 0.0 and bern[0] == 0.0 else []
+    if bern[-1] == 0.0:
+        roots.append(1.0)
+    todo = [(0.0, 1.0, bern, far_side)]
+    while todo:
+        lo, hi, b, far_b = todo.pop()
+        signs = [x > 0.0 for x in b if x != 0.0]
+        changes = sum(s != r for s, r in zip(signs, signs[1:]))
+        if changes == 1:
+            roots.append(geom._refine(coeffs, lo, hi, b, signs[0], h))
+        elif changes > 1:
+            if (hi - lo) * h <= GENERICITY_TOL:
+                if far_b is not None and all(x < 0.0 for x in far_b):
+                    continue
+                raise NonGenericInput("real roots closer than the genericity "
+                                      "margin", time=t0 + h * lo, pair=pair)
+            mid = (lo + hi) / 2
+            left, right = geom._halve(b)
+            far_left, far_right = (None, None) if far_b is None \
+                else geom._halve(far_b)
+            if right[0] == 0.0:
+                roots.append(mid)
+            todo += [(lo, mid, left, far_left), (mid, hi, right, far_right)]
+    return sorted(roots)
+
+
+def isolate_outcome(isolate, *args):
+    try:
+        return repr(isolate(*args))
+    except NonGenericInput as exc:
+        return type(exc), str(exc)
+
+
+def quartic_from_bernstein(bern):
+    """Monomial coefficients of the quartic with Bernstein coefficients
+    bern on [0, 1]."""
+    return [math.comb(4, i) * sum((-1) ** (i - k) * math.comb(i, k) * bern[k]
+                                  for k in range(i + 1)) for i in range(5)]
+
+
+def one_change(rng):
+    split, sign = rng.randrange(1, 5), rng.choice((1, -1))
+    return [sign * (1 if k < split else -1) * rng.randrange(1, 1000)
+            for k in range(5)]
+
+
+def zero_end(rng):
+    b = [rng.choice((1, -1)) * rng.randrange(1, 1000) for _ in range(5)]
+    for end in rng.choice(((0,), (4,), (0, 4))):
+        b[end] = 0
+    return b
+
+
+def two_changes(rng):
+    first, second = sorted(rng.sample(range(1, 5), 2))
+    sign = rng.choice((1, -1))
+    return [sign * (-1 if first <= k < second else 1) * rng.randrange(1, 1000)
+            for k in range(5)]
+
+
+def one_sign(rng):
+    sign = rng.choice((1, -1))
+    return [sign * rng.randrange(1, 1000) for _ in range(5)]
+
+
+def double_root(rng):
+    """((u - 1/3)^2 - e^2) (p u^2 + q u + r) for e 0 or 1e-12: a double root
+    at 1/3, or two roots 2e-12 apart, so some pieces keep two changes down
+    to the margin; the Bernstein coefficients are rounded to floats."""
+    p, q, r = (rng.choice((1, -1)) * rng.randrange(1, 50) for _ in range(3))
+    e = Fraction(rng.choice((0, 1, -1)), 10 ** 12)
+    mono = [Fraction(0)] * 5
+    for i, x in enumerate((Fraction(1, 9) - e * e, Fraction(-2, 3), 1)):
+        for j, y in enumerate((r, q, p)):
+            mono[i + j] += x * y
+    return [sum(Fraction(math.comb(k, i), math.comb(4, i)) * mono[i]
+                for i in range(k + 1)) for k in range(5)]
+
+
+@pytest.mark.parametrize("draw", (one_change, zero_end, two_changes, one_sign,
+                                  double_root))
+def test_isolate_reads_as_the_halving_loop(draw):
+    """Seeded Bernstein vectors of one pattern each, at several scales,
+    segment starts, widths and far sides: the same roots, or the same
+    refusal, with and without the one-change shortcut."""
+    rng = random.Random(9108)
+    outcomes = []
+    for _ in range(300):
+        e = rng.randrange(-60, 60)
+        exact = draw(rng)
+        bern = [math.ldexp(float(b), e) for b in exact]
+        coeffs = [math.ldexp(float(a), e)
+                  for a in quartic_from_bernstein(exact)]
+        far = rng.choice((None, [rng.uniform(-2, 1) for _ in range(5)]))
+        for t0, h in ((0.0, 1.0), (0.25, 0.5), (0.5, 1e-8)):
+            args = (coeffs, bern, t0, h, (1, 2), far)
+            want = isolate_outcome(reference_isolate, *args)
+            assert isolate_outcome(geom._isolate, *args) == want, args
+            outcomes.append(want)
+    roots = [o for o in outcomes if isinstance(o, str)]
+    if draw is one_sign:
+        assert set(roots) == {"[]"}
+    elif draw is one_change:
+        assert all(o.count(",") == 0 and o != "[]" for o in roots)
+    elif draw is double_root:
+        assert len(roots) < len(outcomes)
+    assert roots
+
+
+def test_isolate_reads_bench_shaped_braids_as_the_halving_loop(monkeypatch):
+    """Every isolation the bench-shaped readings make, plain, at d=3 and on
+    the cylinder, gives what the halving loop gives on the same input; most
+    go through the shortcut."""
+    isolate, calls = geom._isolate, []
+
+    def both(coeffs, bern, t0, h, pair, far_side=None):
+        args = (coeffs, bern, t0, h, pair, far_side)
+        got = isolate_outcome(isolate, *args)
+        assert got == isolate_outcome(reference_isolate, *args), args
+        calls.append(0.0 not in bern and sum(
+            (x > 0.0) != (y > 0.0) for x, y in zip(bern, bern[1:])) == 1)
+        return isolate(*args)
+
+    rng = random.Random(9109)
+    monkeypatch.setattr(geom, "_isolate", both)
+    for _ in range(4):
+        b = bench_shaped(rng)
+        for copy in (b, perturb(b, rng.randrange(1 << 30), 1e-6)):
+            view = q_kl(copy, *rng.sample(range(1, 7), 2))
+            for call, *args in ((psi_events, view), (psi_d_events, view, 3),
+                                (cylinder_events, copy, rng.randrange(1, 7))):
+                pair_outcome(call, *args)
+    assert len(calls) > 1000 and sum(calls) > len(calls) / 2
