@@ -1026,7 +1026,9 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
     Every event contributes a block that transposes its pair; virtual
     letters route distant strands together and, at the end, restore the
     deterministic final order shared by both schemes, so the resulting group
-    element does not depend on the routing.
+    element does not depend on the routing. A word past
+    braidword.MAX_LETTERS letters is refused, and no event after the one
+    that takes it past the cap is spelled.
     """
     if scheme not in ("route-and-return", "swap-in-place"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -1072,6 +1074,8 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
                 work[b - 2], work[b - 1] = work[b - 1], work[b - 2]
             letters.append(cross(b - 1))
             work[b - 2], work[b - 1] = work[b - 1], work[b - 2]
+        if len(letters) > MAX_LETTERS:
+            break
     for pos in range(m):
         want = target[pos]
         cur = work.index(want)
@@ -1079,6 +1083,9 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
             letters.append(tau(cur))
             work[cur - 1], work[cur] = work[cur], work[cur - 1]
             cur -= 1
+    if len(letters) > MAX_LETTERS:
+        raise ValueError(f"realized word would have more than {MAX_LETTERS} "
+                         f"letters")
     return Word(GroupId("FVB", m), free_reduce_letters(letters))
 
 

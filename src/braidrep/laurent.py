@@ -65,7 +65,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, c: int = 1, et: int = 0, es: int = 0, er: int = 0) -> "LaurentPoly":
-        return cls({(et, es, er): c})
+        c = int(c)
+        return _wrap({(int(es), int(er)): (int(et), (c,))}) if c else _ZERO
 
     # views ---------------------------------------------------------------
 
@@ -174,12 +175,12 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 def monomial_sum(polys, terms) -> LaurentPoly:
     """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
     The ring's term loop: sums, differences, negation, the constructor and
-    rep's symbolic fold, one call per new entry, come here; products and
-    matrix products go through _products instead, which multiplies whole
-    runs. Each class of polys[i] moves to (e_s + b, e_r + c) with its run
-    offset by a, and is added into that class's accumulator as one slice;
-    the sums are then trimmed. A single term only rewrites keys and offsets
-    (and scales the runs)."""
+    rep's symbolic fold, one call per update of a whole column, come here;
+    products and matrix products go through _products instead, which
+    multiplies whole runs. Each class of polys[i] moves to
+    (e_s + b, e_r + c) with its run offset by a, and is added into that
+    class's accumulator as one slice; the sums are then trimmed. A single
+    term only rewrites keys and offsets (and scales the runs)."""
     if len(terms) == 1:
         (coeff, (a, b, c), i), = terms
         runs = polys[i]._runs
@@ -228,6 +229,24 @@ def monomial_sum(polys, terms) -> LaurentPoly:
             lo, acc = lo + i, acc[i:]
         runs[key] = (lo, tuple(acc))
     return _wrap(runs) if runs else _ZERO
+
+
+def split_rows(cols, shifts) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the matrix whose column j is cols[j] times t^a s^b r^c
+    (shifts[j]), each column packed into one polynomial by rows,
+    sum_i A_ij(t, s^dim, r) * s^i with dim = len(cols): a class (k, e_r),
+    moved to (k + b, e_r + c) with its run offset by a, is class
+    (e_s, e_r + c) of A_ij for e_s, i = divmod(k + b, dim). With b a
+    multiple of dim, the shift reaches A_ij as t^a s^(b/dim) r^c."""
+    dim = len(cols)
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for j, (p, (a, b, c)) in enumerate(zip(cols, shifts)):
+        for (k, r), (lo, run) in p._runs.items():
+            es, i = divmod(k + b, dim)
+            if rows[i][j] is _ZERO:
+                rows[i][j] = _wrap({})
+            rows[i][j]._runs[es, r + c] = (lo + a, run)
+    return tuple(map(tuple, rows))
 
 
 def _products(a, b) -> list[list[LaurentPoly]]:

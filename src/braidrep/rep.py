@@ -17,15 +17,19 @@ dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 instead of O(len * dim^3). Both folds hold the accumulator as a matrix
 times P, a pending monomial permutation, and each is its own loop.
 
-The symbolic fold holds rows * P: column c is t^a s^b r^c (shift[c]) times
-column perm[c] of rows. z, t and p, whose images are monomial
-permutations, only update (perm, shift); only s touches the rows. Its
-action is rewritten through P (dest and src mapped through perm, each
-term's shift plus shift[src] - shift[dest]; used as it is while P is the
-identity, indices only while no shift is set), and the fold applies it
-itself: each new entry of a row is one laurent.monomial_sum of the old row,
-written back once the row's new entries are all built. P is applied once
-at the end. Only rep knows the action format.
+The symbolic fold holds cols * P, each column one polynomial with the row
+index packed into the s exponent: cols[j] = sum_i A_ij(t, s^dim, r) * s^i,
+so the s exponents of a letter's action are taken times dim when it is
+cached, and P's shifts are in the same units. Column c of the product is
+t^a s^b r^c (shift[c]) times cols[perm[c]]. z, t and p, whose images are
+monomial permutations, only update (perm, shift); only s touches the
+columns. Its action is rewritten through P (dest and src mapped through
+perm, each term's shift plus shift[src] - shift[dest]; used as it is while
+P is the identity, indices only while no shift is set), and the fold
+applies it itself: each update is one laurent.monomial_sum of the old
+columns, whatever dim is, written back once the action's new columns are
+all built. At the end laurent.split_rows applies P's monomial to each
+column and splits it into its entries. Only rep knows the action format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It
@@ -54,7 +58,7 @@ from operator import add, sub
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup
-from .laurent import Assignment, LaurentPoly, Matrix, monomial_sum
+from .laurent import Assignment, LaurentPoly, Matrix, monomial_sum, split_rows
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -162,8 +166,7 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     dim = rep_dim(rep, word.group)
     if assignment is not None:
         return _evaluated_image(word, rep, dim, assignment)
-    rows = [[LaurentPoly.one() if i == j else LaurentPoly.zero()
-             for j in range(dim)] for i in range(dim)]
+    cols = [LaurentPoly.monomial(1, 0, j) for j in range(dim)]
     cache: dict = {}
     ident = list(range(dim))
     perm, shift = list(ident), [_1] * dim    # the pending P
@@ -174,10 +177,12 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
-        if action is None:
-            action = cache[key] = _action(
-                rep, dim, letter.kind, word.group.slots(letter.index),
-                letter.power > 0)
+        if action is None:    # s exponents in the columns' units of dim
+            action = cache[key] = tuple((d, tuple(
+                (sign, (a, b * dim, c), src) for sign, (a, b, c), src in terms))
+                for d, terms in _action(rep, dim, letter.kind,
+                                        word.group.slots(letter.index),
+                                        letter.power > 0))
         if letter.kind in ("t", "p"):    # P becomes P times the letter's block
             reps = letter.power % 2
             for d, p, e in [(d, perm[src], tuple(map(add, m, shift[src])))
@@ -190,13 +195,10 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                 sub, map(add, m, shift[src]), shift[d])) if shifted else m,
                 perm[src]) for sign, m, src in terms)) for d, terms in action)
         for _ in range(abs(letter.power)):
-            for row in rows:    # the row's new entries from its old ones
-                new = [(d, monomial_sum(row, terms)) for d, terms in action]
-                for d, value in new:
-                    row[d] = value
-    return Matrix(dim, tuple(tuple(
-        row[p] if e == _1 else monomial_sum(row, ((1, e, p),))
-        for p, e in zip(perm, shift)) for row in rows))
+            new = [(d, monomial_sum(cols, terms)) for d, terms in action]
+            for d, value in new:
+                cols[d] = value
+    return Matrix(dim, split_rows([cols[p] for p in perm], shift))
 
 
 def _evaluated_image(word: Word, rep: str, dim: int,

@@ -494,6 +494,21 @@ def test_power_reading_refuses_d_past_the_letter_cap_before_any_ray(
             geom.psi_d_events(view, d)
 
 
+def test_pair_reading_refuses_a_realized_word_past_the_letter_cap(
+        capsys, monkeypatch):
+    """A d-th pair reading spells about 8 letters per unit of d here: under
+    a cap of 400 letters d = 64 is refused as a usage error with nothing on
+    stdout, and under the real cap it reads."""
+    argv = ("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4",
+            "--psi", "1", "3", "--psi-d", "64")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("group: FVB2\n")
+    monkeypatch.setattr(geom, "MAX_LETTERS", 400)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: realized word would have more than 400 letters\n"
+
+
 def test_exit_code_purity(capsys):
     code, _, err = run(capsys, "map", "s1", "--group", "B4", "--pk", "1")
     assert code == 3

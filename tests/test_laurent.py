@@ -10,7 +10,7 @@ from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               T_INV, S_INV, format_poly, lp_eval, mat_eval,
                               mat_from_json, mat_mul, mat_to_json,
                               monomial_sum, poly_from_json, poly_to_json,
-                              rational_det, rational_rank)
+                              rational_det, rational_rank, split_rows)
 
 
 def rand_poly(rng, terms=4, span=3):
@@ -371,6 +371,34 @@ def test_cancellation_trims_the_run(cancel):
     assert list(rest._runs) == [(1, 0)]
     assert_matches(p - p, {})
     assert_matches(monomial_sum((p,), [(0, (1, 0, 0), 0)]), {})
+
+
+@pytest.mark.parametrize("c", (0, 1, -1, 7, -2 ** 70))
+def test_monomial_is_the_one_term_polynomial(c):
+    for e in ((0, 0, 0), (-3, 2, -1), (5, -4, 3)):
+        assert_matches(LaurentPoly.monomial(c, *e), {e: c} if c else {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_split_rows_unpacks_columns_packed_by_rows(data, dim):
+    """Column j packed as sum_i A_ij(t, s^dim, r) * s^i, times a shift whose
+    s exponent is a multiple of dim, splits into the entries of A times that
+    shift, negative exponents included."""
+    entries = [[data.draw(MODELS) for _ in range(dim)] for _ in range(dim)]
+    shifts = [(a, b * dim, c) for a, b, c in
+              (data.draw(SHIFTS) for _ in range(dim))]
+    cols = [LaurentPoly({(et, es * dim + i, er): x
+                         for i in range(dim)
+                         for (et, es, er), x in entries[i][j].items()})
+            for j in range(dim)]
+    rows = split_rows(cols, shifts)
+    assert len(rows) == dim and all(len(row) == dim for row in rows)
+    for i in range(dim):
+        for j, (a, b, c) in enumerate(shifts):
+            assert_matches(rows[i][j], {(et + a, es + b // dim, er + c): x
+                                        for (et, es, er), x
+                                        in entries[i][j].items()})
 
 
 def test_a_sparse_class_costs_its_t_span():

@@ -521,6 +521,41 @@ def test_schemes_agree_on_random_event_lists():
         assert word_image(w1, RHO_TILDE) == word_image(w2, RHO_TILDE)
 
 
+@pytest.mark.parametrize("scheme", ("route-and-return", "swap-in-place"))
+def test_realize_refuses_a_word_past_the_letter_cap(monkeypatch, scheme):
+    """The spelled word, before free reduction, may have MAX_LETTERS
+    letters and not one more, whether the cap is passed by an event's
+    block or by the closing reorder; no event after the one that passes it
+    is spelled."""
+    rng = random.Random(92)
+    classes = ("classical_over", "classical_under", "flat")
+    m = 6
+    events = []
+    for k in range(30):
+        i = rng.randrange(1, m)
+        j = rng.randrange(i + 1, m + 1)
+        events.append(Event(0.01 * (k + 1), i, j, rng.choice(classes),
+                            ne=rng.choice((i, j))))
+    order = list(range(1, m + 1))
+    rng.shuffle(order)
+    spelled = []
+    reduce = geom.free_reduce_letters
+    monkeypatch.setattr(geom, "free_reduce_letters",
+                        lambda letters: spelled.append(len(letters))
+                        or reduce(letters))
+    word = realize_flat_virtual(events, m, scheme, order)
+    n = spelled[-1]
+    monkeypatch.setattr(geom, "MAX_LETTERS", n)
+    assert realize_flat_virtual(events, m, scheme, order) == word
+    monkeypatch.setattr(geom, "MAX_LETTERS", n - 1)
+    with pytest.raises(ValueError, match=f"more than {n - 1} letters$"):
+        realize_flat_virtual(events, m, scheme, order)
+    monkeypatch.setattr(geom, "MAX_LETTERS", 3)
+    bad = Event(1.0, 1, 2, "flat", ne=3)    # refused if it were spelled
+    with pytest.raises(ValueError, match="more than 3 letters$"):
+        realize_flat_virtual(events + [bad], m, scheme, order)
+
+
 # -- full pipeline ------------------------------------------------------------
 
 

@@ -7,8 +7,9 @@ from braidrep.braidword import (GroupId, Letter, Word, bigelow5, parse_word,
                                 pi, relation_suite, sigma, tau, zeta)
 from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
+from braidrep import rep
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
-                              mat_eval, mat_mul, mat_to_text)
+                              mat_eval, mat_mul, mat_to_text, monomial_sum)
 from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
                           _action, check_compatible, generator_image, rep_dim,
                           word_image)
@@ -133,7 +134,7 @@ def letter_matrix(rep_id, g, letter):
     """The image of a letter of power +-1 built entry by entry, apart from
     the fold: z as the cyclic shift, any other letter from its action
     form (column dest of the identity becomes the sum of its terms)."""
-    n = g.strands
+    n = rep_dim(rep_id, g)
     if letter.kind == "z":
         return Matrix(n, tuple(tuple(ONE if j == (i + letter.power) % n
                                      else ZERO for j in range(n))
@@ -149,13 +150,17 @@ def letter_matrix(rep_id, g, letter):
 
 @pytest.mark.parametrize("family,rep_id,kinds", (
     ("CPB", RHO, "sz"), ("VCB", RHO, "stz"), ("FVB", RHO_TILDE, "spt"),
-    ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt")))
+    ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt"),
+    ("B", BURAU_UNREDUCED, "s"), ("B", BURAU_REDUCED, "s")))
 def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
-    """The fold that holds z, t and p as a pending monomial permutation
+    """The fold that holds z, t and p as a pending monomial permutation,
+    and each column as one polynomial with the row in the s exponent,
     equals, byte for byte, the left-to-right product of the images of
-    single letters of power +-1, powers spelled out."""
+    single letters of power +-1, powers spelled out: from dim 1 (B2
+    reduced) to 7, and with P's s and r shifts negative."""
     rng = random.Random(f"{family} {kinds}")
-    for n in (3, 4, 5):
+    negative = set()    # variables seen with a negative exponent in an image
+    for n in (3, 4, 5, 6, 7) if family != "B" else (2, 3, 4, 5, 6, 7):
         g = GroupId(family, n)
         hi = n if g.cyclic else n - 1
         for _ in range(20):
@@ -166,7 +171,7 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
                     (1, 1, 2, 3) if k != "z" else (1, 2, n + 1, 2 * n + 3))
                 letters.append(Letter(k, None if k == "z" else
                                       rng.randrange(1, hi + 1), power))
-            product = Matrix.identity(n)
+            product = Matrix.identity(rep_dim(rep_id, g))
             for l in letters:
                 unit = letter_matrix(rep_id, g, Letter(
                     l.kind, l.index, 1 if l.power > 0 else -1))
@@ -174,8 +179,48 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
                     l.kind, l.index, 1 if l.power > 0 else -1))
                 for _ in range(abs(l.power)):
                     product = mat_mul(product, unit)
-            assert mat_to_text(word_image(Word(g, tuple(letters)), rep_id)) \
-                == mat_to_text(product), (str(g), letters)
+            image = word_image(Word(g, tuple(letters)), rep_id)
+            assert mat_to_text(image) == mat_to_text(product), \
+                (str(g), letters)
+            assert image == product
+            negative.update(v for row in image.rows for x in row
+                            for e, _ in x.items()
+                            for v, ev in zip("tsr", e) if ev < 0)
+    if family == "FVB":    # p shifts by s, and t by r
+        assert {"s", "r"} <= negative
+    elif "t" in kinds:    # VCB's t shifts by s
+        assert "s" in negative
+
+
+@pytest.mark.parametrize("rep_id,family", (
+    (RHO, "CPB"), (RHO, "VCB"), (RHO_TILDE, "FVB"),
+    (BURAU_UNREDUCED, "B"), (BURAU_REDUCED, "B")))
+def test_symbolic_fold_makes_one_monomial_sum_per_update(monkeypatch, rep_id,
+                                                         family):
+    """The fold applies each update of a unit letter to every row at once:
+    one monomial_sum per update, whatever dim is, and none for z, t, p or
+    for the end, where P is applied and the columns are split."""
+    calls = []
+
+    def counted(polys, terms):
+        calls.append(len(terms))
+        return monomial_sum(polys, terms)
+
+    monkeypatch.setattr(rep, "monomial_sum", counted)
+    rng = random.Random(f"count {rep_id} {family}")
+    kinds = {"CPB": "sz", "VCB": "stz", "FVB": "spt", "B": "s"}[family]
+    for n in range(2 if family == "B" else 3, 8):
+        g = GroupId(family, n)
+        letters = [Letter(k, None if k == "z" else rng.choice(g.indices),
+                          rng.choice((-3, -1, 1, 2)))
+                   for k in rng.choices(kinds, k=12)]
+        calls.clear()
+        word_image(Word(g, tuple(letters)), rep_id)
+        dim = rep_dim(rep_id, g)
+        want = sum(abs(l.power) * len(_action(rep_id, dim, l.kind,
+                                              g.slots(l.index), l.power > 0))
+                   for l in letters if l.kind == "s")
+        assert len(calls) == want, (str(g), letters)
 
 
 def test_evaluated_image_matches_symbolic():
