@@ -231,21 +231,19 @@ def monomial_sum(polys, terms) -> LaurentPoly:
     return _wrap(runs) if runs else _ZERO
 
 
-def split_rows(cols, shifts) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of the matrix whose column j is cols[j] times t^a s^b r^c
-    (shifts[j]), each column packed into one polynomial by rows,
-    sum_i A_ij(t, s^dim, r) * s^i with dim = len(cols): a class (k, e_r),
-    moved to (k + b, e_r + c) with its run offset by a, is class
-    (e_s, e_r + c) of A_ij for e_s, i = divmod(k + b, dim). With b a
-    multiple of dim, the shift reaches A_ij as t^a s^(b/dim) r^c."""
+def split_rows(cols) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the matrix A whose column j is cols[j], packed into one
+    polynomial by rows, sum_i A_ij(t, s^dim, r) * s^i with dim = len(cols):
+    a class (k, e_r) is class (e_s, e_r) of A_ij, with the same run, for
+    e_s, i = divmod(k, dim)."""
     dim = len(cols)
     rows = [[_ZERO] * dim for _ in range(dim)]
-    for j, (p, (a, b, c)) in enumerate(zip(cols, shifts)):
-        for (k, r), (lo, run) in p._runs.items():
-            es, i = divmod(k + b, dim)
+    for j, p in enumerate(cols):
+        for (k, r), run in p._runs.items():
+            es, i = divmod(k, dim)
             if rows[i][j] is _ZERO:
                 rows[i][j] = _wrap({})
-            rows[i][j]._runs[es, r + c] = (lo + a, run)
+            rows[i][j]._runs[es, r] = run
     return tuple(map(tuple, rows))
 
 

@@ -14,47 +14,43 @@ Words act on the right of an accumulator matrix. z^k rotates the columns
 by k; every other letter is one action form, a tuple of updates
 dest <- sum of sign * t^a s^b r^c * old[src] on at most three columns
 (1 - t is two terms), so a product costs O(len * dim) ring operations
-instead of O(len * dim^3). Both folds hold the accumulator as a matrix
-times P, a pending monomial permutation, and each is its own loop.
+instead of O(len * dim^3). Both folds hold the accumulator as its list of
+columns, and each is its own loop. A t or p block squares to the
+identity, so each folds power % 2 times.
 
-The symbolic fold holds cols * P, each column one polynomial with the row
-index packed into the s exponent: cols[j] = sum_i A_ij(t, s^dim, r) * s^i,
-so the s exponents of a letter's action are taken times dim when it is
-cached, and P's shifts are in the same units. Column c of the product is
-t^a s^b r^c (shift[c]) times cols[perm[c]]. z, t and p, whose images are
-monomial permutations, only update (perm, shift); only s touches the
-columns. Its action is rewritten through P (dest and src mapped through
-perm, each term's shift plus shift[src] - shift[dest]; used as it is while
-P is the identity, indices only while no shift is set), and the fold
-applies it itself: each update is one laurent.monomial_sum of the old
-columns, whatever dim is, written back once the action's new columns are
-all built. At the end laurent.split_rows applies P's monomial to each
-column and splits it into its entries. Only rep knows the action format.
+The symbolic fold holds each column as one polynomial with the row index
+packed into the s exponent: cols[j] = sum_i A_ij(t, s^dim, r) * s^i, so
+the s exponents of a letter's action are taken times dim when it is
+cached. z rotates the list. Each update of a unit letter is one
+laurent.monomial_sum of the old columns, whatever dim is, written back
+once the action's new columns are all built; a monomial letter (t, p, the
+one-term half of an s) only rewrites one column's keys. At the end
+laurent.split_rows splits each column into its entries. Only rep knows
+the action format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It
-holds cols * P / scale, in Python ints: column c is mult[c] times
-cols[perm[c]], over one scalar scale. z rotates P, and a one-term update
-only changes P: that is every t and p, and the one-term half of an s. Only
-an s's other update touches the columns: it writes one new column into a
-slot that no column reads after the update. An action with den != 1
+holds columns of Python ints, one integer multiplier per column and one
+scalar scale: column c is mult[c] * cols[c] / scale. z rotates both lists.
+A one-term update makes the column share its source's list, with the
+source's multiplier times the term, and a longer one writes a fresh list
+with multiplier 1; no list is changed in place. An action with den != 1
 multiplies the untouched columns' multipliers, and the scale, by den.
 Whenever the scale's bit length has doubled since the last reduction (and
-passed 64), P is folded into the columns and columns and scale are divided
-by their gcd, so entries whose true denominators stay small keep small
-integers. P is folded in at the end, and entries become Fraction(x, scale).
+passed 64), the multipliers are folded into the columns and columns and
+scale are divided by their gcd, so entries whose true denominators stay
+small keep small integers. At the end entries become
+Fraction(mult[c] * x, scale).
 
 Each call keeps its letters' actions, or for the evaluated fold their plans
-(which updates are one-term, and which slot each sum takes), in its own
-dict, so a repeated letter costs one lookup and an image depends on nothing
-outside the call.
+(the actions evaluated at the point), in its own dict, so a repeated letter
+costs one lookup and an image depends on nothing outside the call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup
@@ -114,14 +110,11 @@ def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
 def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
                       positive: bool, point: tuple[tuple[int, int], ...]):
     """The letter's action form evaluated at the point t, s, r, given as
-    integer ratios, as the evaluated fold's plan (den, moves, sums, kept).
-    Every update carries integer numerators over den > 0, in lowest terms,
-    one per source. moves ((dest, num, src), ...) are the one-term updates;
-    sums ((dest, free, ((num, src), ...)), ...) are the others, each written
-    into the slot of column free, which no column reads after the update;
-    kept lists the columns the action leaves alone. Each term is a
-    +-monomial, so it is a ratio of products of the point's numerators and
-    denominators."""
+    integer ratios, as the evaluated fold's plan (den, updates, kept).
+    updates ((dest, ((num, src), ...)), ...) carry integer numerators over
+    den > 0, in lowest terms, one per source; kept lists the columns the
+    action leaves alone. Each term is a +-monomial, so it is a ratio of
+    products of the point's numerators and denominators."""
     action = _action(rep, dim, kind, slots, positive)
     values = []    # (dest, src, num, den) per term
     for dest, terms in action:
@@ -142,17 +135,8 @@ def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     for (dest, src), num in nums.items():
         if num:
             updates[dest].append((num // g, src))
-    moves = [(d, *t[0]) for d, t in updates.items() if len(t) == 1]
-    sums = [(d, t) for d, t in updates.items() if len(t) != 1]
-    sources = {src for _, _, src in moves}
-    free = [c for c in updates if c not in sources]
-    # two moves from one source, or a move from a kept column, would leave
-    # two columns reading one slot; the fold reads two terms of every sum
-    assert len(sources) == len(moves) and sources <= updates.keys()
-    assert all(len(t) > 1 for _, t in sums)
-    sums = [(d, f, t) for (d, t), f in zip(sums, free)]
     kept = [c for c in range(dim) if c not in updates]
-    return den // g, moves, sums, kept
+    return den // g, list(updates.items()), kept
 
 
 def word_image(word: Word, rep: str, assignment: Assignment | None = None):
@@ -168,12 +152,10 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
         return _evaluated_image(word, rep, dim, assignment)
     cols = [LaurentPoly.monomial(1, 0, j) for j in range(dim)]
     cache: dict = {}
-    ident = list(range(dim))
-    perm, shift = list(ident), [_1] * dim    # the pending P
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
             k = -letter.power % dim
-            perm, shift = perm[k:] + perm[:k], shift[k:] + shift[:k]
+            cols = cols[k:] + cols[:k]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         action = cache.get(key)
@@ -183,38 +165,33 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
                 for d, terms in _action(rep, dim, letter.kind,
                                         word.group.slots(letter.index),
                                         letter.power > 0))
-        if letter.kind in ("t", "p"):    # P becomes P times the letter's block
-            reps = letter.power % 2
-            for d, p, e in [(d, perm[src], tuple(map(add, m, shift[src])))
-                            for d, ((_, m, src),) in action] * reps:
-                perm[d], shift[d] = p, e
-            continue
-        shifted = shift.count(_1) < dim
-        if shifted or perm != ident:    # rewrite through P
-            action = tuple((perm[d], tuple((sign, tuple(map(
-                sub, map(add, m, shift[src]), shift[d])) if shifted else m,
-                perm[src]) for sign, m, src in terms)) for d, terms in action)
-        for _ in range(abs(letter.power)):
+        for _ in range(_reps(letter)):
             new = [(d, monomial_sum(cols, terms)) for d, terms in action]
             for d, value in new:
                 cols[d] = value
-    return Matrix(dim, split_rows([cols[p] for p in perm], shift))
+    return Matrix(dim, split_rows(cols))
+
+
+def _reps(letter: Letter) -> int:
+    """How many times a fold applies the letter's unit action: a t or p
+    block squares to the identity."""
+    return letter.power % 2 if letter.kind in ("t", "p") else abs(letter.power)
 
 
 def _evaluated_image(word: Word, rep: str, dim: int,
                      assignment: Assignment) -> tuple:
-    """The image at the point, folded in Python ints: the product is
-    cols * P / scale, where column c of P is mult[c] at row perm[c]."""
+    """The image at the point, folded in Python ints: column c of the
+    product is mult[c] * cols[c] / scale."""
     point = tuple(v.as_integer_ratio()
                   for v in (assignment.t, assignment.s, assignment.r))
     cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    perm, mult = list(range(dim)), [1] * dim
+    mult = [1] * dim
     scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
     plans: dict = {}
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
             k = -letter.power % dim
-            perm, mult = perm[k:] + perm[:k], mult[k:] + mult[:k]
+            cols, mult = cols[k:] + cols[:k], mult[k:] + mult[:k]
             continue
         key = (letter.kind, letter.index, letter.power > 0)
         plan = plans.get(key)
@@ -222,41 +199,37 @@ def _evaluated_image(word: Word, rep: str, dim: int,
             plan = plans[key] = _evaluated_action(
                 rep, dim, letter.kind, word.group.slots(letter.index),
                 letter.power > 0, point)
-        den, moves, sums, kept = plan
-        reps = abs(letter.power)
-        if letter.kind in ("t", "p"):
-            reps %= 2
-        for _ in range(reps):
+        den, updates, kept = plan
+        for _ in range(_reps(letter)):
             new = []
-            for d, f, terms in sums:
+            for d, terms in updates:
+                if len(terms) == 1:    # share the source's list
+                    (num, src), = terms
+                    new.append((d, cols[src], num * mult[src]))
+                    continue
                 (n0, s0), (n1, s1), *rest = terms
                 a, b = n0 * mult[s0], n1 * mult[s1]
-                col = [a * x + b * y
-                       for x, y in zip(cols[perm[s0]], cols[perm[s1]])]
+                col = [a * x + b * y for x, y in zip(cols[s0], cols[s1])]
                 for num, src in rest:
                     m = num * mult[src]
-                    col = [y + m * x for y, x in zip(col, cols[perm[src]])]
-                new.append((d, perm[f], col))
-            for d, p, m in [(d, perm[src], num * mult[src])
-                            for d, num, src in moves]:
-                perm[d], mult[d] = p, m
-            for d, p, col in new:
-                cols[p] = col
-                perm[d], mult[d] = p, 1
+                    col = [y + m * x for y, x in zip(col, cols[src])]
+                new.append((d, col, 1))
+            for d, col, m in new:
+                cols[d], mult[d] = col, m
             if den == 1:
                 continue
             for c in kept:
                 mult[c] *= den
             scale *= den
             if scale.bit_length() >= 2 * reduced:
-                cols = [[m * x for x in cols[p]] for p, m in zip(perm, mult)]
-                perm, mult = list(range(dim)), [1] * dim
+                cols = [[m * x for x in col] for col, m in zip(cols, mult)]
+                mult = [1] * dim
                 g = gcd(scale, *(x for col in cols for x in col))
                 cols = [[x // g for x in col] for col in cols]
                 scale //= g
                 reduced = max(scale.bit_length(), 32)
-    return tuple(tuple(Fraction(m * cols[p][i], scale)
-                       for p, m in zip(perm, mult)) for i in range(dim))
+    return tuple(tuple(Fraction(m * col[i], scale)
+                       for col, m in zip(cols, mult)) for i in range(dim))
 
 
 def generator_image(rep: str, group: GroupId, letter: Letter) -> Matrix:

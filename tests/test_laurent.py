@@ -382,23 +382,18 @@ def test_monomial_is_the_one_term_polynomial(c):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 5))
 def test_split_rows_unpacks_columns_packed_by_rows(data, dim):
-    """Column j packed as sum_i A_ij(t, s^dim, r) * s^i, times a shift whose
-    s exponent is a multiple of dim, splits into the entries of A times that
-    shift, negative exponents included."""
+    """Column j packed as sum_i A_ij(t, s^dim, r) * s^i splits into the
+    entries of A, negative exponents included."""
     entries = [[data.draw(MODELS) for _ in range(dim)] for _ in range(dim)]
-    shifts = [(a, b * dim, c) for a, b, c in
-              (data.draw(SHIFTS) for _ in range(dim))]
     cols = [LaurentPoly({(et, es * dim + i, er): x
                          for i in range(dim)
                          for (et, es, er), x in entries[i][j].items()})
             for j in range(dim)]
-    rows = split_rows(cols, shifts)
+    rows = split_rows(cols)
     assert len(rows) == dim and all(len(row) == dim for row in rows)
     for i in range(dim):
-        for j, (a, b, c) in enumerate(shifts):
-            assert_matches(rows[i][j], {(et + a, es + b // dim, er + c): x
-                                        for (et, es, er), x
-                                        in entries[i][j].items()})
+        for j in range(dim):
+            assert_matches(rows[i][j], entries[i][j])
 
 
 def test_a_sparse_class_costs_its_t_span():

@@ -153,11 +153,11 @@ def letter_matrix(rep_id, g, letter):
     ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt"),
     ("B", BURAU_UNREDUCED, "s"), ("B", BURAU_REDUCED, "s")))
 def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
-    """The fold that holds z, t and p as a pending monomial permutation,
-    and each column as one polynomial with the row in the s exponent,
-    equals, byte for byte, the left-to-right product of the images of
-    single letters of power +-1, powers spelled out: from dim 1 (B2
-    reduced) to 7, and with P's s and r shifts negative."""
+    """The fold that holds each column as one polynomial with the row in
+    the s exponent, rotates the columns for z and folds t and p by their
+    power mod 2, equals, byte for byte, the left-to-right product of the
+    images of single letters of power +-1, powers spelled out: from dim 1
+    (B2 reduced) to 7, and with negative s and r exponents."""
     rng = random.Random(f"{family} {kinds}")
     negative = set()    # variables seen with a negative exponent in an image
     for n in (3, 4, 5, 6, 7) if family != "B" else (2, 3, 4, 5, 6, 7):
@@ -198,8 +198,9 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
 def test_symbolic_fold_makes_one_monomial_sum_per_update(monkeypatch, rep_id,
                                                          family):
     """The fold applies each update of a unit letter to every row at once:
-    one monomial_sum per update, whatever dim is, and none for z, t, p or
-    for the end, where P is applied and the columns are split."""
+    one monomial_sum per update of every unit s, and of each t or p of odd
+    power, whatever dim is, and none for z or for the end, where the
+    columns are split."""
     calls = []
 
     def counted(polys, terms):
@@ -217,9 +218,10 @@ def test_symbolic_fold_makes_one_monomial_sum_per_update(monkeypatch, rep_id,
         calls.clear()
         word_image(Word(g, tuple(letters)), rep_id)
         dim = rep_dim(rep_id, g)
-        want = sum(abs(l.power) * len(_action(rep_id, dim, l.kind,
-                                              g.slots(l.index), l.power > 0))
-                   for l in letters if l.kind == "s")
+        want = sum((abs(l.power) if l.kind == "s" else l.power % 2)
+                   * len(_action(rep_id, dim, l.kind, g.slots(l.index),
+                                 l.power > 0))
+                   for l in letters if l.kind != "z")
         assert len(calls) == want, (str(g), letters)
 
 
@@ -255,10 +257,13 @@ def test_evaluated_fold_sweep():
              (RHO, "CPB", "sz", odd), (RHO, "VCB", "stz", odd),
              (RHO_TILDE, "FVB", "spt", odd),
              # 60 letters or more: the scale passes 64 bits, and the gcd
-             # reduction folds in multipliers that t and z left pending
+             # reduction folds in the columns' multipliers
              (RHO, "VCB", "stz", ((4, 6), (60, 80), (-2, -1, 1, 2)))]
+    # at t = 1 an s cancels its 1 - t: its updates are one-term each, so
+    # two columns share one list through later sums and reductions
     values = [Fraction(2, 3), Fraction(-3, 2), Fraction(5, -7),
-              Fraction(-4, 9), Fraction(7, 4), Fraction(3), Fraction(-1)]
+              Fraction(-4, 9), Fraction(7, 4), Fraction(3), Fraction(-1),
+              Fraction(1)]
     for rep_id, fam, kinds, (strands, length, powers) in cases:
         for _ in range(25):
             g = GroupId(fam, rng.randrange(*strands))
