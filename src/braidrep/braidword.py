@@ -61,6 +61,8 @@ class GroupId:
             raise ValueError(f"unknown family {self.family!r}")
         if not 2 <= self.strands <= MAX_STRANDS:
             raise ValueError(f"need 2 to {MAX_STRANDS} strands")
+        if type(self.strands) is not int:    # a float may pass the range
+            raise ValueError(f"strand count {self.strands!r} is not an integer")
         if self.flat_braid_relation and self.family != "FVB":
             raise ValueError("flat_braid_relation only applies to FVB")
         object.__setattr__(self, "indices", range(
@@ -408,7 +410,7 @@ def word_from_json(data: dict) -> Word:
         flat = g.get("flatBraidRelation", False)
         if type(flat) is not bool:
             raise ValueError(f"flatBraidRelation {flat!r} is not a boolean")
-        group = GroupId(g["family"], int(g["strands"]), flat)
+        group = GroupId(g["family"], g["strands"], flat)
         letters = [Letter(item["k"], item.get("i"), item["p"])
                    for item in data["letters"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -513,10 +515,7 @@ def random_pure_word(n: int, rng, factors: int = 8) -> Word:
     for _ in range(factors):
         i = rng.randrange(1, n)
         j = rng.randrange(i + 1, n + 1)
-        band = band_generator_letters(group, i, j)
-        if rng.random() < 0.5:
-            band = _invert_letters(band)
-        letters.extend(band)
+        letters.extend(_signed_band(group, rng, i, j))
     return Word(group, free_reduce_letters(letters))
 
 
@@ -534,11 +533,12 @@ def random_zero_linking_word(n: int, rng, factors: int = 2) -> Word:
             l = rng.randrange(k + 1, n + 1)
             if (k, l) != (i, j):
                 break
-        a = band_generator_letters(group, i, j)
-        if rng.random() < 0.5:
-            a = _invert_letters(a)
-        b = band_generator_letters(group, k, l)
-        if rng.random() < 0.5:
-            b = _invert_letters(b)
+        a, b = _signed_band(group, rng, i, j), _signed_band(group, rng, k, l)
         letters.extend(commutator_letters(a, b))
     return Word(group, free_reduce_letters(letters))
+
+
+def _signed_band(group: GroupId, rng, i: int, j: int) -> list[Letter]:
+    """A[i,j], inverted at even odds by one draw of rng.random()."""
+    band = band_generator_letters(group, i, j)
+    return _invert_letters(band) if rng.random() < 0.5 else band

@@ -855,15 +855,13 @@ def _cross_ratio_models(ai, dai, aj, daj, c, dc, method: str):
         bi, dbi, bj, dbj = ai - c, dai - dc, aj - c, daj - dc
         num = (ai * bj, ai * dbj + dai * bj, dai * dbj)
         den = (bi * aj, bi * daj + dbi * aj, dbi * daj)
-    elif method == "mobius":
-        # a_j (c - a_i) / ((c - 2 a_i) a_j + a_i c)
+    else:
+        # mobius: a_j (c - a_i) / ((c - 2 a_i) a_j + a_i c)
         e, de = c - ai, dc - dai
         f, df = c - 2 * ai, dc - 2 * dai
         num = (aj * e, aj * de + daj * e, daj * de)
         den = (f * aj + ai * c, f * daj + df * aj + ai * dc + dai * c,
                df * daj + dai * dc)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return num, den
 
 
@@ -872,6 +870,8 @@ def psi_events(braid: GeomBraid | PuncturedView,
     """Events of a braid in the plane punctured at 0 and 1, or of a view: per
     pair, the real crossings of the classifier function, with class and
     negative-end strand. With the cross ratio this is the d=2 reading."""
+    if method not in ("cross-ratio", "mobius"):
+        raise ValueError(f"unknown method {method!r}")
     return _pair_events(braid, method, 2)
 
 
@@ -1036,16 +1036,13 @@ def realize_flat_virtual(events: Iterable[Event], m: int,
         else list(range(1, m + 1))
     if sorted(order) != list(range(1, m + 1)):
         raise ValueError("initial_order must be a permutation of 1..m")
-    target = list(order)
-    events = list(events)
-    for ev in events:
-        ia, ja = target.index(ev.i), target.index(ev.j)
-        target[ia], target[ja] = target[ja], target[ia]
     letters: list[Letter] = []
-    work = list(order)
+    target, work = list(order), list(order)
     for ev in events:
         if ev.ne not in (ev.i, ev.j):
             raise ValueError("negative end must belong to the event pair")
+        ia, ja = target.index(ev.i), target.index(ev.j)
+        target[ia], target[ja] = target[ja], target[ia]
         pa = work.index(ev.i) + 1
         pb = work.index(ev.j) + 1
         a, b = min(pa, pb), max(pa, pb)
@@ -1117,7 +1114,9 @@ def braid_to_json(braid: GeomBraid) -> dict:
 
 def braid_from_json(data) -> GeomBraid:
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:    # bool is an int too, and a float may equal one
+            raise ValueError(f"n {n!r} is not an integer")
         strands = tuple(
             tuple((float(t), complex(re, im)) for t, re, im in bps)
             for bps in data["strands"])

@@ -41,13 +41,12 @@ _VARS = ("t", "s", "r")
 class LaurentPoly:
     """Immutable Laurent polynomial in t, s, r over Z."""
 
-    __slots__ = ("_runs", "_hash")
+    __slots__ = ("_runs",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         self._runs = monomial_sum((_ONE,), [
-            (int(c), (int(et), int(es), int(er)), 0)
+            (_integer(c), (_integer(et), _integer(es), _integer(er)), 0)
             for (et, es, er), c in (terms or {}).items()])._runs
-        self._hash: int | None = None
 
     # construction ------------------------------------------------------
 
@@ -65,13 +64,17 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, c: int = 1, et: int = 0, es: int = 0, er: int = 0) -> "LaurentPoly":
-        c = int(c)
-        return _wrap({(int(es), int(er)): (int(et), (c,))}) if c else _ZERO
+        if type(c) is type(et) is type(es) is type(er) is int:
+            return _wrap({(es, er): (et, (c,))}) if c else _ZERO
+        return cls({(et, es, er): c})    # which refuses the non-int
 
     # views ---------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(sorted(_term_list(self)))
+        """The nonzero terms (exponents, coeff) in sorted exponent order."""
+        return iter(sorted([((lo + i, es, er), c)
+                            for (es, er), (lo, run) in self._runs.items()
+                            for i, c in enumerate(run) if c]))
 
     def __len__(self) -> int:
         return sum(len(run) - run.count(0) for _, run in self._runs.values())
@@ -136,16 +139,13 @@ class LaurentPoly:
     def __hash__(self) -> int:
         """A constant hashes as the int it equals, so p == 3 implies
         hash(p) == hash(3)."""
-        if self._hash is None:
-            runs = self._runs
-            if not runs:
-                self._hash = hash(0)
-            elif runs.keys() == {(0, 0)} and runs[0, 0][0] == 0 \
-                    and len(runs[0, 0][1]) == 1:
-                self._hash = hash(runs[0, 0][1][0])
-            else:
-                self._hash = hash(frozenset(runs.items()))
-        return self._hash
+        runs = self._runs
+        if not runs:
+            return hash(0)
+        if runs.keys() == {(0, 0)} and runs[0, 0][0] == 0 \
+                and len(runs[0, 0][1]) == 1:
+            return hash(runs[0, 0][1][0])
+        return hash(frozenset(runs.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
@@ -154,14 +154,14 @@ class LaurentPoly:
 def _wrap(runs: dict) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._runs = runs
-    p._hash = None
     return p
 
 
-def _term_list(p: LaurentPoly) -> list[tuple[Exponents, int]]:
-    """The nonzero terms (exponents, coeff), class by class, unsorted."""
-    return [((lo + i, es, er), c) for (es, er), (lo, run) in p._runs.items()
-            for i, c in enumerate(run) if c]
+def _integer(x, what: str = "coefficient or exponent") -> int:
+    """x, refused unless an int: bool is an int too, and a float may equal one."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
 
 
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
@@ -427,11 +427,12 @@ def poly_to_json(p: LaurentPoly) -> list[dict]:
 def poly_from_json(data: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[Exponents, int] = {}
     for item in data:
-        e = item["e"]
-        key = (int(e[0]), int(e[1]), int(e[2]))
+        e, c = item["e"], item["c"]
+        key = (e[0], e[1], e[2])
         if key in terms:
             raise ValueError(f"exponent {list(key)} repeated")
-        terms[key] = int(item["c"])
+        # poly_to_json writes a coefficient as a decimal string
+        terms[key] = int(c) if type(c) is str else c
     return LaurentPoly(terms)
 
 
@@ -494,7 +495,7 @@ def mat_to_json(m: Matrix) -> dict:
 
 def mat_from_json(data: Mapping) -> Matrix:
     rows = tuple(tuple(poly_from_json(x) for x in row) for row in data["rows"])
-    return Matrix(int(data["dim"]), rows)
+    return Matrix(_integer(data["dim"], "dim"), rows)
 
 
 # -- exact rational linear algebra (used by invariant checks) ------------------

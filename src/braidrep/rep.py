@@ -37,10 +37,13 @@ source's multiplier times the term, and a longer one writes a fresh list
 with multiplier 1; no list is changed in place. An action with den != 1
 multiplies the untouched columns' multipliers, and the scale, by den.
 Whenever the scale's bit length has doubled since the last reduction (and
-passed 64), the multipliers are folded into the columns and columns and
-scale are divided by their gcd, so entries whose true denominators stay
-small keep small integers. At the end entries become
-Fraction(mult[c] * x, scale).
+passed 64), scale and columns are divided by their gcd g, that of the
+scale and of each mult[c] * gcd(cols[c]), without folding the multipliers
+into the columns: mult[c] is divided by h = gcd(g, mult[c]) and the
+entries of cols[c] by g // h. So entries whose true denominators stay
+small keep small integers, and a column a power leaves kept for many
+steps keeps small entries under one large multiplier. At the end entries
+become Fraction(mult[c] * x, scale).
 
 Each call keeps its letters' actions, or for the evaluated fold their plans
 (the actions evaluated at the point), in its own dict, so a repeated letter
@@ -146,7 +149,6 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
     assignment is given (the actions are evaluated before folding, which is
     much faster than evaluating the symbolic product).
     """
-    check_compatible(rep, word.group)
     dim = rep_dim(rep, word.group)
     if assignment is not None:
         return _evaluated_image(word, rep, dim, assignment)
@@ -222,10 +224,10 @@ def _evaluated_image(word: Word, rep: str, dim: int,
                 mult[c] *= den
             scale *= den
             if scale.bit_length() >= 2 * reduced:
-                cols = [[m * x for x in col] for col, m in zip(cols, mult)]
-                mult = [1] * dim
-                g = gcd(scale, *(x for col in cols for x in col))
-                cols = [[x // g for x in col] for col in cols]
+                g = gcd(scale, *(m * gcd(*col) for col, m in zip(cols, mult)))
+                for c, m in enumerate(mult):    # g // h divides the entries
+                    h = gcd(g, m)
+                    mult[c], cols[c] = m // h, [x // (g // h) for x in cols[c]]
                 scale //= g
                 reduced = max(scale.bit_length(), 32)
     return tuple(tuple(Fraction(m * col[i], scale)

@@ -413,3 +413,43 @@ def test_group_strands_are_capped():
         GroupId("B", MAX_STRANDS + 1)
     with pytest.raises(WordSyntaxError, match="strands"):
         parse_group("B1000000000")
+
+
+@pytest.mark.parametrize("strands", (3.7, 3.0, True, "3"))
+def test_word_json_refuses_a_non_integer_strand_count(strands):
+    data = {"group": {"family": "B", "strands": strands}, "letters": []}
+    with pytest.raises(WordSyntaxError, match="malformed word JSON"):
+        word_from_json(data)
+
+
+def test_seeded_word_generators_are_pinned():
+    """The band draws of both generators: index pairs, then the sign of each
+    band, as one rng stream."""
+    rng = random.Random(31)
+    text = "\n".join(format_word(make(n, rng, factors))
+                     for n in (3, 5, 7)
+                     for make, factors in ((random_pure_word, 6),
+                                           (random_zero_linking_word, 3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d2dcd3a878df22609dd289f4cd5e4218214e918071b7b350d442c37aeb3b06c4"
+
+
+def test_refusals_name_their_fault():
+    with pytest.raises(WordSyntaxError, match=r"unexpected character '\$' at 3"):
+        parse_word("s1 $", GroupId("B", 2))
+    with pytest.raises(ValueError, match="unknown family 'X'"):
+        GroupId("X", 3)
+    for strands in (3.7, 3.0):
+        with pytest.raises(ValueError,
+                           match=f"strand count {strands} is not an integer"):
+            GroupId("B", strands)
+    for kind, index in (("z", 1), ("s", None), ("t", None)):
+        with pytest.raises(ValueError, match="index is required exactly "
+                           "for indexed kinds"):
+            Letter(kind, index, 1)
+    for kind, index in (("s", 1), ("z", None)):
+        with pytest.raises(ValueError, match="zero power letter"):
+            Letter(kind, index, 0)
+    with pytest.raises(ValueError, match="cannot concatenate words over "
+                       "different groups"):
+        parse_word("s1", B4) * parse_word("s1", GroupId("B", 3))

@@ -439,6 +439,11 @@ def test_exit_code_syntax_error(capsys):
     (("geom", "--synth", "comm(A[1,3]; A[2,4])", "--group", "B4", "--psi",
       "1", "3", "--psi-d", "2000000000"),
      f"power readings need 2 <= d <= {MAX_LETTERS}"),
+    (("parse", "s1 $", "--group", "B2"), "unexpected character '$' at 3"),
+    (("map", "z", "--group", "CPB3", "--pk", "1"),
+     "strand removal expects a braid word (family B)"),
+    (("map", "s1^2", "--group", "B3", "--fd", "2"),
+     "rotation power expects a cylinder word (family CPB)"),
 ))
 def test_refusals_exit_as_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

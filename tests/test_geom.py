@@ -930,6 +930,15 @@ def test_braid_json_round_trip():
         braid_from_json({"n": "x", "strands": []})
 
 
+def test_braid_json_refuses_a_non_integer_strand_count():
+    data = braid_to_json(artin_dynamics(parse_word("A[1,2]", GroupId("B", 2))))
+    for n in (2.5, 2.0, True, "2"):
+        data["n"] = n
+        with pytest.raises(ValueError, match=f"malformed braid JSON: n {n!r} "
+                           "is not an integer"):
+            braid_from_json(data)
+
+
 def test_pure_is_recomputed_on_load():
     data = braid_to_json(artin_dynamics(parse_word("A[1,3]", B4)))
     del data["pure"]

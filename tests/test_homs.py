@@ -338,3 +338,14 @@ def test_pipeline_battery_is_pinned_with_cold_and_warm_caches():
     assert warm == cold
     assert len(cold.splitlines()) == 864
     assert hashlib.sha256(cold.encode()).hexdigest() == BATTERY_DIGEST
+
+
+def test_word_maps_refuse_the_wrong_family():
+    with pytest.raises(ValueError, match=r"strand removal expects a braid "
+                       r"word \(family B\)"):
+        p_k(Word(GroupId("CPB", 3), (zeta(),)), 1)
+    with pytest.raises(ValueError, match=r"rotation power expects a cylinder "
+                       r"word \(family CPB\)"):
+        f_d(parse_word("s1^2", B3), 2)
+    with pytest.raises(NotPure, match="unexpected 'z' letter"):
+        strand_removal_letters((zeta(),), 3, 1)

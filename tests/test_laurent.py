@@ -409,3 +409,49 @@ def test_a_sparse_class_costs_its_t_span():
     assert_matches(total, model_sum([m], [(2, (0, 0, 0), 0)]))
     assert_matches(square, model_mul(m, m))
     assert text == f"1 + 2*t^{big} + t^{2 * big}" == model_text(model_mul(m, m))
+
+
+def test_non_integral_numbers_are_refused():
+    """A float, even one equal to an int, and a bool are refused as a
+    coefficient or an exponent rather than truncated."""
+    for make, bad in ((lambda: LaurentPoly({(0.5, 0, 0): 2}), 0.5),
+                      (lambda: LaurentPoly({(0, 0, 0): 2.7}), 2.7),
+                      (lambda: LaurentPoly({(0, 0, 0): 2.0}), 2.0),
+                      (lambda: LaurentPoly({(True, 0, 0): 1}), True),
+                      (lambda: LaurentPoly.monomial(1.9, 2), 1.9),
+                      (lambda: LaurentPoly.monomial(1, 0, 0, 1.0), 1.0)):
+        with pytest.raises(ValueError, match=f"coefficient or exponent "
+                           f"{bad!r} is not an integer"):
+            make()
+    assert LaurentPoly({(1, 0, 0): 2}) == 2 * T
+    with pytest.raises(TypeError,
+                       match="cannot coerce float into the Laurent ring"):
+        LaurentPoly.one() + 1.5
+
+
+def test_poly_json_refuses_non_integers():
+    for item, bad in (({"e": [0, 0, 0], "c": 2.9}, 2.9),
+                      ({"e": [1.5, 0, 0], "c": "2"}, 1.5),
+                      ({"e": [0, 0, 0], "c": True}, True)):
+        with pytest.raises(ValueError, match=f"{bad!r} is not an integer"):
+            poly_from_json([item])
+    # a coefficient is written as a decimal string; an int is read too
+    assert poly_from_json([{"e": [1, 0, 0], "c": "-3"}]) == \
+        poly_from_json([{"e": [1, 0, 0], "c": -3}]) == -3 * T
+    with pytest.raises(ValueError):
+        poly_from_json([{"e": [0, 0, 0], "c": "2.9"}])
+
+
+def test_matrix_json_refuses_a_non_integer_dim():
+    for dim in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"dim {dim!r} is not an integer"):
+            mat_from_json({"dim": dim, "rows": [[[]]]})
+
+
+def test_matrix_refuses_ragged_rows():
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    for make in (lambda: Matrix(2, ((one, zero),)),
+                 lambda: Matrix(2, ((one, zero), (zero,))),
+                 lambda: Matrix.from_rows([[1, 0], [0]])):
+        with pytest.raises(DimMismatch, match="ragged rows for dim 2"):
+            make()

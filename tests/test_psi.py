@@ -175,6 +175,30 @@ def test_crossing_at_a_puncture_is_refused_by_every_reading(x0):
             read(b)
 
 
+def test_mobius_class_boundary_is_refused():
+    """Two strands far out, at 1e4, swap across the real axis 0.1 apart:
+    at t = 1/2 their cross ratio X is within 1e-9 of 1, so the mobius ratio
+    1 / (1 + X) is within GENERICITY_TOL of 1/2, between its two classical
+    classes, though no puncture is near. The cross ratio reads the crossing."""
+    a, gap = 1e4, 0.1
+    b = GeomBraid(2, (((0.0, a - 1j), (1.0, a + 1j)),
+                      ((0.0, a + gap + 1j), (1.0, a + gap - 1j))))
+    with pytest.raises(NonGenericInput, match=r"crossing class at boundary "
+                       r"at t=0\.5 for pair \(1, 2\)"):
+        psi_events(b, method="mobius")
+    assert signature(psi_events(b)) == [(0.5, 1, 2, "classical_under", 1)]
+
+
+def test_unknown_method_is_refused_before_any_work():
+    """No segment of this braid survives the angle filter, so no classifier
+    is ever built; the method is refused all the same."""
+    b = GeomBraid(2, (((0.0, 0.5 + 0.5j), (1.0, 0.5 + 0.5j)),
+                      ((0.0, 2 + 1j), (0.5, 2.01 + 1j), (1.0, 2 + 1j))))
+    assert psi_events(b) == psi_events(b, method="mobius") == ()
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        psi_events(b, method="bogus")
+
+
 def ray_crossing(angle: float, r: float, turn: int) -> GeomBraid:
     """Strand 1 parked at (1 + i)/2; strand 2 runs straight through the
     point where the cross ratio of the pair is r e^(i angle), where the

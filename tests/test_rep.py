@@ -257,7 +257,7 @@ def test_evaluated_fold_sweep():
              (RHO, "CPB", "sz", odd), (RHO, "VCB", "stz", odd),
              (RHO_TILDE, "FVB", "spt", odd),
              # 60 letters or more: the scale passes 64 bits, and the gcd
-             # reduction folds in the columns' multipliers
+             # reduction divides the columns' multipliers and entries
              (RHO, "VCB", "stz", ((4, 6), (60, 80), (-2, -1, 1, 2)))]
     # at t = 1 an s cancels its 1 - t: its updates are one-term each, so
     # two columns share one list through later sums and reductions
@@ -277,6 +277,43 @@ def test_evaluated_fold_sweep():
             r = rng.choice(values) if rep_id == RHO_TILDE else Fraction(1)
             at = Assignment(rng.choice(values), rng.choice(values), r)
             _assert_fold_matches_symbolic(Word(g, tuple(letters)), rep_id, at)
+
+
+def test_evaluated_powers_reduce_without_refolding(monkeypatch):
+    """Powers spelling 120 to 300 unit letters, under both Burau forms and
+    rho on B: at these points every unit letter has a denominator, so the
+    scale passes 64 bits and the gcd reduction runs, on columns that a power
+    leaves kept for many steps (the reduced action of s2 on B3 reads its
+    kept column 0). The image equals mat_eval of the symbolic one."""
+    wide = []    # gcd calls on an int of 64 bits or more: only the reduction's
+    real_gcd = rep.gcd
+
+    def gcd(*args):
+        wide.append(args[0].bit_length() >= 64)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(rep, "gcd", gcd)
+    rng = random.Random(31)
+    words = [parse_word("s2^-150", GroupId("B", 3)),
+             parse_word("s1^120 s2^-40", GroupId("B", 3))]
+    while len(words) < 8:
+        g = GroupId("B", rng.randrange(3, 5))
+        letters, total = [], rng.randrange(120, 301)
+        while total > 0:    # neighbours differ, so no power merges
+            power = min(total, rng.randrange(1, 41))
+            total -= power
+            i = rng.choice([x for x in range(1, g.strands)
+                            if not letters or x != letters[-1].index])
+            letters.append(sigma(i, rng.choice((-power, power))))
+        words.append(Word(g, tuple(letters)))
+    points = [Assignment(Fraction(3, 2), Fraction(-1, 2)),
+              Assignment(Fraction(2, 3), Fraction(5, 7))]
+    for w in words:
+        for rep_id in (BURAU_REDUCED, BURAU_UNREDUCED, RHO):
+            for at in points:
+                wide.clear()
+                _assert_fold_matches_symbolic(w, rep_id, at)
+                assert any(wide)
 
 
 def test_evaluated_fold_without_denominators():
