@@ -59,10 +59,10 @@ class GroupId:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.strands) is not int:    # a str would break the range test
+            raise ValueError(f"strand count {self.strands!r} is not an integer")
         if not 2 <= self.strands <= MAX_STRANDS:
             raise ValueError(f"need 2 to {MAX_STRANDS} strands")
-        if type(self.strands) is not int:    # a float may pass the range
-            raise ValueError(f"strand count {self.strands!r} is not an integer")
         if self.flat_braid_relation and self.family != "FVB":
             raise ValueError("flat_braid_relation only applies to FVB")
         object.__setattr__(self, "indices", range(
@@ -152,18 +152,11 @@ def free_reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for l in letters:
         p = l.power
+        if out and out[-1].kind == l.kind and out[-1].index == l.index:
+            p += out.pop().power
         if l.kind in _INVOLUTIVE:
             p %= 2
-        if p == 0:
-            continue
-        if out and out[-1].kind == l.kind and out[-1].index == l.index:
-            merged = out[-1].power + p
-            if l.kind in _INVOLUTIVE:
-                merged %= 2
-            out.pop()
-            if merged:
-                out.append(_letter(l.kind, l.index, merged))
-        else:
+        if p:
             out.append(l if p == l.power else _letter(l.kind, l.index, p))
     return tuple(out)
 
@@ -524,6 +517,8 @@ def random_zero_linking_word(n: int, rng, factors: int = 2) -> Word:
     if factors < 0:
         raise ValueError(f"factor count {factors} is negative")
     group = GroupId("B", n)
+    if factors and n < 3:    # a commutator needs a second band generator
+        raise ValueError(f"zero-linking factors need 3 strands, not {n}")
     letters: list[Letter] = []
     for _ in range(factors):
         i = rng.randrange(1, n)

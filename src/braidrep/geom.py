@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, compress
-from operator import itemgetter, lt, ne, sub, truediv
+from operator import add, itemgetter, lt, ne, sub, truediv
 from typing import Iterable, Sequence
 
 from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
@@ -885,29 +885,28 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
 
 
 def _angle_ranges(values):
-    """Per watched vector a of a pair _frame's breakpoint values, the
-    _angle_range of arg a - arg b, b = a - c for c the far vector, the last,
-    in one pass from both _turns; the rounding of b is relative to c too."""
+    """Per watched vector a of a pair _frame's breakpoint values, the bound
+    of arg a - arg b, b = a - c for c the far vector, the last: the
+    difference of the two vectors' _angle_range centres, the sum of their
+    half-widths. The rounding of both is relative to c too."""
     *watched, c = values
     mags = list(map(abs, c))
     cs = [x + y for x, y in zip(mags, mags[1:])]
     ranges = []
     for a in watched:
-        base, ta, ra = _turns(a, cs)
-        base_b, tb, rb = _turns(list(map(sub, a, c)), cs)
-        base -= base_b
-        ranges.append(([base + (a0 + a1 - b0 - b1) * 0.5 for a0, a1, b0, b1
-                        in zip(ta, ta[1:], tb, tb[1:])],
-                       [(abs(a1 - a0) + abs(b1 - b0)) * 0.5 + (x + y)
-                        for a0, a1, b0, b1, x, y
-                        in zip(ta, ta[1:], tb, tb[1:], ra, rb)]))
+        ca, ha = _angle_range(a, cs)
+        cb, hb = _angle_range(list(map(sub, a, c)), cs)
+        ranges.append((list(map(sub, ca, cb)), list(map(add, ha, hb))))
     return ranges
 
 
 def _angle_range(values, cs):
     """(centres, half-widths) per segment of intervals holding, up to 2 pi,
     the angle of a vector given at the breakpoints: monotone on a segment,
-    between its unwound values at the ends. A vector 0 there is unbound.
+    between its unwound values at the ends. A vector 0 there is unbound:
+    centres 0, half-widths infinite. It is the one builder of an angle
+    bound: the cylinder bounds each of its vectors by it, and a pair
+    reading both vectors of each watched strand (_angle_ranges).
 
     A ratio's P has as Bernstein coefficients positive sums of products of
     its vectors' end values, four for a cross ratio, two for the cylinder,
@@ -918,24 +917,15 @@ def _angle_range(values, cs):
     that product, and the rounding of the breakpoint angles too. The
     allowance is a product of floats, so a kappa too large for it gives an
     infinite half-width, an unbound segment, rather than raising."""
-    base, turns, allowances = _turns(values, cs)
-    return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
-            [abs(t1 - t0) * 0.5 + r
-             for t0, t1, r in zip(turns, turns[1:], allowances)])
-
-
-def _turns(values, cs):
-    """(base, turns, allowances) of a vector at the breakpoints: its first
-    angle, its angles unwound from there, and per segment the allowance of
-    _angle_range; 0s and infinities for a vector 0 at one."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
-        return 0.0, [0.0] * len(values), [math.inf] * len(cs)
-    return (cmath.phase(values[0]),
-            list(accumulate(map(cmath.phase, map(truediv, values[1:], values)),
-                            initial=0.0)),
-            [_ARG_ROUNDING * k * k * k * k
-             for m0, m1, mc in zip(mags, mags[1:], cs)
+        return [0.0] * len(cs), [math.inf] * len(cs)
+    base = cmath.phase(values[0])
+    turns = list(accumulate(map(cmath.phase, map(truediv, values[1:], values)),
+                            initial=0.0))
+    return ([base + (t0 + t1) * 0.5 for t0, t1 in zip(turns, turns[1:])],
+            [abs(t1 - t0) * 0.5 + _ARG_ROUNDING * k * k * k * k
+             for t0, t1, m0, m1, mc in zip(turns, turns[1:], mags, mags[1:], cs)
              for k in [(m0 + m1 + mc) / (m0 if m0 < m1 else m1)]])
 
 

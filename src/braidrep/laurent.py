@@ -428,7 +428,9 @@ def poly_from_json(data: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[Exponents, int] = {}
     for item in data:
         e, c = item["e"], item["c"]
-        key = (e[0], e[1], e[2])
+        key = tuple(e)
+        if len(key) != 3:
+            raise ValueError(f"exponent {list(key)} does not have 3 entries")
         if key in terms:
             raise ValueError(f"exponent {list(key)} repeated")
         # poly_to_json writes a coefficient as a decimal string

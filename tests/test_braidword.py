@@ -1,5 +1,7 @@
 import hashlib
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -187,6 +189,19 @@ def test_random_zero_linking_word_factor_count_must_not_be_negative():
         == ()
     with pytest.raises(ValueError, match="factor count -1 is negative"):
         random_zero_linking_word(4, random.Random(0), factors=-1)
+
+
+def test_random_zero_linking_word_needs_three_strands():
+    """B2 has one band generator, so no commutator of two distinct ones: a
+    factor is refused before any draw, and no factor is the empty word."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError,
+                       match="zero-linking factors need 3 strands, not 2"):
+        random_zero_linking_word(2, rng, 1)
+    assert rng.getstate() == state
+    assert random_zero_linking_word(2, rng, factors=0) == \
+        Word.empty(GroupId("B", 2))
 
 
 def test_word_json_round_trip():
@@ -415,10 +430,53 @@ def test_group_strands_are_capped():
         parse_group("B1000000000")
 
 
+def _unit_reduction(letters):
+    """Free reduction spelled out: each letter as |power| unit letters, an
+    adjacent inverse pair cancelled (a t or p unit is its own inverse), then
+    each run of one generator merged into one letter."""
+    units: list[tuple] = []
+    for l in letters:
+        unit = 1 if l.kind in "tp" or l.power > 0 else -1
+        inverse = (l.kind, l.index, unit if l.kind in "tp" else -unit)
+        for _ in range(abs(l.power)):
+            if units and units[-1] == inverse:
+                units.pop()
+            else:
+                units.append((l.kind, l.index, unit))
+    return tuple(Letter(kind, index, sum(u[2] for u in run))
+                 for (kind, index), run in groupby(units, itemgetter(0, 1)))
+
+
+def test_free_reduction_matches_unit_cancellation():
+    # an even involutive power next to the same generator keeps it; merges
+    # to zero vanish
+    for letters, reduced in (([tau(1), tau(1, 2)], (tau(1),)),
+                             ([pi(2, 3), pi(2, -2)], (pi(2),)),
+                             ([sigma(1, 2), sigma(1, -2)], ()),
+                             ([zeta(), zeta(-1)], ()),
+                             ([sigma(2), tau(1, -4), pi(1), pi(1, 2), pi(1, -1),
+                               sigma(2, -1)], ())):
+        assert free_reduce_letters(letters) == _unit_reduction(letters) == \
+            reduced
+    rng = random.Random(32)
+    kinds = {"B": "s", "CPB": "sz", "VCB": "stz", "FVB": "spt"}
+    for _ in range(2000):
+        fam = rng.choice(("B", "CPB", "VCB", "FVB"))
+        hi = 3 if fam in ("CPB", "VCB") else 2
+        letters = []
+        for _ in range(rng.randrange(1, 12)):
+            kind = rng.choice(kinds[fam])
+            idx = None if kind == "z" else rng.randrange(1, hi + 1)
+            letters.append(Letter(kind, idx,
+                                  rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))))
+        assert free_reduce_letters(letters) == _unit_reduction(letters)
+
+
 @pytest.mark.parametrize("strands", (3.7, 3.0, True, "3"))
 def test_word_json_refuses_a_non_integer_strand_count(strands):
     data = {"group": {"family": "B", "strands": strands}, "letters": []}
-    with pytest.raises(WordSyntaxError, match="malformed word JSON"):
+    with pytest.raises(WordSyntaxError, match=f"malformed word JSON: strand "
+                       f"count {strands!r} is not an integer"):
         word_from_json(data)
 
 
@@ -439,9 +497,9 @@ def test_refusals_name_their_fault():
         parse_word("s1 $", GroupId("B", 2))
     with pytest.raises(ValueError, match="unknown family 'X'"):
         GroupId("X", 3)
-    for strands in (3.7, 3.0):
+    for strands in (3.7, 3.0, True, "3"):
         with pytest.raises(ValueError,
-                           match=f"strand count {strands} is not an integer"):
+                           match=f"strand count {strands!r} is not an integer"):
             GroupId("B", strands)
     for kind, index in (("z", 1), ("s", None), ("t", None)):
         with pytest.raises(ValueError, match="index is required exactly "

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -446,6 +447,17 @@ def test_matrix_json_refuses_a_non_integer_dim():
     for dim in (1.5, 1.0, True):
         with pytest.raises(ValueError, match=f"dim {dim!r} is not an integer"):
             mat_from_json({"dim": dim, "rows": [[[]]]})
+
+
+def test_poly_json_refuses_an_exponent_not_of_three_entries():
+    """An exponent is three entries; a fourth is refused, not dropped."""
+    for e in ([1, 0, 0, 5], [1, 0], []):
+        item = {"e": e, "c": "2"}
+        with pytest.raises(ValueError, match=re.escape(
+                f"exponent {e} does not have 3 entries")):
+            poly_from_json([item])
+        with pytest.raises(ValueError, match="does not have 3 entries"):
+            mat_from_json({"dim": 1, "rows": [[[item]]]})
 
 
 def test_matrix_refuses_ragged_rows():
