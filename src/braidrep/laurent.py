@@ -13,13 +13,18 @@ O(t-span) per class. A word image's t-span grows by at most one per unit
 letter, so it is bounded by the word's spelled-out length, which nothing
 caps: a one-letter power such as s1^2000000000 parses to one letter.
 
-Products of polynomials and of matrices are one routine, _products, by
-Kronecker substitution: a run becomes the int sum(c_i * 2^(B*i)), so the
-product of two runs is one big-int product, and each entry of a matrix
-product is unpacked from its per-class sums once. The digit width B is
-bounded per call from the operands' largest coefficients, their class
-counts and their nonzero terms per run, so every output coefficient fits
-a balanced base-2^B digit.
+Packed runs are one digit codec (digit_bits, digit_codec): a
+run becomes the int sum(c_i * 2^(B*i)), exact while every digit stays in
+[-2^(B-1), 2^(B-1)). Products of polynomials and of matrices are one
+routine, _products, by this Kronecker substitution: the product of two
+runs is one big-int product, and each entry of a matrix product is
+unpacked from its per-class sums once. The digit width B is bounded per
+call from the operands' largest coefficients, their class counts and their
+nonzero terms per run, so every output coefficient fits a digit. rep's
+symbolic fold adds packed runs in the same codec under its own bound, with
+the rows interleaved into t, and split_rows unpacks its columns into
+entries. monomial_sum is the term loop of sums, differences, negation and
+the constructor; the fold does not use it.
 """
 
 from __future__ import annotations
@@ -174,10 +179,10 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
 
 def monomial_sum(polys, terms) -> LaurentPoly:
     """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
-    The ring's term loop: sums, differences, negation, the constructor and
-    rep's symbolic fold, one call per update of a whole column, come here;
-    products and matrix products go through _products instead, which
-    multiplies whole runs. Each class of polys[i] moves to
+    The ring's term loop: sums, differences, negation and the constructor
+    come here; products and matrix products go through _products instead,
+    which multiplies whole runs, and rep's symbolic fold adds packed runs
+    of its own (split_rows). Each class of polys[i] moves to
     (e_s + b, e_r + c) with its run offset by a, and is added into that
     class's accumulator as one slice; the sums are then trimmed. A single
     term only rewrites keys and offsets (and scales the runs)."""
@@ -216,71 +221,60 @@ def monomial_sum(polys, terms) -> LaurentPoly:
             else:
                 acc[start:end] = [x + coeff * y
                                   for x, y in zip(acc[start:end], run)]
-    runs = {}
-    for key, (lo, acc) in out.items():
-        if not (acc[0] and acc[-1]):
-            if not any(acc):
-                continue
-            while not acc[-1]:
-                acc.pop()
-            i = 0
-            while not acc[i]:
-                i += 1
-            lo, acc = lo + i, acc[i:]
-        runs[key] = (lo, tuple(acc))
+    runs = {key: run for key, (lo, acc) in out.items()
+            if (run := _trimmed(lo, acc))}
     return _wrap(runs) if runs else _ZERO
 
 
-def split_rows(cols) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of the matrix A whose column j is cols[j], packed into one
-    polynomial by rows, sum_i A_ij(t, s^dim, r) * s^i with dim = len(cols):
-    a class (k, e_r) is class (e_s, e_r) of A_ij, with the same run, for
-    e_s, i = divmod(k, dim)."""
-    dim = len(cols)
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for j, p in enumerate(cols):
-        for (k, r), run in p._runs.items():
-            es, i = divmod(k, dim)
-            if rows[i][j] is _ZERO:
-                rows[i][j] = _wrap({})
-            rows[i][j]._runs[es, r] = run
-    return tuple(map(tuple, rows))
+def _trimmed(lo: int, run) -> tuple[int, tuple[int, ...]] | None:
+    """The run from t^lo with its zero ends cut off, as (t_lo, coeffs), or
+    None when every entry is 0."""
+    if run[0] and run[-1]:
+        return lo, tuple(run)
+    end = len(run)
+    while end and not run[end - 1]:
+        end -= 1
+    if not end:
+        return None
+    start = 0
+    while not run[start]:
+        start += 1
+    return lo + start, tuple(run[start:end])
 
 
-def _products(a, b) -> list[list[LaurentPoly]]:
-    """The product of two square arrays of LaurentPoly, by Kronecker
-    substitution: each class run (t_lo, coeffs) is packed into the int
-    sum(c_i * 2^(B*i)), the packed ints of each class pair are multiplied,
-    the products are added per target class, aligned by t_lo, and each sum
-    is unpacked once into balanced base-2^B digits and trimmed.
+# -- packed runs -----------------------------------------------------------------
+#
+# Kronecker substitution: a run of integers c_i packs into the one integer
+# sum(c_i * 2^(B*i)), so runs add and multiply as big ints. While every
+# digit stays in [-2^(B-1), 2^(B-1)), the packed int determines the run.
+# Digits go through bytes: a run is packed as B-bit two's complement digits
+# (array, or int.to_bytes past 64 bits), and xor-ing the top bit of each
+# digit offsets it by 2^(B-1), so the packed int less that offset is the
+# run's sum; unpacking adds the offset back and reads the digits as signed
+# again (memoryview.cast, or byte slices past 64 bits).
 
-    No coefficient of sum_k a[i][k] * b[k][j] exceeds bound = dim *
-    min(classes) * min(nonzero terms per run) * max|a| * max|b|, each count
-    the largest over an entry of a or of b. So digits in [-2^(B-1), 2^(B-1))
-    hold every input and output coefficient when B is bound's bit length
-    plus one, rounded up to 8, 16, 32 or 64, or beyond that to whole bytes.
-    Digits go through bytes: a run is packed as B-bit two's complement
-    digits (array, or int.to_bytes past 64 bits), and xor-ing the top bit
-    of each digit offsets it by 2^(B-1), so the packed int less that offset
-    is the run's sum; unpacking adds the offset back and reads the digits
-    as signed again (memoryview.cast, or byte slices past 64 bits)."""
-    dim, order = len(a), sys.byteorder
-    stats = []
-    for m in (a, b):
-        polys = [x._runs for row in m for x in row]
-        runs = [run for p in polys for _, run in p.values()]
-        if not runs:
-            return [[_ZERO] * dim for _ in range(dim)]
-        stats.append((max(map(len, polys)),
-                      max(len(run) - run.count(0) for run in runs),
-                      max(max(max(run), -min(run)) for run in runs)))
-    (ca, na, ma), (cb, nb, mb) = stats
-    bound = dim * min(ca, cb) * min(na, nb) * ma * mb
-    width = (bound.bit_length() + 8) // 8    # bytes of B, bit_length + 1
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    bits, code = 8 * width, {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
-    top = (1 << (bits - 1)).to_bytes(width, order)
+_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}    # array typecodes by bits
+
+
+def digit_bits(bound: int) -> int:
+    """The digit width B whose balanced digits hold every integer of
+    absolute value at most bound: bound's bit length plus one, rounded up
+    to 8, 16, 32 or 64, or beyond that to whole bytes."""
+    bits = bound.bit_length() + 1
+    if bits <= 64:
+        return max(8, 1 << (bits - 1).bit_length())
+    return -(-bits // 8) * 8
+
+
+def digit_codec(bits: int):
+    """(pack, unpack) for digits of B = bits bits, a digit_bits width.
+    pack(run) is sum(c_i * 2^(B*i)) over a run of integers c_i; unpack(lo,
+    total) is the run that a nonzero total packs from t^lo, as (t_lo,
+    digits), lo moved past the zero low digits and the last digit nonzero.
+    Every digit must be of absolute value below 2^(B-1)."""
+    width, code, half = bits // 8, _CODES.get(bits), 1 << bits - 1
+    order = sys.byteorder
+    top = half.to_bytes(width, order)
 
     def offset(n):    # 2^(B-1) in each of n digits
         return int.from_bytes(top * n, order)
@@ -292,10 +286,12 @@ def _products(a, b) -> list[list[LaurentPoly]]:
         return (int.from_bytes(data, order) ^ o) - o
 
     def unpack(lo, total):
+        if -half < total < half:    # one digit, at place 0
+            return lo, (total,)
         first = ((total & -total).bit_length() - 1) // bits
         total >>= bits * first
-        # |digit| <= bound < 2^(B-1): a top nonzero digit at place m puts
-        # |total| in (2^(Bm-1), 2^(B(m+1)-1)), so n = m + 1, digits[-1] != 0
+        # |digit| < 2^(B-1): a top nonzero digit at place m puts |total| in
+        # (2^(Bm-1), 2^(B(m+1)-1)), so there are m + 1 digits
         n = abs(total).bit_length() // bits + 1
         o = offset(n)
         data = ((total + o) ^ o).to_bytes(n * width, order)
@@ -304,7 +300,56 @@ def _products(a, b) -> list[list[LaurentPoly]]:
             for i in range(0, n * width, width)]
         return lo + first, tuple(digits)
 
-    pa, pb = ([[{key: (lo, pack(run)) for key, (lo, run) in x._runs.items()}
+    return pack, unpack
+
+
+def split_rows(cols, bits: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the matrix A whose column j is cols[j] packed by rows
+    into t: a dict {(e_s, e_r): (lo, total)}, total packing (digit_codec) the
+    run from t^lo of sum_i A_ij(t^dim, s, r) * t^i with dim = len(cols).
+    Digit k of a class is the coefficient of t^e_t s^e_s r^e_r in A_ij for
+    e_t, i = divmod(lo + k, dim), so row i's run is every dim-th digit."""
+    dim, unpack = len(cols), digit_codec(bits)[1]
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for key, (lo, total) in col.items():
+            lo, digits = unpack(lo, total)
+            for k in range(min(dim, len(digits))):
+                et, i = divmod(lo + k, dim)
+                run = _trimmed(et, digits[k::dim])
+                if run:
+                    if rows[i][j] is _ZERO:
+                        rows[i][j] = _wrap({})
+                    rows[i][j]._runs[key] = run
+    return tuple(map(tuple, rows))
+
+
+def _products(a, b) -> list[list[LaurentPoly]]:
+    """The product of two square arrays of LaurentPoly, by Kronecker
+    substitution: each class run (t_lo, coeffs) is packed (digit_codec), the
+    packed ints of each class pair are multiplied, the products are added
+    per target class, aligned by t_lo, and each sum is unpacked once
+    and trimmed.
+
+    No coefficient of sum_k a[i][k] * b[k][j] exceeds bound = dim *
+    min(classes) * min(nonzero terms per run) * max|a| * max|b|, each count
+    the largest over an entry of a or of b, so the digit_bits width of
+    bound holds every input and output coefficient."""
+    dim = len(a)
+    stats = []
+    for m in (a, b):
+        polys = [x._runs for row in m for x in row]
+        runs = [run for p in polys for _, run in p.values()]
+        if not runs:
+            return [[_ZERO] * dim for _ in range(dim)]
+        stats.append((max(map(len, polys)),
+                      max(len(run) - run.count(0) for run in runs),
+                      max(max(max(run), -min(run)) for run in runs)))
+    (ca, na, ma), (cb, nb, mb) = stats
+    bits = digit_bits(dim * min(ca, cb) * min(na, nb) * ma * mb)
+    pack, unpack = digit_codec(bits)
+    pa, pb = ([[{key: (lo, pack(run))
+                 for key, (lo, run) in x._runs.items()}
                 for x in row] for row in m] for m in (a, b))
     cols = list(zip(*pb))
     out = []
@@ -424,11 +469,20 @@ def poly_to_json(p: LaurentPoly) -> list[dict]:
     return [{"e": list(exp), "c": str(coeff)} for exp, coeff in p.items()]
 
 
-def poly_from_json(data: Iterable[Mapping]) -> LaurentPoly:
+def poly_from_json(data: list) -> LaurentPoly:
+    """The polynomial that poly_to_json wrote: a list of terms
+    {"e": [e_t, e_s, e_r], "c": coefficient}. Any other shape is refused
+    with ValueError."""
+    if type(data) is not list:
+        raise ValueError(f"polynomial JSON is a {type(data).__name__}, "
+                         "not a list of terms")
     terms: dict[Exponents, int] = {}
     for item in data:
-        e, c = item["e"], item["c"]
-        key = tuple(e)
+        if type(item) is not dict or type(item.get("e")) is not list \
+                or "c" not in item:
+            raise ValueError(f"term {item!r} is not of the form "
+                             '{"e": [e_t, e_s, e_r], "c": coefficient}')
+        key, c = tuple(item["e"]), item["c"]
         if len(key) != 3:
             raise ValueError(f"exponent {list(key)} does not have 3 entries")
         if key in terms:
@@ -495,8 +549,15 @@ def mat_to_json(m: Matrix) -> dict:
             "rows": [[poly_to_json(x) for x in row] for row in m.rows]}
 
 
-def mat_from_json(data: Mapping) -> Matrix:
-    rows = tuple(tuple(poly_from_json(x) for x in row) for row in data["rows"])
+def mat_from_json(data: dict) -> Matrix:
+    """The matrix that mat_to_json wrote: {"dim": n, "rows": [[polynomial,
+    ...], ...]}. Any other shape is refused with ValueError."""
+    rows = data.get("rows") if type(data) is dict else None
+    if type(rows) is not list or "dim" not in data \
+            or any(type(row) is not list for row in rows):
+        raise ValueError('matrix JSON is not of the form '
+                         '{"dim": n, "rows": [[polynomial, ...], ...]}')
+    rows = tuple(tuple(poly_from_json(x) for x in row) for row in rows)
     return Matrix(_integer(data["dim"], "dim"), rows)
 
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from braidrep.errors import DimMismatch, ZeroAssignment
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
-                              T_INV, S_INV, format_poly, lp_eval, mat_eval,
-                              mat_from_json, mat_mul, mat_to_json,
-                              monomial_sum, poly_from_json, poly_to_json,
-                              rational_det, rational_rank, split_rows)
+                              T_INV, S_INV, digit_codec, format_poly,
+                              lp_eval, mat_eval, mat_from_json, mat_mul,
+                              mat_to_json, monomial_sum, poly_from_json,
+                              poly_to_json, rational_det, rational_rank,
+                              split_rows)
 
 
 def rand_poly(rng, terms=4, span=3):
@@ -381,16 +382,23 @@ def test_monomial_is_the_one_term_polynomial(c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 5))
-def test_split_rows_unpacks_columns_packed_by_rows(data, dim):
-    """Column j packed as sum_i A_ij(t, s^dim, r) * s^i splits into the
-    entries of A, negative exponents included."""
-    entries = [[data.draw(MODELS) for _ in range(dim)] for _ in range(dim)]
-    cols = [LaurentPoly({(et, es * dim + i, er): x
+@given(data=st.data(), dim=st.integers(1, 5),
+       bits=st.sampled_from((64, 136)), big=st.booleans())
+def test_split_rows_unpacks_columns_packed_by_rows(data, dim, bits, big):
+    """Column j packed by rows into t, each class of
+    sum_i A_ij(t^dim, s, r) * t^i as one packed run, splits into the entries
+    of A, negative exponents and digits near the width's limit included."""
+    scale = 1 << bits - 4 if big else 1    # |coefficient| <= 2^(bits-2)
+    entries = [[{e: x * scale for e, x in data.draw(MODELS).items()}
+                for _ in range(dim)] for _ in range(dim)]
+    cols = [LaurentPoly({(et * dim + i, es, er): x
                          for i in range(dim)
                          for (et, es, er), x in entries[i][j].items()})
             for j in range(dim)]
-    rows = split_rows(cols)
+    pack = digit_codec(bits)[0]
+    rows = split_rows([{key: (lo, pack(run))
+                        for key, (lo, run) in p._runs.items()}
+                       for p in cols], bits)
     assert len(rows) == dim and all(len(row) == dim for row in rows)
     for i in range(dim):
         for j in range(dim):
@@ -441,6 +449,32 @@ def test_poly_json_refuses_non_integers():
         poly_from_json([{"e": [1, 0, 0], "c": -3}]) == -3 * T
     with pytest.raises(ValueError):
         poly_from_json([{"e": [0, 0, 0], "c": "2.9"}])
+
+
+@pytest.mark.parametrize("data", (
+    [{"e": 5, "c": "1"}], [[1, 0, 0]], [{"c": "1"}], [{"e": [0, 0, 0]}],
+    {"e": [0, 0, 0], "c": "1"}, "1", None),
+    ids=("exponent-not-a-list", "term-not-an-object", "no-exponent",
+         "no-coefficient", "object-not-a-list", "string", "null"))
+def test_poly_json_refuses_a_malformed_shape(data):
+    """A shape other than a list of {"e": [...], "c": ...} terms is refused
+    with ValueError, as the other refusals are, not with whatever the
+    failed access raises."""
+    message = "not a list of terms|is not of the form"
+    with pytest.raises(ValueError, match=message):
+        poly_from_json(data)
+    with pytest.raises(ValueError, match=message):
+        mat_from_json({"dim": 1, "rows": [[data]]})
+
+
+@pytest.mark.parametrize("data", (
+    [[[]]], {"dim": 1}, {"rows": [[[]]]},
+    {"dim": 1, "rows": [5]}, {"dim": 1, "rows": "[[[]]]"}),
+    ids=("list-not-an-object", "no-rows", "no-dim", "row-not-a-list",
+         "rows-a-string"))
+def test_matrix_json_refuses_a_malformed_shape(data):
+    with pytest.raises(ValueError, match="is not of the form"):
+        mat_from_json(data)
 
 
 def test_matrix_json_refuses_a_non_integer_dim():

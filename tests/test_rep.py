@@ -7,9 +7,9 @@ from braidrep.braidword import (GroupId, Letter, Word, bigelow5, parse_word,
                                 pi, relation_suite, sigma, tau, zeta)
 from braidrep.errors import IncompatibleRepGroup
 from braidrep.homs import PipelineConfig, pipeline_word
-from braidrep import rep
+from braidrep import laurent, rep
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
-                              mat_eval, mat_mul, mat_to_text, monomial_sum)
+                              mat_eval, mat_mul, mat_to_text)
 from braidrep.rep import (BURAU_REDUCED, BURAU_UNREDUCED, RHO, RHO_TILDE,
                           _action, check_compatible, generator_image, rep_dim,
                           word_image)
@@ -153,8 +153,8 @@ def letter_matrix(rep_id, g, letter):
     ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt"),
     ("B", BURAU_UNREDUCED, "s"), ("B", BURAU_REDUCED, "s")))
 def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
-    """The fold that holds each column as one polynomial with the row in
-    the s exponent, rotates the columns for z and folds t and p by their
+    """The fold that packs each column's classes with the row interleaved
+    into t, rotates the columns for z and folds t and p by their
     power mod 2, equals, byte for byte, the left-to-right product of the
     images of single letters of power +-1, powers spelled out: from dim 1
     (B2 reduced) to 7, and with negative s and r exponents."""
@@ -195,34 +195,43 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
 @pytest.mark.parametrize("rep_id,family", (
     (RHO, "CPB"), (RHO, "VCB"), (RHO_TILDE, "FVB"),
     (BURAU_UNREDUCED, "B"), (BURAU_REDUCED, "B")))
-def test_symbolic_fold_makes_one_monomial_sum_per_update(monkeypatch, rep_id,
+def test_symbolic_fold_adds_packed_integers_past_64_bits(monkeypatch, rep_id,
                                                          family):
-    """The fold applies each update of a unit letter to every row at once:
-    one monomial_sum per update of every unit s, and of each t or p of odd
-    power, whatever dim is, and none for z or for the end, where the
-    columns are split."""
+    """The fold adds packed integers and makes no monomial_sum call. Its
+    images equal the product of the letters' images where the coefficients
+    outgrow 64-bit digits ((s1 s2^-1)^60 has 79-bit ones, ^150 203-bit
+    ones), and where they stay +-1 while the bound on them passes 2^63
+    many times (s1^200)."""
     calls = []
-
-    def counted(polys, terms):
-        calls.append(len(terms))
-        return monomial_sum(polys, terms)
-
-    monkeypatch.setattr(rep, "monomial_sum", counted)
-    rng = random.Random(f"count {rep_id} {family}")
+    for module in (laurent, rep):
+        monkeypatch.setattr(module, "monomial_sum",
+                            lambda *args: calls.append(args), raising=False)
+    rng = random.Random(f"packed {rep_id} {family}")
     kinds = {"CPB": "sz", "VCB": "stz", "FVB": "spt", "B": "s"}[family]
     for n in range(2 if family == "B" else 3, 8):
         g = GroupId(family, n)
         letters = [Letter(k, None if k == "z" else rng.choice(g.indices),
                           rng.choice((-3, -1, 1, 2)))
                    for k in rng.choices(kinds, k=12)]
-        calls.clear()
         word_image(Word(g, tuple(letters)), rep_id)
-        dim = rep_dim(rep_id, g)
-        want = sum((abs(l.power) if l.kind == "s" else l.power % 2)
-                   * len(_action(rep_id, dim, l.kind, g.slots(l.index),
-                                 l.power > 0))
-                   for l in letters if l.kind != "z")
-        assert len(calls) == want, (str(g), letters)
+    assert calls == []
+    monkeypatch.undo()
+    g2, g3 = GroupId(family, 2 if family == "B" else 3), GroupId(family, 3)
+    up, down = (letter_matrix(rep_id, g3, sigma(i, e))
+                for i, e in ((1, 1), (2, -1)))
+    cases = [(Word(g2, (sigma(1, 200),)),
+              [letter_matrix(rep_id, g2, sigma(1))] * 200, 1)]
+    for k, bits in ((60, 79), (150, 203)):
+        cases.append((Word(g3, (sigma(1), sigma(2, -1)) * k),
+                      [up, down] * k, bits))
+    for word, images, bits in cases:
+        product = Matrix.identity(images[0].dim)
+        for m in images:
+            product = mat_mul(product, m)
+        image = word_image(word, rep_id)
+        assert image == product
+        assert max(abs(c).bit_length() for row in image.rows for x in row
+                   for _, c in x.items()) == bits
 
 
 def test_evaluated_image_matches_symbolic():
