@@ -7,8 +7,8 @@ trims every run so its first and last entries are nonzero (interior zeros
 are allowed) and never stores a class with no nonzero coefficient, so equal
 elements compare and hash equal; items() and the text and JSON forms walk
 the nonzero terms in sorted exponent order (e_t, e_s, e_r), so equal
-elements also serialize identically. A shift by t^a s^b r^c rewrites keys
-and offsets, and a sum adds runs as slices, so memory and time are
+elements also serialize identically. The constructor lays each class out
+as one run, and a sum adds two runs as slices, so memory and time are
 O(t-span) per class. A word image's t-span grows by at most one per unit
 letter, so it is bounded by the word's spelled-out length, which nothing
 caps: a one-letter power such as s1^2000000000 parses to one letter.
@@ -23,8 +23,7 @@ call from the operands' largest coefficients, their class counts and their
 nonzero terms per run, so every output coefficient fits a digit. rep's
 symbolic fold adds packed runs in the same codec under its own bound, with
 the rows interleaved into t, and split_rows unpacks its columns into
-entries. monomial_sum is the term loop of sums, differences, negation and
-the constructor; the fold does not use it.
+entries.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from functools import lru_cache
+from operator import add, mul, neg
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimMismatch, ZeroAssignment
@@ -49,9 +49,18 @@ class LaurentPoly:
     __slots__ = ("_runs",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        self._runs = monomial_sum((_ONE,), [
-            (_integer(c), (_integer(et), _integer(es), _integer(er)), 0)
-            for (et, es, er), c in (terms or {}).items()])._runs
+        classes: dict = {}    # (e_s, e_r) -> {e_t: coefficient}
+        for (et, es, er), c in (terms or {}).items():
+            c, et, es, er = _integer(c), _integer(et), _integer(es), _integer(er)
+            if c:
+                classes.setdefault((es, er), {})[et] = c
+        self._runs = {}
+        for key, coeffs in classes.items():
+            lo = min(coeffs)
+            run = [0] * (max(coeffs) - lo + 1)
+            for et, c in coeffs.items():
+                run[et - lo] = c
+            self._runs[key] = lo, tuple(run)
 
     # construction ------------------------------------------------------
 
@@ -69,9 +78,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, c: int = 1, et: int = 0, es: int = 0, er: int = 0) -> "LaurentPoly":
-        if type(c) is type(et) is type(es) is type(er) is int:
-            return _wrap({(es, er): (et, (c,))}) if c else _ZERO
-        return cls({(et, es, er): c})    # which refuses the non-int
+        return cls({(et, es, er): c})
 
     # views ---------------------------------------------------------------
 
@@ -91,21 +98,18 @@ class LaurentPoly:
     # ring ops ------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return monomial_sum((self, _coerce(other)),
-                            ((1, (0, 0, 0), 0), (1, (0, 0, 0), 1)))
+        return _sum(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return monomial_sum((self,), ((-1, (0, 0, 0), 0),))
+        return _sum(_ZERO, self, -1)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return monomial_sum((self, _coerce(other)),
-                            ((1, (0, 0, 0), 0), (-1, (0, 0, 0), 1)))
+        return _sum(self, _coerce(other), -1)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return monomial_sum((_coerce(other), self),
-                            ((1, (0, 0, 0), 0), (-1, (0, 0, 0), 1)))
+        return _sum(_coerce(other), self, -1)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return _products(((self,),), ((_coerce(other),),))[0][0]
@@ -135,7 +139,7 @@ class LaurentPoly:
     # comparison -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = _coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -172,58 +176,31 @@ def _integer(x, what: str = "coefficient or exponent") -> int:
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return LaurentPoly({(0, 0, 0): x})
     raise TypeError(f"cannot coerce {type(x).__name__} into the Laurent ring")
 
 
-def monomial_sum(polys, terms) -> LaurentPoly:
-    """sum of coeff * t^a s^b r^c * polys[i] over terms (coeff, (a, b, c), i).
-    The ring's term loop: sums, differences, negation and the constructor
-    come here; products and matrix products go through _products instead,
-    which multiplies whole runs, and rep's symbolic fold adds packed runs
-    of its own (split_rows). Each class of polys[i] moves to
-    (e_s + b, e_r + c) with its run offset by a, and is added into that
-    class's accumulator as one slice; the sums are then trimmed. A single
-    term only rewrites keys and offsets (and scales the runs)."""
-    if len(terms) == 1:
-        (coeff, (a, b, c), i), = terms
-        runs = polys[i]._runs
-        if not runs or not coeff:
-            return _ZERO
-        if coeff == 1:
-            return _wrap({(s + b, r + c): (lo + a, run)
-                          for (s, r), (lo, run) in runs.items()})
-        return _wrap({(s + b, r + c): (lo + a, tuple(
-            map(neg, run) if coeff == -1 else [coeff * x for x in run]))
-            for (s, r), (lo, run) in runs.items()})
-    out: dict = {}    # class -> [t_lo, coefficient list]
-    for coeff, (a, b, c), i in terms:
-        for (s, r), (lo, run) in polys[i]._runs.items():
-            key = s + b, r + c
-            lo += a
-            cur = out.get(key)
-            if cur is None:
-                out[key] = [lo, list(run) if coeff == 1 else list(
-                    map(neg, run)) if coeff == -1 else [coeff * x for x in run]]
-                continue
-            start, acc = lo - cur[0], cur[1]
-            if start < 0:
-                acc[:0] = [0] * -start
-                cur[0], start = lo, 0
-            end = start + len(run)
-            if end > len(acc):
-                acc += [0] * (end - len(acc))
-            if coeff == 1:
-                acc[start:end] = map(add, acc[start:end], run)
-            elif coeff == -1:
-                acc[start:end] = map(sub, acc[start:end], run)
-            else:
-                acc[start:end] = [x + coeff * y
-                                  for x, y in zip(acc[start:end], run)]
-    runs = {key: run for key, (lo, acc) in out.items()
-            if (run := _trimmed(lo, acc))}
-    return _wrap(runs) if runs else _ZERO
+def _sum(p: LaurentPoly, q: LaurentPoly, sign: int) -> LaurentPoly:
+    """p + sign * q for sign +-1, class by class: a class of q that p lacks
+    is copied (negated if sign < 0), and one that both have is written into
+    one list over the two runs' joint span, q's run added as one slice, and
+    trimmed; a class whose sum is 0 is dropped."""
+    runs = dict(p._runs)
+    for key, (lo, run) in q._runs.items():
+        if sign < 0:
+            run = tuple(map(neg, run))
+        if key in runs:
+            lo0, run0 = runs.pop(key)
+            start = min(lo, lo0)
+            acc = [0] * (max(lo + len(run), lo0 + len(run0)) - start)
+            acc[lo0 - start:lo0 - start + len(run0)] = run0
+            i, j = lo - start, lo - start + len(run)
+            acc[i:j] = map(add, acc[i:j], run)
+            lo, run = _trimmed(start, acc) or (start, ())
+        if run:
+            runs[key] = lo, run
+    return _wrap(runs)
 
 
 def _trimmed(lo: int, run) -> tuple[int, tuple[int, ...]] | None:
@@ -266,6 +243,7 @@ def digit_bits(bound: int) -> int:
     return -(-bits // 8) * 8
 
 
+@lru_cache(maxsize=64)    # a long power repacks through many widths
 def digit_codec(bits: int):
     """(pack, unpack) for digits of B = bits bits, a digit_bits width.
     pack(run) is sum(c_i * 2^(B*i)) over a run of integers c_i; unpack(lo,

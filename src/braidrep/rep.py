@@ -33,8 +33,7 @@ s, 1 for t or p). Before B would reach 2^(W-1), every column is unpacked
 exactly, B becomes the largest coefficient M, W becomes wide enough for
 M^2 (and at least 64 bits), and the columns are repacked. At the end
 laurent.split_rows unpacks each class once and takes row i's run as every
-dim-th digit. The fold makes no laurent.monomial_sum call. Only rep knows
-the action format.
+dim-th digit. Only rep knows the action format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It

@@ -10,7 +10,7 @@ from braidrep.errors import DimMismatch, ZeroAssignment
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
                               T_INV, S_INV, digit_codec, format_poly,
                               lp_eval, mat_eval, mat_from_json, mat_mul,
-                              mat_to_json, monomial_sum, poly_from_json,
+                              mat_to_json, poly_from_json,
                               poly_to_json, rational_det, rational_rank,
                               split_rows)
 
@@ -239,6 +239,13 @@ def model_sum(models, terms):
     return {e: k for e, k in out.items() if k}
 
 
+def shifted_sum(polys, terms):
+    """sum of coeff * t^a s^b r^c * polys[i] over (coeff, (a, b, c), i),
+    by the ring's public operations."""
+    return sum((c * LaurentPoly.monomial(1, *e) * polys[i]
+                for c, e, i in terms), LaurentPoly.zero())
+
+
 def model_mul(p, q):
     return model_sum([q], [(c, e, 0) for e, c in p.items()])
 
@@ -299,13 +306,13 @@ def test_ring_ops_match_the_dict_of_terms_model(data, m, extra):
     assert_matches(p ** k, power)
     terms = data.draw(st.lists(st.tuples(
         st.integers(-3, 3), SHIFTS, st.integers(0, 1)), max_size=6))
-    assert_matches(monomial_sum((p, q), terms), model_sum([m, n], terms))
+    assert_matches(shifted_sum((p, q), terms), model_sum([m, n], terms))
     # equal values by different paths
     assert p + q == q + p and hash(p + q) == hash(q + p)
     assert p * q == q * p and hash(p * q) == hash(q * p)
-    swapped = monomial_sum((q, p), [(c, e, 1 - i) for c, e, i in terms[::-1]])
-    assert swapped == monomial_sum((p, q), terms)
-    assert hash(swapped) == hash(monomial_sum((p, q), terms))
+    swapped = shifted_sum((q, p), [(c, e, 1 - i) for c, e, i in terms[::-1]])
+    assert swapped == shifted_sum((p, q), terms)
+    assert hash(swapped) == hash(shifted_sum((p, q), terms))
 
 
 def model_mat_mul(a, b):
@@ -349,6 +356,14 @@ def test_products_match_the_dict_of_terms_model(data, dim):
             assert_matches(product[i, j], want)
     p, q = ma[0, 0], mb[0, 0]
     assert_matches(p * q, model_mul(a[0][0], b[0][0]))
+    pair, one = [a[0][0], b[0][0]], {(0, 0, 0): 1}
+    assert_matches(p + q, model_sum(pair, [(1, (0, 0, 0), 0),
+                                           (1, (0, 0, 0), 1)]))
+    assert_matches(p - q, model_sum(pair, [(1, (0, 0, 0), 0),
+                                           (-1, (0, 0, 0), 1)]))
+    assert_matches(-p, model_sum(pair, [(-1, (0, 0, 0), 0)]))
+    assert_matches(3 - p, model_sum([one, a[0][0]], [(3, (0, 0, 0), 0),
+                                                     (-1, (0, 0, 0), 1)]))
     k = data.draw(st.integers(0, 3))
     power = {(0, 0, 0): 1}
     for _ in range(k):
@@ -372,7 +387,9 @@ def test_cancellation_trims_the_run(cancel):
     assert_matches(rest, {(0, 1, 0): 7})
     assert list(rest._runs) == [(1, 0)]
     assert_matches(p - p, {})
-    assert_matches(monomial_sum((p,), [(0, (1, 0, 0), 0)]), {})
+    # a zero coefficient places no term
+    assert_matches(LaurentPoly({(1, 0, 0): 0}), {})
+    assert_matches(LaurentPoly({**m, (5, 0, 0): 0, (0, 2, 0): 0}), m)
 
 
 @pytest.mark.parametrize("c", (0, 1, -1, 7, -2 ** 70))
@@ -422,20 +439,30 @@ def test_a_sparse_class_costs_its_t_span():
 
 def test_non_integral_numbers_are_refused():
     """A float, even one equal to an int, and a bool are refused as a
-    coefficient or an exponent rather than truncated."""
+    coefficient or an exponent rather than truncated, and as an operand of
+    the ring; neither compares equal to a polynomial."""
     for make, bad in ((lambda: LaurentPoly({(0.5, 0, 0): 2}), 0.5),
                       (lambda: LaurentPoly({(0, 0, 0): 2.7}), 2.7),
                       (lambda: LaurentPoly({(0, 0, 0): 2.0}), 2.0),
                       (lambda: LaurentPoly({(True, 0, 0): 1}), True),
+                      (lambda: LaurentPoly({(0, 0, 0): True}), True),
                       (lambda: LaurentPoly.monomial(1.9, 2), 1.9),
                       (lambda: LaurentPoly.monomial(1, 0, 0, 1.0), 1.0)):
         with pytest.raises(ValueError, match=f"coefficient or exponent "
                            f"{bad!r} is not an integer"):
             make()
     assert LaurentPoly({(1, 0, 0): 2}) == 2 * T
-    with pytest.raises(TypeError,
-                       match="cannot coerce float into the Laurent ring"):
-        LaurentPoly.one() + 1.5
+    one = LaurentPoly.one()
+    for make, bad in ((lambda: one + 1.5, "float"),
+                      (lambda: one + True, "bool"),
+                      (lambda: True - one, "bool"),
+                      (lambda: one * False, "bool"),
+                      (lambda: Matrix.from_rows([[True]]), "bool")):
+        with pytest.raises(TypeError,
+                           match=f"cannot coerce {bad} into the Laurent ring"):
+            make()
+    assert one == 1 and one != 1.0 and one != True and one not in [True]
+    assert not (one == True) and not (True == one)
 
 
 def test_poly_json_refuses_non_integers():
