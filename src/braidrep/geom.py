@@ -62,7 +62,7 @@ import cmath
 import math
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -135,7 +135,12 @@ class GeomBraid:
     all strands, sorted, and _paths, every strand's at() at each, exactly
     its own points at its own breakpoints. Between two grid times every
     strand is linear: the grid is the braid's own piecewise-linear model,
-    which the checks, the windings and every reading (_frame) work on."""
+    which the checks, the windings and every reading (_frame) work on.
+    With it come _sums, per strand the running sum of its moves over the
+    grid intervals, which let _approach skip runs of clear intervals at
+    once, and two caches each filled once per fact asked: _windings, the
+    winding of each ordered pair (linking_number), and _cylinder, the
+    events of each (k, cut) (cylinder_events)."""
 
     n: int
     strands: tuple[tuple[tuple[float, complex], ...], ...]
@@ -156,9 +161,14 @@ class GeomBraid:
                 raise ValueError("breakpoint points too large for float "
                                  "arithmetic")
         times = sorted({t for bps in self.strands for t, _ in bps})
+        paths = tuple(_walk(bps, times) for bps in self.strands)
         object.__setattr__(self, "times", tuple(times))
-        object.__setattr__(self, "_paths",
-                           tuple(_walk(bps, times) for bps in self.strands))
+        object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_sums", tuple(
+            list(accumulate(map(abs, map(sub, path[1:], path)), initial=0.0))
+            for path in paths))
+        object.__setattr__(self, "_windings", {})
+        object.__setattr__(self, "_cylinder", {})
         self._check_separation()
 
     @property
@@ -220,30 +230,69 @@ def _approach(braid: GeomBraid, pairs, far, tol: float):
     within tol |c| of each other, c = z_l - z_k for far = (k, l) and 1 for
     far None, the grid intervals in time order and the pairs in order in
     each; or None. The exact quadratic (_comes_within) decides an interval
-    unless |d0| > 2 (q_s + q_x) + 2 tol (|c0| + q_k + q_l), q a strand's
-    move over it (q_k = q_l = 0 for far None): the moves bound |d1 - d0|
-    and |c1 - c0| and, unlike those lengths, are finite floats under the
-    coordinate bound. There |d(u)| >= |d0| - |d1 - d0| > |d0|/2 + tol
-    |c(u)| on [0, 1], a margin the few ulps _comes_within loses on these
-    same floats cannot close, so the skip needs no rounding allowance. A
-    nan is never skipped."""
-    z, times = braid._paths, braid.times
-    moves = [list(map(abs, map(sub, path[1:], path))) for path in z]
-    c0 = c1 = 1
-    reach = 2.0 * tol
-    for g in range(len(times) - 1):
-        if far is not None:
-            k, l = far
-            c0, c1 = z[l][g] - z[k][g], z[l][g + 1] - z[k][g + 1]
-            reach = 2.0 * tol * (abs(c0) + moves[l][g] + moves[k][g])
-        for s, x in pairs:
-            d0 = z[s][g] - z[x][g]
-            if abs(d0) > 2.0 * (moves[s][g] + moves[x][g]) + reach:
+    unless |d0| > 2 (q_s + q_x) + reach_g, reach_g = 2 tol (|c0| + q_k +
+    q_l), q a strand's move over it (q_k = q_l = 0 for far None): the
+    moves bound |d1 - d0| and |c1 - c0| and, unlike those lengths, are
+    finite floats under the coordinate bound. There |d(u)| >= |d0| - |d1 -
+    d0| > |d0|/2 + tol |c(u)| on [0, 1], a margin the few ulps
+    _comes_within loses on these same floats cannot close, so the skip
+    needs no rounding allowance. A nan is never skipped.
+
+    Each pair skips runs of such intervals at once. At interval g, with
+    gap = |d0| - reach, reach the largest reach_g, bisection on each of the
+    pair's strands' running sums of moves (GeomBraid._sums) finds the last
+    grid index r up to which its moves from g stay below gap/4 less err, a
+    bound on the sums' rounding: (len + 4) eps times the last sum covers
+    both sums' accumulated rounding, their terms' and the bisection
+    limit's. On an interval of g..r-1 the two strands have moved less than
+    gap/2 in all, so |d(u)| > |d0| - gap/2 = |d0|/2 + reach/2 >= |d0|/2 +
+    tol |c(u)|, the same margin; and with m the strands' moves from g to
+    its start, 2 (q_s + q_x) + reach_g < gap - 2 m + reach <= |d0| - m,
+    at most its own |d0|, so it would pass the test above too. Refusals
+    and messages are therefore those of the exhaustive check, every
+    interval through _comes_within. A sum overflowed to inf makes err inf
+    and that strand's runs empty, and an infinite reach makes every run
+    empty; a nan limit, inf - inf, stops the bisection at its start, so a
+    nan is never cleared either. An empty run leaves interval g to the
+    test above. Once a pair is refused at interval g, later pairs scan
+    only the intervals before g, so the earliest (interval, pair) is the
+    one reported."""
+    z, times, sums = braid._paths, braid.times, braid._sums
+    eps = sys.float_info.epsilon
+    err = [(len(p) + 4) * eps * p[-1] for p in sums]
+    stop = len(times) - 1
+    if far is None:
+        c = [1] * len(times)
+        reaches = [2.0 * tol] * stop
+    else:
+        k, l = far
+        c = list(map(sub, z[l], z[k]))
+        reaches = [2.0 * tol * (abs(c0) + abs(l1 - l0) + abs(k1 - k0))
+                   for c0, l0, l1, k0, k1 in zip(c, z[l], z[l][1:], z[k],
+                                                 z[k][1:])]
+    reach = max(reaches)
+    hit = None
+    for s, x in pairs:
+        zs, zx, ps, px, es, ex = z[s], z[x], sums[s], sums[x], err[s], err[x]
+        g = 0
+        while g < stop:
+            d0 = zs[g] - zx[g]
+            quarter = (abs(d0) - reach) / 4
+            r = bisect_left(ps, ps[g] + (quarter - es), g + 1, stop + 1)
+            r = bisect_left(px, px[g] + (quarter - ex), g + 1, r) - 1
+            if r > g:
+                g = r
                 continue
-            u = _comes_within(d0, z[s][g + 1] - z[x][g + 1], c0, c1, tol)
-            if u is not None:
-                return (s, x), times[g] + (times[g + 1] - times[g]) * u
-    return None
+            if not abs(d0) > 2.0 * (abs(zs[g + 1] - zs[g])
+                                    + abs(zx[g + 1] - zx[g])) + reaches[g]:
+                u = _comes_within(d0, zs[g + 1] - zx[g + 1], c[g], c[g + 1],
+                                  tol)
+                if u is not None:
+                    hit = (s, x), times[g] + (times[g + 1] - times[g]) * u
+                    stop = g
+                    break
+            g += 1
+    return hit
 
 
 def _comes_within(d0, d1, c0, c1, tol: float) -> float | None:
@@ -420,13 +469,17 @@ def _winding(polygon: list[complex], i: int, j: int) -> int:
 
 def linking_number(braid: GeomBraid, i: int, j: int) -> int:
     """Integer winding of strand i around strand j (symmetric): the _winding
-    of z_i - z_j."""
+    of z_i - z_j, computed once per ordered pair and braid. A refusal is
+    not kept, so it is raised, naming the pair, on every call."""
     _check_strand(braid, i)
     _check_strand(braid, j)
     if i == j:
         raise ValueError(f"strand {i} has no winding with itself")
-    return _winding(list(map(sub, braid._paths[i - 1], braid._paths[j - 1])),
-                    i, j)
+    zi, zj = braid._paths[i - 1], braid._paths[j - 1]
+    windings = braid._windings
+    if (i, j) not in windings:
+        windings[i, j] = _winding(list(map(sub, zi, zj)), i, j)
+    return windings[i, j]
 
 
 # -- root finding on linear models --------------------------------------------
@@ -629,7 +682,9 @@ def cylinder_events(braid: GeomBraid, k: int,
     falling through 0 being a rising angle, and a tangential one is
     refused. A root at which the cut direction is n GENERICITY_TOL short,
     in the units of the _frame of strand k, is refused on either side of
-    the line."""
+    the line. The events are found once per braid, k and cut, keyed by k
+    as given (an Event carries it) and by the cut's exact float value, -0.0
+    apart from 0.0: a repeat returns the same tuple."""
     n = braid.n
     if n < 3:
         raise ValueError("need at least 3 strands")
@@ -637,7 +692,14 @@ def cylinder_events(braid: GeomBraid, k: int,
         raise ValueError(f"k={k} outside 1..{n}")
     if cut_angle is not None and not math.isfinite(cut_angle):
         raise ValueError(f"cut angle must be finite, not {cut_angle}")
-    k0 = k - 1
+    key = (k, type(k), None if cut_angle is None else float(cut_angle).hex())
+    if key not in braid._cylinder:
+        braid._cylinder[key] = _cylinder_events(braid, k, cut_angle)
+    return braid._cylinder[key]
+
+
+def _cylinder_events(braid: GeomBraid, k: int, cut_angle: float | None):
+    n, k0 = braid.n, k - 1
     others = [s for s in range(n) if s != k0]
     # the vectors z_s - z_k, then the cut direction: fixed, or n (z_k -
     # centroid)

@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,8 +16,9 @@ from braidrep.braidword import (GroupId, Word, format_word, parse_word,
 from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
+from braidrep import geom
 from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL,
-                           GeomBraid, _comes_within,
+                           GeomBraid, _approach, _comes_within,
                            _winding,
                            artin_dynamics, base_points, braid_from_json,
                            braid_to_json, concat, cylinder_events,
@@ -410,8 +414,30 @@ def test_non_integer_winding_raises():
         with pytest.raises(NonIntegerWinding, match="does not return"):
             linking_number(NOT_CLOSING, i, 3)
     assert linking_number(NOT_CLOSING, 1, 4) == 0
-    with pytest.raises(NonIntegerWinding, match=r"pair \(1,3\)"):
-        q_kl(NOT_CLOSING, 1, 2)
+    # a refusal is not kept: every call raises it again, for the pair asked
+    for _ in range(2):
+        with pytest.raises(NonIntegerWinding, match=r"pair \(1,3\)"):
+            q_kl(NOT_CLOSING, 1, 2)
+        with pytest.raises(NonIntegerWinding, match=r"pair \(3,1\)"):
+            linking_number(NOT_CLOSING, 3, 1)
+
+
+def test_windings_are_computed_once_per_braid_and_ordered_pair(monkeypatch):
+    """The first q_kl of a pure braid computes every pair's winding; a
+    second q_kl, of any pair, and linking_number of a pair asked before
+    compute none; the reversed pair is its own entry, of the same value."""
+    b = artin_dynamics(random_zero_linking_word(5, random.Random(3)))
+    calls = []
+    winding = geom._winding
+    monkeypatch.setattr(geom, "_winding", lambda polygon, i, j:
+                        calls.append((i, j)) or winding(polygon, i, j))
+    q_kl(b, 1, 2)
+    assert sorted(calls) == list(combinations(range(1, 6), 2))
+    calls.clear()
+    q_kl(b, 1, 2)
+    q_kl(b, 4, 2)
+    assert linking_number(b, 2, 5) == 0 and calls == []
+    assert linking_number(b, 5, 2) == 0 and calls == [(5, 2)]
 
 
 def fraction_winding(polygon) -> int:
@@ -668,6 +694,31 @@ def test_radial_tie_at_alignment_is_refused():
         cylinder_events(GeomBraid(3, strands), 1, SIDEWAYS)
 
 
+def test_cylinder_events_are_found_once_per_strand_and_cut(monkeypatch):
+    """For cuts None, 0.0, -0.0 and 1.0, seen from two strands, the events
+    equal those of a fresh copy of the braid; -0.0 has an entry of its own;
+    a repeat, and the cylinder readings of every d, return the same tuple
+    without building a frame."""
+    def rebuilt(*args):
+        raise AssertionError("a repeated reading rebuilt its frame")
+
+    b = artin_dynamics(parse_word("comm(A[1,3]; A[2,4])", B4),
+                       radial_spread=0.25)
+    # a list, as a dict would take -0.0 for 0.0
+    first = [(k, cut, cylinder_events(b, k, cut))
+             for k in (1, 3) for cut in (None, 0.0, -0.0, 1.0)]
+    for k, cut, events in first:
+        assert events and events == cylinder_events(
+            GeomBraid(b.n, b.strands), k, cut)
+    assert first[1][2] is not first[2][2] and first[5][2] is not first[6][2]
+    monkeypatch.setattr(geom, "_frame", rebuilt)
+    for k, cut, events in first:
+        assert cylinder_events(b, k, cut) is events
+        assert cylinder_reading(b, k, None, cut)[0] is events
+        assert power_map_extract(b, k, 3, cut) == \
+            cylinder_reading(b, k, 3, cut)[1]
+
+
 def test_cylinder_events_json_records():
     b = artin_dynamics(parse_word("A[1,3]", B4))
     records = events_to_json(cylinder_events(b, 2))
@@ -844,6 +895,73 @@ def passing_path(rng, scale, point, gap, u_min, e):
 
 NEAR_FACTORS = (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 3.0)
 NEAR_SCALES = (1e-100, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12, 1e100)
+CREEP_STEPS = 64    # grid intervals a creeper crawls over on [0, 1/2]
+
+
+def mirrored(path):
+    """Breakpoints on [0, 1/2] followed by the same points backwards on
+    [1/2, 1]: every pair's difference polygon retraces itself, so every
+    winding is 0 and the braid is pure. The times are dyadic, so 1 - t is
+    exact."""
+    return tuple(path) + tuple((1.0 - t, z) for t, z in reversed(path[:-1]))
+
+
+def creeping_strands(rng, n, scale, factors, tol, relative=False,
+                     excursion=False, head_on=False, jumper=False):
+    """n strands, scale apart or more, laid out as one cluster per factor
+    and loners. In cluster j a target, standing or drifting, is passed by
+    a creeper that crawls past it in CREEP_STEPS straight steps of [0, 1/2]
+    (and back on [1/2, 1]), factors[j] * tol away at its closest, that
+    tol times |z_t1 - z_t0| there if relative; every cluster's closest
+    approach falls in the same grid interval. excursion sends the first
+    creeper 1e15 scale away and back before it crawls, so its running sum
+    of moves has too few bits left to see its steps; head_on has target
+    and creeper move alike, toward each other; jumper makes the last
+    strand jump +-4e307 eight times, so its running sum overflows to inf.
+    Returns the strands, targets first, then creepers, then loners."""
+    half = [i / (2 * CREEP_STEPS) for i in range(CREEP_STEPS + 1)]
+    cell = rng.randrange(4, CREEP_STEPS - 4)
+    m = len(factors)
+    bases = [scale * (1000 * j + complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+             for j in range(m)]
+    dirs = [cmath.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(m)]
+    speeds = [scale * rng.uniform(2, 6) for _ in range(m)]
+    drifts = [-e * w / 2 if head_on else scale * 10 ** rng.uniform(-12, 0)
+              * rng.choice((0, 1)) * cmath.exp(1j * rng.uniform(0, TWO_PI))
+              for e, w in zip(dirs, speeds)]
+    t_mins = [(cell + rng.uniform(0.05, 0.95)) / (2 * CREEP_STEPS)
+              for _ in range(m)]
+
+    def target(j, t):
+        return bases[j] + drifts[j] * t
+
+    targets, creepers = [], []
+    for j, factor in enumerate(factors):
+        e, w, t_min = dirs[j], speeds[j], t_mins[j]
+        gap = factor * tol * (abs(target(1, t_min) - target(0, t_min))
+                              if relative else 1.0)
+        path = [(t, target(j, t) + 1j * e * gap + e * w * (t - t_min))
+                for t in half]
+        if excursion and j == 0:
+            z0 = path[0][1]
+            path[1:1] = [(half[1] / 4, z0 - e * scale * 1e15),
+                         (half[1] / 2, z0)]
+        targets.append(mirrored([(0.0, target(j, 0.0)),
+                                 (0.5, target(j, 0.5))]))
+        creepers.append(mirrored(path))
+    loners = []
+    for j in range(n - 2 * m):
+        home = scale * (1000 * (m + j) + 300j)
+        wiggle = sorted(rng.sample(range(1, 128), 3))
+        loners.append(mirrored([(0.0, home)] + [
+            (k / 256, home + scale * complex(rng.uniform(-1, 1),
+                                             rng.uniform(-1, 1)))
+            for k in wiggle] + [(0.5, home)]))
+    if jumper:
+        x, y = 4e307, scale * 500j
+        loners[-1] = mirrored([(k / 8, (x if k % 2 == 0 else -x) + y)
+                               for k in range(5)])
+    return targets + creepers + loners
 
 
 def test_clearance_refuses_exactly_as_the_exhaustive_separation_check(
@@ -867,6 +985,29 @@ def test_clearance_refuses_exactly_as_the_exhaustive_separation_check(
                 want = outcome(reference_separation,
                                unchecked(3, strands, monkeypatch))
                 assert outcome(GeomBraid, 3, strands) == want
+                seen.add(want is None)
+    assert seen == {True, False}
+    # on 3 to 8 strands, long creeping runs end in a near miss, alone, after
+    # an excursion, head on, beside a second pair that approaches in the
+    # same interval, or beside a strand whose running sum overflows
+    seen.clear()
+    for scale in NEAR_SCALES:
+        for factor in NEAR_FACTORS:
+            for kind in ("alone", "excursion", "head_on", "two", "jumper"):
+                n = rng.randrange(4 if kind == "two" else 3, 9)
+                factors = (factor, rng.choice(NEAR_FACTORS)) \
+                    if kind == "two" else (factor,)
+                strands = creeping_strands(
+                    rng, n, scale, factors, SEPARATION_TOL,
+                    excursion=kind == "excursion", head_on=kind == "head_on",
+                    jumper=kind == "jumper")
+                rng.shuffle(strands)
+                braid = unchecked(n, strands, monkeypatch)
+                if kind == "jumper":
+                    assert math.inf in [p[-1] for p in braid._sums]
+                want = outcome(reference_separation, braid)
+                assert outcome(GeomBraid, n, tuple(strands)) == want, \
+                    (scale, factor, kind)
                 seen.add(want is None)
     assert seen == {True, False}
 
@@ -905,6 +1046,82 @@ def test_clearance_refuses_exactly_as_the_exhaustive_puncture_check(
                     assert outcome(q_kl, braid, k, l) == want
                     seen.add(want is None)
     assert seen == {True, False}
+    # on 4 to 8 pure strands, creepers crawl past both punctures, standing,
+    # drifting or head on, alone or after an excursion
+    seen.clear()
+    for scale in NEAR_SCALES:
+        for factor in NEAR_FACTORS:
+            for kind in ("drift", "excursion", "head_on"):
+                n = rng.randrange(4, 9)
+                strands = creeping_strands(
+                    rng, n, scale, (factor, rng.choice(NEAR_FACTORS)),
+                    GENERICITY_TOL, relative=True,
+                    excursion=kind == "excursion", head_on=kind == "head_on")
+                order = list(range(n))
+                rng.shuffle(order)
+                braid = unchecked(n, [strands[i] for i in order], monkeypatch)
+                k, l = order.index(0) + 1, order.index(1) + 1
+                for k, l in ((k, l), (l, k)):
+                    want = outcome(reference_q_kl, braid, k, l)
+                    assert outcome(q_kl, braid, k, l) == want, \
+                        (scale, factor, kind)
+                    seen.add(want is None)
+    assert seen == {True, False}
+
+
+def per_interval_suspects(braid: GeomBraid, pairs, far, tol) -> Counter:
+    """The (d0, d1) of every (pair, interval) that the per-interval test
+    alone leaves to _comes_within: |d0| > 2 (q_s + q_x) + 2 tol (|c0| + q_k
+    + q_l) fails, q a strand's move over the interval."""
+    z = braid._paths
+    moves = [list(map(abs, map(sub, path[1:], path))) for path in z]
+    out = Counter()
+    for g in range(len(braid.times) - 1):
+        reach = 2.0 * tol
+        if far is not None:
+            k, l = far
+            reach = 2.0 * tol * (abs(z[l][g] - z[k][g]) + moves[l][g]
+                                 + moves[k][g])
+        for s, x in pairs:
+            d0 = z[s][g] - z[x][g]
+            if not abs(d0) > 2.0 * (moves[s][g] + moves[x][g]) + reach:
+                out[d0, z[s][g + 1] - z[x][g + 1]] += 1
+    return out
+
+
+def test_runs_clear_only_what_the_per_interval_test_clears(monkeypatch):
+    """A run skips only intervals the per-interval test would skip too: on
+    braids with no approach, the intervals _approach hands to _comes_within
+    are exactly those the per-interval test leaves to it, for the
+    separation check and for q_kl's, with strands passing head on."""
+    calls = Counter()
+    comes_within = geom._comes_within
+
+    def recorded(d0, d1, c0, c1, tol):
+        calls[d0, d1] += 1
+        return comes_within(d0, d1, c0, c1, tol)
+
+    monkeypatch.setattr(geom, "_comes_within", recorded)
+    rng = random.Random(7003)
+    checked = 0
+    for scale in (1e-3, 1.0, 1e3):
+        for factor in (2.0, 3.0, 10.0):
+            for head_on in (False, True):
+                for tol, far in ((SEPARATION_TOL, None),
+                                 (GENERICITY_TOL, (0, 1))):
+                    n = rng.randrange(4, 9)
+                    braid = unchecked(n, creeping_strands(
+                        rng, n, scale, (factor, factor), tol,
+                        relative=far is not None, head_on=head_on),
+                        monkeypatch)
+                    pairs = list(combinations(range(n), 2)) if far is None \
+                        else [(s, x) for s in range(2, n) for x in far]
+                    calls.clear()
+                    assert _approach(braid, pairs, far, tol) is None
+                    want = per_interval_suspects(braid, pairs, far, tol)
+                    assert calls == want, (scale, factor, head_on, far)
+                    checked += sum(want.values())
+    assert checked > 100
 
 
 def test_initial_order_sorts_by_position():
