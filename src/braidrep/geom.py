@@ -75,6 +75,7 @@ from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
 from .errors import (NonGenericInput, NonIntegerWinding, NonZeroLinking,
                      PunctureCollision, SeparationViolated)
 from .homs import f_d
+from .laurent import integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,7 +208,7 @@ class GeomBraid:
 
 
 def _check_strand(braid: GeomBraid, strand: int) -> None:
-    if not 1 <= strand <= braid.n:
+    if not 1 <= integer(strand, "strand") <= braid.n:
         raise ValueError(f"strand {strand} outside 1..{braid.n}")
 
 
@@ -682,17 +683,17 @@ def cylinder_events(braid: GeomBraid, k: int,
     falling through 0 being a rising angle, and a tangential one is
     refused. A root at which the cut direction is n GENERICITY_TOL short,
     in the units of the _frame of strand k, is refused on either side of
-    the line. The events are found once per braid, k and cut, keyed by k
-    as given (an Event carries it) and by the cut's exact float value, -0.0
-    apart from 0.0: a repeat returns the same tuple."""
+    the line. The events are found once per braid, k and cut, keyed by k,
+    a plain int as every strand argument must be, and by the cut's exact
+    float value, -0.0 apart from 0.0: a repeat returns the same tuple."""
     n = braid.n
     if n < 3:
         raise ValueError("need at least 3 strands")
-    if not 1 <= k <= n:
+    if not 1 <= integer(k, "k") <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     if cut_angle is not None and not math.isfinite(cut_angle):
         raise ValueError(f"cut angle must be finite, not {cut_angle}")
-    key = (k, type(k), None if cut_angle is None else float(cut_angle).hex())
+    key = (k, None if cut_angle is None else float(cut_angle).hex())
     if key not in braid._cylinder:
         braid._cylinder[key] = _cylinder_events(braid, k, cut_angle)
     return braid._cylinder[key]
@@ -724,31 +725,30 @@ def _cylinder_events(braid: GeomBraid, k: int, cut_angle: float | None):
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
         [(l, n, (l + 1, k), "cut passage") for l in others]
+    # segment by segment, so events are found and refused in time order
+    hits = sorted((g, x) for x, (sa, sb, _, _) in enumerate(items)
+                  for g in _candidates(ranges[sa], ranges[sb], spacing))
     events: list[Event] = []
-    for g, (t0, h, vals, incs) in enumerate(segments):
-        for sa, sb, pair, what in items:
-            (ca, ha), (cb, hb) = ranges[sa], ranges[sb]
-            radius = ha[g] + hb[g]
-            if radius < (ca[g] - cb[g]) % spacing < spacing - radius:
+    for g, x in hits:
+        t0, h, vals, incs = segments[g]
+        sa, sb, pair, what = items[x]
+        coeffs, bern = _pair_quartic((vals[sa], incs[sa], 0j),
+                                     (vals[sb], incs[sb], 0j))
+        for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
+            t, wv = t0 + h * u, vals[n] + incs[n] * u
+            # a passage is refused on either side, before the side test
+            if (sb == n or ray is not None) and abs(wv) <= n * GENERICITY_TOL:
+                raise NonGenericInput("cut direction degenerate", time=t,
+                                      pair=pair)
+            if ray is None:
                 continue
-            coeffs, bern = _pair_quartic((vals[sa], incs[sa], 0j),
-                                         (vals[sb], incs[sb], 0j))
-            for u, ray, sense in _ray_roots(coeffs, bern, lines, t0, h, pair, what):
-                t, wv = t0 + h * u, vals[n] + incs[n] * u
-                # a passage is refused on either side, before the side test
-                if (sb == n or ray is not None) and abs(wv) <= n * GENERICITY_TOL:
-                    raise NonGenericInput("cut direction degenerate", time=t,
-                                          pair=pair)
-                if ray is None:
-                    continue
-                if sense is None:
-                    raise NonGenericInput(f"tangential {what}", time=t,
-                                          pair=pair)
-                rising = not sense    # Im(P) falls through 0
-                events.append(
-                    Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
-                    if sb == n else _cylinder_crossing(
-                        vals, incs, others, wv, u, t, pair, rising))
+            if sense is None:
+                raise NonGenericInput(f"tangential {what}", time=t, pair=pair)
+            rising = not sense    # Im(P) falls through 0
+            events.append(
+                Event(t, sa + 1, k, "cut", sign=1 if rising else -1)
+                if sb == n else _cylinder_crossing(
+                    vals, incs, others, wv, u, t, pair, rising))
     return _finish(events)
 
 
@@ -818,7 +818,7 @@ def cylinder_reading(braid: GeomBraid, k: int, d: int | None = None,
     homs.strand_removal_letters makes from strand k's start position, so it
     is defined for any braid, pure or not; only p_k, its restriction to
     pure braids, refuses one that is not."""
-    if d is not None and d < 1:
+    if d is not None and integer(d, "d") < 1:
         raise ValueError("d must be positive")
     events = cylinder_events(braid, k, cut_angle)
     word = Word(GroupId("CPB", braid.n - 1), free_reduce_letters(
@@ -867,7 +867,8 @@ def q_kl(braid: GeomBraid, k: int, l: int) -> PuncturedView:
     n = braid.n
     if n < 4:
         raise ValueError("need at least 4 strands")
-    if k == l or not (1 <= k <= n and 1 <= l <= n):
+    if integer(k, "k") == integer(l, "l") \
+            or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"bad pair ({k},{l})")
     for i, j in combinations(range(1, n + 1), 2):
         if linking_number(braid, i, j) != 0:
@@ -941,7 +942,7 @@ def psi_d_events(braid: GeomBraid | PuncturedView, d: int) -> tuple[Event, ...]:
     """Events of the d-th power reading in the punctured plane: per pair, the
     pair ratio sweeps through the rays at angles 2 pi p / d; ray 0 gives a
     classical crossing, the others are flat; d is at most MAX_LETTERS."""
-    if not 2 <= d <= MAX_LETTERS:
+    if not 2 <= integer(d, "d") <= MAX_LETTERS:
         raise ValueError(f"power readings need 2 <= d <= {MAX_LETTERS}")
     return _pair_events(braid, "cross-ratio", d)
 
@@ -968,7 +969,8 @@ def _angle_range(values, cs):
     between its unwound values at the ends. A vector 0 there is unbound:
     centres 0, half-widths infinite. It is the one builder of an angle
     bound: the cylinder bounds each of its vectors by it, and a pair
-    reading both vectors of each watched strand (_angle_ranges).
+    reading both vectors of each watched strand (_angle_ranges); and
+    _candidates is the one filter that reads the bounds.
 
     A ratio's P has as Bernstein coefficients positive sums of products of
     its vectors' end values, four for a cross ratio, two for the cylinder,
@@ -991,6 +993,16 @@ def _angle_range(values, cs):
              for k in [(m0 + m1 + mc) / (m0 if m0 < m1 else m1)]])
 
 
+def _candidates(first, second, spacing: float) -> list[int]:
+    """The indices of the segments on which the angle difference of two
+    _angle_range bounds (centres, half-widths), first's less second's, can
+    meet a multiple of spacing: every other segment has no root on a ray.
+    It is the one filter of every reading, the cylinder's and the pairs'."""
+    (ca, ha), (cb, hb) = first, second
+    return [g for g, xa, xb, ra, rb in zip(range(len(ca)), ca, cb, ha, hb)
+            if not (radius := ra + rb) < (xa - xb) % spacing < spacing - radius]
+
+
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
     # for even d, rays p and p + d/2 share the line of w and are told apart by
@@ -998,18 +1010,15 @@ def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
     lines, spacing = _ray_lines(d)
     # the lines lie at the multiples of spacing; arg(N/D) = (arg a_i - arg b_i)
     # - (arg a_j - arg b_j), so a segment whose bound on it misses them all
-    # has no root; the mobius ratio m is real exactly where N/D = (1 - m)/m is
+    # has no root, and the one segment filter, _candidates, drops it; the
+    # mobius ratio m is real exactly where N/D = (1 - m)/m is
     segments, ranges = _pair_model(braid)
     events: list[Event] = []
     for i0 in range(braid.n):
-        ei, ri = ranges[i0]
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
-            ej, rj = ranges[j0]
-            near = [seg for seg, xi, xj, hi, hj in zip(segments, ei, ej, ri, rj)
-                    if not (radius := hi + hj)
-                    < (xi - xj) % spacing < spacing - radius]
-            for t0, h, vals, incs in near:
+            for g in _candidates(ranges[i0], ranges[j0], spacing):
+                t0, h, vals, incs = segments[g]
                 num, den = _cross_ratio_models(vals[i0], incs[i0], vals[j0],
                                                incs[j0], vals[-1], incs[-1],
                                                method)
@@ -1166,9 +1175,7 @@ def braid_to_json(braid: GeomBraid) -> dict:
 
 def braid_from_json(data) -> GeomBraid:
     try:
-        n = data["n"]
-        if type(n) is not int:    # bool is an int too, and a float may equal one
-            raise ValueError(f"n {n!r} is not an integer")
+        n = integer(data["n"], "n")
         strands = tuple(
             tuple((float(t), complex(re, im)) for t, re, im in bps)
             for bps in data["strands"])

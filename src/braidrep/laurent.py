@@ -8,22 +8,26 @@ are allowed) and never stores a class with no nonzero coefficient, so equal
 elements compare and hash equal; items() and the text and JSON forms walk
 the nonzero terms in sorted exponent order (e_t, e_s, e_r), so equal
 elements also serialize identically. The constructor lays each class out
-as one run, and a sum adds two runs as slices, so memory and time are
-O(t-span) per class. A word image's t-span grows by at most one per unit
-letter, so it is bounded by the word's spelled-out length, which nothing
-caps: a one-letter power such as s1^2000000000 parses to one letter.
+as one run, so memory and time are O(t-span) per class. A word image's
+t-span grows by at most one per unit letter, so it is bounded by the
+word's spelled-out length, which nothing caps: a one-letter power such as
+s1^2000000000 parses to one letter.
 
-Packed runs are one digit codec (digit_bits, digit_codec): a
-run becomes the int sum(c_i * 2^(B*i)), exact while every digit stays in
-[-2^(B-1), 2^(B-1)). Products of polynomials and of matrices are one
-routine, _products, by this Kronecker substitution: the product of two
-runs is one big-int product, and each entry of a matrix product is
-unpacked from its per-class sums once. The digit width B is bounded per
-call from the operands' largest coefficients, their class counts and their
-nonzero terms per run, so every output coefficient fits a digit. rep's
-symbolic fold adds packed runs in the same codec under its own bound, with
-the rows interleaved into t, and split_rows unpacks its columns into
-entries.
+Packed runs are one digit codec (digit_bits, digit_codec), and a packed
+matrix has one layout: a run becomes the int sum(c_i * 2^(B*i)), exact
+while every digit stays in [-2^(B-1), 2^(B-1)), and column j of an m-row
+matrix A is, per (s, r) class, the packed run of sum_i A_ij(t^m) * t^i,
+its rows interleaved into t. accumulate adds a packed run into its class
+by one shift, and split_rows is the one unpack, row i's run every m-th
+digit. Sums and products are one routine, _products, by this Kronecker
+substitution: a product of polynomials is the 1 x 1 case, p +- q the
+product of the row (p, q) and the column (1, +-1), and -p that of [[p]]
+and [[-1]]. The digit width B is bounded per call from the operands'
+largest coefficients, their class counts and their nonzero terms per run,
+so every output coefficient fits a digit. rep's symbolic fold keeps its
+columns in the same layout under its own bound, adds them by accumulate,
+widens its digits by repacked and ends in split_rows: rep knows the
+action format, and only this module the digit format.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimMismatch, ZeroAssignment
@@ -51,7 +55,7 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         classes: dict = {}    # (e_s, e_r) -> {e_t: coefficient}
         for (et, es, er), c in (terms or {}).items():
-            c, et, es, er = _integer(c), _integer(et), _integer(es), _integer(er)
+            c, et, es, er = integer(c), integer(et), integer(es), integer(er)
             if c:
                 classes.setdefault((es, er), {})[et] = c
         self._runs = {}
@@ -98,18 +102,18 @@ class LaurentPoly:
     # ring ops ------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return _sum(self, _coerce(other), 1)
+        return _products(((self, _coerce(other)),), _PLUS)[0][0]
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _sum(_ZERO, self, -1)
+        return _products(((self,),), ((_MINUS_ONE,),))[0][0]
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return _sum(self, _coerce(other), -1)
+        return _products(((self, _coerce(other)),), _MINUS)[0][0]
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return _sum(_coerce(other), self, -1)
+        return _products(((_coerce(other), self),), _MINUS)[0][0]
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return _products(((self,),), ((_coerce(other),),))[0][0]
@@ -166,7 +170,7 @@ def _wrap(runs: dict) -> LaurentPoly:
     return p
 
 
-def _integer(x, what: str = "coefficient or exponent") -> int:
+def integer(x, what: str = "coefficient or exponent") -> int:
     """x, refused unless an int: bool is an int too, and a float may equal one."""
     if type(x) is not int:
         raise ValueError(f"{what} {x!r} is not an integer")
@@ -179,28 +183,6 @@ def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     if type(x) is int:
         return LaurentPoly({(0, 0, 0): x})
     raise TypeError(f"cannot coerce {type(x).__name__} into the Laurent ring")
-
-
-def _sum(p: LaurentPoly, q: LaurentPoly, sign: int) -> LaurentPoly:
-    """p + sign * q for sign +-1, class by class: a class of q that p lacks
-    is copied (negated if sign < 0), and one that both have is written into
-    one list over the two runs' joint span, q's run added as one slice, and
-    trimmed; a class whose sum is 0 is dropped."""
-    runs = dict(p._runs)
-    for key, (lo, run) in q._runs.items():
-        if sign < 0:
-            run = tuple(map(neg, run))
-        if key in runs:
-            lo0, run0 = runs.pop(key)
-            start = min(lo, lo0)
-            acc = [0] * (max(lo + len(run), lo0 + len(run0)) - start)
-            acc[lo0 - start:lo0 - start + len(run0)] = run0
-            i, j = lo - start, lo - start + len(run)
-            acc[i:j] = map(add, acc[i:j], run)
-            lo, run = _trimmed(start, acc) or (start, ())
-        if run:
-            runs[key] = lo, run
-    return _wrap(runs)
 
 
 def _trimmed(lo: int, run) -> tuple[int, tuple[int, ...]] | None:
@@ -281,14 +263,46 @@ def digit_codec(bits: int):
     return pack, unpack
 
 
-def split_rows(cols, bits: int) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The rows of the matrix A whose column j is cols[j] packed by rows
-    into t: a dict {(e_s, e_r): (lo, total)}, total packing (digit_codec) the
-    run from t^lo of sum_i A_ij(t^dim, s, r) * t^i with dim = len(cols).
-    Digit k of a class is the coefficient of t^e_t s^e_s r^e_r in A_ij for
-    e_t, i = divmod(lo + k, dim), so row i's run is every dim-th digit."""
-    dim, unpack = len(cols), digit_codec(bits)[1]
-    rows = [[_ZERO] * dim for _ in range(dim)]
+def accumulate(sums: dict, key, lo: int, x: int, bits: int) -> None:
+    """Add the packed run x from t^lo into sums[key] = [t_lo, total], the
+    class's packed sum in digits of bits bits, aligned by one shift: of x
+    above t_lo, or of the total above lo, which becomes its t_lo."""
+    acc = sums.get(key)
+    if acc is None:
+        sums[key] = [lo, x]
+    elif lo >= acc[0]:
+        acc[1] += x << bits * (lo - acc[0])
+    else:
+        acc[1] = (acc[1] << bits * (acc[0] - lo)) + x
+        acc[0] = lo
+
+
+def repacked(cols, bits: int):
+    """Columns of packed classes {(e_s, e_r): (lo, total)} in digits of
+    bits bits, repacked, with their largest coefficient M: unpacked exactly
+    and packed again in digits that hold M^2, and at least 64 bits, so a
+    fold gets as many bits of growth again before the next repack.
+    Returns (columns, bits, M)."""
+    unpack = digit_codec(bits)[1]
+    runs = [{key: unpack(lo, x) for key, (lo, x) in col.items()}
+            for col in cols]
+    bound = max(max(max(run), -min(run))
+                for col in runs for _, run in col.values())
+    bits = max(64, digit_bits(bound * bound))
+    pack = digit_codec(bits)[0]
+    return [{key: (lo, pack(run)) for key, (lo, run) in col.items()}
+            for col in runs], bits, bound
+
+
+def split_rows(cols, bits: int, dim: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of the dim x len(cols) matrix A whose column j is cols[j]
+    packed by rows into t: a dict {(e_s, e_r): (lo, total)}, total packing
+    (digit_codec) the run from t^lo of sum_i A_ij(t^dim, s, r) * t^i. Digit
+    k of a class is the coefficient of t^e_t s^e_s r^e_r in A_ij for e_t, i
+    = divmod(lo + k, dim), so row i's run is every dim-th digit. It is the
+    one unpack of a packed matrix: of rep's fold and of _products."""
+    unpack = digit_codec(bits)[1]
+    rows = [[_ZERO] * len(cols) for _ in range(dim)]
     for j, col in enumerate(cols):
         for key, (lo, total) in col.items():
             lo, digits = unpack(lo, total)
@@ -302,60 +316,62 @@ def split_rows(cols, bits: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _products(a, b) -> list[list[LaurentPoly]]:
-    """The product of two square arrays of LaurentPoly, by Kronecker
-    substitution: each class run (t_lo, coeffs) is packed (digit_codec), the
-    packed ints of each class pair are multiplied, the products are added
-    per target class, aligned by t_lo, and each sum is unpacked once
-    and trimmed.
+def _products(a, b) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The product of an m x n and an n x p array of LaurentPoly, by
+    Kronecker substitution in the layout of rep's fold, the rows
+    interleaved into t: column k of a is packed (digit_codec) per class as
+    the run of sum_i a_ik(t^m, s, r) * t^i, each entry's run spread to
+    every m-th digit and accumulated i digits up; column j of the product
+    is sum_k b_kj(t^m) * col_k, the packed ints of each class pair
+    multiplied and accumulated per target class; split_rows unpacks it.
 
-    No coefficient of sum_k a[i][k] * b[k][j] exceeds bound = dim *
+    No coefficient of sum_k a[i][k] * b[k][j] exceeds bound = n *
     min(classes) * min(nonzero terms per run) * max|a| * max|b|, each count
-    the largest over an entry of a or of b, so the digit_bits width of
-    bound holds every input and output coefficient."""
-    dim = len(a)
+    the largest over an entry of a or of b, and the rows of a column hold
+    distinct digits, so the digit_bits width of bound holds every input
+    and output coefficient."""
+    m = len(a)
     stats = []
-    for m in (a, b):
-        polys = [x._runs for row in m for x in row]
+    for x in (a, b):
+        polys = [p._runs for row in x for p in row]
         runs = [run for p in polys for _, run in p.values()]
         if not runs:
-            return [[_ZERO] * dim for _ in range(dim)]
+            return tuple((_ZERO,) * len(b[0]) for _ in a)
         stats.append((max(map(len, polys)),
                       max(len(run) - run.count(0) for run in runs),
-                      max(max(max(run), -min(run)) for run in runs)))
+                      max(max(map(max, runs)), -min(map(min, runs)))))
     (ca, na, ma), (cb, nb, mb) = stats
-    bits = digit_bits(dim * min(ca, cb) * min(na, nb) * ma * mb)
-    pack, unpack = digit_codec(bits)
-    pa, pb = ([[{key: (lo, pack(run))
-                 for key, (lo, run) in x._runs.items()}
-                for x in row] for row in m] for m in (a, b))
-    cols = list(zip(*pb))
+    bits = digit_bits(len(b) * min(ca, cb) * min(na, nb) * ma * mb)
+    pack = digit_codec(bits)[0]
+
+    def packed(run):    # the run of p(t^m): coefficient e at digit e * m
+        spread = [0] * (len(run) * m - m + 1)
+        spread[::m] = run
+        return pack(spread)
+
+    cols = []
+    for col in zip(*a):
+        sums: dict = {}    # class -> [t_lo, packed sum]
+        for i, x in enumerate(col):
+            for key, (lo, run) in x._runs.items():
+                accumulate(sums, key, lo * m + i, packed(run), bits)
+        cols.append(sums)
     out = []
-    for row in pa:
-        out_row = []
-        for col in cols:
-            sums: dict = {}    # class -> [t_lo, packed sum]
-            for x, y in zip(row, col):
-                for (sa, ra), (la, va) in x.items():
-                    for (sb, rb), (lb, vb) in y.items():
-                        key, lo, v = (sa + sb, ra + rb), la + lb, va * vb
-                        acc = sums.get(key)
-                        if acc is None:
-                            sums[key] = [lo, v]
-                        elif lo >= acc[0]:
-                            acc[1] += v << bits * (lo - acc[0])
-                        else:
-                            acc[1] = (acc[1] << bits * (acc[0] - lo)) + v
-                            acc[0] = lo
-            runs = {key: unpack(lo, total)
-                    for key, (lo, total) in sums.items() if total}
-            out_row.append(_wrap(runs) if runs else _ZERO)
-        out.append(out_row)
-    return out
+    for col_b in zip(*b):
+        sums = {}
+        for col, y in zip(cols, col_b):
+            for (sb, rb), (lb, run) in y._runs.items():
+                v, lb = packed(run), lb * m
+                for (sa, ra), (la, x) in col.items():
+                    accumulate(sums, (sa + sb, ra + rb), la + lb, x * v, bits)
+        out.append(sums)
+    return split_rows(out, bits, m)
 
 
 _ZERO = _wrap({})
 _ONE = _wrap({(0, 0): (0, (1,))})
+_MINUS_ONE = _wrap({(0, 0): (0, (-1,))})
+_PLUS, _MINUS = ((_ONE,), (_ONE,)), ((_ONE,), (_MINUS_ONE,))    # sum columns
 
 T = LaurentPoly.monomial(1, 1, 0, 0)
 S = LaurentPoly.monomial(1, 0, 1, 0)
@@ -509,7 +525,7 @@ class Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} x {a.dim} times {b.dim} x {b.dim}")
-    return Matrix(a.dim, tuple(map(tuple, _products(a.rows, b.rows))))
+    return Matrix(a.dim, _products(a.rows, b.rows))
 
 
 def mat_eval(m: Matrix, a: Assignment) -> tuple[tuple[Fraction, ...], ...]:
@@ -536,7 +552,7 @@ def mat_from_json(data: dict) -> Matrix:
         raise ValueError('matrix JSON is not of the form '
                          '{"dim": n, "rows": [[polynomial, ...], ...]}')
     rows = tuple(tuple(poly_from_json(x) for x in row) for row in rows)
-    return Matrix(_integer(data["dim"], "dim"), rows)
+    return Matrix(integer(data["dim"], "dim"), rows)
 
 
 # -- exact rational linear algebra (used by invariant checks) ------------------

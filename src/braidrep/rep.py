@@ -18,22 +18,22 @@ instead of O(len * dim^3). Both folds hold the accumulator as its list of
 columns, and each is its own loop. A t or p block squares to the
 identity, so each folds power % 2 times.
 
-The symbolic fold adds packed integers. Column j holds, per (e_s, e_r)
-class, a pair (lo, x): x packs (laurent.digit_codec) the balanced base-2^W
-digits of the run from t^lo of sum_i A_ij(t^dim, s, r) * t^i, so the row
-is interleaved into the t exponent, e_t * dim + i, and all rows share the
-class's one run. A term +-t^a s^b r^c * old[src] rewrites each class key
-of old[src], moves lo by a * dim and adds +-x shifted into place
-(x << W * (lo - lo0)); the new columns are written back once the action's
-updates are all built. A one-term update (t, p, the one-term half of an s)
-only rewrites keys, z rotates the list, and a class whose sum is 0 is
-dropped. One bound B covers every coefficient: it starts at 1 with W = 64,
-and each unit letter multiplies it by its action's most terms (3 for an
-s, 1 for t or p). Before B would reach 2^(W-1), every column is unpacked
-exactly, B becomes the largest coefficient M, W becomes wide enough for
-M^2 (and at least 64 bits), and the columns are repacked. At the end
-laurent.split_rows unpacks each class once and takes row i's run as every
-dim-th digit. Only rep knows the action format.
+The symbolic fold adds packed integers in laurent's one packed layout:
+column j holds, per (e_s, e_r) class, a pair (lo, x), x the packed run
+from t^lo of sum_i A_ij(t^dim, s, r) * t^i, so the row is interleaved into
+the t exponent, e_t * dim + i, and all rows share the class's one run. A
+term +-t^a s^b r^c * old[src] rewrites each class key of old[src], moves
+lo by a * dim and adds +-x into its class by laurent.accumulate; the new
+columns are written back once the action's updates are all built. A
+one-term update (t, p, the one-term half of an s) only rewrites keys, z
+rotates the list, and a class whose sum is 0 is dropped. One bound B
+covers every coefficient: it starts at 1 with 64-bit digits, and each
+unit letter multiplies it by its action's most terms (3 for an s, 1 for t
+or p). Before B would reach the digits' limit, laurent.repacked unpacks
+every column exactly, B becomes the largest coefficient M, and the
+columns are packed again in digits wide enough for M^2. At the end
+laurent.split_rows unpacks them. rep knows the action format, and
+laurent the digit format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It
@@ -64,7 +64,7 @@ from math import gcd, lcm
 
 from .braidword import GroupId, Letter, Word
 from .errors import IncompatibleRepGroup
-from .laurent import Assignment, Matrix, digit_bits, digit_codec, split_rows
+from .laurent import Assignment, Matrix, accumulate, repacked, split_rows
 
 RHO = "rho"
 RHO_TILDE = "rho-tilde"
@@ -164,9 +164,9 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
 
 def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
     """The image folded in packed integers: column j is, per class
-    (e_s, e_r), (lo, x) with x packing in digits of W = bits bits the run
-    from t^lo of sum_i A_ij(t^dim, s, r) * t^i (laurent.split_rows). No
-    coefficient exceeds B = bound in absolute value."""
+    (e_s, e_r), (lo, x) with x packing in digits of bits bits the run from
+    t^lo of sum_i A_ij(t^dim, s, r) * t^i (laurent.split_rows). No
+    coefficient exceeds bound in absolute value."""
     cols = [{(0, 0): (j, 1)} for j in range(dim)]
     bits, bound = 64, 1
     cache: dict = {}
@@ -184,7 +184,7 @@ def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
         growth, updates = action
         for _ in range(_reps(letter)):
             if (bound * growth) >> (bits - 1):    # a digit could overflow
-                cols, bits, bound = _repacked(cols, bits)
+                cols, bits, bound = repacked(cols, bits)
             bound *= growth
             new = []
             for d, terms in updates:
@@ -199,38 +199,13 @@ def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
                 for sign, (a, b, c), src in terms:
                     a *= dim
                     for (s, r), (lo, x) in cols[src].items():
-                        key, lo = (s + b, r + c), lo + a
-                        if sign < 0:
-                            x = -x
-                        acc = sums.get(key)
-                        if acc is None:
-                            sums[key] = [lo, x]
-                        elif lo >= acc[0]:
-                            acc[1] += x << bits * (lo - acc[0])
-                        else:
-                            acc[1] = (acc[1] << bits * (acc[0] - lo)) + x
-                            acc[0] = lo
+                        accumulate(sums, (s + b, r + c), lo + a,
+                                   x if sign > 0 else -x, bits)
                 new.append((d, {key: acc for key, acc in sums.items()
                                 if acc[1]}))
             for d, col in new:
                 cols[d] = col
-    return Matrix(dim, split_rows(cols, bits))
-
-
-def _repacked(cols, bits: int):
-    """The columns repacked, with their largest coefficient M: unpacked
-    exactly, and packed again in digits that hold M^2, and at least 64
-    bits, so a fold gets as many bits of growth again before the next
-    repack."""
-    unpack = digit_codec(bits)[1]
-    runs = [{key: unpack(lo, x) for key, (lo, x) in col.items()}
-            for col in cols]
-    bound = max(max(max(run), -min(run))
-                for col in runs for _, run in col.values())
-    bits = max(64, digit_bits(bound * bound))
-    pack = digit_codec(bits)[0]
-    return [{key: (lo, pack(run)) for key, (lo, run) in col.items()}
-            for col in runs], bits, bound
+    return Matrix(dim, split_rows(cols, bits, dim))
 
 
 def _reps(letter: Letter) -> int:

@@ -290,6 +290,33 @@ def test_strand_arguments_are_checked():
         linking_number(b, 1, 1)
 
 
+@pytest.mark.parametrize("bad", (3.0, True))
+@pytest.mark.parametrize("call,what", (
+    (lambda b, x: b.at(x, 0.5), "strand"),
+    (lambda b, x: linking_number(b, 1, x), "strand"),
+    (lambda b, x: cylinder_events(b, x), "k"),
+    (lambda b, x: q_kl(b, x, 2), "k"),
+    (lambda b, x: q_kl(b, 1, x), "l"),
+    (lambda b, x: psi_d_events(b, x), "d"),
+    (lambda b, x: power_map_extract(b, 1, x), "d"),
+))
+def test_strand_and_power_arguments_must_be_plain_integers(monkeypatch, call,
+                                                          what, bad):
+    """A float equal to an int, and a bool, are refused as a strand or a
+    power before any work, as the ring and Letter refuse them."""
+    b = artin_dynamics(parse_word("comm(A[1,3]; A[2,4])", B4))
+
+    def worked(*args):
+        raise AssertionError("a refused argument reached the reading")
+
+    for name in ("_frame", "_approach", "_winding"):
+        monkeypatch.setattr(geom, name, worked)
+    with pytest.raises(ValueError, match=f"^{what} {bad!r} is not an "
+                       "integer$"):
+        call(b, bad)
+    assert not b._cylinder and not b._windings
+
+
 def test_base_points_separated_and_deterministic():
     for n in (3, 5, 7):
         pts = base_points(n)
@@ -563,6 +590,60 @@ def test_extraction_invariant_under_perturb_and_resample():
     base = word_image(cylinder_reading(b, 2)[1], RHO)
     assert word_image(cylinder_reading(perturb(b, 5, 1e-6), 2)[1], RHO) == base
     assert word_image(cylinder_reading(resample(b, 2), 2)[1], RHO) == base
+
+
+# -- exact plane symmetries -----------------------------------------------------
+
+
+def moved(braid: GeomBraid, f) -> GeomBraid:
+    """The braid with f applied to every breakpoint."""
+    return GeomBraid(braid.n, tuple(tuple((t, f(z)) for t, z in bps)
+                                    for bps in braid.strands))
+
+
+def read_or_refusal(reading):
+    try:
+        return reading()
+    except BraidrepError as exc:
+        return type(exc)
+
+
+def plane_readings(braid: GeomBraid) -> list:
+    """cylinder_events(braid, 1), then the q_kl(braid, 1, 3) readings at
+    d = 2, 3 and 4: each its events, or the class of its refusal."""
+    return [read_or_refusal(lambda: cylinder_events(braid, 1))] + [
+        read_or_refusal(lambda: psi_d_events(q_kl(braid, 1, 3), d))
+        for d in (2, 3, 4)]
+
+
+SYMMETRIC_BRAIDS = [artin_dynamics(random_zero_linking_word(
+    4 + seed % 4, random.Random(seed))) for seed in range(12)]
+
+
+@pytest.mark.parametrize("f", (lambda z: z * 1j, lambda z: -z,
+                               lambda z: z * 2 ** 40),
+                         ids=("turn", "half-turn", "scale"))
+def test_readings_are_exact_under_turns_and_power_of_two_scales(f):
+    """A quarter turn, a half turn and a scale by 2^40 move every
+    breakpoint exactly and leave every product the readings take equal
+    bit for bit, so the events are identical, times included."""
+    for b in SYMMETRIC_BRAIDS:
+        assert plane_readings(moved(b, f)) == plane_readings(b)
+
+
+def test_mirrored_pair_reading_flips_only_the_negative_end():
+    """Conjugating every point conjugates the cross ratio: at d = 2 the
+    events keep their times, pairs and classes, and each negative end is
+    the pair's other strand."""
+    for b in SYMMETRIC_BRAIDS:
+        want = read_or_refusal(lambda: psi_d_events(q_kl(b, 1, 3), 2))
+        got = read_or_refusal(lambda: psi_d_events(
+            q_kl(moved(b, complex.conjugate), 1, 3), 2))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert [(e.time, e.i, e.j, e.cls, e.i + e.j - e.ne) for e in got] \
+            == [(e.time, e.i, e.j, e.cls, e.ne) for e in want]
 
 
 def test_reading_depends_on_calibration():

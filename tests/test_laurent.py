@@ -415,7 +415,7 @@ def test_split_rows_unpacks_columns_packed_by_rows(data, dim, bits, big):
     pack = digit_codec(bits)[0]
     rows = split_rows([{key: (lo, pack(run))
                         for key, (lo, run) in p._runs.items()}
-                       for p in cols], bits)
+                       for p in cols], bits, dim)
     assert len(rows) == dim and all(len(row) == dim for row in rows)
     for i in range(dim):
         for j in range(dim):
