@@ -714,12 +714,16 @@ def _cylinder_events(braid: GeomBraid, k: int, cut_angle: float | None):
             return [fixed if unit else 0j] * len(z[0])
     points, values, segments = _frame(braid.times, braid._paths, k0,
                                       range(n), cut)
-    # each vector's rounding is relative to the strands' summed distance
-    # from 0 as well
-    mags = [sum(map(abs, z)) for z in zip(*points)]
-    cs = [x + y for x, y in zip(mags, mags[1:])]
-    ranges = [None if s == k0 else _angle_range(v, cs)
-              for s, v in enumerate(values)]
+    # a strand vector's values are one rounding of exactly scaled points,
+    # its increments the difference of two steps, each rounded against its
+    # own strand's points: so its rounding is relative to |z_s| + |z_k|;
+    # the cut vector's, a sum over every strand, to the strands' summed |z|
+    mags = [list(map(abs, z)) for z in points]
+    sizes = [list(map(add, m, mags[k0])) for m in mags] + \
+        [list(map(sum, zip(*mags)))]
+    ranges = [None if s == k0 else
+              _angle_range(v, [x + y for x, y in zip(c, c[1:])])
+              for s, (v, c) in enumerate(zip(values, sizes))]
     lines, spacing = _ray_lines(1)
     # strand pairs, then each strand against the cut, vector n
     items = [(si, sj, (si + 1, sj + 1), "alignment")
@@ -975,12 +979,15 @@ def _angle_range(values, cs):
     A ratio's P has as Bernstein coefficients positive sums of products of
     its vectors' end values, four for a cross ratio, two for the cylinder,
     whose rounding against them is a small multiple of the product of their
-    kappa = (|v0| + |v1| + cs) / min(|v0|, |v1|), cs the other sizes the
-    vector's rounding is relative to. As kappa >= 2, by the AM-GM inequality
-    the allowances _ARG_ROUNDING * kappa^4 of four vectors, or of two, bound
-    that product, and the rounding of the breakpoint angles too. The
-    allowance is a product of floats, so a kappa too large for it gives an
-    infinite half-width, an unbound segment, rather than raising."""
+    kappa = (|v0| + |v1| + cs) / min(|v0|, |v1|), cs per segment this
+    vector's own: the other sizes its rounding is relative to, at both
+    ends (for a cylinder strand vector |z_s| + |z_k|, for the cut every
+    strand's |z|, for a pair reading the far vector's). As kappa >= 2, by
+    the AM-GM inequality the allowances _ARG_ROUNDING * kappa^4 of four
+    vectors, or of two, bound that product, and the rounding of the
+    breakpoint angles too. The allowance is a product of floats, so a kappa
+    too large for it gives an infinite half-width, an unbound segment,
+    rather than raising."""
     mags = [abs(v) for v in values]
     if 0.0 in mags:
         return [0.0] * len(cs), [math.inf] * len(cs)

@@ -264,17 +264,21 @@ def digit_codec(bits: int):
 
 
 def accumulate(sums: dict, key, lo: int, x: int, bits: int) -> None:
-    """Add the packed run x from t^lo into sums[key] = [t_lo, total], the
-    class's packed sum in digits of bits bits, aligned by one shift: of x
-    above t_lo, or of the total above lo, which becomes its t_lo."""
+    """Add the packed run x != 0 from t^lo into sums[key] = [t_lo, total],
+    the class's packed sum in digits of bits bits, aligned by one shift: of
+    x above t_lo, or of the total above lo, which becomes its t_lo. A class
+    whose sum cancels to 0 is dropped, so sums holds no zero total."""
     acc = sums.get(key)
     if acc is None:
         sums[key] = [lo, x]
-    elif lo >= acc[0]:
+        return
+    if lo >= acc[0]:
         acc[1] += x << bits * (lo - acc[0])
     else:
         acc[1] = (acc[1] << bits * (acc[0] - lo)) + x
         acc[0] = lo
+    if not acc[1]:
+        del sums[key]
 
 
 def repacked(cols, bits: int):

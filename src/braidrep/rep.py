@@ -23,10 +23,9 @@ column j holds, per (e_s, e_r) class, a pair (lo, x), x the packed run
 from t^lo of sum_i A_ij(t^dim, s, r) * t^i, so the row is interleaved into
 the t exponent, e_t * dim + i, and all rows share the class's one run. A
 term +-t^a s^b r^c * old[src] rewrites each class key of old[src], moves
-lo by a * dim and adds +-x into its class by laurent.accumulate; the new
-columns are written back once the action's updates are all built. A
-one-term update (t, p, the one-term half of an s) only rewrites keys, z
-rotates the list, and a class whose sum is 0 is dropped. One bound B
+lo by a * dim and adds +-x into its class by laurent.accumulate, which
+drops a class whose sum cancels; the new columns are written back once
+the action's updates are all built, and z rotates the list. One bound B
 covers every coefficient: it starts at 1 with 64-bit digits, and each
 unit letter multiplies it by its action's most terms (3 for an s, 1 for t
 or p). Before B would reach the digits' limit, laurent.repacked unpacks
@@ -52,14 +51,17 @@ small keep small integers, and a column a power leaves kept for many
 steps keeps small entries under one large multiplier. At the end entries
 become Fraction(mult[c] * x, scale).
 
-Each call keeps its letters' actions, or for the evaluated fold their plans
-(the actions evaluated at the point), in its own dict, so a repeated letter
-costs one lookup and an image depends on nothing outside the call.
+A letter's action is a pure function of (rep, dim, kind, slots, sign), and
+its plan, the action evaluated at a point, of those and the point as
+integer ratios; both are memoized (lru_cache), so a repeated letter costs
+one lookup, in one image and across images. They are tuples, which no fold
+can change.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .braidword import GroupId, Letter, Word
@@ -94,6 +96,7 @@ def rep_dim(rep: str, group: GroupId) -> int:
     return group.strands - 1 if rep == BURAU_REDUCED else group.strands
 
 
+@lru_cache(maxsize=1024)    # a letter per (rep, dim, kind, slots, sign)
 def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
             positive: bool):
     """Action form of a letter on its two slots:
@@ -117,6 +120,7 @@ def _action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     return ((a, ((1, m_inv, b),)), (b, ((1, m, a),)))
 
 
+@lru_cache(maxsize=1024)    # and per point: keyed by ratios, not Fractions
 def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
                       positive: bool, point: tuple[tuple[int, int], ...]):
     """The letter's action form evaluated at the point t, s, r, given as
@@ -145,8 +149,8 @@ def _evaluated_action(rep: str, dim: int, kind: str, slots: tuple[int, int],
     for (dest, src), num in nums.items():
         if num:
             updates[dest].append((num // g, src))
-    kept = [c for c in range(dim) if c not in updates]
-    return den // g, list(updates.items()), kept
+    kept = tuple(c for c in range(dim) if c not in updates)
+    return den // g, tuple((d, tuple(t)) for d, t in updates.items()), kept
 
 
 def word_image(word: Word, rep: str, assignment: Assignment | None = None):
@@ -169,40 +173,27 @@ def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
     coefficient exceeds bound in absolute value."""
     cols = [{(0, 0): (j, 1)} for j in range(dim)]
     bits, bound = 64, 1
-    cache: dict = {}
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
             k = -letter.power % dim
             cols = cols[k:] + cols[:k]
             continue
-        which = (letter.kind, letter.index, letter.power > 0)
-        action = cache.get(which)
-        if action is None:    # growth: the most terms of an update
-            updates = _action(rep, dim, letter.kind,
-                              word.group.slots(letter.index), letter.power > 0)
-            action = cache[which] = (max(len(t) for _, t in updates), updates)
-        growth, updates = action
+        updates = _action(rep, dim, letter.kind,
+                          word.group.slots(letter.index), letter.power > 0)
+        growth = max(len(terms) for _, terms in updates)
         for _ in range(_reps(letter)):
             if (bound * growth) >> (bits - 1):    # a digit could overflow
                 cols, bits, bound = repacked(cols, bits)
             bound *= growth
             new = []
             for d, terms in updates:
-                if len(terms) == 1:    # t^a is t^(a * dim) packed
-                    (sign, (a, b, c), src), = terms
-                    a *= dim
-                    new.append((d, {(s + b, r + c): (lo + a, x if sign > 0
-                                                     else -x)
-                                    for (s, r), (lo, x) in cols[src].items()}))
-                    continue
                 sums: dict = {}    # class -> [t_lo, packed sum]
                 for sign, (a, b, c), src in terms:
-                    a *= dim
+                    a *= dim    # t^a is t^(a * dim) packed
                     for (s, r), (lo, x) in cols[src].items():
                         accumulate(sums, (s + b, r + c), lo + a,
                                    x if sign > 0 else -x, bits)
-                new.append((d, {key: acc for key, acc in sums.items()
-                                if acc[1]}))
+                new.append((d, sums))
             for d, col in new:
                 cols[d] = col
     return Matrix(dim, split_rows(cols, bits, dim))
@@ -223,19 +214,14 @@ def _evaluated_image(word: Word, rep: str, dim: int,
     cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
     mult = [1] * dim
     scale, reduced = 1, 32    # scale's bit length at the last gcd, at least 32
-    plans: dict = {}
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
             k = -letter.power % dim
             cols, mult = cols[k:] + cols[:k], mult[k:] + mult[:k]
             continue
-        key = (letter.kind, letter.index, letter.power > 0)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _evaluated_action(
-                rep, dim, letter.kind, word.group.slots(letter.index),
-                letter.power > 0, point)
-        den, updates, kept = plan
+        den, updates, kept = _evaluated_action(
+            rep, dim, letter.kind, word.group.slots(letter.index),
+            letter.power > 0, point)
         for _ in range(_reps(letter)):
             new = []
             for d, terms in updates:

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -17,7 +18,7 @@ from braidrep.errors import (BraidrepError, NonGenericInput,
                              NonIntegerWinding, NonZeroLinking,
                              PunctureCollision, SeparationViolated)
 from braidrep import geom
-from braidrep.geom import (GENERICITY_TOL, SEPARATION_TOL,
+from braidrep.geom import (BISECTION_TOL, GENERICITY_TOL, SEPARATION_TOL,
                            GeomBraid, _approach, _comes_within,
                            _winding,
                            artin_dynamics, base_points, braid_from_json,
@@ -646,6 +647,78 @@ def test_mirrored_pair_reading_flips_only_the_negative_end():
             == [(e.time, e.i, e.j, e.cls, e.ne) for e in want]
 
 
+def follows(got, want, law, tol: float = 0.0) -> bool:
+    """got is want with law applied to each event, times within tol; or
+    both are the same refusal class."""
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return len(got) == len(want) and all(
+        abs(g.time - w.time) <= tol and replace(g, time=w.time) == law(w)
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_mirrored_pair_reading_at_d_3_and_4_flips_only_the_negative_end(d):
+    """Conjugating every point sends ray p to ray d - p: ray 0 stays
+    classical, the rest flat, and each negative end is the pair's other
+    strand, as at d = 2. The times agree within BISECTION_TOL only, as ray
+    d - p's direction is not the exact conjugate of ray p's."""
+    for b in SYMMETRIC_BRAIDS:
+        want = read_or_refusal(lambda: psi_d_events(q_kl(b, 1, 3), d))
+        got = read_or_refusal(lambda: psi_d_events(
+            q_kl(moved(b, complex.conjugate), 1, 3), d))
+        assert follows(got, want, lambda e: replace(e, ne=e.i + e.j - e.ne),
+                       BISECTION_TOL)
+
+
+def test_mirrored_cylinder_reading_reverses_slots_and_signs():
+    """Conjugating every point negates every angle seen from strand k, the
+    cut's included, and conjugates each P exactly, so the events keep their
+    times bit for bit, their pairs and classes. The n - 3 strands below an
+    aligned pair are then above it, so slot s = 1 + below becomes n - 1 - s;
+    the radii stay and Im P falls where it rose, so every crossing sign and
+    cut power flips."""
+    for b in SYMMETRIC_BRAIDS:
+        n = b.n
+        assert follows(
+            read_or_refusal(lambda: cylinder_events(moved(b, complex.conjugate),
+                                                    1)),
+            read_or_refusal(lambda: cylinder_events(b, 1)),
+            lambda e: replace(e, sign=-e.sign, slot=None if e.slot is None
+                              else n - 1 - e.slot))
+
+
+def test_relabeled_readings_are_the_same_events_relabeled():
+    """Reversing the strand order relabels strand s as n + 1 - s, and a
+    view's watched strand v as n - 1 - v. Read from strand n, and through
+    q_kl(n, n - 2) at d = 2, 3 and 4, the events are the same, each pair
+    relabeled (and so reordered); a pair reading's classes over and under
+    swap, as the strand passing over keeps passing over. The times agree
+    within BISECTION_TOL: a root is refined on P or on its conjugate by
+    pair order."""
+    for b in SYMMETRIC_BRAIDS:
+        n = b.n
+        flipped = GeomBraid(n, b.strands[::-1])
+
+        def cylinder_law(e):
+            i, j = n + 1 - e.i, n + 1 - e.j
+            return replace(e, i=i, j=j) if e.cls == "cut" else \
+                replace(e, i=min(i, j), j=max(i, j))
+
+        assert follows(read_or_refusal(lambda: cylinder_events(flipped, n)),
+                       read_or_refusal(lambda: cylinder_events(b, 1)),
+                       cylinder_law, BISECTION_TOL)
+        swap = {"classical_over": "classical_under",
+                "classical_under": "classical_over", "flat": "flat"}
+        for d in (2, 3, 4):
+            want = read_or_refusal(lambda: psi_d_events(q_kl(b, 1, 3), d))
+            got = read_or_refusal(lambda: psi_d_events(
+                q_kl(flipped, n, n - 2), d))
+            assert follows(got, want, lambda e: replace(
+                e, i=n - 1 - e.j, j=n - 1 - e.i, cls=swap[e.cls],
+                ne=n - 1 - e.ne), BISECTION_TOL)
+
+
 def test_reading_depends_on_calibration():
     w = random_pure_word(4, random.Random(2), factors=2)
     b = artin_dynamics(w)
@@ -798,6 +871,27 @@ def test_cylinder_events_are_found_once_per_strand_and_cut(monkeypatch):
         assert cylinder_reading(b, k, None, cut)[0] is events
         assert power_map_extract(b, k, 3, cut) == \
             cylinder_reading(b, k, 3, cut)[1]
+
+
+def test_cylinder_allowance_is_sized_by_each_vectors_own_points(monkeypatch):
+    """A strand vector's rounding allowance is sized by its own strand's
+    and strand k's points, not by all n strands': on a 32-strand braid the
+    filter passes (segment, item) tests within 2x of those that pass on
+    geometry alone, with no rounding allowance at all."""
+    calls = [0]
+    quartic = geom._pair_quartic
+
+    def counted(num, den):
+        calls[0] += 1
+        return quartic(num, den)
+
+    monkeypatch.setattr(geom, "_pair_quartic", counted)
+    word = random_zero_linking_word(32, random.Random(4), factors=2)
+    events = cylinder_events(artin_dynamics(word), 1)
+    sized, calls[0] = calls[0], 0
+    monkeypatch.setattr(geom, "_ARG_ROUNDING", 0.0)
+    assert cylinder_events(artin_dynamics(word), 1) == events
+    assert calls[0] <= sized <= 2 * calls[0]
 
 
 def test_cylinder_events_json_records():

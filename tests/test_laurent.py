@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from braidrep.errors import DimMismatch, ZeroAssignment
 from braidrep.laurent import (Assignment, LaurentPoly, Matrix, T, S, R,
-                              T_INV, S_INV, digit_codec, format_poly,
+                              T_INV, S_INV, accumulate, digit_codec,
+                              format_poly,
                               lp_eval, mat_eval, mat_from_json, mat_mul,
                               mat_to_json, poly_from_json,
                               poly_to_json, rational_det, rational_rank,
@@ -420,6 +421,18 @@ def test_split_rows_unpacks_columns_packed_by_rows(data, dim, bits, big):
     for i in range(dim):
         for j in range(dim):
             assert_matches(rows[i][j], entries[i][j])
+
+
+def test_accumulate_drops_a_class_that_cancels():
+    """A class whose packed sum cancels to 0 leaves sums, whether the run
+    added starts at or above the class's t_lo or below it."""
+    sums: dict = {}
+    accumulate(sums, (0, 0), 2, 5, 64)
+    accumulate(sums, (1, 0), 3, 1, 64)
+    accumulate(sums, (0, 0), 2, -5, 64)
+    assert sums == {(1, 0): [3, 1]}
+    accumulate(sums, (1, 0), 2, -(1 << 64), 64)    # -t^3, one digit up
+    assert sums == {}
 
 
 def test_a_sparse_class_costs_its_t_span():

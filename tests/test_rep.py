@@ -230,6 +230,25 @@ def test_evaluated_image_matches_symbolic():
         mat_eval(word_image(wf, RHO_TILDE), at)
 
 
+def test_memoized_plans_serve_every_point_unchanged():
+    """The folds share memoized actions and plans across calls: one word
+    evaluated at A, then B, then A again equals mat_eval of its symbolic
+    image each time, and a plan holds only tuples, which no fold can
+    change. At t = 1 an s cancels its 1 - t, so columns share lists."""
+    w = parse_word("s1^3 t2 z s2^-2 t1 s3^-1 z^-1 s1", VCB4)
+    sym = word_image(w, RHO)
+    a = Assignment(Fraction(1), Fraction(3, 2))
+    b = Assignment(Fraction(-2, 3), Fraction(5), Fraction(-1, 3))
+    for at in (a, b, a):
+        assert word_image(w, RHO, at) == mat_eval(sym, at)
+    assert word_image(w, RHO) == sym
+    point = tuple(v.as_integer_ratio() for v in (a.t, a.s, a.r))
+    den, updates, kept = rep._evaluated_action(RHO, 4, "s", (1, 2), True,
+                                               point)
+    assert type(updates) is type(kept) is tuple
+    assert all(type(terms) is tuple for _, terms in updates)
+
+
 def _assert_fold_matches_symbolic(word, rep_id, at):
     fast = word_image(word, rep_id, at)
     assert all(type(x) is Fraction for row in fast for x in row)
