@@ -19,29 +19,37 @@ columns, and each is its own loop. A t or p block squares to the
 identity, so each folds power % 2 times.
 
 The symbolic fold adds packed integers in laurent's one packed layout:
-column j holds, per (e_s, e_r) class, a pair (lo, x), x the packed run
-from t^lo of sum_i A_ij(t^dim, s, r) * t^i, so the row is interleaved into
-the t exponent, e_t * dim + i, and all rows share the class's one run. A
-term +-t^a s^b r^c * old[src] rewrites each class key of old[src], moves
-lo by a * dim and adds +-x into its class by laurent.accumulate, which
-drops a class whose sum cancels; the new columns are written back once
-the action's updates are all built, and z rotates the list. One bound B
+column j is a pending monomial sign * t^a s^b r^c (a a multiple of dim)
+times its classes, which hold, per (e_s, e_r) class, a pair (lo, x), x
+the packed run from t^lo of sum_i A_ij(t^dim, s, r) * t^i, so the row is
+interleaved into the t exponent, e_t * dim + i, and all rows share the
+class's one run. A one-term update (both of a t or p block's, and the
+one-term half of an s) composes its monomial with its source's and
+shares the source's classes: it costs one tuple. A longer update folds
+each source's monomial into its term, rewrites each class key of the
+source, moves lo by the term's t shift and adds +-x into its class by
+laurent.accumulate, which drops a class whose sum cancels; it writes a
+fresh dict under the identity monomial. No column's dict is changed in
+place, so sharing is safe. The new columns replace the old once the
+action's updates are all built, and z rotates the list. One bound B
 covers every coefficient: it starts at 1 with 64-bit digits, and each
-unit letter multiplies it by its action's most terms (3 for an s, 1 for t
-or p). Before B would reach the digits' limit, laurent.repacked unpacks
-every column exactly, B becomes the largest coefficient M, and the
-columns are packed again in digits wide enough for M^2. At the end
-laurent.split_rows unpacks them. rep knows the action format, and
-laurent the digit format.
+unit letter multiplies it by the most terms of an update of its kind (3
+for an s, 1 for t or p). Before B would reach the digits' limit, the
+pending monomials are applied, laurent.repacked unpacks every column
+exactly, B becomes the largest coefficient M, and the columns are packed
+again in digits wide enough for M^2. At the end the monomials are applied
+and laurent.split_rows unpacks the columns. rep knows the action format,
+and laurent the digit format.
 
 The evaluated fold evaluates each action's +-monomial terms in integers,
 puts them over one common denominator den and divides out their gcd. It
 holds columns of Python ints, one integer multiplier per column and one
 scalar scale: column c is mult[c] * cols[c] / scale. z rotates both lists.
-A one-term update makes the column share its source's list, with the
-source's multiplier times the term, and a longer one writes a fresh list
-with multiplier 1; no list is changed in place. An action with den != 1
-multiplies the untouched columns' multipliers, and the scale, by den.
+As in the symbolic fold, a one-term update makes the column share its
+source's list, with the source's multiplier times the term, and a longer
+one writes a fresh list with multiplier 1; no list is changed in place.
+An action with den != 1 multiplies the untouched columns' multipliers,
+and the scale, by den.
 Whenever the scale's bit length has doubled since the last reduction (and
 passed 64), scale and columns are divided by their gcd g, that of the
 scale and of each mult[c] * gcd(cols[c]), without folding the multipliers
@@ -167,11 +175,16 @@ def word_image(word: Word, rep: str, assignment: Assignment | None = None):
 
 
 def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
-    """The image folded in packed integers: column j is, per class
-    (e_s, e_r), (lo, x) with x packing in digits of bits bits the run from
-    t^lo of sum_i A_ij(t^dim, s, r) * t^i (laurent.split_rows). No
-    coefficient exceeds bound in absolute value."""
-    cols = [{(0, 0): (j, 1)} for j in range(dim)]
+    """The image folded in packed integers: column j is (sign, a, b, c,
+    classes), worth sign * t^a s^b r^c times the matrix column whose
+    classes (e_s, e_r) are (lo, x), x packing in digits of bits bits the
+    run from t^lo of sum_i A_ij(t^dim, s, r) * t^i (laurent.split_rows); a
+    is a multiple of dim. No coefficient exceeds bound in absolute value.
+    A one-term update composes its monomial with its source's and shares
+    the source's classes; a longer one folds each source's monomial into
+    its terms and writes a fresh dict with the identity monomial. No
+    column's dict is changed in place."""
+    cols = [(1, 0, 0, 0, {(0, 0): (j, 1)}) for j in range(dim)]
     bits, bound = 64, 1
     for letter in word.letters:
         if letter.kind == "z":    # column c becomes column c - power
@@ -180,23 +193,37 @@ def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
             continue
         updates = _action(rep, dim, letter.kind,
                           word.group.slots(letter.index), letter.power > 0)
-        growth = max(len(terms) for _, terms in updates)
+        growth = 3 if letter.kind == "s" else 1    # an update's most terms
         for _ in range(_reps(letter)):
             if (bound * growth) >> (bits - 1):    # a digit could overflow
-                cols, bits, bound = repacked(cols, bits)
+                classes, bits, bound = repacked(_settled(cols), bits)
+                cols = [(1, 0, 0, 0, col) for col in classes]
             bound *= growth
-            new = []
+            new = cols[:]    # every update reads the old columns
             for d, terms in updates:
+                if len(terms) == 1:    # share the source's classes
+                    (sign, (a, b, c), src), = terms
+                    sg, a0, b0, c0, classes = cols[src]
+                    new[d] = sign * sg, a * dim + a0, b + b0, c + c0, classes
+                    continue
                 sums: dict = {}    # class -> [t_lo, packed sum]
                 for sign, (a, b, c), src in terms:
-                    a *= dim    # t^a is t^(a * dim) packed
-                    for (s, r), (lo, x) in cols[src].items():
+                    sg, a0, b0, c0, classes = cols[src]
+                    a, b, c = a * dim + a0, b + b0, c + c0
+                    for (s, r), (lo, x) in classes.items():
                         accumulate(sums, (s + b, r + c), lo + a,
-                                   x if sign > 0 else -x, bits)
-                new.append((d, sums))
-            for d, col in new:
-                cols[d] = col
-    return Matrix(dim, split_rows(cols, bits, dim))
+                                   x if sign == sg else -x, bits)
+                new[d] = 1, 0, 0, 0, sums
+            cols = new
+    return Matrix(dim, split_rows(_settled(cols), bits, dim))
+
+
+def _settled(cols) -> list[dict]:
+    """The symbolic fold's columns as packed classes, each pending
+    monomial sign * t^a s^b r^c applied."""
+    return [{(s + b, r + c): (lo + a, x if sign > 0 else -x)
+             for (s, r), (lo, x) in classes.items()}
+            for sign, a, b, c, classes in cols]
 
 
 def _reps(letter: Letter) -> int:

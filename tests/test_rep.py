@@ -148,6 +148,33 @@ def letter_matrix(rep_id, g, letter):
     return Matrix(n, tuple(zip(*cols)))
 
 
+def unit_product(rep_id, g, letters):
+    """The left-to-right product of the images of single letters of power
+    +-1, powers spelled out; each unit image is also generator_image's."""
+    product = Matrix.identity(rep_dim(rep_id, g))
+    for l in letters:
+        letter = Letter(l.kind, l.index, 1 if l.power > 0 else -1)
+        unit = letter_matrix(rep_id, g, letter)
+        assert unit == generator_image(rep_id, g, letter)
+        for _ in range(abs(l.power)):
+            product = mat_mul(product, unit)
+    return product
+
+
+def random_letters(rng, g, kinds, length):
+    """length letters of the given kinds (repeat a kind to weight it), each
+    of a small power, z of a power past n as well."""
+    n, hi = g.strands, g.strands if g.cyclic else g.strands - 1
+    letters = []
+    for _ in range(length):
+        k = rng.choice(kinds)
+        power = rng.choice((-1, 1)) * rng.choice(
+            (1, 1, 2, 3) if k != "z" else (1, 2, n + 1, 2 * n + 3))
+        letters.append(Letter(k, None if k == "z" else
+                              rng.randrange(1, hi + 1), power))
+    return letters
+
+
 @pytest.mark.parametrize("family,rep_id,kinds", (
     ("CPB", RHO, "sz"), ("VCB", RHO, "stz"), ("FVB", RHO_TILDE, "spt"),
     ("CPB", RHO, "z"), ("VCB", RHO, "tz"), ("FVB", RHO_TILDE, "pt"),
@@ -162,23 +189,9 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
     negative = set()    # variables seen with a negative exponent in an image
     for n in (3, 4, 5, 6, 7) if family != "B" else (2, 3, 4, 5, 6, 7):
         g = GroupId(family, n)
-        hi = n if g.cyclic else n - 1
         for _ in range(20):
-            letters = []
-            for _ in range(rng.randrange(1, 14)):
-                k = rng.choice(kinds)
-                power = rng.choice((-1, 1)) * rng.choice(
-                    (1, 1, 2, 3) if k != "z" else (1, 2, n + 1, 2 * n + 3))
-                letters.append(Letter(k, None if k == "z" else
-                                      rng.randrange(1, hi + 1), power))
-            product = Matrix.identity(rep_dim(rep_id, g))
-            for l in letters:
-                unit = letter_matrix(rep_id, g, Letter(
-                    l.kind, l.index, 1 if l.power > 0 else -1))
-                assert unit == generator_image(rep_id, g, Letter(
-                    l.kind, l.index, 1 if l.power > 0 else -1))
-                for _ in range(abs(l.power)):
-                    product = mat_mul(product, unit)
+            letters = random_letters(rng, g, kinds, rng.randrange(1, 14))
+            product = unit_product(rep_id, g, letters)
             image = word_image(Word(g, tuple(letters)), rep_id)
             assert mat_to_text(image) == mat_to_text(product), \
                 (str(g), letters)
@@ -190,6 +203,50 @@ def test_deferred_fold_matches_product_of_letter_images(family, rep_id, kinds):
         assert {"s", "r"} <= negative
     elif "t" in kinds:    # VCB's t shifts by s
         assert "s" in negative
+
+
+@pytest.mark.parametrize("family,rep_id,kinds", (
+    ("FVB", RHO_TILDE, "ttttpppps"), ("VCB", RHO, "ttttzzzzs"),
+    ("CPB", RHO, "zzzzs")))
+def test_pending_monomials_match_product_on_long_words(family, rep_id, kinds):
+    """Words of 60 to 200 letters, mostly t, p and z, whose one-term
+    updates leave columns sharing classes under pending monomials (sign,
+    t, s and r shifts), fold to the product of their letters' images,
+    byte for byte."""
+    rng = random.Random(f"long {family} {kinds}")
+    for n in (3, 4, 6):
+        g = GroupId(family, n)
+        for _ in range(2):
+            letters = random_letters(rng, g, kinds, rng.randrange(60, 201))
+            image = word_image(Word(g, tuple(letters)), rep_id)
+            assert mat_to_text(image) == \
+                mat_to_text(unit_product(rep_id, g, letters)), \
+                (str(g), letters)
+
+
+def test_pending_monomials_through_a_repack_and_a_sign(monkeypatch):
+    """(t1 p2 s1 t2 s2^-1 p1)^60 in FVB3 has 82-bit coefficients, so the fold
+    repacks mid-word while columns carry pending monomials; B2's
+    burau-reduced s1^+-k is dim 1, where the one update is one term of sign
+    -1, so only the pending sign moves. Both equal the product of their
+    letters' images, byte for byte."""
+    pending = []    # per settle: does a column carry a monomial?
+    settled = rep._settled
+    monkeypatch.setattr(rep, "_settled", lambda cols: pending.append(
+        any(col[:4] != (1, 0, 0, 0) for col in cols)) or settled(cols))
+    g = GroupId("FVB", 3)
+    letters = parse_word("(t1 p2 s1 t2 s2^-1 p1)^60", g).letters
+    image = word_image(Word(g, letters), RHO_TILDE)
+    assert mat_to_text(image) == mat_to_text(
+        unit_product(RHO_TILDE, g, letters))
+    assert max(abs(c).bit_length() for row in image.rows for x in row
+               for _, c in x.items()) == 82
+    assert len(pending) >= 2 and any(pending[:-1])    # a repack, then split
+    g = GroupId("B", 2)
+    for letters in [(sigma(1, k),) for k in (1, 2, 7, 50, -1, -2, -7, -50)] \
+            + [(sigma(1, 3), sigma(1, -8), sigma(1, 2))]:
+        assert mat_to_text(word_image(Word(g, letters), BURAU_REDUCED)) == \
+            mat_to_text(unit_product(BURAU_REDUCED, g, letters))
 
 
 @pytest.mark.parametrize("rep_id,family", (
