@@ -193,7 +193,7 @@ def _symbolic_image(word: Word, rep: str, dim: int) -> Matrix:
             continue
         updates = _action(rep, dim, letter.kind,
                           word.group.slots(letter.index), letter.power > 0)
-        growth = 3 if letter.kind == "s" else 1    # an update's most terms
+        growth = 3 if letter.kind == "s" else 1    # bounds an update's terms
         for _ in range(_reps(letter)):
             if (bound * growth) >> (bits - 1):    # a digit could overflow
                 classes, bits, bound = repacked(_settled(cols), bits)
