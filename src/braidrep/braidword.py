@@ -1,4 +1,4 @@
-"""Braid words over four group families, with a small parser and macro table.
+"""Braid words over four group families, with a text reader and macro table.
 
 Families and their generator alphabets:
 
@@ -13,9 +13,16 @@ adjacent powers of the same generator merge, involutive kinds ("p", "t")
 keep powers in {1}, zero powers vanish. No braid-type rewriting happens.
 
 Letters are immutable shared values: sigma, tau, pi, zeta, Letter.inverse,
-the parser and the word maps hand out one Letter per (kind, index, power)
+the reader and the word maps hand out one Letter per (kind, index, power)
 from a bounded table, so a Word checks each distinct letter once, and a
 one-letter power such as s1^2000000 stays one letter.
+
+The reader, parse_word, scans a text once into tokens, refusing a stray
+character or an unknown name at once, then reads them with one recursive
+function, _read: the terms up to a stop token (a close, a comm( semicolon
+or the end), each atom with its optional ^int, one call per nesting level
+up to MAX_NESTING, every list it spells out capped at MAX_LETTERS. It is a
+module function, not a closure, so a parse leaves no reference cycle.
 
 A letter of index i acts on slots i and i % n + 1 (GroupId.slots), so only
 the cyclic families' index n wraps. One relation table, read over each
@@ -194,8 +201,12 @@ class Word:
         return tuple(out)
 
 
+def _invert_letters(letters: Sequence[Letter]) -> list[Letter]:
+    return [l.inverse() for l in reversed(letters)]
+
+
 def invert(w: Word) -> Word:
-    return Word(w.group, free_reduce_letters(l.inverse() for l in reversed(w.letters)))
+    return Word(w.group, free_reduce_letters(_invert_letters(w.letters)))
 
 
 # -- text form -----------------------------------------------------------------
@@ -213,130 +224,93 @@ _TOKEN_RE = re.compile(
     r"\s+|(?P<macro_call>comm\()|(?P<abrack>A\[)|(?P<name>BIGELOW5|Dc|Dv)"
     r"|(?P<gen>[stp]\d+)|(?P<zeta>z)|(?P<caret>\^)|(?P<int>-?\d+)"
     r"|(?P<open>\()|(?P<close>\))|(?P<semi>;)|(?P<comma>,)|(?P<rbrack>\])"
-    r"|(?P<word>[A-Za-z]\w*)")
+    r"|(?P<word>[A-Za-z]\w*)|(?P<bad>.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise WordSyntaxError(f"unexpected character {text[pos]!r} at {pos}")
-        pos = m.end()
-        if m.lastgroup is None:
-            continue
-        if m.lastgroup == "word":
-            raise UnknownMacro(f"unknown name {m.group()!r}")
-        tokens.append((m.lastgroup, m.group()))
-    return tokens
+def _cap(letters: int) -> None:    # a list this long is refused
+    if letters > MAX_LETTERS:
+        raise WordSyntaxError(f"word spelled out past {MAX_LETTERS} letters")
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], group: GroupId, comm: str):
-        self.toks = tokens
-        self.i = 0
-        self.group = group
-        self.comm = comm
-        self.depth = 0
+def _take(tokens: list[tuple[str | None, str]], kind: str) -> str:
+    if tokens[-1][0] != kind:
+        raise WordSyntaxError(f"expected {kind}, got {tokens[-1][1]!r}")
+    return tokens.pop()[1]
 
-    def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
 
-    def take(self, kind: str) -> str:
-        if self.peek() != kind:
-            got = self.toks[self.i][1] if self.i < len(self.toks) else "end of input"
-            raise WordSyntaxError(f"expected {kind}, got {got!r}")
-        tok = self.toks[self.i][1]
-        self.i += 1
-        return tok
-
-    def nest(self, step: int) -> None:
-        self.depth += step
-        if self.depth > MAX_NESTING:
-            raise WordSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
-
-    def cap(self, letters: int) -> None:    # a list this long is refused
-        if letters > MAX_LETTERS:
-            raise WordSyntaxError(f"word spelled out past {MAX_LETTERS} letters")
-
-    def parse_word(self, *, stop: tuple[str, ...] = ()) -> list[Letter]:
-        out: list[Letter] = []
-        while self.peek() is not None and self.peek() not in stop:
-            out.extend(self.parse_term())
-            self.cap(len(out))
-        return out
-
-    def parse_term(self) -> list[Letter]:
-        atom = self.parse_atom()
-        if self.peek() == "caret":
-            self.take("caret")
-            k = int(self.take("int"))
-            if len(atom) == 1 and k:    # one letter keeps its power whole
-                return [_letter(atom[0].kind, atom[0].index, atom[0].power * k)]
-            self.cap(len(atom) * abs(k))
-            if k < 0:
-                atom = [l.inverse() for l in reversed(atom)]
-                k = -k
-            atom = atom * k
-        return atom
-
-    def parse_atom(self) -> list[Letter]:
-        kind = self.peek()
+def _read(tokens: list[tuple[str | None, str]], group: GroupId, comm: str,
+          stop: str | None, depth: int) -> list[Letter]:
+    """Letters of the terms up to the stop token or the end mark, popped
+    from tokens, a stack with the next token last; one call per level."""
+    if depth > MAX_NESTING:
+        raise WordSyntaxError(f"nesting deeper than {MAX_NESTING} levels")
+    out: list[Letter] = []
+    while tokens[-1][0] not in (stop, None):
+        kind, tok = tokens.pop()
         if kind == "gen":
-            tok = self.take("gen")
-            return [_letter(tok[0], int(tok[1:]), 1)]
-        if kind == "zeta":
-            self.take("zeta")
-            return [zeta()]
-        if kind == "open":
-            self.take("open")
-            self.nest(1)
-            inner = self.parse_word(stop=("close",))
-            self.take("close")
-            self.nest(-1)
-            return inner
-        if kind == "name":
-            name = self.take("name")
-            if name == "Dc":
-                return [sigma(i) for i in range(1, self.group.strands)]
-            if name == "Dv":
-                return [tau(i) for i in range(1, self.group.strands)]
-            return bigelow5_letters(self.group)
-        if kind == "abrack":
-            self.take("abrack")
-            i = int(self.take("int"))
-            self.take("comma")
-            j = int(self.take("int"))
-            self.take("rbrack")
-            return band_generator_letters(self.group, i, j)
-        if kind == "macro_call":
-            self.take("macro_call")
-            self.nest(1)
-            a = self.parse_word(stop=("semi",))
-            self.take("semi")
-            b = self.parse_word(stop=("close",))
-            self.take("close")
-            self.nest(-1)
-            self.cap(2 * (len(a) + len(b)))
-            return commutator_letters(a, b, self.comm)
-        got = self.toks[self.i][1] if self.i < len(self.toks) else "end of input"
-        raise WordSyntaxError(f"expected a generator, group or macro, got {got!r}")
+            atom = [_letter(tok[0], int(tok[1:]), 1)]
+        elif kind == "zeta":
+            atom = [zeta()]
+        elif kind == "open":
+            atom = _read(tokens, group, comm, "close", depth + 1)
+            _take(tokens, "close")
+        elif tok == "Dc":
+            atom = [sigma(i) for i in range(1, group.strands)]
+        elif tok == "Dv":
+            atom = [tau(i) for i in range(1, group.strands)]
+        elif tok == "BIGELOW5":
+            atom = bigelow5_letters(group)
+        elif kind == "abrack":
+            i = int(_take(tokens, "int"))
+            _take(tokens, "comma")
+            j = int(_take(tokens, "int"))
+            _take(tokens, "rbrack")
+            atom = band_generator_letters(group, i, j)
+        elif kind == "macro_call":
+            a = _read(tokens, group, comm, "semi", depth + 1)
+            _take(tokens, "semi")
+            b = _read(tokens, group, comm, "close", depth + 1)
+            _take(tokens, "close")
+            _cap(2 * (len(a) + len(b)))
+            atom = commutator_letters(a, b, comm)
+        else:
+            raise WordSyntaxError(
+                f"expected a generator, group or macro, got {tok!r}")
+        if tokens[-1][0] == "caret":
+            tokens.pop()
+            k = int(_take(tokens, "int"))
+            if len(atom) == 1 and k:    # one letter keeps its power whole
+                l = atom[0]
+                atom = [_letter(l.kind, l.index, l.power * k)]
+            else:
+                _cap(len(atom) * abs(k))
+                atom = (_invert_letters(atom) if k < 0 else atom) * abs(k)
+        out += atom
+        _cap(len(out))
+    return out
 
 
 def parse_word(text: str, group: GroupId, comm_convention: str = "direct") -> Word:
     if comm_convention not in ("direct", "inverse-first"):
         raise ValueError(f"unknown comm convention {comm_convention!r}")
-    # with no stop token it reads to the end; parse_atom refuses a stray ')'
-    letters = _Parser(_tokenize(text), group, comm_convention).parse_word()
-    return Word(group, free_reduce_letters(letters))
+    tokens: list[tuple[str | None, str]] = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise WordSyntaxError(
+                f"unexpected character {m.group()!r} at {m.start()}")
+        if m.lastgroup == "word":
+            raise UnknownMacro(f"unknown name {m.group()!r}")
+        if m.lastgroup is not None:
+            tokens.append((m.lastgroup, m.group()))
+    # the end mark, which no kind matches, sits under the stack
+    tokens.append((None, "end of input"))
+    tokens.reverse()
+    # with no stop token it reads to the end; a stray ')' is no atom
+    return Word(group, free_reduce_letters(
+        _read(tokens, group, comm_convention, None, 0)))
 
 
 # -- macros ---------------------------------------------------------------------
-
-
-def _invert_letters(letters: Sequence[Letter]) -> list[Letter]:
-    return [l.inverse() for l in reversed(letters)]
 
 
 def commutator_letters(a: Sequence[Letter], b: Sequence[Letter],

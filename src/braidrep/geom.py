@@ -347,7 +347,7 @@ def artin_dynamics(word: Word, *, segments_per_crossing: int = 16,
     pass braidword.MAX_LETTERS is refused before any point is written."""
     if word.group.family != "B":
         raise ValueError("trajectory synthesis expects a braid word (family B)")
-    if segments_per_crossing < 1:
+    if integer(segments_per_crossing, "segments per crossing") < 1:
         raise ValueError("segments per crossing must be at least 1")
     if sum(abs(l.power) for l in word.letters) * segments_per_crossing \
             > MAX_LETTERS:
@@ -411,7 +411,7 @@ def perturb(braid: GeomBraid, seed: int, magnitude: float) -> GeomBraid:
 def resample(braid: GeomBraid, factor: int = 2) -> GeomBraid:
     """Insert factor-1 collinear midpoints per segment; same paths. More
     than braidword.MAX_LETTERS segments in all are refused."""
-    if factor < 1:
+    if integer(factor, "factor") < 1:
         raise ValueError("factor must be positive")
     if sum(len(bps) - 1 for bps in braid.strands) * factor > MAX_LETTERS:
         raise ValueError(f"resampling would write more than {MAX_LETTERS} "

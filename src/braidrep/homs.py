@@ -16,7 +16,7 @@ from functools import lru_cache
 from .braidword import (MAX_LETTERS, GroupId, Letter, Word,
                         free_reduce_letters, is_pure, sigma, tau, zeta)
 from .errors import NotPure
-from .laurent import Assignment
+from .laurent import Assignment, integer
 from . import rep
 
 
@@ -30,11 +30,11 @@ class PipelineConfig:
     d: int = 1
 
     def __post_init__(self):
-        if self.n < 3:
+        if integer(self.n, "n") < 3:
             raise ValueError("need at least 3 strands")
-        if not 1 <= self.k <= self.n:
+        if not 1 <= integer(self.k, "k") <= self.n:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
-        if self.d < 1:
+        if integer(self.d, "d") < 1:
             raise ValueError("d must be positive")
 
 
@@ -87,7 +87,7 @@ def p_k(word: Word, k: int) -> Word:
     if word.group.family != "B":
         raise ValueError("strand removal expects a braid word (family B)")
     n = word.group.strands
-    if not 1 <= k <= n:
+    if not 1 <= integer(k, "k") <= n:
         raise ValueError(f"k={k} outside 1..{n}")
     if not is_pure(word):
         raise NotPure(f"word is not pure; strand removal at k={k} undefined")
@@ -113,7 +113,7 @@ def f_d(word: Word, d: int) -> Word:
     whose block is z, a power of z is its own image, one letter."""
     if word.group.family != "CPB":
         raise ValueError("rotation power expects a cylinder word (family CPB)")
-    if d < 1:
+    if integer(d, "d") < 1:
         raise ValueError("d must be positive")
     m = word.group.strands
     block = 1 + m * (d - 1)    # the letters of rotation_block_letters

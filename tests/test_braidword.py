@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import groupby
@@ -511,3 +512,100 @@ def test_refusals_name_their_fault():
     with pytest.raises(ValueError, match="cannot concatenate words over "
                        "different groups"):
         parse_word("s1", B4) * parse_word("s1", GroupId("B", 3))
+
+
+def test_a_parse_leaves_no_reference_cycle():
+    """The reader is module functions, not closures, so a parse leaves no
+    garbage for the cycle collector, nor does a refusal once its
+    traceback is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("comm((A[1,3]^-1 s2)^-2; Dc) s1^3", "s1 (s2", "$"):
+            try:
+                parse_word(text, B4)
+            except WordSyntaxError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Tokens a text may gain by mutation: stray characters, unknown names and
+# tokens out of place; texts join tokens with or without a space, so
+# neighbours may run together into others ("s1" "2" reads as s12)
+READER_TOKENS = ("s1", "t5", "p0", "z", "(", ")", "^", "-1", "2",
+                 "1000000000", "comm(", "comm", ";", "A[", ",", "]", "Dc",
+                 "BIGELOW5", "$", "é", "FROB", "s", "\n")
+READER_GROUPS = tuple(GroupId(family, n) for family in braidword.FAMILIES
+                      for n in (2, 3, 4)) + (GroupId("B", 5),)
+
+
+def _reader_tokens(rng, group, depth):
+    """Tokens of a word in the grammar: generators, z, groups, commutators,
+    band generators and named words, some atoms raised to a power; an index
+    may fall just outside the group's range."""
+    n = group.strands
+    out = []
+    for _ in range(rng.randrange(depth == 0, 4)):
+        r = rng.random()
+        if r < 0.15 and depth < 3:
+            atom = ["(", *_reader_tokens(rng, group, depth + 1), ")"]
+        elif r < 0.25 and depth < 3:
+            atom = ["comm(", *_reader_tokens(rng, group, depth + 1), ";",
+                    *_reader_tokens(rng, group, depth + 1), ")"]
+        elif r < 0.32:
+            i = rng.randrange(n)
+            atom = ["A[", str(i), ",", str(rng.randrange(i + 1, n + 2)), "]"]
+        elif r < 0.4:
+            atom = [rng.choice(("Dc", "Dc", "Dv", "BIGELOW5"))]
+        elif r < 0.45:
+            atom = ["z"]
+        else:
+            kinds = [k for k in group.kinds if k != "z"]
+            hi = group.indices[-1]
+            if rng.random() < 0.1:    # a kind or an index out of the group
+                atom = [rng.choice("stp") + str(rng.choice((0, hi + 1)))]
+            else:
+                atom = [rng.choice(kinds) + str(rng.randrange(1, hi + 1))]
+        if rng.random() < 0.3:
+            atom += ["^", str(rng.choice((-3, -2, -1, 0, 1, 2, 3,
+                                           1000000000)))]
+        out += atom
+    return out
+
+
+def _reader_text(rng, group):
+    """A grammatical text, or one with a token inserted, dropped or swapped."""
+    tokens = _reader_tokens(rng, group, 0)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        at = rng.randrange(len(tokens) + 1)
+        if rng.random() < 0.5 or at == len(tokens):
+            tokens.insert(at, rng.choice(READER_TOKENS))
+        elif rng.random() < 0.5:
+            del tokens[at]
+        else:
+            tokens[at] = rng.choice(READER_TOKENS)
+    return "".join(token + (" " if rng.random() < 0.7 else "")
+                   for token in tokens)
+
+
+def test_reader_battery_is_pinned():
+    """Each text's formatted word, or its refusal as class and message, over
+    every family and both commutator conventions. The digest is the one the
+    two-layer reader (a token loop, then a parser class) gave, which the one
+    recursive function replaced."""
+    rng = random.Random(39)
+    results = []
+    for _ in range(5000):
+        group = rng.choice(READER_GROUPS)
+        text = _reader_text(rng, group)
+        comm = rng.choice(("direct", "inverse-first"))
+        try:
+            result = format_word(parse_word(text, group, comm))
+        except (WordSyntaxError, IndexOutOfRange, KindNotInGroup) as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        results.append(f"{text!r}\t{group}\t{comm}\t{result}")
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == \
+        "3e85ffd22df36e81a53a3c48d41d4c50a488a889879930a2d791aa115657f797"

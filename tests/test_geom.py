@@ -300,6 +300,10 @@ def test_strand_arguments_are_checked():
     (lambda b, x: q_kl(b, 1, x), "l"),
     (lambda b, x: psi_d_events(b, x), "d"),
     (lambda b, x: power_map_extract(b, 1, x), "d"),
+    (lambda b, x: resample(b, x), "factor"),
+    (lambda b, x: artin_dynamics(parse_word("A[1,3]", B4),
+                                 segments_per_crossing=x),
+     "segments per crossing"),
 ))
 def test_strand_and_power_arguments_must_be_plain_integers(monkeypatch, call,
                                                           what, bad):

@@ -349,3 +349,24 @@ def test_word_maps_refuse_the_wrong_family():
         f_d(parse_word("s1^2", B3), 2)
     with pytest.raises(NotPure, match="unexpected 'z' letter"):
         strand_removal_letters((zeta(),), 3, 1)
+
+
+@pytest.mark.parametrize("bad", (1.0, True))
+@pytest.mark.parametrize("call,what", (
+    (lambda x: p_k(parse_word("A[1,3]", B3), x), "k"),
+    (lambda x: f_d(parse_word("s2 z", GroupId("CPB", 2)), x), "d"),
+    (lambda x: PipelineConfig(x, 1, 2), "n"),
+    (lambda x: PipelineConfig(4, x, 2), "k"),
+    (lambda x: PipelineConfig(4, 1, x), "d"),
+))
+def test_map_parameters_must_be_plain_integers(monkeypatch, call, what, bad):
+    """A float equal to an int, and a bool, are refused before any work, as
+    geom's readings refuse them."""
+    def worked(*args):
+        raise AssertionError("a refused parameter reached the map")
+
+    for name in ("is_pure", "strand_removal_letters", "rotation_block_letters"):
+        monkeypatch.setattr(homs, name, worked)
+    with pytest.raises(ValueError, match=f"^{what} {bad!r} is not an "
+                       "integer$"):
+        call(bad)
