@@ -96,7 +96,8 @@ def parse_group(text: str, flat_braid_relation: bool = False) -> GroupId:
     if not m:
         raise WordSyntaxError(f"bad group {text!r}; expected e.g. B5, VCB4")
     try:
-        return GroupId(m.group(1), int(m.group(2)), flat_braid_relation)
+        return GroupId(m.group(1), _int(m.group(2), "strand count"),
+                       flat_braid_relation)
     except ValueError as exc:
         raise WordSyntaxError(str(exc)) from exc
 
@@ -227,6 +228,16 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>[A-Za-z]\w*)|(?P<bad>.)", re.DOTALL)
 
 
+def _int(digits: str, what: str, error=WordSyntaxError) -> int:
+    """int(digits), or error naming what and the digits where they are more
+    than the interpreter converts (CPython's int-to-str limit)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"{what} {digits[:12]}... ({len(digits)} characters) is "
+                    "too long to read") from None
+
+
 def _cap(letters: int) -> None:    # a list this long is refused
     if letters > MAX_LETTERS:
         raise WordSyntaxError(f"word spelled out past {MAX_LETTERS} letters")
@@ -248,7 +259,8 @@ def _read(tokens: list[tuple[str | None, str]], group: GroupId, comm: str,
     while tokens[-1][0] not in (stop, None):
         kind, tok = tokens.pop()
         if kind == "gen":
-            atom = [_letter(tok[0], int(tok[1:]), 1)]
+            atom = [_letter(tok[0], _int(tok[1:], f"{tok[0]} index",
+                                         IndexOutOfRange), 1)]
         elif kind == "zeta":
             atom = [zeta()]
         elif kind == "open":
@@ -261,9 +273,9 @@ def _read(tokens: list[tuple[str | None, str]], group: GroupId, comm: str,
         elif tok == "BIGELOW5":
             atom = bigelow5_letters(group)
         elif kind == "abrack":
-            i = int(_take(tokens, "int"))
+            i = _int(_take(tokens, "int"), "A[ index", IndexOutOfRange)
             _take(tokens, "comma")
-            j = int(_take(tokens, "int"))
+            j = _int(_take(tokens, "int"), "A[ index", IndexOutOfRange)
             _take(tokens, "rbrack")
             atom = band_generator_letters(group, i, j)
         elif kind == "macro_call":
@@ -278,7 +290,7 @@ def _read(tokens: list[tuple[str | None, str]], group: GroupId, comm: str,
                 f"expected a generator, group or macro, got {tok!r}")
         if tokens[-1][0] == "caret":
             tokens.pop()
-            k = int(_take(tokens, "int"))
+            k = _int(_take(tokens, "int"), "power")
             if len(atom) == 1 and k:    # one letter keeps its power whole
                 l = atom[0]
                 atom = [_letter(l.kind, l.index, l.power * k)]

@@ -39,7 +39,8 @@ polynomial Im(w N conj(D)) vanishes, on the ray p or p + d/2 by the sign of
 Re(w N conj(D)). Before that polynomial is built, one angle bound skips the
 segments it proves event-free: arg(N/D) is a signed sum of the angles of the
 vectors N and D are made of, each monotone on a segment between its unwound
-breakpoint values; a pair bounds it per watched strand. One routine isolates
+breakpoint values; a pair bounds it per watched strand, and solves it only
+on the lines of the rays that bound reaches. One routine isolates
 every root: Descartes' rule of signs in the Bernstein basis with halving,
 then Illinois steps on each isolating bracket; roots too close to separate
 raise NonGenericInput, unless they lie where no ray is. It decides each
@@ -520,10 +521,11 @@ def _horner(coeffs, u: float):
 
 def _ray_lines(d: int):
     """(ray, far, w) per line of the d-th reading, ray p in direction
-    conj(w) and its far ray p + d/2 (None for odd d); the lines' spacing."""
+    conj(w) and its far ray p + d/2 (None for odd d); the rays' spacing,
+    2 pi / d. Ray r lies on line r mod the number of lines."""
     if d % 2:
         return [(ray, None, cmath.exp(-1j * TWO_PI * ray / d))
-                for ray in range(d)], math.pi / d
+                for ray in range(d)], TWO_PI / d
     return [(ray, ray + d // 2, cmath.exp(-1j * TWO_PI * ray / d))
             for ray in range(d // 2)], TWO_PI / d
 
@@ -724,14 +726,16 @@ def _cylinder_events(braid: GeomBraid, k: int, cut_angle: float | None):
     ranges = [None if s == k0 else
               _angle_range(v, [x + y for x, y in zip(c, c[1:])])
               for s, (v, c) in enumerate(zip(values, sizes))]
-    lines, spacing = _ray_lines(1)
+    lines, _ = _ray_lines(1)
     # strand pairs, then each strand against the cut, vector n
     items = [(si, sj, (si + 1, sj + 1), "alignment")
              for ia, si in enumerate(others) for sj in others[ia + 1:]] + \
         [(l, n, (l + 1, k), "cut passage") for l in others]
-    # segment by segment, so events are found and refused in time order
+    # segment by segment, so events are found and refused in time order;
+    # filtered at the line's spacing, pi, not the ray's, as a degenerate cut
+    # is refused on either side of the line
     hits = sorted((g, x) for x, (sa, sb, _, _) in enumerate(items)
-                  for g in _candidates(ranges[sa], ranges[sb], spacing))
+                  for g in _candidates(ranges[sa], ranges[sb], math.pi))
     events: list[Event] = []
     for g, x in hits:
         t0, h, vals, incs = segments[g]
@@ -1004,33 +1008,54 @@ def _candidates(first, second, spacing: float) -> list[int]:
     """The indices of the segments on which the angle difference of two
     _angle_range bounds (centres, half-widths), first's less second's, can
     meet a multiple of spacing: every other segment has no root on a ray.
-    It is the one filter of every reading, the cylinder's and the pairs'."""
+    It is the one filter of every reading: a pair reading passes its rays'
+    spacing, 2 pi / d, the cylinder its line's, pi."""
     (ca, ha), (cb, hb) = first, second
     return [g for g, xa, xb, ra, rb in zip(range(len(ca)), ca, cb, ha, hb)
             if not (radius := ra + rb) < (xa - xb) % spacing < spacing - radius]
 
 
 def _pair_events(braid: GeomBraid | PuncturedView, method: str, d: int):
-    # the ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi i p/d);
-    # for even d, rays p and p + d/2 share the line of w and are told apart by
-    # the sign of Re(w P), so each line is isolated once
+    """Events of the d-th reading, every pair of strands segment by segment.
+    The ratio N/D lies on ray p where Im(w P) = 0 < Re(w P), w = e^(-2 pi
+    i p/d); for even d, rays p and p + d/2 share the line of w and are
+    told apart by the sign of Re(w P), so each line is isolated once. The
+    rays lie at the multiples of the spacing 2 pi / d, and arg(N/D) =
+    (arg a_i - arg b_i) - (arg a_j - arg b_j): a segment whose bound on it
+    misses every ray has no root on one, and the one segment filter,
+    _candidates, drops it. A segment it keeps is isolated on the lines of
+    the rays its bound reaches alone, in ascending order, or on every line
+    if the bound spans half a turn or more. The mobius ratio m is real
+    exactly where N/D = (1 - m)/m is."""
     lines, spacing = _ray_lines(d)
-    # the lines lie at the multiples of spacing; arg(N/D) = (arg a_i - arg b_i)
-    # - (arg a_j - arg b_j), so a segment whose bound on it misses them all
-    # has no root, and the one segment filter, _candidates, drops it; the
-    # mobius ratio m is real exactly where N/D = (1 - m)/m is
     segments, ranges = _pair_model(braid)
+    nl, half = len(lines), spacing / 2
     events: list[Event] = []
     for i0 in range(braid.n):
         for j0 in range(i0 + 1, braid.n):
             pair = (i0 + 1, j0 + 1)
+            (ca, ha), (cb, hb) = ranges[i0], ranges[j0]
             for g in _candidates(ranges[i0], ranges[j0], spacing):
+                # a bound below half a turn reaches the rays the filter's
+                # own divmod gives: below half the spacing the one it saw,
+                # else the run it spans; ray r lies on line r mod nl
+                reached = lines
+                if nl > 1 and (radius := ha[g] + hb[g]) < math.pi / 2:
+                    q, rem = divmod(ca[g] - cb[g], spacing)
+                    if radius < half:
+                        reached = [lines[(int(q) + (rem > radius)) % nl]]
+                    else:
+                        lo = int(q) + math.ceil((rem - radius) / spacing)
+                        hi = int(q) + math.floor((rem + radius) / spacing)
+                        reached = [lines[x] for x in
+                                   sorted({r % nl for r in range(lo, hi + 1)})]
                 t0, h, vals, incs = segments[g]
                 num, den = _cross_ratio_models(vals[i0], incs[i0], vals[j0],
                                                incs[j0], vals[-1], incs[-1],
                                                method)
                 for u, ray, sense in _ray_roots(*_pair_quartic(num, den),
-                                                lines, t0, h, pair, "crossing"):
+                                                reached, t0, h, pair,
+                                                "crossing"):
                     if ray is not None:
                         events.append(_classify(num, den, u, t0 + h * u, *pair,
                                                 method, ray, d, sense))

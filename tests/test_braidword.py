@@ -1,12 +1,14 @@
 import gc
 import hashlib
 import random
+import sys
 from itertools import groupby
 from operator import itemgetter
 
 import pytest
 
 from braidrep import braidword
+from braidrep.cli import main
 from braidrep.braidword import (MAX_LETTERS, MAX_NESTING, MAX_STRANDS,
                                 SHARED_LETTERS, GroupId, Letter,
                                 Word, bigelow5, format_word, free_reduce_letters,
@@ -512,6 +514,38 @@ def test_refusals_name_their_fault():
     with pytest.raises(ValueError, match="cannot concatenate words over "
                        "different groups"):
         parse_word("s1", B4) * parse_word("s1", GroupId("B", 3))
+
+
+@pytest.mark.parametrize("text,error,what", (
+    ("s1^" + "9" * 5000, WordSyntaxError, "power 999999999999"),
+    ("s" + "9" * 5000, IndexOutOfRange, "s index 999999999999"),
+    ("A[" + "1" * 5000 + ",2]", IndexOutOfRange, "A\\[ index 111111111111"),
+    ("A[1,-" + "2" * 5000 + "]", IndexOutOfRange, "A\\[ index -22222222222"),
+    ("B" + "7" * 5000, WordSyntaxError, "strand count 777777777777"),
+), ids=("power", "generator-index", "band-index", "negative-band-index",
+        "strand-count"))
+def test_numbers_past_the_digit_limit_are_word_errors(capsys, text, error,
+                                                      what):
+    """A number with more digits than the interpreter's int-to-str limit,
+    set here to CPython's default of 4300, is refused as a word error that
+    names the token, not by Python's own ValueError; the command line
+    exits with 2."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(error, match=f"^{what}\\.\\.\\. \\(50\\d\\d "
+                           "characters\\) is too long to read$") as info:
+            if text.startswith("B"):
+                parse_group(text)
+            else:
+                parse_word(text, B4)
+        assert "sys" not in str(info.value)
+        word, group = (("s1", text) if text.startswith("B") else (text, "B4"))
+        assert main(["parse", word, "--group", group]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "too long to read" in out.err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_parse_leaves_no_reference_cycle():

@@ -864,6 +864,66 @@ def test_filter_drops_far_side_double_root_of_an_odd_reading():
         assert filter_mismatches([view]) == ([], [], 3)
 
 
+def test_line_choice_reads_what_every_line_reads(monkeypatch):
+    """A pair reading hands _ray_roots only the lines of the rays each
+    segment's bound reaches; handed every line of the reading instead, it
+    gives the same events, or the same refusal, on seeded zero-linking
+    braids of 4 to 7 strands, plain and as a view, at odd and even d."""
+    ray_roots = _ray_roots
+    rng = random.Random(4040)
+    braids = []
+    for n in (4, 5, 6, 7):
+        for _ in range(3):
+            b = artin_dynamics(random_zero_linking_word(n, rng, factors=1),
+                               radial_spread=0.25)
+            braids.append(b if len(braids) % 2 else q_kl(b, 1, n))
+    events = 0
+    for d in (3, 4, 5, 7, 16, 257):
+        lines, _ = _ray_lines(d)
+        for braid in braids:
+            chosen = pair_outcome(psi_d_events, braid, d)
+            with monkeypatch.context() as m:
+                m.setattr(geom, "_ray_roots",
+                          lambda coeffs, bern, _, *rest:
+                          ray_roots(coeffs, bern, lines, *rest))
+                assert pair_outcome(psi_d_events, braid, d) == chosen
+            events += len(chosen)
+    assert events > 50000
+
+
+def line_tests(monkeypatch, view, d):
+    """(lines tested, roots found, roots on a far side) of a d-th reading."""
+    ray_roots, counts = _ray_roots, [0, 0, 0]
+
+    def spy(coeffs, bern, lines, *rest):
+        roots = ray_roots(coeffs, bern, lines, *rest)
+        counts[0] += len(lines)
+        counts[1] += len(roots)
+        counts[2] += sum(ray is None for _, ray, _ in roots)
+        return roots
+
+    with monkeypatch.context() as m:
+        m.setattr(geom, "_ray_roots", spy)
+        psi_d_events(view, d)
+    return counts
+
+
+@pytest.mark.parametrize("d,events", ((4097, 26164), (4096, 26160)))
+def test_large_power_readings_test_the_lines_their_bounds_reach(monkeypatch,
+                                                                d, events):
+    """On the B4 commutator's view at (1,3), most segments' bounds are wider
+    than the rays' spacing at these d, so each tests the run of lines its
+    bound reaches: at most twice as many line tests as roots, and no root
+    of the odd reading on a far side, where it holds no ray. Testing every
+    line takes 1,048,832 tests for 52,330 roots at d = 4097, 26,166 of them
+    on a far side, and 524,288 for 26,160 at d = 4096."""
+    view = q_kl(artin_dynamics(parse_word("comm(A[1,3]; A[2,4])",
+                                          GroupId("B", 4))), 1, 3)
+    tests, roots, far = line_tests(monkeypatch, view, d)
+    assert (roots, far) == (events, 0)
+    assert tests <= 2 * roots
+
+
 def test_filter_leaves_a_vector_through_a_puncture_unbounded():
     """A plain braid whose strand 2 stands exactly on the puncture 0 or 1 at
     a breakpoint: its angle there is undefined, and the reading must still
